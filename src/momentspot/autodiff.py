@@ -464,6 +464,28 @@ def unfold1d(t, kernel):
     return _node(out_data, (t,), backward)
 
 
+# -- masks ------------------------------------------------------------------
+
+
+def keep_mask(mask, n):
+    """Boolean keep vector of length n; None keeps all."""
+    keep = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if keep.shape != (n,):
+        raise ShapeError(f"mask of shape {keep.shape} does not match length {n}")
+    return keep
+
+
+def mask_rows(t, mask=None):
+    """Zero the rows (axis-0 entries) of t whose mask entry is False."""
+    keep = keep_mask(mask, t.data.shape[0]).astype(t.data.dtype)
+    keep = keep.reshape(keep.shape + (1,) * (t.data.ndim - 1))
+
+    def backward(g):
+        _accumulate(t, g * keep)
+
+    return _node(t.data * keep, (t,), backward)
+
+
 # -- normalization / attention pieces --------------------------------------
 
 
@@ -476,19 +498,10 @@ def softmax_masked(scores, key_mask=None, flags=None):
     x = scores.data
     if x.ndim != 2:
         raise ShapeError("softmax_masked expects rank-2 scores")
-    if key_mask is not None:
-        km = np.asarray(key_mask, dtype=bool)
-        if km.shape != (x.shape[1],):
-            raise ShapeError("key mask length must match key count")
-        if km.any():
-            m = x[:, km].max(axis=1, keepdims=True)
-        else:
-            m = np.zeros((x.shape[0], 1), dtype=x.dtype)
-        # masked columns must not even overflow: exp a neutral 0 there
-        e = np.exp(np.where(km, x - m, 0.0)) * km
-    else:
-        m = x.max(axis=1, keepdims=True)
-        e = np.exp(x - m)
+    km = keep_mask(key_mask, x.shape[1])
+    m = x.max(axis=1, keepdims=True, where=km, initial=-np.inf)
+    # masked columns are never exponentiated, so they cannot overflow
+    e = np.exp(x - m, where=km, out=np.zeros_like(x))
     denom = e.sum(axis=1, keepdims=True)
     dead = denom[:, 0] == 0.0
     safe = np.where(denom == 0.0, 1.0, denom)
@@ -508,12 +521,7 @@ def logsumexp(t, include=None):
     x = t.data
     if x.ndim != 1:
         raise ShapeError("logsumexp expects a rank-1 tensor")
-    if include is None:
-        inc = np.ones(x.shape, dtype=bool)
-    else:
-        inc = np.asarray(include, dtype=bool)
-        if inc.shape != x.shape:
-            raise ShapeError("include mask shape mismatch")
+    inc = keep_mask(include, x.shape[0])
     if not inc.any():
         raise ShapeError("logsumexp over an empty subset")
     m = x[inc].max()
@@ -628,11 +636,10 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
         outs.append(matmul(attn, vh))
     merged = concat(outs, axis=1)
     out = linear(merged, params.wo, params.bo)
-    if dead_rows is not None and dead_rows.any():
-        keep = (~dead_rows).astype(out.data.dtype)[:, None]
-        out = mul(out, Tensor(keep))
+    if dead_rows.any():
+        out = mask_rows(out, ~dead_rows)
     if flags is not None:
-        flags["all_keys_masked"] = dead_rows if dead_rows is not None else np.zeros(q.data.shape[0], dtype=bool)
+        flags["all_keys_masked"] = dead_rows
         flags["attention_weights"] = np.stack(weight_rows, axis=0)
     return out
 

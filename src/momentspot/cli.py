@@ -17,23 +17,21 @@ def _add_common(parser):
     parser.add_argument("--config", type=str, default=None, help="JSON model/training config")
     parser.add_argument("--data", type=str, required=True, help="jsonl input (annotations or manifest)")
     parser.add_argument("--out", type=str, required=True, help="output directory or file")
-    parser.add_argument("--seed", type=int, default=0, help="u64 master seed")
-    parser.add_argument("--init-from", type=str, default=None, help="checkpoint to warm start / evaluate")
-    parser.add_argument("--device", type=str, default="cpu", choices=["cpu"], help="compute device")
+    return parser
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="momentspot",
                                      description="Joint moment retrieval and highlight detection")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (("train", "train a model"),
-                           ("eval", "evaluate a checkpoint"),
-                           ("datagen", "generate synthetic annotations from a video manifest")):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "train":
-            p.add_argument("--val-data", type=str, default=None,
-                           help="explicit validation jsonl (overrides the split)")
+    p = _add_common(sub.add_parser("train", help="train a model"))
+    p.add_argument("--seed", type=int, default=0, help="u64 master seed")
+    p.add_argument("--init-from", type=str, default=None, help="checkpoint to warm start from")
+    p.add_argument("--val-data", type=str, default=None,
+                   help="explicit validation jsonl (overrides the split)")
+    p = _add_common(sub.add_parser("eval", help="evaluate a checkpoint"))
+    p.add_argument("--init-from", type=str, default=None, help="checkpoint to evaluate")
+    _add_common(sub.add_parser("datagen", help="generate synthetic annotations from a video manifest"))
     return parser
 
 

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, absval, concat, div, linear, logsumexp, matmul,
-                       mul, narrow, relu, reshape, sigmoid, sqrt, square, sub,
-                       tanh, tsum)
+from .autodiff import (Tensor, absval, concat, div, keep_mask, linear, logsumexp,
+                       mask_rows, mul, narrow, relu, reshape, sigmoid, sqrt,
+                       square, sub, tanh, tsum)
 
 
 class CompositionError(ValueError):
@@ -55,7 +55,7 @@ def sample_rank_pair(levels, rng, clip_mask=None):
     Returns None when every eligible clip shares one level (no valid pair).
     """
     levels = np.asarray(levels)
-    eligible = np.arange(len(levels)) if clip_mask is None else np.flatnonzero(clip_mask)
+    eligible = np.flatnonzero(keep_mask(clip_mask, len(levels)))
     if eligible.size == 0:
         return None
     lv = levels[eligible]
@@ -75,8 +75,7 @@ def contrastive_rank_loss(saliency, levels, temperature, clip_mask=None):
     excluded from both sums.
     """
     levels = np.asarray(levels)
-    n = len(levels)
-    include = np.ones(n, dtype=bool) if clip_mask is None else np.asarray(clip_mask, dtype=bool)
+    include = keep_mask(clip_mask, len(levels))
     if not include.any():
         return Tensor(np.asarray(0.0, dtype=saliency.data.dtype))
     scaled = mul(saliency, 1.0 / temperature)
@@ -99,8 +98,7 @@ def hard_negative_loss(saliency, negative_mask, epoch):
     neg = np.asarray(negative_mask, dtype=bool)
     if not neg.any():
         return Tensor(np.asarray(0.0, dtype=saliency.data.dtype))
-    picked = mul(absval(saliency), Tensor(neg.astype(saliency.data.dtype)))
-    return _scalar(mul(tsum(picked), float(epoch + 1)))
+    return _scalar(mul(tsum(mask_rows(absval(saliency), neg)), float(epoch + 1)))
 
 
 def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
@@ -109,10 +107,8 @@ def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
     if not pos.any():
         return Tensor(np.asarray(0.0, dtype=saliency.data.dtype))
     gt = Tensor(np.asarray(gt_saliency, dtype=saliency.data.dtype))
-    sq = square(sub(gt, saliency))
-    picked = mul(sq, Tensor(pos.astype(saliency.data.dtype)))
     # scale the finished mean so the (epoch+1) ramp is bitwise exact
-    mse = mul(tsum(picked), 1.0 / int(pos.sum()))
+    mse = mul(tsum(mask_rows(square(sub(gt, saliency)), pos)), 1.0 / int(pos.sum()))
     return _scalar(mul(mse, float(epoch + 1)))
 
 
@@ -125,19 +121,15 @@ def highlight_distribution_loss(saliency, gt_saliency, positive_mask, negative_m
 # -- cross-task saliency losses ----------------------------------------------
 
 
-def _mask_vector(t, clip_mask):
-    if clip_mask is None:
-        return t
-    m = np.asarray(clip_mask, dtype=bool).astype(t.data.dtype)
-    return mul(t, Tensor(m))
+def masked_cosine_loss(scores, gt_saliency, clip_mask=None, flags=None):
+    """one_minus_cosine of rank-1 scores against gt values, both over unmasked clips."""
+    gt = Tensor(np.asarray(gt_saliency, dtype=scores.data.dtype))
+    return one_minus_cosine(mask_rows(scores, clip_mask), mask_rows(gt, clip_mask), flags=flags)
 
 
 def task_specific_loss(saliency, gt_saliency, clip_mask=None, flags=None):
     """1 - cosine between predicted and gt saliency over unmasked clips."""
-    gt = np.asarray(gt_saliency, dtype=saliency.data.dtype)
-    if clip_mask is not None:
-        gt = gt * np.asarray(clip_mask, dtype=bool)
-    return _scalar(one_minus_cosine(_mask_vector(saliency, clip_mask), Tensor(gt), flags=flags))
+    return masked_cosine_loss(saliency, gt_saliency, clip_mask, flags)
 
 
 @dataclass
@@ -172,11 +164,7 @@ def gru_saliency(features, params):
 
 def task_coupled_loss(features, gru, gt_saliency, clip_mask=None, flags=None):
     """1 - cosine between the GRU scan of moment-path features and gt saliency."""
-    scores = gru_saliency(features, gru)
-    gt = np.asarray(gt_saliency, dtype=scores.data.dtype)
-    if clip_mask is not None:
-        gt = gt * np.asarray(clip_mask, dtype=bool)
-    return _scalar(one_minus_cosine(_mask_vector(scores, clip_mask), Tensor(gt), flags=flags))
+    return masked_cosine_loss(gru_saliency(features, gru), gt_saliency, clip_mask, flags)
 
 
 # -- composition ---------------------------------------------------------------

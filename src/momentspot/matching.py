@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .autodiff import (Tensor, absval, clip01, concat, div, log_softmax_rows,
                        maximum, minimum, mul, narrow, relu, reshape, sub, tsum)
+from .metrics import giou_1d
 
 WIDTH_FLOOR = 1e-4
 
@@ -19,15 +20,6 @@ def span_from_cw(cw):
     s = min(max(c - 0.5 * w, 0.0), 1.0)
     e = min(max(c + 0.5 * w, 0.0), 1.0)
     return [s, e]
-
-
-def _giou_np(a, b):
-    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
-    enclosure = max(a[1], b[1]) - min(a[0], b[0])
-    if union <= 0.0 or enclosure <= 0.0:
-        return 0.0
-    return inter / union - (enclosure - union) / enclosure
 
 
 @dataclass
@@ -49,7 +41,7 @@ def match_cost_matrix(pred_moments, fg_probs, gt_moments, weights):
             gs = span_from_cw(gt_moments[j])
             l1 = abs(pred_moments[i, 0] - gt_moments[j, 0]) + abs(pred_moments[i, 1] - gt_moments[j, 1])
             cost[i, j] = (weights.l1 * l1
-                          + weights.giou * (1.0 - _giou_np(ps, gs))
+                          + weights.giou * (1.0 - giou_1d(ps, gs))
                           + weights.cls * (-fg_probs[i]))
     return cost
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 VERY_GOOD_LEVEL = 4
 DEFAULT_IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
@@ -171,33 +169,6 @@ def hd_map(pred_saliency_per_query, gt_levels_per_query, very_good=VERY_GOOD_LEV
         if ap is not None:
             aps.append(ap)
     return sum(aps) / len(aps) if aps else 0.0
-
-
-def top5_map_tvsum(pred_scores, annotator_scores):
-    """TVSum-style top-5 mAP for one video against per-annotator clip scores.
-
-    Each annotator's positives are the clips ranked in their top half
-    (ceil(L/2), ties toward the lower index). The top min(5, L) predicted
-    clips are scored with ranking AP normalized by min(top_k, #positives).
-    """
-    annotator_scores = np.atleast_2d(np.asarray(annotator_scores, dtype=float))
-    length = annotator_scores.shape[1]
-    if len(pred_scores) != length:
-        raise ValueError("prediction length does not match annotator scores")
-    top_k = min(5, length)
-    pred_top = _ranked_order(list(pred_scores))[:top_k]
-    aps = []
-    for row in annotator_scores:
-        n_pos = int(np.ceil(length / 2))
-        pos = set(_ranked_order(list(row))[:n_pos])
-        cum = 0
-        total = 0.0
-        for rank, idx in enumerate(pred_top, start=1):
-            if idx in pos:
-                cum += 1
-                total += cum / rank
-        aps.append(total / min(top_k, n_pos))
-    return float(np.mean(aps))
 
 
 def mean_iou(pred_windows_per_query, gt_windows_per_query):

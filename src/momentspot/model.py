@@ -26,7 +26,6 @@ from .refinement import ConvLayer, ProjectionParams, alignment_loss, project, re
 class Parameter:
     name: str
     tensor: Tensor
-    init: str  # xavier_uniform | zeros | ones
 
 
 class ParamStore:
@@ -50,7 +49,7 @@ class ParamStore:
         else:
             raise ConfigError(f"unknown init scheme '{init}'")
         t = Tensor(data, requires_grad=True)
-        self.params[name] = Parameter(name=name, tensor=t, init=init)
+        self.params[name] = Parameter(name=name, tensor=t)
         return t
 
     def linear(self, name, d_in, d_out, bias=True):
@@ -218,8 +217,7 @@ class Model:
     def forward(self, bundle: FeatureBundle, train=False, rng=None, flags=None):
         cfg, p = self.cfg, self.params
         flags = flags if flags is not None else {}
-        vmask = None if bundle.video_mask.all() else bundle.video_mask
-        tmask = None if bundle.text_mask.all() else bundle.text_mask
+        vmask, tmask = bundle.video_mask, bundle.text_mask
         video = Tensor(bundle.video.astype(self.dtype))
         text = Tensor(bundle.text.astype(self.dtype))
         v_bar = project(video, p.video_proj, cfg.input_dropout, train=train, rng=rng, mask=vmask)
@@ -264,21 +262,25 @@ def item_losses(model, bundle, ann, epoch, rng=None, train=False):
     preds = fw.predictions
     levels = np.asarray(ann.saliency_levels)
     norm_levels = levels / 4.0
-    n_clips = ann.num_clips
-    pos_mask = np.zeros(n_clips, dtype=bool)
+    vmask = bundle.video_mask
+    pos_mask = np.zeros(ann.num_clips, dtype=bool)
     pos_mask[ann.relevant_clip_ids] = True
-    neg_mask = ~pos_mask
+    neg_mask = ~pos_mask & vmask
+    pos_mask &= vmask
     zero = Tensor(np.asarray(0.0, dtype=model.dtype))
-    pair = sample_rank_pair(levels, rng, clip_mask=None) if rng is not None else None
+    pair = sample_rank_pair(levels, rng, clip_mask=vmask) if rng is not None else None
     rank = (rank_margin_loss(preds.saliency, pair[0], pair[1], cfg.weights.margin)
             if pair is not None else zero)
     components = {
         "rank": rank,
-        "contrastive": contrastive_rank_loss(preds.saliency, levels, cfg.weights.temperature),
+        "contrastive": contrastive_rank_loss(preds.saliency, levels, cfg.weights.temperature,
+                                             clip_mask=vmask),
         "hard": highlight_distribution_loss(preds.saliency, norm_levels, pos_mask, neg_mask, epoch),
-        "task_specific": task_specific_loss(preds.saliency, norm_levels),
-        "task_coupled": task_coupled_loss(fw.memory, model.params.gru, norm_levels),
-        "alignment": alignment_loss(fw.text_tokens, fw.refined, norm_levels),
+        "task_specific": task_specific_loss(preds.saliency, norm_levels, clip_mask=vmask),
+        "task_coupled": task_coupled_loss(fw.memory, model.params.gru, norm_levels,
+                                          clip_mask=vmask),
+        "alignment": alignment_loss(fw.text_tokens, fw.refined, norm_levels,
+                                    text_mask=bundle.text_mask, clip_mask=vmask),
     }
     gt_moments = normalized_windows(ann)
     if not (np.isfinite(preds.moments.data).all() and np.isfinite(preds.class_logits.data).all()):

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, concat, conv1d, div, dropout, matmul, maximum,
-                       mul, relu, reshape, sqrt, square, sub, transpose, tsum)
+from .autodiff import (Tensor, concat, conv1d, div, dropout, keep_mask,
+                       mask_rows, matmul, maximum, mul, relu, reshape, sqrt,
+                       square, transpose, tsum)
 from .config import ConfigError
-from .losses import one_minus_cosine
+from .losses import masked_cosine_loss
 
 
 @dataclass
@@ -23,45 +24,29 @@ class ProjectionParams:
     layers: list  # of ConvLayer
 
 
-def _row_mask(t, mask):
-    """Zero masked rows; identity when mask is None or all-true."""
-    if mask is None:
-        return t
-    m = np.asarray(mask, dtype=bool)
-    if m.all():
-        return t
-    return mul(t, Tensor(m.astype(t.data.dtype)[:, None]))
-
-
 def project(x, params, input_dropout=0.0, train=False, rng=None, mask=None):
     """Stacked same-padding conv1d + ReLU mapping raw features (L, d_in) -> (L, d).
 
     Input dropout runs before the first conv at train time only. Masked rows
-    are zeroed before and after every conv so padded tokens cannot leak into
-    their neighbors through the kernel support.
+    are zeroed in the input and in every conv output, so padded tokens cannot
+    leak into their neighbors through the kernel support.
     """
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
     d_in = params.layers[0].weight.data.shape[1]
     if t.data.ndim != 2 or t.data.shape[1] != d_in:
         raise ConfigError(f"projection input shape {t.data.shape} does not match d_in={d_in}")
-    t = dropout(t, input_dropout, rng=rng, train=train)
+    t = mask_rows(dropout(t, input_dropout, rng=rng, train=train), mask)
     for layer in params.layers:
-        t = _row_mask(t, mask)
-        t = relu(conv1d(t, layer.weight, layer.bias))
-        t = _row_mask(t, mask)
+        t = mask_rows(relu(conv1d(t, layer.weight, layer.bias)), mask)
     return t
 
 
 def masked_mean_pool(t, mask=None):
     """Mean over unmasked rows, kept as shape (1, d)."""
-    if mask is None:
-        return t.mean(axis=0, keepdims=True)
-    m = np.asarray(mask, dtype=bool)
-    count = int(m.sum())
+    count = int(keep_mask(mask, t.data.shape[0]).sum())
     if count == 0:
         raise ValueError("masked_mean_pool over an empty (fully masked) sequence")
-    picked = mul(t, Tensor(m.astype(t.data.dtype)[:, None]))
-    return mul(tsum(picked, axis=0, keepdims=True), 1.0 / count)
+    return mul(tsum(mask_rows(t, mask), axis=0, keepdims=True), 1.0 / count)
 
 
 def refine(v_bar, t_bar, conv, n_max, text_mask=None, clip_mask=None):
@@ -74,10 +59,7 @@ def refine(v_bar, t_bar, conv, n_max, text_mask=None, clip_mask=None):
     n_tok = t_bar.data.shape[0]
     if n_tok > n_max:
         raise ConfigError(f"{n_tok} text tokens exceed n_max={n_max}")
-    if text_mask is not None and not np.asarray(text_mask, dtype=bool).any():
-        raise ValueError("refine() with a fully masked (empty) query")
-    t_masked = _row_mask(t_bar, text_mask)
-    corr = matmul(v_bar, transpose(t_masked))  # (L, N)
+    corr = matmul(v_bar, transpose(mask_rows(t_bar, text_mask)))  # (L, N)
     if n_max > n_tok:
         pad = Tensor(np.zeros((length, n_max - n_tok), dtype=v_bar.data.dtype))
         corr = concat([corr, pad], axis=1)
@@ -86,9 +68,8 @@ def refine(v_bar, t_bar, conv, n_max, text_mask=None, clip_mask=None):
     ones = Tensor(np.ones((length, 1), dtype=v_bar.data.dtype))
     pooled_rows = matmul(ones, pooled)                   # (L, d)
     stacked = concat([v_bar, corr, clip_query, pooled_rows], axis=1)
-    stacked = _row_mask(stacked, clip_mask)
-    out = conv1d(stacked, conv.weight, conv.bias)
-    return _row_mask(out, clip_mask)
+    out = conv1d(mask_rows(stacked, clip_mask), conv.weight, conv.bias)
+    return mask_rows(out, clip_mask)
 
 
 def clip_query_cosines(t_bar, v_r, text_mask=None):
@@ -114,8 +95,4 @@ def alignment_loss(t_bar, v_r, gt_saliency, text_mask=None, clip_mask=None, flag
     gt = np.asarray(gt_saliency, dtype=pred.data.dtype)
     if gt.shape != pred.data.shape:
         raise ValueError(f"gt saliency shape {gt.shape} does not match clip count {pred.data.shape}")
-    if clip_mask is not None:
-        m = np.asarray(clip_mask, dtype=bool)
-        gt = gt * m
-        pred = mul(pred, Tensor(m.astype(pred.data.dtype)))
-    return one_minus_cosine(pred, Tensor(gt), flags=flags)
+    return masked_cosine_loss(pred, gt, clip_mask, flags)

@@ -9,8 +9,8 @@ from momentspot import autodiff as ad
 from momentspot.autodiff import (MhaParams, Tensor, absval, add, clip01, concat,
                                  conv1d, div, dropout, exp, grad_check,
                                  layer_norm, linear, log, log_softmax_rows,
-                                 logsumexp, matmul, maximum, minimum, mul,
-                                 multi_head_attention, narrow, relu, reshape,
+                                 logsumexp, mask_rows, matmul, maximum, minimum,
+                                 mul, multi_head_attention, narrow, relu, reshape,
                                  sigmoid, softmax_masked, sqrt, square, sub,
                                  tanh, transpose, tsum, unfold1d)
 
@@ -139,6 +139,34 @@ class TestStructuralGrads:
         assert wide.shape == (7, 9)
 
 
+class TestMaskRows:
+    @pytest.mark.parametrize("shape", [(6,), (6, 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grad_and_equivalence_to_constant_multiply(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        mask = rng.random(shape[0]) < 0.6
+        w = Tensor(rng.normal(size=shape))
+        a, b = t(x), t(x)
+        assert grad_check(lambda v: tsum(mul(mask_rows(v, mask), w)), [a]) < 1e-6
+        keep = Tensor(mask.astype(float).reshape((-1,) + (1,) * (len(shape) - 1)))
+        a.zero_grad()
+        out = mask_rows(a, mask)
+        ref = mul(b, keep)
+        np.testing.assert_array_equal(out.data, ref.data)
+        tsum(mul(out, w)).backward()
+        tsum(mul(ref, w)).backward()
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+    def test_none_keeps_every_row(self, rng):
+        x = rng.normal(size=(4, 2))
+        np.testing.assert_array_equal(mask_rows(Tensor(x)).data, x)
+
+    def test_mask_length_must_match_rows(self, rng):
+        with pytest.raises(ad.ShapeError):
+            mask_rows(Tensor(rng.normal(size=(4, 2))), np.ones(3, dtype=bool))
+
+
 class TestSoftmaxLogsumexp:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_softmax_grad(self, seed):
@@ -167,6 +195,17 @@ class TestSoftmaxLogsumexp:
         assert np.all(out.data == 0.0)
         assert np.isfinite(out.data).all()
         assert flags["all_masked_rows"].all()
+
+    def test_masked_huge_scores_neither_overflow_nor_leak(self, rng):
+        x = rng.normal(size=(3, 5))
+        mask = np.array([True, False, True, True, False])
+        x[:, ~mask] = 1e308
+        with np.errstate(all="raise"):
+            out = softmax_masked(Tensor(x), key_mask=mask)
+        kept = np.exp(x[:, mask] - x[:, mask].max(axis=1, keepdims=True))
+        np.testing.assert_allclose(out.data[:, mask], kept / kept.sum(axis=1, keepdims=True),
+                                   atol=1e-15)
+        assert (out.data[:, ~mask] == 0.0).all()
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)

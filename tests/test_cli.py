@@ -57,6 +57,20 @@ class TestDatagen:
         assert a.read_text() == b.read_text()
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--device", "cpu"],
+        ["eval", "--seed", "1"],
+        ["datagen", "--seed", "1"],
+        ["datagen", "--init-from", "x.ckpt"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--data", "in.jsonl", "--out", "out"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestTrainEval:
     @pytest.fixture
     def dataset(self, tmp_path, capsys):

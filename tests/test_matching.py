@@ -8,6 +8,7 @@ from momentspot.config import LossWeights
 from momentspot.matching import (WIDTH_FLOOR, MatchResult, giou_spans,
                                  hungarian_match, match_cost_matrix,
                                  moment_loss, span_from_cw)
+from momentspot.metrics import giou_1d
 
 
 def brute_force_min_cost(cost):
@@ -44,8 +45,7 @@ class TestCostMatrix:
         assert cost.shape == (3, 2)
         i, j = 1, 0
         l1 = abs(preds[i, 0] - gts[j, 0]) + abs(preds[i, 1] - gts[j, 1])
-        from momentspot.matching import _giou_np
-        g = _giou_np(span_from_cw(preds[i]), span_from_cw(gts[j]))
+        g = giou_1d(span_from_cw(preds[i]), span_from_cw(gts[j]))
         assert cost[i, j] == pytest.approx(w.l1 * l1 + w.giou * (1 - g) + w.cls * (-fg[i]))
 
     def test_identical_moment_and_confident_pred_is_cheapest(self):
@@ -94,14 +94,13 @@ class TestHungarian:
 
 class TestGiouSpans:
     def test_matches_scalar_reference(self, rng):
-        from momentspot.matching import _giou_np
         starts_a = rng.uniform(0, 0.5, size=(5, 1))
         ends_a = starts_a + rng.uniform(0.05, 0.5, size=(5, 1))
         starts_b = rng.uniform(0, 0.5, size=(5, 1))
         ends_b = starts_b + rng.uniform(0.05, 0.5, size=(5, 1))
         out = giou_spans(Tensor(starts_a), Tensor(ends_a), Tensor(starts_b), Tensor(ends_b))
         for i in range(5):
-            want = _giou_np([starts_a[i, 0], ends_a[i, 0]], [starts_b[i, 0], ends_b[i, 0]])
+            want = giou_1d([starts_a[i, 0], ends_a[i, 0]], [starts_b[i, 0], ends_b[i, 0]])
             assert out.data[i, 0] == pytest.approx(want, abs=1e-12)
 
 

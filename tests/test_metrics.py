@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,7 @@ from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS, MetricReport,
                                 compute_report, giou_1d, hd_map, hit_at_1,
                                 iou_1d, load_predictions, mean_ap, mean_iou,
                                 ranking_average_precision, recall_at_1,
-                                save_predictions, top5_map_tvsum)
+                                save_predictions)
 from test_data import make_annotation
 
 
@@ -271,38 +270,6 @@ class TestHighlightMetrics:
         assert hit_at_1([[0.9, 0.1]], [[4, 0]]) == 1.0
         assert hit_at_1([[0.1, 0.9]], [[4, 0]]) == 0.0
         assert hit_at_1([[0.9, 0.9]], [[4, 0]]) == 1.0  # tie goes to clip 0
-
-
-class TestTVSum:
-    def test_prediction_equal_to_annotator_is_perfect(self, rng):
-        for _ in range(10):
-            scores = rng.normal(size=12)
-            assert top5_map_tvsum(scores, scores[None]) == 1.0
-
-    def test_anti_correlated_prediction(self):
-        ann = [list(range(10))]  # positives are the top 5 clips: ids 5..9
-        pred = list(range(10, 0, -1))  # ranks clip 0 first
-        assert top5_map_tvsum(pred, ann) == 0.0
-
-    def test_hand_example(self):
-        ann = [[1.0, 2.0, 3.0, 4.0]]  # top ceil(4/2)=2 positives: clips 3, 2
-        pred = [4.0, 3.0, 2.0, 1.0]   # predicted order 0,1,2,3; top_k=4
-        # hits at ranks 3 (clip 2) and 4 (clip 3): AP = (1/3 + 2/4) / 2
-        assert top5_map_tvsum(pred, ann) == pytest.approx((1 / 3 + 2 / 4) / 2)
-
-    def test_averages_over_annotators(self, rng):
-        scores = rng.normal(size=8)
-        rows = np.stack([scores, -scores])
-        one = top5_map_tvsum(scores, scores[None])
-        other = top5_map_tvsum(scores, -scores[None])
-        assert top5_map_tvsum(scores, rows) == pytest.approx((one + other) / 2)
-
-    def test_short_video_caps_top_k(self):
-        assert top5_map_tvsum([1.0, 0.0], [[1.0, 0.0]]) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            top5_map_tvsum([1.0, 2.0], [[1.0, 2.0, 3.0]])
 
 
 class TestMeanIoUAndReport:

@@ -258,6 +258,30 @@ class TestLossAssembly:
                                    self.cfg.weights)
         assert total.item() == pytest.approx(recomposed.item(), rel=1e-12)
 
+    def test_masked_query_padding_leaves_losses_and_gradients_unchanged(self):
+        # the bare query, then the same query padded with masked garbage tokens
+        padded = bundle_for(self.ann, self.cfg)
+        n_pad = self.cfg.max_text_len - padded.text.shape[0]
+        padded.text = np.vstack([padded.text, np.full((n_pad, padded.text.shape[1]), 50.0)])
+        padded.text_mask = np.concatenate([padded.text_mask, np.zeros(n_pad, dtype=bool)])
+        runs = []
+        for bundle in (self.bundle, padded):
+            self.model.zero_grad()
+            components, _ = item_losses(self.model, bundle, self.ann, epoch=1,
+                                        rng=np.random.default_rng(0), train=True)
+            compose_total(components, self.cfg.weights).backward()
+            grads = {name: np.zeros_like(p.tensor.data) if p.tensor.grad is None
+                     else p.tensor.grad.copy()
+                     for name, p in self.model.named_parameters().items()}
+            runs.append(({k: v.item() for k, v in components.items()}, grads))
+        (bare_losses, bare_grads), (pad_losses, pad_grads) = runs
+        assert n_pad > 0
+        for key in COMPONENT_KEYS:
+            assert pad_losses[key] == pytest.approx(bare_losses[key], abs=1e-12), key
+        for name in bare_grads:
+            np.testing.assert_allclose(pad_grads[name], bare_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
     def test_total_backward_reaches_every_trainable_tensor(self):
         total, _ = batch_loss(self.model, [(self.bundle, self.ann)], epoch=0,
                               rng=np.random.default_rng(1))

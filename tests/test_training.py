@@ -19,7 +19,7 @@ def make_params(rng, shapes):
     out = {}
     for i, shape in enumerate(shapes):
         t = Tensor(rng.normal(size=shape), requires_grad=True)
-        out[f"p{i}"] = Parameter(name=f"p{i}", tensor=t, init="xavier_uniform")
+        out[f"p{i}"] = Parameter(name=f"p{i}", tensor=t)
     return out
 
 
