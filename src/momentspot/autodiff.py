@@ -329,10 +329,14 @@ def tanh(t):
     return _node(out_data, (t,), backward)
 
 
+def stable_sigmoid(x):
+    """Logistic function on an array; exp only sees non-positive arguments, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
 def sigmoid(t):
-    out_data = np.where(t.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(t.data))),
-                        np.exp(-np.abs(t.data)) / (1.0 + np.exp(-np.abs(t.data))))
-    out_data = out_data.astype(t.data.dtype, copy=False)
+    out_data = stable_sigmoid(t.data)
 
     def backward(g):
         _accumulate(t, g * out_data * (1.0 - out_data))
@@ -489,6 +493,18 @@ def mask_rows(t, mask=None):
 # -- normalization / attention pieces --------------------------------------
 
 
+def _masked_softmax(x, keep):
+    """Softmax over the last axis of an array, restricted to the columns in keep.
+
+    Returns (weights, dead): masked columns are never exponentiated, so they
+    cannot overflow, and a row with no kept column is all zero and marked dead.
+    """
+    m = x.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    e = np.exp(x - m, where=keep, out=np.zeros_like(x))
+    denom = e.sum(axis=-1, keepdims=True)
+    return e / np.where(denom == 0.0, 1.0, denom), denom[..., 0] == 0.0
+
+
 def softmax_masked(scores, key_mask=None, flags=None):
     """Row softmax over the last axis with an optional boolean key mask.
 
@@ -498,16 +514,9 @@ def softmax_masked(scores, key_mask=None, flags=None):
     x = scores.data
     if x.ndim != 2:
         raise ShapeError("softmax_masked expects rank-2 scores")
-    km = keep_mask(key_mask, x.shape[1])
-    m = x.max(axis=1, keepdims=True, where=km, initial=-np.inf)
-    # masked columns are never exponentiated, so they cannot overflow
-    e = np.exp(x - m, where=km, out=np.zeros_like(x))
-    denom = e.sum(axis=1, keepdims=True)
-    dead = denom[:, 0] == 0.0
-    safe = np.where(denom == 0.0, 1.0, denom)
-    y = (e / safe).astype(x.dtype, copy=False)
+    y, dead = _masked_softmax(x, keep_mask(key_mask, x.shape[1]))
     if flags is not None:
-        flags["all_masked_rows"] = dead.copy()
+        flags["all_masked_rows"] = dead
 
     def backward(g):
         inner = (g * y).sum(axis=1, keepdims=True)
@@ -545,14 +554,26 @@ def log_softmax_rows(t):
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):
-    """Per-row layer normalization over the last axis."""
-    if t.data.ndim != 2:
+    """Per-row layer normalization over the last axis, as one node."""
+    x = t.data
+    if x.ndim != 2:
         raise ShapeError("layer_norm expects a rank-2 tensor")
-    mu = tmean(t, axis=1, keepdims=True)
-    centered = sub(t, mu)
-    var = tmean(square(centered), axis=1, keepdims=True)
-    inv = div(as_tensor(1.0, like=t), sqrt(add(var, eps)))
-    return add(mul(mul(centered, inv), gamma), beta)
+    scale = 1.0 / x.shape[1]
+    centered = x - x.sum(axis=1, keepdims=True) * scale
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=1, keepdims=True) * scale + eps)
+    xhat = centered * inv
+    out_data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        _accumulate(beta, _unbroadcast(g, beta.data.shape))
+        _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+        if t.requires_grad:
+            gx = g * gamma.data
+            mean_gx = gx.sum(axis=1, keepdims=True) * scale
+            mean_gx_xhat = (gx * xhat).sum(axis=1, keepdims=True) * scale
+            _accumulate(t, inv * (gx - mean_gx - xhat * mean_gx_xhat))
+
+    return _node(out_data, (t, gamma, beta), backward)
 
 
 def dropout(t, p, rng=None, train=False):
@@ -606,42 +627,73 @@ class MhaParams:
 
 
 def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
-    """Scaled dot-product attention with input/output projections.
+    """Scaled dot-product attention with input/output projections, as one node.
 
-    q: (n_q, d), k/v: (n_k, d). Queries whose keys are all masked produce
-    exact zero output rows and are reported via flags["all_keys_masked"].
+    q: (n_q, d), k/v: (n_k, d); all heads run at once over (heads, n, d/heads)
+    arrays. Masked keys are never exponentiated, so their scores cannot
+    overflow. Queries whose keys are all masked produce exact zero output rows
+    and receive zero gradient. With flags given, each call appends its
+    (heads, n_q, n_k) weights to flags["attention_weights"] and its dead-query
+    vector to flags["all_keys_masked"].
     """
-    d = q.data.shape[1]
-    if d % heads != 0:
-        raise ShapeError(f"model dim {d} not divisible by {heads} heads")
+    if q.data.ndim != 2 or k.data.ndim != 2:
+        raise ShapeError("multi_head_attention expects rank-2 queries and keys")
     if k.data.shape != v.data.shape:
         raise ShapeError("key/value shapes differ")
+    d = q.data.shape[1]
+    if k.data.shape[1] != d:
+        raise ShapeError(f"query width {d} != key width {k.data.shape[1]}")
+    if d % heads != 0:
+        raise ShapeError(f"model dim {d} not divisible by {heads} heads")
+    if any(w.data.shape != (d, d) for w in (params.wq, params.wk, params.wv, params.wo)):
+        raise ShapeError(f"attention projections must be ({d}, {d})")
+    keep = keep_mask(key_mask, k.data.shape[0])
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    qp = linear(q, params.wq, params.bq)
-    kp = linear(k, params.wk, params.bk)
-    vp = linear(v, params.wv, params.bv)
-    outs = []
-    weight_rows = []
-    dead_rows = None
-    for h in range(heads):
-        qh = narrow(qp, 1, h * dh, dh)
-        kh = narrow(kp, 1, h * dh, dh)
-        vh = narrow(vp, 1, h * dh, dh)
-        scores = mul(matmul(qh, transpose(kh)), scale)
-        local = {}
-        attn = softmax_masked(scores, key_mask=key_mask, flags=local)
-        dead_rows = local["all_masked_rows"]
-        weight_rows.append(attn.data)
-        outs.append(matmul(attn, vh))
-    merged = concat(outs, axis=1)
-    out = linear(merged, params.wo, params.bo)
-    if dead_rows.any():
-        out = mask_rows(out, ~dead_rows)
+
+    def split(x):  # (n, d) -> (heads, n, dh)
+        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # (heads, n, dh) -> (n, d)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh = split(q.data @ params.wq.data + params.bq.data)
+    kh = split(k.data @ params.wk.data + params.bk.data)
+    vh = split(v.data @ params.wv.data + params.bv.data)
+    attn, dead = _masked_softmax((qh @ kh.transpose(0, 2, 1)) * scale, keep)
+    dead = dead[0]  # a query row is dead when no key is kept: the same rows in every head
+    merged = merge(attn @ vh)
+    out_data = merged @ params.wo.data + params.bo.data
+    live = None
+    if dead.any():
+        live = (~dead).astype(out_data.dtype)[:, None]
+        out_data = out_data * live
     if flags is not None:
-        flags["all_keys_masked"] = dead_rows
-        flags["attention_weights"] = np.stack(weight_rows, axis=0)
-    return out
+        flags.setdefault("attention_weights", []).append(attn.copy())
+        flags.setdefault("all_keys_masked", []).append(dead)
+
+    def project_back(x, w, b, g):
+        """Gradients of x @ w + b given the output gradient g."""
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+
+    def backward(g):
+        if live is not None:
+            g = g * live
+        _accumulate(params.wo, merged.T @ g)
+        _accumulate(params.bo, _unbroadcast(g, params.bo.data.shape))
+        g_out = split(g @ params.wo.data.T)
+        g_attn = g_out @ vh.transpose(0, 2, 1)
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True)) * scale
+        project_back(q, params.wq, params.bq, merge(g_scores @ kh))
+        project_back(k, params.wk, params.bk, merge(g_scores.transpose(0, 2, 1) @ qh))
+        project_back(v, params.wv, params.bv, merge(attn.transpose(0, 2, 1) @ g_out))
+
+    parents = (q, k, v, params.wq, params.bq, params.wk, params.bk,
+               params.wv, params.bv, params.wo, params.bo)
+    return _node(out_data, parents, backward)
 
 
 # -- initialization ---------------------------------------------------------

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, absval, concat, div, keep_mask, linear, logsumexp,
-                       mask_rows, mul, narrow, relu, reshape, sigmoid, sqrt,
-                       square, sub, tanh, tsum)
+from .autodiff import (ShapeError, Tensor, _accumulate, _node, _unbroadcast, absval,
+                       div, keep_mask, logsumexp, mask_rows, mul, narrow, relu,
+                       reshape, sqrt, square, stable_sigmoid, sub, tsum)
 
 
 class CompositionError(ValueError):
@@ -146,20 +146,76 @@ class GruParams:
 
 
 def gru_saliency(features, params):
-    """Left-to-right GRU over feature rows, zero initial state, scalar readout per step."""
-    length, dim = features.data.shape
-    h = Tensor(np.zeros((1, dim), dtype=features.data.dtype))
-    outputs = []
+    """Left-to-right GRU over feature rows, zero initial state, scalar readout per step.
+
+    One graph node. The input halves of the three gates (rows d: of each gate
+    weight) are computed for all steps before the loop, so the recurrence
+    multiplies only h by the recurrent halves (rows :d). Backward runs
+    backpropagation through time in NumPy and forms each weight gradient with
+    one matmul over all steps after the loop.
+    """
+    x = features.data
+    if x.ndim != 2:
+        raise ShapeError("gru_saliency expects rank-2 features")
+    length, dim = x.shape
+    gates = (params.w_update, params.w_reset, params.w_cand)
+    if any(w.data.shape != (2 * dim, dim) for w in gates):
+        raise ShapeError(f"GRU gate weights must be ({2 * dim}, {dim})")
+    w_z, w_r, w_c = (w.data for w in gates)
+    # update and reset gates share their matmuls: columns :d update, d: reset
+    w_zr_h = np.concatenate([w_z[:dim], w_r[:dim]], axis=1)
+    w_zr_x = np.concatenate([w_z[dim:], w_r[dim:]], axis=1)
+    x_zr = x @ w_zr_x + np.concatenate([params.b_update.data, params.b_reset.data])
+    x_c = x @ w_c[dim:] + params.b_cand.data
+    w_c_h = w_c[:dim]
+    hs = np.zeros((length + 1, dim), dtype=x.dtype)  # hs[i] is the state before step i
+    zr_all = np.empty((length, 2 * dim), dtype=x.dtype)
+    c_all = np.empty((length, dim), dtype=x.dtype)
     for i in range(length):
-        x = narrow(features, 0, i, 1)
-        hx = concat([h, x], axis=1)
-        z = sigmoid(linear(hx, params.w_update, params.b_update))
-        r = sigmoid(linear(hx, params.w_reset, params.b_reset))
-        cand_in = concat([mul(r, h), x], axis=1)
-        cand = tanh(linear(cand_in, params.w_cand, params.b_cand))
-        h = mul(sub(1.0, z), h) + mul(z, cand)
-        outputs.append(linear(h, params.readout_w, params.readout_b))
-    return reshape(concat(outputs, axis=0), (length,))
+        h = hs[i]
+        zr = stable_sigmoid(h @ w_zr_h + x_zr[i])
+        z, r = zr[:dim], zr[dim:]
+        c = np.tanh((r * h) @ w_c_h + x_c[i])
+        hs[i + 1] = (1.0 - z) * h + z * c
+        zr_all[i] = zr
+        c_all[i] = c
+    states = hs[1:]
+    out_data = (states @ params.readout_w.data + params.readout_b.data).reshape(length)
+
+    def backward(g):
+        g = g.reshape(length, 1)
+        _accumulate(params.readout_w, states.T @ g)
+        _accumulate(params.readout_b, _unbroadcast(g, params.readout_b.data.shape))
+        g_states = g @ params.readout_w.data.T
+        d_zr = np.empty_like(zr_all)  # gradients of the gate pre-activations
+        d_c = np.empty_like(c_all)
+        dh = np.zeros(dim, dtype=x.dtype)
+        for i in range(length - 1, -1, -1):
+            h, zr, c = hs[i], zr_all[i], c_all[i]
+            z, r = zr[:dim], zr[dim:]
+            dh = dh + g_states[i]
+            d_c[i] = dh * z * (1.0 - c * c)
+            d_rh = d_c[i] @ w_c_h.T
+            d_zr[i, :dim] = dh * (c - h)
+            d_zr[i, dim:] = d_rh * h
+            d_zr[i] *= zr * (1.0 - zr)
+            dh = dh * (1.0 - z) + d_rh * r + d_zr[i] @ w_zr_h.T
+        prev = hs[:-1]
+        g_zr_h = prev.T @ d_zr
+        g_zr_x = x.T @ d_zr
+        g_c_h = (zr_all[:, dim:] * prev).T @ d_c
+        _accumulate(params.w_update, np.concatenate([g_zr_h[:, :dim], g_zr_x[:, :dim]]))
+        _accumulate(params.w_reset, np.concatenate([g_zr_h[:, dim:], g_zr_x[:, dim:]]))
+        _accumulate(params.w_cand, np.concatenate([g_c_h, x.T @ d_c]))
+        _accumulate(params.b_update, _unbroadcast(d_zr[:, :dim], params.b_update.data.shape))
+        _accumulate(params.b_reset, _unbroadcast(d_zr[:, dim:], params.b_reset.data.shape))
+        _accumulate(params.b_cand, _unbroadcast(d_c, params.b_cand.data.shape))
+        if features.requires_grad:
+            _accumulate(features, d_zr @ w_zr_x.T + d_c @ w_c[dim:].T)
+
+    parents = (features, params.w_update, params.b_update, params.w_reset, params.b_reset,
+               params.w_cand, params.b_cand, params.readout_w, params.readout_b)
+    return _node(out_data, parents, backward)
 
 
 def task_coupled_loss(features, gru, gt_saliency, clip_mask=None, flags=None):

@@ -181,12 +181,30 @@ def split_dataset(annotations, val_fraction, seed):
     return train, val
 
 
+def _checked_bundles(annotations, cfg, feature_dir=None):
+    """bundle_for over a dataset, rejecting items the model cannot run.
+
+    A video longer than max_clips raises ConfigError and non-finite video or
+    text features raise ValueError, each naming the item's qid.
+    """
+    bundles = []
+    for ann in annotations:
+        bundle = bundle_for(ann, cfg, feature_dir)
+        clips = bundle.video.shape[0]
+        if clips > cfg.max_clips:
+            raise ConfigError(f"qid {ann.qid}: {clips} clips exceed max_clips={cfg.max_clips}")
+        if not (np.isfinite(bundle.video).all() and np.isfinite(bundle.text).all()):
+            raise ValueError(f"qid {ann.qid}: non-finite video or text features")
+        bundles.append(bundle)
+    return bundles
+
+
 def evaluate_model(model, annotations, feature_dir=None, bundles=None):
     """Eval-mode predictions and the full metric report for a dataset."""
     if not annotations:
         raise ValueError("evaluate on an empty dataset")
     if bundles is None:
-        bundles = [bundle_for(ann, model.cfg, feature_dir) for ann in annotations]
+        bundles = _checked_bundles(annotations, model.cfg, feature_dir)
     predictions = [predict_item(model, b, a) for b, a in zip(bundles, annotations)]
     return compute_report(predictions, annotations), predictions
 
@@ -195,8 +213,11 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
           feature_dir=None, quiet=True):
     """Run the full training loop; writes last/best checkpoints and a jsonl log.
 
-    A non-finite loss aborts the run and leaves the last good checkpoint on
-    disk (diverged=True in the result).
+    Every item is bundled and checked (see _checked_bundles) before anything
+    is written. A failing loss component, a non-finite loss or a non-finite
+    parameter after an update aborts the run and leaves the last good
+    checkpoint on disk (diverged=True in the result); the log's last entry
+    then names the batch and the cause.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,8 +233,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
         model.load_state(params)
     optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([seed, 2])
-    train_bundles = [bundle_for(a, cfg, feature_dir) for a in train_set]
-    val_bundles = [bundle_for(a, cfg, feature_dir) for a in val_set]
+    train_bundles = _checked_bundles(train_set, cfg, feature_dir)
+    val_bundles = _checked_bundles(val_set, cfg, feature_dir)
     log_path = out / "train_log.jsonl"
     last_path = out / "last.ckpt"
     best_path = out / "best.ckpt"
@@ -234,34 +255,36 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             epoch_total = 0.0
             epoch_parts = {}
             n_batches = 0
-            ok = True
-            for start in range(0, len(order), cfg.batch_size):
+            cause = None
+            for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start:start + cfg.batch_size]
                 batch = [(train_bundles[i], train_set[i]) for i in idx]
                 try:
                     total, parts = batch_loss(model, batch, epoch, rng=rng, train=True)
-                except CompositionError:
-                    ok = False
+                except CompositionError as exc:
+                    cause = str(exc)
                     break
                 if not np.isfinite(total.data):
-                    ok = False
+                    cause = "non-finite total"
                     break
                 model.zero_grad()
                 total.backward()
                 clip_gradients(model.named_parameters(), cfg.grad_clip)
                 optimizer.step()
                 # a step that overflows the weights must not reach the epoch save
-                if not all(np.isfinite(p.tensor.data).all()
-                           for p in model.named_parameters().values()):
-                    ok = False
+                cause = next((f"non-finite parameter {name}"
+                              for name, p in model.named_parameters().items()
+                              if not np.isfinite(p.tensor.data).all()), None)
+                if cause is not None:
                     break
                 epoch_total += total.item()
                 for key, val in parts.items():
                     epoch_parts[key] = epoch_parts.get(key, 0.0) + float(val.data)
                 n_batches += 1
-            if not ok:
+            if cause is not None:
                 diverged = True
-                write_log({"epoch": epoch, "split": "train", "diverged": True})
+                write_log({"epoch": epoch, "split": "train", "diverged": True,
+                           "batch": batch_index, "cause": cause})
                 break
             epochs_run = epoch + 1
             mean_total = epoch_total / n_batches

@@ -306,6 +306,20 @@ def random_mha_params(rng, d):
     return MhaParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(), wo=w(), bo=b())
 
 
+def mha_param_list(params):
+    """Every projection parameter except the key bias (see check_mha_grads)."""
+    return [params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo]
+
+
+def check_mha_grads(f, inputs, params):
+    assert grad_check(f, inputs + mha_param_list(params)) < 1e-6
+    # a key bias shifts every score of a query row equally, which softmax
+    # ignores: its true gradient is 0, so the floor turns the check into an
+    # absolute one that still fails on any error above 1e-9
+    assert grad_check(f, [params.bk], denom_floor=1e-3) < 1e-6
+    assert np.abs(params.bk.grad).max() < 1e-12
+
+
 class TestMultiHeadAttention:
     @pytest.mark.parametrize("seed", SEEDS[:10])
     def test_grad(self, seed):
@@ -314,14 +328,44 @@ class TestMultiHeadAttention:
         params = random_mha_params(rng, d)
         q = t(rng.normal(size=(3, d)))
         k = t(rng.normal(size=(5, d)))
+        v = t(rng.normal(size=(5, d)))
         mix = Tensor(rng.normal(size=(3, d)))
         mask = np.array([True, True, False, True, True])
-        tensors = [q, k, params.wq, params.wk, params.wv, params.wo, params.bo]
 
-        def f(qq, kk, *_):
-            return tsum(mul(multi_head_attention(qq, kk, kk, params, 2, key_mask=mask), mix))
+        def f(*_):
+            return tsum(mul(multi_head_attention(q, k, v, params, 2, key_mask=mask), mix))
 
-        assert grad_check(f, tensors) < 1e-6
+        check_mha_grads(f, [q, k, v], params)
+
+    @pytest.mark.parametrize("seed", SEEDS[:5])
+    def test_grad_self_attention_on_one_tensor(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 8
+        params = random_mha_params(rng, d)
+        x = t(rng.normal(size=(4, d)))
+        mix = Tensor(rng.normal(size=(4, d)))
+        mask = np.array([True, False, True, True])
+
+        def f(*_):
+            return tsum(mul(multi_head_attention(x, x, x, params, 2, key_mask=mask), mix))
+
+        check_mha_grads(f, [x], params)
+
+    def test_queries_without_keys_get_zero_gradient(self, rng):
+        d = 4
+        params = random_mha_params(rng, d)
+        q, k, v = t(rng.normal(size=(3, d))), t(rng.normal(size=(2, d))), t(rng.normal(size=(2, d)))
+        inputs = [q, k, v] + mha_param_list(params) + [params.bk]
+        mix = Tensor(rng.normal(size=(3, d)))
+
+        def f(*_):
+            out = multi_head_attention(q, k, v, params, 2, key_mask=np.zeros(2, dtype=bool))
+            return tsum(mul(out, mix))
+
+        assert grad_check(f, inputs) == 0.0
+        f(*inputs).backward()
+        for x in inputs:
+            assert x.grad is not None and np.all(x.grad == 0.0)
 
     def test_single_key_gives_projected_value(self, rng):
         d = 6
@@ -344,7 +388,7 @@ class TestMultiHeadAttention:
         k = Tensor(rng.normal(size=(5, d)))
         flags = {}
         out = multi_head_attention(q, k, k, params, 2, flags=flags)
-        np.testing.assert_allclose(flags["attention_weights"], 0.2, atol=1e-12)
+        np.testing.assert_allclose(flags["attention_weights"][0], 0.2, atol=1e-12)
         vp = k.data @ params.wv.data + params.bv.data
         expected = vp.mean(axis=0) @ params.wo.data + params.bo.data
         np.testing.assert_allclose(out.data, np.repeat(expected[None], 2, axis=0), atol=1e-12)
@@ -356,7 +400,7 @@ class TestMultiHeadAttention:
         mask = np.array([True, False, True, True])
         multi_head_attention(Tensor(rng.normal(size=(3, d))), Tensor(rng.normal(size=(4, d))),
                              Tensor(rng.normal(size=(4, d))), params, 2, key_mask=mask, flags=flags)
-        w = flags["attention_weights"]
+        w, = flags["attention_weights"]
         np.testing.assert_allclose(w.sum(axis=2), 1.0, atol=1e-9)
         assert (w[:, :, 1] == 0).all()
 
@@ -368,13 +412,32 @@ class TestMultiHeadAttention:
                                    Tensor(rng.normal(size=(2, d))), params, 2,
                                    key_mask=np.zeros(2, dtype=bool), flags=flags)
         assert np.all(out.data == 0.0)
-        assert flags["all_keys_masked"].all()
+        assert flags["all_keys_masked"][0].all()
 
     def test_dim_not_divisible_by_heads(self, rng):
         params = random_mha_params(rng, 6)
         with pytest.raises(ad.ShapeError):
             multi_head_attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))),
                                  Tensor(np.zeros((2, 6))), params, 4)
+
+    @pytest.mark.parametrize("q_shape, k_shape, v_shape, mask", [
+        ((2, 6, 1), (3, 6), (3, 6), None),   # rank-3 queries
+        ((2, 6), (3, 4), (3, 4), None),      # key width differs from the query's
+        ((2, 6), (3, 6), (4, 6), None),      # keys and values differ
+        ((2, 6), (3, 6), (3, 6), [True]),    # mask length differs from the keys
+    ])
+    def test_bad_shapes_raise(self, rng, q_shape, k_shape, v_shape, mask):
+        params = random_mha_params(rng, 6)
+        with pytest.raises(ad.ShapeError):
+            multi_head_attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
+                                 Tensor(np.zeros(v_shape)), params, 2, key_mask=mask)
+
+    def test_projection_shape_mismatch_raises(self, rng):
+        params = random_mha_params(rng, 6)
+        params.wv = Tensor(np.zeros((6, 4)))
+        with pytest.raises(ad.ShapeError):
+            multi_head_attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6))),
+                                 Tensor(np.zeros((3, 6))), params, 2)
 
 
 class TestTensorBasics:

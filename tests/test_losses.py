@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from momentspot.autodiff import Tensor, grad_check, tsum
+from momentspot.autodiff import Tensor, grad_check, mul, tsum
 from momentspot.config import LossWeights
 from momentspot.losses import (COMPONENT_KEYS, CompositionError, GruParams,
                                compose_total, contrastive_rank_loss,
@@ -270,6 +270,22 @@ class TestGru:
             return task_coupled_loss(feats, gru, gt)
 
         assert grad_check(f, params) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grad_single_step(self, seed):
+        # one clip: the loss would be a constant cosine of two scalars, so
+        # check the scan itself under a random readout
+        rng = np.random.default_rng(seed)
+        gru = make_gru(rng, 3)
+        feats = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        mix = Tensor(rng.normal(size=1))
+        params = [feats, gru.w_update, gru.b_update, gru.w_reset, gru.b_reset,
+                  gru.w_cand, gru.b_cand, gru.readout_w, gru.readout_b]
+
+        def f(*_):
+            return tsum(mul(gru_saliency(feats, gru), mix))
+
+        assert grad_check(f, params) < 1e-6
 
     def test_task_coupled_uses_gru_scores(self, rng):
         gru = make_gru(rng, 4)

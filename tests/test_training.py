@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from momentspot.autodiff import Tensor, xavier_uniform
+from momentspot.config import ConfigError
+from momentspot.data import save_features
 from momentspot.model import Model, Parameter, bundle_for
 from momentspot.training import (AdamW, TrainResult, clip_gradients,
                                  evaluate_checkpoint, evaluate_model,
@@ -341,6 +343,31 @@ class TestTrainLoop:
         assert all(np.isfinite(arr).all() for arr in params.values())
         lines = [json.loads(l) for l in open(result.log_path)]
         assert lines[-1].get("diverged") is True
+        assert isinstance(lines[-1]["batch"], int) and lines[-1]["batch"] >= 0
+        assert isinstance(lines[-1]["cause"], str) and lines[-1]["cause"]
+
+    def test_oversized_video_rejected_before_any_write(self, tmp_path):
+        long_item = make_annotation(qid=9, vid="vid_long", duration=40.0,
+                                    saliency_levels=[0, 2, 4] + [0] * 17)
+        cfg = self.small_cfg()  # max_clips=16 < 20 clips
+        with pytest.raises(ConfigError, match="qid 9"):
+            train(cfg, toy_dataset() + [long_item], tmp_path / "run", seed=0)
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+        assert not (tmp_path / "run" / "train_log.jsonl").exists()
+        with pytest.raises(ConfigError, match="qid 9"):
+            evaluate_model(Model(cfg, seed=0), [long_item])
+
+    def test_non_finite_features_rejected_before_any_write(self, tmp_path):
+        item = toy_dataset()[1]
+        feats = np.ones((item.num_clips, 10))
+        feats[2, 3] = np.inf
+        save_features(tmp_path / f"{item.vid}.clip_v.vlft", feats)
+        with pytest.raises(ValueError, match=f"qid {item.qid}"):
+            train(self.small_cfg(), toy_dataset(), tmp_path / "run", seed=0,
+                  feature_dir=tmp_path)
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+        with pytest.raises(ValueError, match=f"qid {item.qid}"):
+            evaluate_model(Model(self.small_cfg(), seed=0), [item], feature_dir=tmp_path)
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
