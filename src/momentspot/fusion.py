@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .autodiff import (MhaParams, add, dropout, layer_norm, multi_head_attention,
                        narrow, relu)
 from .config import ConfigError

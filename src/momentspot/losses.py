@@ -72,25 +72,19 @@ def contrastive_rank_loss(saliency, levels, temperature, clip_mask=None):
 
     For each threshold r in 1..4 having at least one positive clip:
     loss_r = -log( sum_{gt >= r} exp(s/t) / sum_all exp(s/t) ), masked clips
-    excluded from both sums.
+    excluded from both sums. The mean over r is computed as
+    lse_all - mean_r(lse_r), so the all-clip normalizer is built once.
     """
     levels = np.asarray(levels)
     include = keep_mask(clip_mask, len(levels))
-    if not include.any():
+    positives = [pos for pos in (include & (levels >= r) for r in range(1, 5)) if pos.any()]
+    if not positives:
         return Tensor(np.asarray(0.0, dtype=saliency.data.dtype))
     scaled = mul(saliency, 1.0 / temperature)
-    terms = []
-    for r in range(1, 5):
-        pos = include & (levels >= r)
-        if not pos.any():
-            continue
-        terms.append(sub(logsumexp(scaled, include), logsumexp(scaled, pos)))
-    if not terms:
-        return Tensor(np.asarray(0.0, dtype=saliency.data.dtype))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return _scalar(mul(total, 1.0 / len(terms)))
+    pos_total = logsumexp(scaled, positives[0])
+    for pos in positives[1:]:
+        pos_total = pos_total + logsumexp(scaled, pos)
+    return sub(logsumexp(scaled, include), mul(pos_total, 1.0 / len(positives)))
 
 
 def hard_negative_loss(saliency, negative_mask, epoch):
@@ -98,7 +92,7 @@ def hard_negative_loss(saliency, negative_mask, epoch):
     neg = np.asarray(negative_mask, dtype=bool)
     if not neg.any():
         return Tensor(np.asarray(0.0, dtype=saliency.data.dtype))
-    return _scalar(mul(tsum(mask_rows(absval(saliency), neg)), float(epoch + 1)))
+    return mul(tsum(mask_rows(absval(saliency), neg)), float(epoch + 1))
 
 
 def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
@@ -109,7 +103,7 @@ def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
     gt = Tensor(np.asarray(gt_saliency, dtype=saliency.data.dtype))
     # scale the finished mean so the (epoch+1) ramp is bitwise exact
     mse = mul(tsum(mask_rows(square(sub(gt, saliency)), pos)), 1.0 / int(pos.sum()))
-    return _scalar(mul(mse, float(epoch + 1)))
+    return mul(mse, float(epoch + 1))
 
 
 def highlight_distribution_loss(saliency, gt_saliency, positive_mask, negative_mask, epoch):

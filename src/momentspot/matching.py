@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autodiff import (Tensor, absval, clip01, concat, div, log_softmax_rows,
-                       maximum, minimum, mul, narrow, relu, reshape, sub, tsum)
+                       maximum, minimum, mul, narrow, relu, sub, tsum)
 from .metrics import giou_1d
 
 WIDTH_FLOOR = 1e-4
@@ -102,10 +102,10 @@ def moment_loss(class_logits, moments, gt_moments, match, weights):
     targets = np.ones(n_q, dtype=int)
     targets[list(match.pred_indices)] = 0
     class_weights = np.where(targets == 0, 1.0, weights.background_weight)
-    logp = log_softmax_rows(class_logits)
-    total = None
-    for q in range(n_q):
-        term = mul(narrow(narrow(logp, 0, q, 1), 1, int(targets[q]), 1), -float(class_weights[q]))
-        total = term if total is None else total + term
-    cls = mul(total, 1.0 / float(class_weights.sum()))
-    return {"l1": reshape(l1, ()), "giou": reshape(giou, ()), "cls": reshape(cls, ())}
+    # picks holds -weight at each query's target column; the normalizer sums the
+    # 1-D weights (summing picks groups NumPy's pairwise sum differently)
+    picks = np.zeros((n_q, 2), dtype=class_logits.data.dtype)
+    picks[np.arange(n_q), targets] = -class_weights
+    ce = tsum(mul(log_softmax_rows(class_logits), Tensor(picks)))
+    cls = mul(ce, 1.0 / float(class_weights.sum()))
+    return {"l1": l1, "giou": giou, "cls": cls}

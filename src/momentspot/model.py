@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import MhaParams, Tensor, xavier_uniform
+from .autodiff import MhaParams, Tensor, no_grad, xavier_uniform
 from .config import ConfigError, ModelConfig
 from .data import FeatureBundle, encode_item
 from .fusion import FusionParams, FusionStage, fuse
@@ -311,8 +311,8 @@ def batch_loss(model, batch, epoch, rng=None, train=True):
 
 def predict_item(model, bundle, ann):
     """Eval-mode forward converted into second-scaled windows and clip scores."""
-    fw = model.forward(bundle, train=False)
-    preds = fw.predictions
+    with no_grad():
+        preds = model.forward(bundle, train=False).predictions
     fg = _fg_probs(preds.class_logits.data)
     windows = []
     for q in range(model.cfg.num_queries):

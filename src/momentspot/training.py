@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -305,13 +306,10 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                                     rng_state=rng.bit_generator.state, best_metric=best_metric)
             if not quiet:
                 print(f"epoch {epoch}: loss {mean_total:.4f}")
-    if not diverged:
-        save_checkpoint(last_path, model, optimizer=optimizer, epoch=max(epochs_run - 1, 0),
-                        rng_state=rng.bit_generator.state, best_metric=None)
     if not best_path.exists():
-        # no validation pass ran; the final model doubles as "best"
-        save_checkpoint(best_path, model, optimizer=optimizer, epoch=max(epochs_run - 1, 0),
-                        rng_state=rng.bit_generator.state, best_metric=None)
+        # no validation pass ran; the last good checkpoint doubles as "best"
+        # (after a divergence the in-memory model is the diverged one)
+        shutil.copyfile(last_path, best_path)
         best_metric = math.nan
     return TrainResult(last_checkpoint=str(last_path), best_checkpoint=str(best_path),
                        log_path=str(log_path), best_metric=best_metric,

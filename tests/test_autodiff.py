@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 from momentspot import autodiff as ad
 from momentspot.autodiff import (MhaParams, Tensor, absval, add, clip01, concat,
                                  conv1d, div, dropout, exp, grad_check,
-                                 layer_norm, linear, log, log_softmax_rows,
+                                 layer_norm, log, log_softmax_rows,
                                  logsumexp, mask_rows, matmul, maximum, minimum,
                                  mul, multi_head_attention, narrow, relu, reshape,
                                  sigmoid, softmax_masked, sqrt, square, sub,

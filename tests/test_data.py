@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentspot import data as d
-from momentspot.data import (Annotation, FeatureBundle, ParseError,
+from momentspot.data import (Annotation, ParseError,
                              ValidationError, clips_overlapping_windows,
                              concat_features, default_captioner,
                              default_embedder, encode_item, generate_synthetic,

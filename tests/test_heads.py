@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from momentspot.autodiff import Tensor, grad_check, mul, square, tsum
 from momentspot.heads import (DecoderLayerParams, DecoderParams,

@@ -171,3 +171,24 @@ class TestMomentLoss:
             return out["l1"] + out["giou"] + out["cls"]
 
         assert grad_check(f, [logits, moments]) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cls_graph_size_independent_of_query_count(self, dtype):
+        def graph_nodes(t):
+            seen, stack = set(), [t]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        sizes = []
+        for n_q in (4, 10):
+            logits = Tensor(np.zeros((n_q, 2), dtype=dtype), requires_grad=True)
+            moments = Tensor(np.full((n_q, 2), 0.5, dtype=dtype), requires_grad=True)
+            out = moment_loss(logits, moments, np.array([[0.5, 0.2]]), MatchResult([1], [0]),
+                              LossWeights())
+            assert out["cls"].data.dtype == dtype
+            sizes.append(graph_nodes(out["cls"]))
+        assert sizes[0] == sizes[1]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS, MetricReport,
+from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS,
                                 QueryPrediction, average_precision_detection,
                                 compute_report, giou_1d, hd_map, hit_at_1,
                                 iou_1d, load_predictions, mean_ap, mean_iou,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentspot.autodiff import Tensor, grad_check
+from momentspot.autodiff import Tensor
 from momentspot.config import ConfigError, ModelConfig
 from momentspot.losses import COMPONENT_KEYS, compose_total
 from momentspot.model import (Model, batch_loss, bundle_for, item_losses,
@@ -316,3 +316,19 @@ class TestPrediction:
         for s, e, score in pred.windows:
             assert 0.0 <= s <= e <= ann.duration
             assert 0.0 <= score <= 1.0
+
+    def test_predict_item_builds_no_graph(self, monkeypatch):
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=2)
+        ann = make_annotation()
+        outputs = []
+        forward = Model.forward
+
+        def capturing(self, *args, **kwargs):
+            outputs.append(forward(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(Model, "forward", capturing)
+        predict_item(model, bundle_for(ann, cfg), ann)
+        assert len(outputs) == 1
+        assert not outputs[0].predictions.saliency.requires_grad

@@ -1,14 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from momentspot import training
 from momentspot.autodiff import Tensor, xavier_uniform
 from momentspot.config import ConfigError
 from momentspot.data import save_features
 from momentspot.model import Model, Parameter, bundle_for
-from momentspot.training import (AdamW, TrainResult, clip_gradients,
+from momentspot.training import (AdamW, clip_gradients,
                                  evaluate_checkpoint, evaluate_model,
                                  load_checkpoint, model_from_checkpoint,
                                  save_checkpoint, split_dataset, train)
@@ -345,6 +347,32 @@ class TestTrainLoop:
         assert lines[-1].get("diverged") is True
         assert isinstance(lines[-1]["batch"], int) and lines[-1]["batch"] >= 0
         assert isinstance(lines[-1]["cause"], str) and lines[-1]["cause"]
+
+    def test_diverged_run_without_validation_leaves_finite_best(self, tmp_path):
+        # an infinite lr overflows the first update (epoch 0, batch 0)
+        with np.errstate(all="ignore"):
+            result = train(self.small_cfg(lr=float("inf")), toy_dataset(), tmp_path / "run",
+                           seed=0)
+        assert result.diverged and result.epochs_run == 0
+        best = Path(result.best_checkpoint).read_bytes()
+        assert best == Path(result.last_checkpoint).read_bytes()
+        _, params, opt_state = load_checkpoint(result.best_checkpoint)
+        arrays = [*params.values(), *opt_state["m"].values(), *opt_state["v"].values()]
+        assert all(np.isfinite(arr).all() for arr in arrays)
+
+    def test_each_checkpoint_is_written_once(self, tmp_path, monkeypatch):
+        written = []
+
+        def counting_save(path, *args, **kwargs):
+            written.append(Path(path).name)
+            return save_checkpoint(path, *args, **kwargs)
+
+        monkeypatch.setattr(training, "save_checkpoint", counting_save)
+        result = train(self.small_cfg(epochs=3), toy_dataset(), tmp_path / "run", seed=0)
+        assert not result.diverged
+        assert written == ["last.ckpt"] * 4  # the initial save, then one per epoch
+        assert Path(result.best_checkpoint).read_bytes() == \
+            Path(result.last_checkpoint).read_bytes()
 
     def test_oversized_video_rejected_before_any_write(self, tmp_path):
         long_item = make_annotation(qid=9, vid="vid_long", duration=40.0,
