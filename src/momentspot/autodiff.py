@@ -4,6 +4,11 @@ Scope is deliberately small: ranks 0..3, float32/float64, explicit gradient
 accumulation, no higher-order derivatives. Every operation used by the model
 lives here so the whole network can be gradient-checked against central
 differences with no framework in the loop.
+
+The sequence ops (matmul/linear, conv1d, mask_rows, layer_norm, logsumexp,
+multi_head_attention) take an optional leading batch axis: an (L, d) item
+and a padded (B, L, d) batch run through the same body, with (L,) or
+(B, L) masks.
 """
 from __future__ import annotations
 
@@ -351,27 +356,45 @@ def square(t):
 # -- shape / structure ----------------------------------------------------
 
 
+def _rows(x):
+    """x flattened to rows of its last axis: (..., k) -> (prod(...), k)."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects rank-2 operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    """a @ b for (m, k) or (B, m, k) a and a (k, n) weight, or per item for (B, k, n) b.
+
+    A weight's gradient flattens the leading axes of a into one GEMM, so no
+    per-item (B, k, n) stack is ever formed.
+    """
+    x, w = a.data, b.data
+    if x.ndim not in (2, 3) or w.ndim not in (2, x.ndim):
+        raise ShapeError(f"matmul expects (m, k) or (B, m, k) @ (k, n), or (B, m, k) @ (B, k, n); "
+                         f"got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[-2] or (w.ndim == 3 and x.shape[0] != w.shape[0]):
+        raise ShapeError(f"matmul dims differ: {x.shape} @ {w.shape}")
+    out_data = x @ w
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ w.swapaxes(-1, -2))
+        if b.requires_grad:
+            if w.ndim == 2:
+                _accumulate(b, _rows(x).T @ _rows(g))
+            else:
+                _accumulate(b, x.swapaxes(-1, -2) @ g)
 
     return _node(out_data, (a, b), backward)
 
 
 def transpose(t):
-    if t.data.ndim != 2:
-        raise ShapeError("transpose expects a rank-2 tensor")
-    out_data = t.data.T
+    """Swap the last two axes of a rank-2 or rank-3 tensor."""
+    if t.data.ndim not in (2, 3):
+        raise ShapeError("transpose expects a rank-2 or rank-3 tensor")
+    out_data = t.data.swapaxes(-1, -2)
 
     def backward(g):
-        _accumulate(t, g.T)
+        _accumulate(t, g.swapaxes(-1, -2))
 
     return _node(out_data, (t,), backward)
 
@@ -447,23 +470,40 @@ def unfold1d(t, kernel):
     """Zero-padded sliding windows: (L, C) -> (L, kernel*C), same length.
 
     Window j of output row n holds the input row n + j - (kernel-1)//2;
-    out-of-range rows are zeros. Requires an odd kernel.
+    out-of-range rows are zeros. Requires an odd kernel. A (B, L, C) batch
+    is unfolded per item, so windows never cross items.
     """
-    if t.data.ndim != 2:
-        raise ShapeError("unfold1d expects a rank-2 tensor")
+    if t.data.ndim not in (2, 3):
+        raise ShapeError("unfold1d expects a rank-2 or rank-3 tensor")
     if kernel % 2 != 1:
         raise ShapeError("unfold1d requires an odd kernel")
-    length, ch = t.data.shape
+    length, ch = t.data.shape[-2:]
     pad = (kernel - 1) // 2
-    padded = np.zeros((length + 2 * pad, ch), dtype=t.data.dtype)
-    padded[pad:pad + length] = t.data
-    out_data = np.concatenate([padded[j:j + length] for j in range(kernel)], axis=1)
+    padded = np.zeros(t.data.shape[:-2] + (length + 2 * pad, ch), dtype=t.data.dtype)
+    padded[..., pad:pad + length, :] = t.data
+    out_data = np.concatenate([padded[..., j:j + length, :] for j in range(kernel)], axis=-1)
 
     def backward(g):
         gp = np.zeros_like(padded)
         for j in range(kernel):
-            gp[j:j + length] += g[:, j * ch:(j + 1) * ch]
-        _accumulate(t, gp[pad:pad + length])
+            gp[..., j:j + length, :] += g[..., j * ch:(j + 1) * ch]
+        _accumulate(t, gp[..., pad:pad + length, :])
+
+    return _node(out_data, (t,), backward)
+
+
+def gather(t, index):
+    """Rows t.data[index] picked by integer arrays over t's leading axes.
+
+    index is one array (rows of an (N, C) tensor) or a tuple of arrays
+    ((item, row) pairs of a (B, N, C) batch); repeated rows accumulate.
+    """
+    out_data = t.data[index]
+
+    def backward(g):
+        full = np.zeros_like(t.data)
+        np.add.at(full, index, g)
+        _accumulate(t, full)
 
     return _node(out_data, (t,), backward)
 
@@ -471,18 +511,25 @@ def unfold1d(t, kernel):
 # -- masks ------------------------------------------------------------------
 
 
-def keep_mask(mask, n):
-    """Boolean keep vector of length n; None keeps all."""
-    keep = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if keep.shape != (n,):
-        raise ShapeError(f"mask of shape {keep.shape} does not match length {n}")
+def keep_mask(mask, shape):
+    """Boolean keep array of the given shape (an int is a length); None keeps all."""
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    keep = np.ones(shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if keep.shape != shape:
+        raise ShapeError(f"mask of shape {keep.shape} does not match {shape}")
     return keep
 
 
 def mask_rows(t, mask=None):
-    """Zero the rows (axis-0 entries) of t whose mask entry is False."""
-    keep = keep_mask(mask, t.data.shape[0]).astype(t.data.dtype)
-    keep = keep.reshape(keep.shape + (1,) * (t.data.ndim - 1))
+    """Zero the rows of t whose mask entry is False.
+
+    The mask covers t's leading axes: (L,) for the rows of an (L, ...)
+    tensor, (B, L) for the rows of each item of a (B, L, ...) batch.
+    """
+    keep = np.ones(t.data.shape[:1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if keep.shape != t.data.shape[:keep.ndim]:
+        raise ShapeError(f"mask of shape {keep.shape} does not match rows {t.data.shape[:keep.ndim]}")
+    keep = keep.astype(t.data.dtype).reshape(keep.shape + (1,) * (t.data.ndim - keep.ndim))
 
     def backward(g):
         _accumulate(t, g * keep)
@@ -526,41 +573,50 @@ def softmax_masked(scores, key_mask=None, flags=None):
 
 
 def logsumexp(t, include=None):
-    """log sum exp of a rank-1 tensor over an optional boolean subset."""
+    """log sum exp over the last axis of t, restricted to the entries include keeps.
+
+    include (default: all) broadcasts against t, so it may hold one subset
+    per row of a (B, L) tensor, or several subsets of each row when t carries
+    a unit axis: t (B, 1, L) with include (B, R, L) gives a (B, R) result.
+    A subset with no kept entry is an error.
+    """
     x = t.data
-    if x.ndim != 1:
-        raise ShapeError("logsumexp expects a rank-1 tensor")
-    inc = keep_mask(include, x.shape[0])
-    if not inc.any():
+    inc = np.ones(x.shape, dtype=bool) if include is None else np.asarray(include, dtype=bool)
+    try:
+        shape = np.broadcast_shapes(x.shape, inc.shape)
+    except ValueError as err:
+        raise ShapeError(f"include of shape {inc.shape} does not match {x.shape}") from err
+    if x.ndim == 0 or not np.broadcast_to(inc, shape).any(axis=-1).all():
         raise ShapeError("logsumexp over an empty subset")
-    m = x[inc].max()
-    e = np.exp(x - m) * inc
-    s = e.sum()
-    out_data = np.asarray(m + np.log(s), dtype=x.dtype)
+    xb = np.broadcast_to(x, shape)
+    m = xb.max(axis=-1, keepdims=True, where=inc, initial=-np.inf)
+    e = np.exp(xb - m, where=inc, out=np.zeros(shape, dtype=x.dtype))
+    s = e.sum(axis=-1, keepdims=True)
+    out_data = np.asarray((m + np.log(s))[..., 0], dtype=x.dtype)
     weights = e / s
 
     def backward(g):
-        _accumulate(t, g * weights)
+        _accumulate(t, _unbroadcast(g[..., None] * weights, x.shape))
 
     return _node(out_data, (t,), backward)
 
 
 def log_softmax_rows(t):
-    """Row-wise log softmax, stabilized with a detached row max."""
-    m = Tensor(t.data.max(axis=1, keepdims=True))
+    """Log softmax over the last axis, stabilized with a detached row max."""
+    m = Tensor(t.data.max(axis=-1, keepdims=True))
     z = sub(t, m)
-    lse = log(tsum(exp(z), axis=1, keepdims=True))
+    lse = log(tsum(exp(z), axis=-1, keepdims=True))
     return sub(z, lse)
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):
     """Per-row layer normalization over the last axis, as one node."""
     x = t.data
-    if x.ndim != 2:
-        raise ShapeError("layer_norm expects a rank-2 tensor")
-    scale = 1.0 / x.shape[1]
-    centered = x - x.sum(axis=1, keepdims=True) * scale
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=1, keepdims=True) * scale + eps)
+    if x.ndim not in (2, 3):
+        raise ShapeError("layer_norm expects a rank-2 or rank-3 tensor")
+    scale = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + eps)
     xhat = centered * inv
     out_data = xhat * gamma.data + beta.data
 
@@ -569,8 +625,8 @@ def layer_norm(t, gamma, beta, eps=1e-5):
         _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
         if t.requires_grad:
             gx = g * gamma.data
-            mean_gx = gx.sum(axis=1, keepdims=True) * scale
-            mean_gx_xhat = (gx * xhat).sum(axis=1, keepdims=True) * scale
+            mean_gx = gx.sum(axis=-1, keepdims=True) * scale
+            mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) * scale
             _accumulate(t, inv * (gx - mean_gx - xhat * mean_gx_xhat))
 
     return _node(out_data, (t, gamma, beta), backward)
@@ -589,14 +645,14 @@ def dropout(t, p, rng=None, train=False):
 
 
 def conv1d(x, weight, bias=None):
-    """Same-padding 1-D convolution over rows: (L, C_in) -> (L, C_out).
+    """Same-padding 1-D convolution over rows: (L, C_in) -> (L, C_out), per item of a (B, L, C_in) batch.
 
     weight has shape (kernel, C_in, C_out); kernel must be odd.
     """
     if weight.data.ndim != 3:
         raise ShapeError("conv1d weight must be rank-3 (kernel, C_in, C_out)")
     kernel, c_in, c_out = weight.data.shape
-    if x.data.ndim != 2 or x.data.shape[1] != c_in:
+    if x.data.ndim not in (2, 3) or x.data.shape[-1] != c_in:
         raise ShapeError(f"conv1d input shape {x.data.shape} does not match C_in={c_in}")
     unf = unfold1d(x, kernel)
     w2 = reshape(weight, (kernel * c_in, c_out))
@@ -629,44 +685,53 @@ class MhaParams:
 def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
     """Scaled dot-product attention with input/output projections, as one node.
 
-    q: (n_q, d), k/v: (n_k, d); all heads run at once over (heads, n, d/heads)
-    arrays. Masked keys are never exponentiated, so their scores cannot
-    overflow. Queries whose keys are all masked produce exact zero output rows
-    and receive zero gradient. With flags given, each call appends its
-    (heads, n_q, n_k) weights to flags["attention_weights"] and its dead-query
-    vector to flags["all_keys_masked"].
+    q: (n_q, d), k/v: (n_k, d), with an (n_k,) key mask; or per item of a
+    batch, q: (B, n_q, d), k/v: (B, n_k, d), with a (B, n_k) key mask. All
+    heads run at once over (..., heads, n, d/heads) arrays. Masked keys are
+    never exponentiated, so their scores cannot overflow. Queries whose keys
+    are all masked produce exact zero output rows and receive zero gradient.
+    With flags given, each call appends its (..., heads, n_q, n_k) weights to
+    flags["attention_weights"] and its (..., n_q) dead-query mask to
+    flags["all_keys_masked"].
     """
-    if q.data.ndim != 2 or k.data.ndim != 2:
-        raise ShapeError("multi_head_attention expects rank-2 queries and keys")
-    if k.data.shape != v.data.shape:
+    qd, kd, vd = q.data, k.data, v.data
+    lead = qd.shape[:-2]
+    if qd.ndim not in (2, 3) or kd.ndim != qd.ndim or kd.shape[:-2] != lead:
+        raise ShapeError("multi_head_attention expects (n, d) or (B, n, d) queries and keys "
+                         "with the same leading axes")
+    if kd.shape != vd.shape:
         raise ShapeError("key/value shapes differ")
-    d = q.data.shape[1]
-    if k.data.shape[1] != d:
-        raise ShapeError(f"query width {d} != key width {k.data.shape[1]}")
+    d = qd.shape[-1]
+    if kd.shape[-1] != d:
+        raise ShapeError(f"query width {d} != key width {kd.shape[-1]}")
     if d % heads != 0:
         raise ShapeError(f"model dim {d} not divisible by {heads} heads")
     if any(w.data.shape != (d, d) for w in (params.wq, params.wk, params.wv, params.wo)):
         raise ShapeError(f"attention projections must be ({d}, {d})")
-    keep = keep_mask(key_mask, k.data.shape[0])
+    keep = keep_mask(key_mask, kd.shape[:-1])
+    if lead:
+        keep = keep[:, None, None, :]  # each item's keys, shared by its heads and queries
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
+    perm = (0, 2, 1, 3) if lead else (1, 0, 2)  # swaps the n and heads axes
 
-    def split(x):  # (n, d) -> (heads, n, dh)
-        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+    def split(x):  # (..., n, d) -> (..., heads, n, dh)
+        return x.reshape(x.shape[:-1] + (heads, dh)).transpose(perm)
 
-    def merge(x):  # (heads, n, dh) -> (n, d)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+    def merge(x):  # (..., heads, n, dh) -> (..., n, d)
+        return x.transpose(perm).reshape(lead + (-1, d))
 
-    qh = split(q.data @ params.wq.data + params.bq.data)
-    kh = split(k.data @ params.wk.data + params.bk.data)
-    vh = split(v.data @ params.wv.data + params.bv.data)
-    attn, dead = _masked_softmax((qh @ kh.transpose(0, 2, 1)) * scale, keep)
-    dead = dead[0]  # a query row is dead when no key is kept: the same rows in every head
+    qh = split(qd @ params.wq.data + params.bq.data)
+    kh = split(kd @ params.wk.data + params.bk.data)
+    vh = split(vd @ params.wv.data + params.bv.data)
+    attn, dead = _masked_softmax((qh @ kh.swapaxes(-1, -2)) * scale, keep)
+    # a query row is dead when no key is kept: the same rows in every head
+    dead = dead[:, 0] if lead else dead[0]
     merged = merge(attn @ vh)
     out_data = merged @ params.wo.data + params.bo.data
     live = None
     if dead.any():
-        live = (~dead).astype(out_data.dtype)[:, None]
+        live = (~dead).astype(out_data.dtype)[..., None]
         out_data = out_data * live
     if flags is not None:
         flags.setdefault("attention_weights", []).append(attn.copy())
@@ -674,7 +739,7 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
 
     def project_back(x, w, b, g):
         """Gradients of x @ w + b given the output gradient g."""
-        _accumulate(w, x.data.T @ g)
+        _accumulate(w, _rows(x.data).T @ _rows(g))
         _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
@@ -682,14 +747,14 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
     def backward(g):
         if live is not None:
             g = g * live
-        _accumulate(params.wo, merged.T @ g)
+        _accumulate(params.wo, _rows(merged).T @ _rows(g))
         _accumulate(params.bo, _unbroadcast(g, params.bo.data.shape))
         g_out = split(g @ params.wo.data.T)
-        g_attn = g_out @ vh.transpose(0, 2, 1)
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True)) * scale
+        g_attn = g_out @ vh.swapaxes(-1, -2)
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
         project_back(q, params.wq, params.bq, merge(g_scores @ kh))
-        project_back(k, params.wk, params.bk, merge(g_scores.transpose(0, 2, 1) @ qh))
-        project_back(v, params.wv, params.bv, merge(attn.transpose(0, 2, 1) @ g_out))
+        project_back(k, params.wk, params.bk, merge(g_scores.swapaxes(-1, -2) @ qh))
+        project_back(v, params.wv, params.bv, merge(attn.swapaxes(-1, -2) @ g_out))
 
     parents = (q, k, v, params.wq, params.bq, params.wk, params.bk,
                params.wv, params.bv, params.wo, params.bo)

@@ -43,9 +43,9 @@ def _stage(query_side, key_side, q_pos, kv_pos, stage, heads, key_mask,
 
 def fuse(v_r, t_bar, params, heads, mode="bidirectional", drop_p=0.0,
          clip_mask=None, text_mask=None, train=False, rng=None, flags=None):
-    """Fuse text evidence into the clip stream; output keeps shape (L, d)."""
-    length = v_r.data.shape[0]
-    n_tok = t_bar.data.shape[0]
+    """Fuse text evidence into the clip stream; output keeps shape (L, d), or (B, L, d) for a batch."""
+    length = v_r.data.shape[-2]
+    n_tok = t_bar.data.shape[-2]
     if length > params.pos_video.data.shape[0]:
         raise ConfigError(f"{length} clips exceed max_clips={params.pos_video.data.shape[0]}")
     if n_tok > params.pos_text.data.shape[0]:

@@ -57,9 +57,9 @@ class HeadParams:
 
 @dataclass
 class PredictionSet:
-    class_logits: Tensor  # (num_queries, 2)
-    moments: Tensor       # (num_queries, 2) sigmoid (center, width) in (0, 1)
-    saliency: Tensor      # (L,)
+    class_logits: Tensor  # (num_queries, 2); (B, num_queries, 2) for a batch
+    moments: Tensor       # (num_queries, 2) sigmoid (center, width) in (0, 1); batched likewise
+    saliency: Tensor      # (L,); (B, L) for a batch
 
 
 def _ffn(x, layer, drop_p, train, rng):
@@ -68,7 +68,7 @@ def _ffn(x, layer, drop_p, train, rng):
 
 
 def encode(x, layers, heads, drop_p=0.0, clip_mask=None, train=False, rng=None, flags=None):
-    """Post-norm self-attention + FFN stack over the clip stream (L, d)."""
+    """Post-norm self-attention + FFN stack over the clip stream (L, d) or (B, L, d)."""
     for layer in layers:
         attended = multi_head_attention(x, x, x, layer.attn, heads,
                                         key_mask=clip_mask, flags=flags)
@@ -82,10 +82,11 @@ def encode(x, layers, heads, drop_p=0.0, clip_mask=None, train=False, rng=None, 
 def decode(memory, params, heads, drop_p=0.0, clip_mask=None, train=False, rng=None, flags=None):
     """Moment-query decoder: targets start at zero, query embeddings join q/k.
 
-    Returns the decoded query states (num_queries, d).
+    Returns the decoded query states (num_queries, d), or (B, num_queries, d)
+    for a (B, L, d) memory.
     """
-    n_q, d = params.query_embed.data.shape
-    tgt = Tensor(np.zeros((n_q, d), dtype=memory.data.dtype))
+    tgt = Tensor(np.zeros(memory.data.shape[:-2] + params.query_embed.data.shape,
+                          dtype=memory.data.dtype))
     for layer in params.layers:
         q = add(tgt, params.query_embed)
         attended = multi_head_attention(q, q, tgt, layer.self_attn, heads, flags=flags)
@@ -113,7 +114,7 @@ def predict_moments(decoded, head):
 
 
 def predict_saliency(memory, saliency_w):
-    """Per-clip scores (memory_i . w) / sqrt(d)."""
-    d = memory.data.shape[1]
+    """Per-clip scores (memory_i . w) / sqrt(d): (L,), or (B, L) for a batch."""
+    d = memory.data.shape[-1]
     scores = matmul(memory, saliency_w)
-    return reshape(mul(scores, 1.0 / math.sqrt(d)), (memory.data.shape[0],))
+    return reshape(mul(scores, 1.0 / math.sqrt(d)), memory.data.shape[:-1])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import (Tensor, absval, clip01, concat, div, log_softmax_rows,
+from .autodiff import (Tensor, absval, clip01, div, gather, log_softmax_rows,
                        maximum, minimum, mul, narrow, relu, sub, tsum)
 from .metrics import giou_1d
 
@@ -57,11 +57,6 @@ def hungarian_match(pred_moments, fg_probs, gt_moments, weights):
     return MatchResult([int(r) for r in rows[order]], [int(c) for c in cols[order]])
 
 
-def _gather_rows(t, indices):
-    rows = [narrow(t, 0, i, 1) for i in indices]
-    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
-
-
 def _spans(cw):
     """Differentiable (P, 2) center/width -> start, end columns, clipped."""
     c = narrow(cw, 1, 0, 1)
@@ -79,33 +74,41 @@ def giou_spans(start_a, end_a, start_b, end_b):
 
 
 def moment_loss(class_logits, moments, gt_moments, match, weights):
-    """L1, gIoU, and down-weighted-background CE terms for one query's moments.
+    """L1, gIoU, and down-weighted-background CE terms of the moment queries.
 
-    class_logits/moments are tensors from the heads; gt_moments is a numpy
-    (M, 2) array of normalized (center, width); match pairs pred rows with gt
-    rows. Returns a dict of scalar tensors keyed "l1", "giou", "cls".
+    For one item, class_logits/moments are (n_q, 2) tensors from the heads,
+    gt_moments a numpy (M, 2) array of normalized (center, width) and match
+    one MatchResult pairing pred rows with gt rows. For a batch they are
+    (B, n_q, 2) tensors with lists of B gt arrays and B matches: the matched
+    pairs of all items run through one L1/gIoU/CE, each term normalised per
+    item and averaged over items. Returns scalar tensors "l1", "giou", "cls".
     """
-    n_q = class_logits.data.shape[0]
+    batched = class_logits.data.ndim == 3
+    gts, matches = (gt_moments, match) if batched else ([gt_moments], [match])
+    n_items, n_q = len(matches), class_logits.data.shape[-2]
     dtype = moments.data.dtype
-    if match.pred_indices:
-        pred_rows = _gather_rows(moments, match.pred_indices)
-        gt_rows = Tensor(np.asarray(gt_moments, dtype=dtype)[match.gt_indices])
-        n_pairs = len(match.pred_indices)
-        l1 = mul(tsum(absval(sub(pred_rows, gt_rows))), 1.0 / n_pairs)
+    counts = np.array([len(m.pred_indices) for m in matches], dtype=int)
+    items = np.repeat(np.arange(n_items), counts)
+    queries = np.array([q for m in matches for q in m.pred_indices], dtype=int)
+    if queries.size:
+        pred_rows = gather(moments, (items, queries) if batched else queries)
+        gt_rows = Tensor(np.concatenate([np.asarray(g, dtype=dtype).reshape(-1, 2)[m.gt_indices]
+                                         for g, m in zip(gts, matches)]))
+        pair_weights = (1.0 / (n_items * counts[items])).astype(dtype)[:, None]
+        l1 = tsum(mul(absval(sub(pred_rows, gt_rows)), pair_weights))
         ps, pe = _spans(pred_rows)
         gs, ge = _spans(gt_rows)
-        giou = mul(tsum(sub(1.0, giou_spans(ps, pe, gs, ge))), 1.0 / n_pairs)
+        giou = tsum(mul(sub(1.0, giou_spans(ps, pe, gs, ge)), pair_weights))
     else:
         l1 = Tensor(np.asarray(0.0, dtype=dtype))
         giou = Tensor(np.asarray(0.0, dtype=dtype))
     # 2-way cross entropy; unmatched queries are background at reduced weight
-    targets = np.ones(n_q, dtype=int)
-    targets[list(match.pred_indices)] = 0
+    targets = np.ones((n_items, n_q), dtype=int)
+    targets[items, queries] = 0
     class_weights = np.where(targets == 0, 1.0, weights.background_weight)
-    # picks holds -weight at each query's target column; the normalizer sums the
-    # 1-D weights (summing picks groups NumPy's pairwise sum differently)
-    picks = np.zeros((n_q, 2), dtype=class_logits.data.dtype)
-    picks[np.arange(n_q), targets] = -class_weights
-    ce = tsum(mul(log_softmax_rows(class_logits), Tensor(picks)))
-    cls = mul(ce, 1.0 / float(class_weights.sum()))
+    # picks holds -weight / (item weight total * items) at each query's target column
+    norm = n_items * class_weights.sum(axis=1, keepdims=True)
+    picks = np.zeros((n_items, n_q, 2), dtype=class_logits.data.dtype)
+    picks[np.arange(n_items)[:, None], np.arange(n_q), targets] = -class_weights / norm
+    cls = tsum(mul(log_softmax_rows(class_logits), Tensor(picks.reshape(class_logits.data.shape))))
     return {"l1": l1, "giou": giou, "cls": cls}

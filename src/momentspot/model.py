@@ -1,5 +1,5 @@
 """Full model assembly: parameter registry, initialization, forward pass,
-and the per-item / per-batch loss computation."""
+and the batch loss computation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -215,6 +215,12 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def forward(self, bundle: FeatureBundle, train=False, rng=None, flags=None):
+        """One graph over an item's bundle, or over a padded batch from pad_batch.
+
+        Every stage keeps the bundle's leading shape: an item gives (L, d)
+        clip states, (num_queries, 2) moments and (L,) saliency; a batch gives
+        the same with a leading B axis.
+        """
         cfg, p = self.cfg, self.params
         flags = flags if flags is not None else {}
         vmask, tmask = bundle.video_mask, bundle.text_mask
@@ -250,29 +256,57 @@ def normalized_windows(ann):
 
 
 def _fg_probs(logits_data):
-    z = logits_data - logits_data.max(axis=1, keepdims=True)
+    z = logits_data - logits_data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e[:, 0] / e.sum(axis=1)
+    return e[..., 0] / e.sum(axis=-1)
 
 
-def item_losses(model, bundle, ann, epoch, rng=None, train=False):
-    """All loss components for one item, as scalar tensors keyed per compose_total."""
+def _padded(rows, length, dtype):
+    """Stack per-item arrays of up to `length` rows, zero-filling each item's tail."""
+    out = np.zeros((len(rows), length) + np.shape(rows[0])[1:], dtype=dtype)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
+def pad_batch(bundles):
+    """One padded bundle for a batch: (B, L_max, d_v) video and (B, N_max, d_t)
+    text with (B, L_max) / (B, N_max) masks; padding is zero and masked."""
+    length = max(b.video.shape[0] for b in bundles)
+    n_tok = max(b.text.shape[0] for b in bundles)
+    return FeatureBundle(
+        video=_padded([b.video for b in bundles], length, np.result_type(*(b.video for b in bundles))),
+        text=_padded([b.text for b in bundles], n_tok, np.result_type(*(b.text for b in bundles))),
+        video_mask=_padded([b.video_mask for b in bundles], length, bool),
+        text_mask=_padded([b.text_mask for b in bundles], n_tok, bool))
+
+
+def batch_loss(model, batch, epoch, rng=None, train=True):
+    """Loss components of a batch of (bundle, annotation) pairs, composed into the total.
+
+    The batch runs as one padded, masked graph. Each component is normalised
+    per item and averaged over the items, so it equals the mean of the
+    items' one-item batch losses. Rank pairs are drawn per item in batch
+    order, after the forward pass.
+    """
     cfg = model.cfg
-    fw = model.forward(bundle, train=train, rng=rng)
+    bundles, anns = zip(*batch)
+    padded = pad_batch(bundles)
+    fw = model.forward(padded, train=train, rng=rng)
     preds = fw.predictions
-    levels = np.asarray(ann.saliency_levels)
+    vmask = padded.video_mask
+    levels = _padded([a.saliency_levels for a in anns], vmask.shape[1], int)
     norm_levels = levels / 4.0
-    vmask = bundle.video_mask
-    pos_mask = np.zeros(ann.num_clips, dtype=bool)
-    pos_mask[ann.relevant_clip_ids] = True
+    pos_mask = np.zeros(vmask.shape, dtype=bool)
+    for i, ann in enumerate(anns):
+        pos_mask[i, ann.relevant_clip_ids] = True
     neg_mask = ~pos_mask & vmask
     pos_mask &= vmask
-    zero = Tensor(np.asarray(0.0, dtype=model.dtype))
-    pair = sample_rank_pair(levels, rng, clip_mask=vmask) if rng is not None else None
-    rank = (rank_margin_loss(preds.saliency, pair[0], pair[1], cfg.weights.margin)
-            if pair is not None else zero)
+    pairs = [sample_rank_pair(lv, rng, clip_mask=m) if rng is not None else None
+             for lv, m in zip(levels, vmask)]
+    high, low = np.array([pair if pair is not None else (-1, -1) for pair in pairs]).T
     components = {
-        "rank": rank,
+        "rank": rank_margin_loss(preds.saliency, high, low, cfg.weights.margin),
         "contrastive": contrastive_rank_loss(preds.saliency, levels, cfg.weights.temperature,
                                              clip_mask=vmask),
         "hard": highlight_distribution_loss(preds.saliency, norm_levels, pos_mask, neg_mask, epoch),
@@ -280,33 +314,19 @@ def item_losses(model, bundle, ann, epoch, rng=None, train=False):
         "task_coupled": task_coupled_loss(fw.memory, model.params.gru, norm_levels,
                                           clip_mask=vmask),
         "alignment": alignment_loss(fw.text_tokens, fw.refined, norm_levels,
-                                    text_mask=bundle.text_mask, clip_mask=vmask),
+                                    text_mask=padded.text_mask, clip_mask=vmask),
     }
-    gt_moments = normalized_windows(ann)
     if not (np.isfinite(preds.moments.data).all() and np.isfinite(preds.class_logits.data).all()):
         # keep divergence on the CompositionError path instead of crashing the matcher
         raise CompositionError("moment head produced non-finite predictions")
-    match = hungarian_match(preds.moments.data, _fg_probs(preds.class_logits.data),
-                            gt_moments, cfg.weights)
+    gt_moments = [normalized_windows(ann) for ann in anns]
+    fg = _fg_probs(preds.class_logits.data)
+    matches = [hungarian_match(preds.moments.data[i], fg[i], gt, cfg.weights)
+               for i, gt in enumerate(gt_moments)]
     components.update(moment_loss(preds.class_logits, preds.moments, gt_moments,
-                                  match, cfg.weights))
-    return components, fw
-
-
-def batch_loss(model, batch, epoch, rng=None, train=True):
-    """Mean of each component over (bundle, annotation) pairs, composed into the total."""
-    sums = None
-    for bundle, ann in batch:
-        components, _ = item_losses(model, bundle, ann, epoch, rng=rng, train=train)
-        if sums is None:
-            sums = dict(components)
-        else:
-            for key, val in components.items():
-                sums[key] = sums[key] + val
-    scale = 1.0 / len(batch)
-    averaged = {key: val * scale for key, val in sums.items()}
-    total = compose_total(averaged, model.cfg.weights)
-    return total, averaged
+                                  matches, cfg.weights))
+    total = compose_total(components, cfg.weights)
+    return total, components
 
 
 def predict_item(model, bundle, ann):

@@ -218,7 +218,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     is written. A failing loss component, a non-finite loss or a non-finite
     parameter after an update aborts the run and leaves the last good
     checkpoint on disk (diverged=True in the result); the log's last entry
-    then names the batch and the cause.
+    then names the batch and the cause. Each epoch's train entry lists the
+    global gradient norm of every step, before clipping, as grad_norms.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -255,6 +256,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             order = rng.permutation(len(train_set))
             epoch_total = 0.0
             epoch_parts = {}
+            grad_norms = []
             n_batches = 0
             cause = None
             for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -270,7 +272,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                     break
                 model.zero_grad()
                 total.backward()
-                clip_gradients(model.named_parameters(), cfg.grad_clip)
+                grad_norms.append(clip_gradients(model.named_parameters(), cfg.grad_clip))
                 optimizer.step()
                 # a step that overflows the weights must not reach the epoch save
                 cause = next((f"non-finite parameter {name}"
@@ -292,6 +294,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             loss_trace.append(mean_total)
             entry = {"epoch": epoch, "split": "train", "total": mean_total}
             entry.update({k: v / n_batches for k, v in epoch_parts.items()})
+            entry["grad_norms"] = grad_norms
             write_log(entry)
             save_checkpoint(last_path, model, optimizer=optimizer, epoch=epoch,
                             rng_state=rng.bit_generator.state, best_metric=None)
@@ -306,8 +309,9 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                                     rng_state=rng.bit_generator.state, best_metric=best_metric)
             if not quiet:
                 print(f"epoch {epoch}: loss {mean_total:.4f}")
-    if not best_path.exists():
-        # no validation pass ran; the last good checkpoint doubles as "best"
+    if best_metric == -math.inf:
+        # this run wrote no best.ckpt; the last good checkpoint doubles as
+        # "best", replacing any best.ckpt an earlier run left in out_dir
         # (after a divergence the in-memory model is the diverged one)
         shutil.copyfile(last_path, best_path)
         best_metric = math.nan

@@ -4,8 +4,8 @@ import pytest
 from momentspot.autodiff import Tensor
 from momentspot.config import ConfigError, ModelConfig
 from momentspot.losses import COMPONENT_KEYS, compose_total
-from momentspot.model import (Model, batch_loss, bundle_for, item_losses,
-                              normalized_windows, predict_item, _fg_probs)
+from momentspot.model import (Model, batch_loss, bundle_for, normalized_windows,
+                              predict_item, _fg_probs)
 from test_data import make_annotation
 
 from conftest import tiny_config
@@ -241,20 +241,21 @@ class TestLossAssembly:
         self.bundle = bundle_for(self.ann, self.cfg)
 
     def test_all_components_present_and_finite(self):
-        components, fw = item_losses(self.model, self.bundle, self.ann, epoch=0,
-                                     rng=np.random.default_rng(0))
+        _, components = batch_loss(self.model, [(self.bundle, self.ann)], epoch=0,
+                                   rng=np.random.default_rng(0), train=False)
         assert set(components) == set(COMPONENT_KEYS)
         for key, val in components.items():
             assert val.data.shape == ()
             assert np.isfinite(val.data), key
 
     def test_rank_needs_rng(self):
-        components, _ = item_losses(self.model, self.bundle, self.ann, epoch=0, rng=None)
+        _, components = batch_loss(self.model, [(self.bundle, self.ann)], epoch=0, rng=None,
+                                   train=False)
         assert components["rank"].item() == 0.0
 
     def test_hard_component_grows_with_epoch(self):
-        early, _ = item_losses(self.model, self.bundle, self.ann, epoch=0)
-        late, _ = item_losses(self.model, self.bundle, self.ann, epoch=4)
+        _, early = batch_loss(self.model, [(self.bundle, self.ann)], epoch=0, train=False)
+        _, late = batch_loss(self.model, [(self.bundle, self.ann)], epoch=4, train=False)
         assert late["hard"].item() == pytest.approx(5 * early["hard"].item(), rel=1e-9)
 
     def test_batch_loss_averages_components(self):
@@ -262,8 +263,8 @@ class TestLossAssembly:
         bundle2 = bundle_for(ann2, self.cfg)
         batch = [(self.bundle, self.ann), (bundle2, ann2)]
         total, averaged = batch_loss(self.model, batch, epoch=1, train=False)
-        a, _ = item_losses(self.model, self.bundle, self.ann, epoch=1, train=False)
-        b, _ = item_losses(self.model, bundle2, ann2, epoch=1, train=False)
+        _, a = batch_loss(self.model, [(self.bundle, self.ann)], epoch=1, train=False)
+        _, b = batch_loss(self.model, [(bundle2, ann2)], epoch=1, train=False)
         for key in COMPONENT_KEYS:
             want = 0.5 * (a[key].item() + b[key].item())
             assert averaged[key].item() == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -280,8 +281,8 @@ class TestLossAssembly:
         runs = []
         for bundle in (self.bundle, padded):
             self.model.zero_grad()
-            components, _ = item_losses(self.model, bundle, self.ann, epoch=1,
-                                        rng=np.random.default_rng(0), train=True)
+            _, components = batch_loss(self.model, [(bundle, self.ann)], epoch=1,
+                                       rng=np.random.default_rng(0), train=True)
             compose_total(components, self.cfg.weights).backward()
             grads = {name: np.zeros_like(p.tensor.data) if p.tensor.grad is None
                      else p.tensor.grad.copy()
@@ -302,6 +303,85 @@ class TestLossAssembly:
         missing = [name for name, p in self.model.named_parameters().items()
                    if p.tensor.grad is None]
         assert missing == []
+
+
+def mixed_length_batch(cfg):
+    """Items of different clip and token counts; the first fills max_clips."""
+    anns = [
+        make_annotation(qid=1, vid="vid_long", duration=2.0 * cfg.max_clips,
+                        query="a person opens the kitchen door slowly",
+                        relevant_windows=[[6.0, 14.0], [20.0, 24.0]],
+                        saliency_levels=[0, 0, 0, 1, 2, 3, 4, 2, 0, 0, 3, 4, 0, 0, 0, 0],
+                        relevant_clip_ids=[3, 4, 5, 6, 10, 11]),
+        make_annotation(qid=2, vid="vid_short", duration=10.0, query="dog runs",
+                        relevant_windows=[[2.0, 6.0]], saliency_levels=[0, 2, 4, 0, 0],
+                        relevant_clip_ids=[1, 2]),
+        make_annotation(),
+        make_annotation(qid=4, vid="vid_d", duration=14.0, query="someone rides a red bike",
+                        relevant_windows=[[0.0, 4.0]], saliency_levels=[4, 3, 0, 0, 1, 0, 0],
+                        relevant_clip_ids=[0, 1]),
+    ]
+    return [(bundle_for(a.validate(), cfg), a) for a in anns]
+
+
+def op_nodes(t):
+    """Op nodes behind t (tensors with parents), walked through _parents."""
+    seen, stack, count = set(), [t], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            count += 1
+            stack.extend(node._parents)
+    return count
+
+
+class TestBatchedGraph:
+    def setup_method(self):
+        self.cfg = tiny_config()
+        self.model = Model(self.cfg, seed=7)
+        self.batch = mixed_length_batch(self.cfg)
+
+    def grads(self):
+        return {name: np.zeros_like(p.tensor.data) if p.tensor.grad is None
+                else p.tensor.grad.copy() for name, p in self.model.named_parameters().items()}
+
+    def test_batch_equals_mean_of_one_item_batches(self):
+        batch = self.batch[:3]
+        assert len({b.video.shape[0] for b, _ in batch}) == 3
+        assert len({b.text.shape[0] for b, _ in batch}) == 3
+        assert batch[0][0].video.shape[0] == self.cfg.max_clips
+        self.model.zero_grad()
+        total, averaged = batch_loss(self.model, batch, epoch=2,
+                                     rng=np.random.default_rng(5), train=True)
+        total.backward()
+        got_grads = self.grads()
+        rng = np.random.default_rng(5)  # the same stream, drawn item by item in batch order
+        want_total, want = 0.0, dict.fromkeys(COMPONENT_KEYS, 0.0)
+        want_grads = {name: 0.0 for name in got_grads}
+        for item in batch:
+            self.model.zero_grad()
+            one_total, one = batch_loss(self.model, [item], epoch=2, rng=rng, train=True)
+            one_total.backward()
+            want_total += one_total.item() / len(batch)
+            for key in COMPONENT_KEYS:
+                want[key] += one[key].item() / len(batch)
+            for name, grad in self.grads().items():
+                want_grads[name] = want_grads[name] + grad / len(batch)
+        assert want["rank"] > 0
+        assert total.item() == pytest.approx(want_total, rel=1e-10, abs=1e-10)
+        for key in COMPONENT_KEYS:
+            assert averaged[key].item() == pytest.approx(want[key], rel=1e-10, abs=1e-10), key
+        for name, grad in got_grads.items():
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-10, atol=1e-10,
+                                       err_msg=name)
+
+    def test_graph_size_does_not_grow_with_batch(self):
+        one, _ = batch_loss(self.model, self.batch[:1], 0, rng=np.random.default_rng(0))
+        four, _ = batch_loss(self.model, self.batch, 0, rng=np.random.default_rng(0))
+        assert op_nodes(four) <= 1.1 * op_nodes(one)
 
 
 class TestPrediction:

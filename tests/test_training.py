@@ -374,6 +374,32 @@ class TestTrainLoop:
         assert Path(result.best_checkpoint).read_bytes() == \
             Path(result.last_checkpoint).read_bytes()
 
+    def test_rerun_without_validation_replaces_stale_best(self, tmp_path):
+        run = tmp_path / "run"
+        first = train(self.small_cfg(val_fraction=0.34, eval_every=1), toy_dataset(), run, seed=0)
+        assert np.isfinite(first.best_metric)
+        result = train(self.small_cfg(), toy_dataset(), run, seed=1)
+        assert math.isnan(result.best_metric)
+        assert Path(result.best_checkpoint).read_bytes() == \
+            Path(result.last_checkpoint).read_bytes()
+
+    def test_log_records_each_steps_gradient_norm(self, tmp_path, monkeypatch):
+        returned = []
+
+        def recording_clip(params, max_norm):
+            returned.append(clip_gradients(params, max_norm))
+            return returned[-1]
+
+        monkeypatch.setattr(training, "clip_gradients", recording_clip)
+        cfg = self.small_cfg(epochs=2, batch_size=2, grad_clip=0.5)
+        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
+        lines = [json.loads(l) for l in open(result.log_path)]
+        norms = [l["grad_norms"] for l in lines if l["split"] == "train"]
+        batches = math.ceil(len(toy_dataset()) / cfg.batch_size)
+        assert [len(n) for n in norms] == [batches] * cfg.epochs
+        assert all(math.isfinite(x) for n in norms for x in n)
+        assert [x for n in norms for x in n] == returned
+
     def test_oversized_video_rejected_before_any_write(self, tmp_path):
         long_item = make_annotation(qid=9, vid="vid_long", duration=40.0,
                                     saliency_levels=[0, 2, 4] + [0] * 17)
