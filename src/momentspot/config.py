@@ -5,6 +5,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from .data import TEXT_ENCODER_KINDS, VIDEO_ENCODER_KINDS
+
 
 class ConfigError(ValueError):
     pass
@@ -64,6 +66,8 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        if self.heads <= 0:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.hidden_dim <= 0 or self.hidden_dim % self.heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} must be positive and divisible by heads {self.heads}")
         if self.proj_kernel % 2 != 1 or self.refine_kernel % 2 != 1:
@@ -74,9 +78,17 @@ class ModelConfig:
             raise ConfigError(f"dtype must be float32 or float64, got '{self.dtype}'")
         if not self.video_parts or not self.text_parts:
             raise ConfigError("at least one video and one text feature part required")
+        for parts, kinds in ((self.video_parts, VIDEO_ENCODER_KINDS),
+                             (self.text_parts, TEXT_ENCODER_KINDS)):
+            unknown = sorted({kind for kind, _ in parts} - set(kinds))
+            if unknown:
+                raise ConfigError(f"unknown feature parts {unknown} (expected one of {kinds})")
         if min(self.fusion_layers, self.encoder_layers, self.decoder_layers,
                self.proj_layers, self.num_queries) < 1:
             raise ConfigError("layer and query counts must be >= 1")
+        if self.batch_size < 1 or self.epochs < 0 or self.eval_every < 0:
+            raise ConfigError(f"need batch_size >= 1, epochs >= 0 and eval_every >= 0, got "
+                              f"{self.batch_size}, {self.epochs} and {self.eval_every}")
         if not (0 <= self.val_fraction < 1):
             raise ConfigError("val_fraction must be in [0, 1)")
         return self

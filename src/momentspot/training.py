@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import struct
 from dataclasses import dataclass
@@ -78,7 +79,28 @@ def clip_gradients(params, max_norm):
 # -- checkpoint format ----------------------------------------------------------
 # magic "MSPT" | u32 version | u32 json_len | json metadata | raw little-endian
 # payload (params, then optimizer m and v in the same order). The payload dtype
-# is f32 unless the model runs in float64 (recorded in the metadata).
+# is f32 unless the model runs in float64 (recorded in the metadata). Every
+# checkpoint file is written through _write_atomic, so a run killed mid-write
+# leaves the previous file whole.
+
+
+def _write_atomic(path, write):
+    """Call write(fh) on "<path>.tmp" in path's directory, then os.replace it over path.
+
+    If anything raises, the temp file is removed and path is left untouched.
+    There is no fsync: the replace survives a killed process, not an OS crash
+    or a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None, best_metric=None):
@@ -95,18 +117,26 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None, best_m
         "rng_state": rng_state,
         "best_metric": best_metric,
     }
-    blobs = [np.ascontiguousarray(arrays[n], dtype=payload_dtype).tobytes() for n in names]
-    if optimizer is not None:
-        blobs += [np.ascontiguousarray(optimizer.m[n], dtype=payload_dtype).tobytes() for n in names]
-        blobs += [np.ascontiguousarray(optimizer.v[n], dtype=payload_dtype).tobytes() for n in names]
+    groups = [arrays] if optimizer is None else [arrays, optimizer.m, optimizer.v]
     meta_bytes = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
-        for blob in blobs:
-            fh.write(blob)
+        for group in groups:
+            for n in names:
+                # from the array's own buffer unless its dtype or layout differs
+                fh.write(np.ascontiguousarray(group[n], dtype=payload_dtype))
+
+    _write_atomic(path, write)
     return path
+
+
+def _copy_checkpoint(src, dst):
+    """Byte copy of checkpoint src to dst through the same atomic replace."""
+    with open(src, "rb") as fsrc:
+        _write_atomic(dst, lambda fdst: shutil.copyfileobj(fsrc, fdst))
 
 
 def load_checkpoint(path):
@@ -214,21 +244,28 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
           feature_dir=None, quiet=True):
     """Run the full training loop; writes last/best checkpoints and a jsonl log.
 
-    Every item is bundled and checked (see _checked_bundles) before anything
-    is written. A failing loss component, a non-finite loss or a non-finite
-    parameter after an update aborts the run and leaves the last good
-    checkpoint on disk (diverged=True in the result); the log's last entry
-    then names the batch and the cause. Each epoch's train entry lists the
+    Every item is bundled and checked (see _checked_bundles), and the training
+    split must be non-empty, before anything is written. Validation runs every
+    cfg.eval_every epochs (0: after the last epoch only). last.ckpt is written
+    at the start and after each epoch's validation, with the best validation
+    mAP so far as best_metric; best.ckpt is its byte copy from the epoch that
+    set that best, or from the end when no validation ran.
+
+    A failing loss component, a non-finite loss or a non-finite parameter
+    after an update aborts the run and leaves the last good checkpoint on
+    disk (diverged=True in the result); the log's last entry then names the
+    batch and the cause. Each epoch's train entry lists the
     global gradient norm of every step, before clipping, as grad_norms.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not annotations:
         raise ValueError("train on an empty dataset")
     if val_annotations is None:
         train_set, val_set = split_dataset(annotations, cfg.val_fraction, seed)
     else:
         train_set, val_set = list(annotations), list(val_annotations)
+    if not train_set:
+        raise ValueError(f"the training split is empty: val_fraction={cfg.val_fraction} "
+                         f"puts all {len(annotations)} items in the validation split")
     model = Model(cfg, seed=seed)
     if init_from is not None:
         _, params, _ = load_checkpoint(init_from)
@@ -237,6 +274,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     rng = np.random.default_rng([seed, 2])
     train_bundles = _checked_bundles(train_set, cfg, feature_dir)
     val_bundles = _checked_bundles(val_set, cfg, feature_dir)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl"
     last_path = out / "last.ckpt"
     best_path = out / "best.ckpt"
@@ -244,6 +283,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     loss_trace = []
     diverged = False
     epochs_run = 0
+    eval_period = cfg.eval_every or cfg.epochs
     # ensure a "last good" checkpoint exists even if epoch 0 diverges
     save_checkpoint(last_path, model, optimizer=optimizer, epoch=0,
                     rng_state=rng.bit_generator.state, best_metric=None)
@@ -296,24 +336,27 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             entry.update({k: v / n_batches for k, v in epoch_parts.items()})
             entry["grad_norms"] = grad_norms
             write_log(entry)
-            save_checkpoint(last_path, model, optimizer=optimizer, epoch=epoch,
-                            rng_state=rng.bit_generator.state, best_metric=None)
-            if val_set and cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0:
+            improved = False
+            if val_set and (epoch + 1) % eval_period == 0:
                 report, _ = evaluate_model(model, val_set, bundles=val_bundles)
                 entry = {"epoch": epoch, "split": "val"}
                 entry.update(report.to_dict())
                 write_log(entry)
-                if report.map_avg > best_metric:
+                improved = report.map_avg > best_metric
+                if improved:
                     best_metric = report.map_avg
-                    save_checkpoint(best_path, model, optimizer=optimizer, epoch=epoch,
-                                    rng_state=rng.bit_generator.state, best_metric=best_metric)
+            save_checkpoint(last_path, model, optimizer=optimizer, epoch=epoch,
+                            rng_state=rng.bit_generator.state,
+                            best_metric=None if best_metric == -math.inf else best_metric)
+            if improved:
+                _copy_checkpoint(last_path, best_path)
             if not quiet:
                 print(f"epoch {epoch}: loss {mean_total:.4f}")
     if best_metric == -math.inf:
         # this run wrote no best.ckpt; the last good checkpoint doubles as
         # "best", replacing any best.ckpt an earlier run left in out_dir
         # (after a divergence the in-memory model is the diverged one)
-        shutil.copyfile(last_path, best_path)
+        _copy_checkpoint(last_path, best_path)
         best_metric = math.nan
     return TrainResult(last_checkpoint=str(last_path), best_checkpoint=str(best_path),
                        log_path=str(log_path), best_metric=best_metric,

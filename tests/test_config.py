@@ -24,6 +24,14 @@ class TestValidation:
         dict(num_queries=0),
         dict(val_fraction=1.0),
         dict(val_fraction=-0.1),
+        dict(batch_size=0),
+        dict(epochs=-1),
+        dict(eval_every=-1),
+        dict(heads=0),
+        dict(heads=-2),
+        dict(video_parts=(("resnet", 10),)),
+        dict(video_parts=(("clip_t", 10),)),  # a text encoder as a video part
+        dict(text_parts=(("glove", 6),)),
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,37 @@ def make_params(rng, shapes):
         t = Tensor(rng.normal(size=shape), requires_grad=True)
         out[f"p{i}"] = Parameter(name=f"p{i}", tensor=t)
     return out
+
+
+class ShortWriter:
+    """A file opened for writing that raises OSError after `budget` bytes went out."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.left = fh, budget
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) > self.left:
+            self.fh.write(data[:self.left])
+            self.left = 0
+            raise OSError(28, "No space left on device")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def short_writes(monkeypatch, budget):
+    """Make training's open() hand out ShortWriters for files opened to write."""
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return ShortWriter(fh, budget) if "w" in mode else fh
+
+    monkeypatch.setattr(training, "open", fake_open, raising=False)
 
 
 def toy_dataset():
@@ -206,6 +238,71 @@ class TestCheckpoint:
         got = restored.forward(bundle).predictions.saliency.data
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype, with_optimizer, payload_dtype, tag", [
+        ("float64", True, "<f8", "f64"),
+        ("float32", False, "<f4", "f32"),
+    ])
+    def test_byte_layout(self, tmp_path, rng, dtype, with_optimizer, payload_dtype, tag):
+        cfg = tiny_config(dtype=dtype, encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=5)
+        params = model.named_parameters()
+        opt = None
+        if with_optimizer:
+            opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            for p in params.values():
+                p.tensor.grad = rng.normal(size=p.tensor.data.shape)
+            opt.step()
+        groups = [{n: p.tensor.data for n, p in params.items()}]
+        if with_optimizer:
+            groups += [opt.m, opt.v]
+        rng_state = np.random.default_rng(4).bit_generator.state
+        path = tmp_path / "layout.ckpt"
+        save_checkpoint(path, model, optimizer=opt, epoch=2, rng_state=rng_state,
+                        best_metric=0.25)
+        meta = json.dumps({
+            "config": cfg.to_dict(),
+            "epoch": 2,
+            "payload_dtype": tag,
+            "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
+            "has_optimizer": with_optimizer,
+            "optimizer_step": 1 if with_optimizer else 0,
+            "rng_state": rng_state,
+            "best_metric": 0.25,
+        }).encode("utf-8")
+        payload = b"".join(np.asarray(group[n], dtype=payload_dtype).tobytes()
+                           for group in groups for n in params)
+        want = b"MSPT" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta + payload
+        assert path.read_bytes() == want
+
+    def test_interrupted_writes_keep_previous_files(self, tmp_path, monkeypatch):
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1)
+        last, best = tmp_path / "last.ckpt", tmp_path / "best.ckpt"
+        save_checkpoint(last, Model(cfg, seed=0))
+        best.write_bytes(last.read_bytes())
+        old = last.read_bytes()
+        header = 12 + struct.unpack("<I", old[8:12])[0]
+        budget = header + (len(old) - header) // 2  # stop halfway through the payload
+
+        def assert_intact(path, want):
+            assert path.read_bytes() == want
+            load_checkpoint(path)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
+
+        with monkeypatch.context() as patch:
+            short_writes(patch, budget)
+            with pytest.raises(OSError):
+                save_checkpoint(last, Model(cfg, seed=1))
+        assert_intact(last, old)
+        save_checkpoint(last, Model(cfg, seed=1))
+        new = last.read_bytes()
+        assert new != old
+        with monkeypatch.context() as patch:
+            short_writes(patch, budget)
+            with pytest.raises(OSError):
+                training._copy_checkpoint(last, best)
+        assert_intact(best, old)
+        assert_intact(last, new)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -303,6 +400,36 @@ class TestTrainLoop:
         assert all("map_avg" in l for l in val_lines)
         meta, _, _ = load_checkpoint(tmp_path / "run" / "best.ckpt")
         assert meta["best_metric"] == pytest.approx(result.best_metric)
+
+    def test_validation_writes_last_once_per_epoch_and_copies_it_to_best(self, tmp_path,
+                                                                         monkeypatch):
+        snapshots = []
+
+        def recording_save(path, *args, **kwargs):
+            save_checkpoint(path, *args, **kwargs)
+            snapshots.append((Path(path).name, Path(path).read_bytes()))
+
+        monkeypatch.setattr(training, "save_checkpoint", recording_save)
+        cfg = self.small_cfg(epochs=3, val_fraction=0.34, eval_every=1)
+        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
+        assert [name for name, _ in snapshots] == ["last.ckpt"] * (cfg.epochs + 1)
+        lines = [json.loads(l) for l in open(result.log_path)]
+        val_maps = [l["map_avg"] for l in lines if l["split"] == "val"]
+        best_epoch = val_maps.index(result.best_metric)  # the first epoch to reach the best
+        best = Path(result.best_checkpoint).read_bytes()
+        assert best == snapshots[best_epoch + 1][1]  # snapshot 0 is the initial save
+        meta, _, _ = load_checkpoint(result.best_checkpoint)
+        assert meta["epoch"] == best_epoch
+        meta, _, _ = load_checkpoint(result.last_checkpoint)
+        assert meta["best_metric"] == result.best_metric
+
+    def test_eval_every_zero_validates_after_the_last_epoch(self, tmp_path):
+        anns = toy_dataset()
+        cfg = self.small_cfg(epochs=2, eval_every=0)
+        result = train(cfg, anns[:2], tmp_path / "run", seed=0, val_annotations=anns[2:])
+        lines = [json.loads(l) for l in open(result.log_path)]
+        assert [l["epoch"] for l in lines if l["split"] == "val"] == [1]
+        assert np.isfinite(result.best_metric)
 
     def test_explicit_validation_set(self, tmp_path):
         anns = toy_dataset()
@@ -422,6 +549,12 @@ class TestTrainLoop:
         assert not (tmp_path / "run" / "last.ckpt").exists()
         with pytest.raises(ValueError, match=f"qid {item.qid}"):
             evaluate_model(Model(self.small_cfg(), seed=0), [item], feature_dir=tmp_path)
+
+    def test_empty_training_split_rejected_before_any_write(self, tmp_path):
+        # val_fraction=0.75 of 2 items rounds to 2 validation items
+        with pytest.raises(ValueError, match="training split is empty"):
+            train(self.small_cfg(val_fraction=0.75), toy_dataset()[:2], tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
