@@ -552,18 +552,16 @@ def _masked_softmax(x, keep):
     return e / np.where(denom == 0.0, 1.0, denom), denom[..., 0] == 0.0
 
 
-def softmax_masked(scores, key_mask=None, flags=None):
+def softmax_masked(scores, key_mask=None):
     """Row softmax over the last axis with an optional boolean key mask.
 
     Masked columns contribute exactly zero. A row whose keys are all masked
-    yields an all-zero row (flagged via flags["all_masked_rows"]), never NaN.
+    yields an all-zero row, never NaN.
     """
     x = scores.data
     if x.ndim != 2:
         raise ShapeError("softmax_masked expects rank-2 scores")
-    y, dead = _masked_softmax(x, keep_mask(key_mask, x.shape[1]))
-    if flags is not None:
-        flags["all_masked_rows"] = dead
+    y, _ = _masked_softmax(x, keep_mask(key_mask, x.shape[1]))
 
     def backward(g):
         inner = (g * y).sum(axis=1, keepdims=True)
@@ -682,7 +680,7 @@ class MhaParams:
     bo: Tensor
 
 
-def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
+def multi_head_attention(q, k, v, params, heads, key_mask=None):
     """Scaled dot-product attention with input/output projections, as one node.
 
     q: (n_q, d), k/v: (n_k, d), with an (n_k,) key mask; or per item of a
@@ -690,9 +688,6 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
     heads run at once over (..., heads, n, d/heads) arrays. Masked keys are
     never exponentiated, so their scores cannot overflow. Queries whose keys
     are all masked produce exact zero output rows and receive zero gradient.
-    With flags given, each call appends its (..., heads, n_q, n_k) weights to
-    flags["attention_weights"] and its (..., n_q) dead-query mask to
-    flags["all_keys_masked"].
     """
     qd, kd, vd = q.data, k.data, v.data
     lead = qd.shape[:-2]
@@ -733,9 +728,6 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None, flags=None):
     if dead.any():
         live = (~dead).astype(out_data.dtype)[..., None]
         out_data = out_data * live
-    if flags is not None:
-        flags.setdefault("attention_weights", []).append(attn.copy())
-        flags.setdefault("all_keys_masked", []).append(dead)
 
     def project_back(x, w, b, g):
         """Gradients of x @ w + b given the output gradient g."""

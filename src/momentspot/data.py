@@ -97,36 +97,58 @@ _ANNOTATION_FIELDS = ("qid", "query", "vid", "duration", "relevant_windows",
                       "saliency_levels", "relevant_clip_ids")
 
 
-def load_dataset(path, default_clip_len=2.0):
-    """Read line-delimited JSON annotations; parse errors carry line numbers."""
-    annotations = []
+def read_jsonl(path, required, convert):
+    """Yield (line number, convert(row)) for each non-blank line of a JSON-lines file.
+
+    Invalid JSON, a row that is not an object or lacks a required key, and a
+    value convert rejects (TypeError or ValueError) raise
+    ParseError("<path>:<line>: ...").
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({err.msg})") from err
-            missing = [f for f in _ANNOTATION_FIELDS if f not in obj]
+                raise ParseError(f"{where}: invalid JSON ({err.msg})") from err
+            if not isinstance(obj, dict):
+                raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+            missing = [f for f in required if f not in obj]
             if missing:
-                raise ParseError(f"{path}:{lineno}: missing fields {missing}")
-            ann = Annotation(
-                qid=obj["qid"],
-                query=obj["query"],
-                vid=obj["vid"],
-                duration=float(obj["duration"]),
-                relevant_windows=[[float(a), float(b)] for a, b in obj["relevant_windows"]],
-                saliency_levels=[int(x) for x in obj["saliency_levels"]],
-                relevant_clip_ids=[int(x) for x in obj["relevant_clip_ids"]],
-                clip_len=float(obj.get("clip_len", default_clip_len)),
-            )
+                raise ParseError(f"{where}: missing fields {missing}")
             try:
-                ann.validate()
-            except ValidationError as err:
-                raise ValidationError(f"{path}:{lineno}: {err}") from err
-            annotations.append(ann)
+                row = convert(obj)
+            except (TypeError, ValueError) as err:
+                raise ParseError(f"{where}: bad value ({type(err).__name__}: {err})") from err
+            yield lineno, row
+
+
+def _annotation(obj, default_clip_len):
+    return Annotation(
+        qid=obj["qid"],
+        query=obj["query"],
+        vid=obj["vid"],
+        duration=float(obj["duration"]),
+        relevant_windows=[[float(a), float(b)] for a, b in obj["relevant_windows"]],
+        saliency_levels=[int(x) for x in obj["saliency_levels"]],
+        relevant_clip_ids=[int(x) for x in obj["relevant_clip_ids"]],
+        clip_len=float(obj.get("clip_len", default_clip_len)),
+    )
+
+
+def load_dataset(path, default_clip_len=2.0):
+    """Read line-delimited JSON annotations; parse errors carry line numbers."""
+    annotations = []
+    rows = read_jsonl(path, _ANNOTATION_FIELDS, lambda obj: _annotation(obj, default_clip_len))
+    for lineno, ann in rows:
+        try:
+            ann.validate()
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from err
+        annotations.append(ann)
     return annotations
 
 
@@ -366,20 +388,10 @@ def load_manifest(path):
     """Read a jsonl manifest of {vid, duration}; duplicate vids are an error."""
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({err.msg})") from err
-            if "vid" not in obj or "duration" not in obj:
-                raise ParseError(f"{path}:{lineno}: manifest rows need vid and duration")
-            vid = str(obj["vid"])
-            if vid in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate vid '{vid}'")
-            seen.add(vid)
-            entries.append((vid, float(obj["duration"])))
+    rows = read_jsonl(path, ("vid", "duration"), lambda obj: (str(obj["vid"]), float(obj["duration"])))
+    for lineno, (vid, duration) in rows:
+        if vid in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate vid '{vid}'")
+        seen.add(vid)
+        entries.append((vid, duration))
     return entries

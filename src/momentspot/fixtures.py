@@ -67,6 +67,8 @@ def build_overfit_fixture(n_items=8, n_clips=16, clip_len=2.0, video_dim=24,
     """
     annotations = []
     duration = n_clips * clip_len
+    if feature_dir is not None:
+        Path(feature_dir).mkdir(parents=True, exist_ok=True)
     for i in range(n_items):
         vid = f"toy{i:02d}"
         query = f"find the highlighted moment number {i}"

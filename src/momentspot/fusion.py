@@ -31,18 +31,17 @@ class FusionParams:
 
 
 def _stage(query_side, key_side, q_pos, kv_pos, stage, heads, key_mask,
-           drop_p, train, rng, final, flags):
+           drop_p, train, rng, final):
     q = add(query_side, q_pos)
     kv = add(key_side, kv_pos)
-    attended = multi_head_attention(q, kv, kv, stage.attn, heads,
-                                    key_mask=key_mask, flags=flags)
+    attended = multi_head_attention(q, kv, kv, stage.attn, heads, key_mask=key_mask)
     out = layer_norm(add(query_side, dropout(attended, drop_p, rng=rng, train=train)),
                      stage.ln_gamma, stage.ln_beta)
     return relu(out) if final else out
 
 
 def fuse(v_r, t_bar, params, heads, mode="bidirectional", drop_p=0.0,
-         clip_mask=None, text_mask=None, train=False, rng=None, flags=None):
+         clip_mask=None, text_mask=None, train=False, rng=None):
     """Fuse text evidence into the clip stream; output keeps shape (L, d), or (B, L, d) for a batch."""
     length = v_r.data.shape[-2]
     n_tok = t_bar.data.shape[-2]
@@ -58,17 +57,17 @@ def fuse(v_r, t_bar, params, heads, mode="bidirectional", drop_p=0.0,
             if len(block) != 3:
                 raise ConfigError("bidirectional fusion blocks need 3 stages")
             video_text = _stage(video, text, pos_v, pos_t, block[0], heads,
-                                text_mask, drop_p, train, rng, False, flags)
+                                text_mask, drop_p, train, rng, False)
             text_video = _stage(text, video, pos_t, pos_v, block[1], heads,
-                                clip_mask, drop_p, train, rng, False, flags)
+                                clip_mask, drop_p, train, rng, False)
             video = _stage(video_text, text_video, pos_v, pos_t, block[2], heads,
-                           text_mask, drop_p, train, rng, True, flags)
+                           text_mask, drop_p, train, rng, True)
             text = text_video
         elif mode == "text_to_video":
             if len(block) != 1:
                 raise ConfigError("text_to_video fusion blocks need 1 stage")
             video = _stage(video, text, pos_v, pos_t, block[0], heads,
-                           text_mask, drop_p, train, rng, True, flags)
+                           text_mask, drop_p, train, rng, True)
         else:
             raise ConfigError(f"unknown fusion mode '{mode}'")
     return video

@@ -67,11 +67,10 @@ def _ffn(x, layer, drop_p, train, rng):
     return linear(hidden, layer.ffn_w2, layer.ffn_b2)
 
 
-def encode(x, layers, heads, drop_p=0.0, clip_mask=None, train=False, rng=None, flags=None):
+def encode(x, layers, heads, drop_p=0.0, clip_mask=None, train=False, rng=None):
     """Post-norm self-attention + FFN stack over the clip stream (L, d) or (B, L, d)."""
     for layer in layers:
-        attended = multi_head_attention(x, x, x, layer.attn, heads,
-                                        key_mask=clip_mask, flags=flags)
+        attended = multi_head_attention(x, x, x, layer.attn, heads, key_mask=clip_mask)
         x = layer_norm(add(x, dropout(attended, drop_p, rng=rng, train=train)),
                        layer.ln1_gamma, layer.ln1_beta)
         x = layer_norm(add(x, dropout(_ffn(x, layer, drop_p, train, rng), drop_p, rng=rng, train=train)),
@@ -79,7 +78,7 @@ def encode(x, layers, heads, drop_p=0.0, clip_mask=None, train=False, rng=None, 
     return x
 
 
-def decode(memory, params, heads, drop_p=0.0, clip_mask=None, train=False, rng=None, flags=None):
+def decode(memory, params, heads, drop_p=0.0, clip_mask=None, train=False, rng=None):
     """Moment-query decoder: targets start at zero, query embeddings join q/k.
 
     Returns the decoded query states (num_queries, d), or (B, num_queries, d)
@@ -89,11 +88,11 @@ def decode(memory, params, heads, drop_p=0.0, clip_mask=None, train=False, rng=N
                           dtype=memory.data.dtype))
     for layer in params.layers:
         q = add(tgt, params.query_embed)
-        attended = multi_head_attention(q, q, tgt, layer.self_attn, heads, flags=flags)
+        attended = multi_head_attention(q, q, tgt, layer.self_attn, heads)
         tgt = layer_norm(add(tgt, dropout(attended, drop_p, rng=rng, train=train)),
                          layer.ln1_gamma, layer.ln1_beta)
         cross = multi_head_attention(add(tgt, params.query_embed), memory, memory,
-                                     layer.cross_attn, heads, key_mask=clip_mask, flags=flags)
+                                     layer.cross_attn, heads, key_mask=clip_mask)
         tgt = layer_norm(add(tgt, dropout(cross, drop_p, rng=rng, train=train)),
                          layer.ln2_gamma, layer.ln2_beta)
         tgt = layer_norm(add(tgt, dropout(_ffn(tgt, layer, drop_p, train, rng), drop_p, rng=rng, train=train)),

@@ -30,19 +30,17 @@ def _items(scores):
     return int(np.prod(scores.data.shape[:-1]))
 
 
-def one_minus_cosine(a, b, flags=None):
+def one_minus_cosine(a, b):
     """1 - cosine(normalize(a), normalize(b)) over the last axis; range [0, 2].
 
     Rank-1 tensors give their loss; (B, L) tensors give the mean of the
     per-row losses. A zero-norm operand makes a row's cosine undefined: that
     row's loss is then the constant 1 (orthogonal convention) with zero
-    gradient, and flags["zero_norm"] marks the row.
+    gradient.
     """
     if a.data.shape != b.data.shape or a.data.ndim not in (1, 2):
         raise ValueError("one_minus_cosine expects two rank-1 or rank-2 tensors of equal shape")
     dead = (np.linalg.norm(a.data, axis=-1) == 0.0) | (np.linalg.norm(b.data, axis=-1) == 0.0)
-    if flags is not None:
-        flags["zero_norm"] = dead
     if dead.all():
         return Tensor(np.asarray(1.0, dtype=a.data.dtype))
     # a dead row divides by 1 instead of 0 and is weighted 0: its cosine is 0
@@ -156,15 +154,15 @@ def highlight_distribution_loss(saliency, gt_saliency, positive_mask, negative_m
 # -- cross-task saliency losses ----------------------------------------------
 
 
-def masked_cosine_loss(scores, gt_saliency, clip_mask=None, flags=None):
+def masked_cosine_loss(scores, gt_saliency, clip_mask=None):
     """one_minus_cosine of rank-1 scores against gt values, both over unmasked clips."""
     gt = Tensor(np.asarray(gt_saliency, dtype=scores.data.dtype))
-    return one_minus_cosine(mask_rows(scores, clip_mask), mask_rows(gt, clip_mask), flags=flags)
+    return one_minus_cosine(mask_rows(scores, clip_mask), mask_rows(gt, clip_mask))
 
 
-def task_specific_loss(saliency, gt_saliency, clip_mask=None, flags=None):
+def task_specific_loss(saliency, gt_saliency, clip_mask=None):
     """1 - cosine between predicted and gt saliency over unmasked clips."""
-    return masked_cosine_loss(saliency, gt_saliency, clip_mask, flags)
+    return masked_cosine_loss(saliency, gt_saliency, clip_mask)
 
 
 @dataclass
@@ -260,9 +258,9 @@ def gru_saliency(features, params):
     return _node(out_data, parents, backward)
 
 
-def task_coupled_loss(features, gru, gt_saliency, clip_mask=None, flags=None):
+def task_coupled_loss(features, gru, gt_saliency, clip_mask=None):
     """1 - cosine between the GRU scan of moment-path features and gt saliency."""
-    return masked_cosine_loss(gru_saliency(features, gru), gt_saliency, clip_mask, flags)
+    return masked_cosine_loss(gru_saliency(features, gru), gt_saliency, clip_mask)
 
 
 # -- composition ---------------------------------------------------------------

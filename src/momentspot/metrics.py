@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .data import read_jsonl
+
 VERY_GOOD_LEVEL = 4
 DEFAULT_IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
@@ -259,16 +261,9 @@ def save_predictions(predictions, path):
 
 
 def load_predictions(path):
-    preds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            preds.append(QueryPrediction(
-                qid=obj["qid"],
-                windows=obj["pred_relevant_windows"],
-                saliency=obj["pred_saliency_scores"],
-            ))
-    return preds
+    """Read save_predictions' JSON lines; parse errors carry line numbers."""
+    rows = read_jsonl(path, ("qid", "pred_relevant_windows", "pred_saliency_scores"),
+                      lambda obj: QueryPrediction(qid=obj["qid"],
+                                                  windows=obj["pred_relevant_windows"],
+                                                  saliency=obj["pred_saliency_scores"]))
+    return [pred for _, pred in rows]

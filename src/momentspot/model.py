@@ -94,7 +94,6 @@ class ForwardResult:
     fused: Tensor
     memory: Tensor
     predictions: PredictionSet
-    flags: dict
 
 
 def _projection(store, prefix, d_in, cfg):
@@ -214,7 +213,7 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, bundle: FeatureBundle, train=False, rng=None, flags=None):
+    def forward(self, bundle: FeatureBundle, train=False, rng=None):
         """One graph over an item's bundle, or over a padded batch from pad_batch.
 
         Every stage keeps the bundle's leading shape: an item gives (L, d)
@@ -222,7 +221,6 @@ class Model:
         the same with a leading B axis.
         """
         cfg, p = self.cfg, self.params
-        flags = flags if flags is not None else {}
         vmask, tmask = bundle.video_mask, bundle.text_mask
         video = Tensor(bundle.video.astype(self.dtype))
         text = Tensor(bundle.text.astype(self.dtype))
@@ -235,16 +233,16 @@ class Model:
             v_r = v_bar
         fused = fuse(v_r, t_bar, p.fusion, cfg.heads, mode=cfg.fusion_mode,
                      drop_p=cfg.dropout, clip_mask=vmask, text_mask=tmask,
-                     train=train, rng=rng, flags=flags)
+                     train=train, rng=rng)
         memory = encode(fused, p.encoder, cfg.heads, drop_p=cfg.dropout,
-                        clip_mask=vmask, train=train, rng=rng, flags=flags)
+                        clip_mask=vmask, train=train, rng=rng)
         saliency = predict_saliency(memory, p.heads.saliency_w)
         decoded = decode(memory, p.decoder, cfg.heads, drop_p=cfg.dropout,
-                         clip_mask=vmask, train=train, rng=rng, flags=flags)
+                         clip_mask=vmask, train=train, rng=rng)
         logits, moments = predict_moments(decoded, p.heads)
         preds = PredictionSet(class_logits=logits, moments=moments, saliency=saliency)
         return ForwardResult(text_tokens=t_bar, refined=v_r, fused=fused,
-                             memory=memory, predictions=preds, flags=flags)
+                             memory=memory, predictions=preds)
 
 
 def normalized_windows(ann):

@@ -91,15 +91,15 @@ def clip_query_cosines(t_bar, v_r, text_mask=None):
     return div(dots, denom)
 
 
-def alignment_loss(t_bar, v_r, gt_saliency, text_mask=None, clip_mask=None, flags=None):
+def alignment_loss(t_bar, v_r, gt_saliency, text_mask=None, clip_mask=None):
     """1 - cosine between (normalized) predicted and gt per-clip query alignment.
 
     gt_saliency holds the normalized (level/4) per-clip values. Masked clips
-    are excluded from both vectors; a zero-norm side gives loss 1, flagged.
+    are excluded from both vectors; a zero-norm side gives loss 1.
     A batch's loss is the mean of its items' losses.
     """
     pred = clip_query_cosines(t_bar, v_r, text_mask=text_mask)
     gt = np.asarray(gt_saliency, dtype=pred.data.dtype)
     if gt.shape != pred.data.shape:
         raise ValueError(f"gt saliency shape {gt.shape} does not match clip count {pred.data.shape}")
-    return masked_cosine_loss(pred, gt, clip_mask, flags)
+    return masked_cosine_loss(pred, gt, clip_mask)

@@ -31,19 +31,16 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     kp = linear(k, params.wk, params.bk)
     vp = linear(v, params.wv, params.bv)
     outs = []
-    dead_rows = None
     for h in range(heads):
         qh = narrow(qp, 1, h * dh, dh)
         kh = narrow(kp, 1, h * dh, dh)
         vh = narrow(vp, 1, h * dh, dh)
         scores = mul(matmul(qh, transpose(kh)), scale)
-        local = {}
-        attn = softmax_masked(scores, key_mask=key_mask, flags=local)
-        dead_rows = local["all_masked_rows"]
-        outs.append(matmul(attn, vh))
+        outs.append(matmul(softmax_masked(scores, key_mask=key_mask), vh))
     out = linear(concat(outs, axis=1), params.wo, params.bo)
-    if dead_rows.any():
-        out = mask_rows(out, ~dead_rows)
+    # a query row is dead when no key is kept, so either every row is dead or none is
+    if key_mask is not None and not np.any(key_mask):
+        out = mask_rows(out, np.zeros(q.data.shape[0], dtype=bool))
     return out
 
 

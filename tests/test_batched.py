@@ -157,11 +157,10 @@ class TestBatchedOps:
                 assert_close(out.data[i, :n_q], one.data)
             first_item_keyless = k_mask.copy()
             first_item_keyless[0] = False
-            flags = {}
-            multi_head_attention(Tensor(q), kt, kt, params, heads, key_mask=first_item_keyless,
-                                 flags=flags)
-            assert flags["all_keys_masked"][0].shape == (3, q.shape[1])
-            assert flags["all_keys_masked"][0][0].all() and not flags["all_keys_masked"][0][1:].any()
+            keyless = multi_head_attention(Tensor(q), kt, kt, params, heads,
+                                           key_mask=first_item_keyless)
+            assert (keyless.data[0] == 0.0).all()
+            assert np.array_equal(keyless.data[1:], out.data[1:])
 
     def test_gru_scan_padding_comes_last(self, rng):
         d = 3
@@ -227,10 +226,8 @@ class TestBatchedLosses:
 
     def test_cosine_with_a_zero_norm_item(self):
         gt = self.levels / 4.0
-        flags = {}
-        self.check(lambda s: task_specific_loss(s, gt, clip_mask=self.mask, flags=flags),
+        self.check(lambda s: task_specific_loss(s, gt, clip_mask=self.mask),
                    lambda s, i, r: task_specific_loss(s, gt[i, r]))
-        assert flags["zero_norm"].tolist() == [False, True, False]
         with pytest.raises(ValueError):
             one_minus_cosine(Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2, 2))))
 

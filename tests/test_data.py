@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from momentspot.data import (Annotation, ParseError,
                              pseudo_encode, records_to_annotations,
                              save_dataset, save_features, stable_hash,
                              synthetic_level, text_token_count)
+from momentspot.fixtures import build_overfit_fixture
 
 
 def make_annotation(**overrides):
@@ -123,6 +126,26 @@ class TestDatasetIO:
         with pytest.raises(ValidationError) as err:
             load_dataset(path)
         assert ":1:" in str(err.value)
+
+    @pytest.mark.parametrize("field, value, cause", [
+        ("relevant_windows", [[4.0, 10.0, 0.5]], "ValueError"),  # a 3-number window
+        ("duration", None, "TypeError"),
+    ])
+    def test_bad_field_value_is_a_parse_error_with_its_line(self, tmp_path, field, value, cause):
+        path = tmp_path / "bad.jsonl"
+        save_dataset([make_annotation(), make_annotation(qid=4)], path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[field] = value
+        path.write_text(lines[0] + "\n\n" + json.dumps(obj) + "\n")  # blank lines still count
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: bad value \\({cause}"):
+            load_dataset(path)
+
+    def test_non_object_line_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text("7\n")
+        with pytest.raises(ParseError, match=":1: expected a JSON object, got int"):
+            load_dataset(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
@@ -341,3 +364,18 @@ class TestManifest:
         path.write_text('{"vid": "a"}\n')
         with pytest.raises(ParseError):
             load_manifest(path)
+
+    def test_bad_duration_is_a_parse_error_with_its_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"vid": "a", "duration": 30.0}\n{"vid": "b", "duration": "long"}\n')
+        with pytest.raises(ParseError, match=":2: bad value \\(ValueError"):
+            load_manifest(path)
+
+
+class TestOverfitFixture:
+    def test_feature_dir_is_created(self, tmp_path):
+        feature_dir = tmp_path / "missing" / "features"
+        anns = build_overfit_fixture(n_items=2, feature_dir=feature_dir)
+        for ann in anns:
+            video = load_features(feature_dir / f"{ann.vid}.clip_v.vlft")
+            assert video.shape[0] == ann.num_clips

@@ -1,11 +1,13 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and every
+parameter of a source function is read in that function's body."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "momentspot").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "momentspot").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -38,3 +40,43 @@ def test_checker_flags_unused_and_honours_all():
               "import os\nimport numpy as np\nfrom math import pi, tau\n"
               "__all__ = ['tau']\nprint(np.zeros(1))\n")
     assert unused_imports(source) == [(2, "os"), (4, "pi")]
+
+
+def unused_parameters(source):
+    """(line, function, name) for each parameter its function's body never reads.
+
+    `self`, `cls` and `_`-prefixed names are exempt; a read inside a nested
+    function or lambda counts, defaults and decorators do not.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(p.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_unused_parameters():
+    source = ("class A:\n"
+              "    def m(self, x, _y, flags=None):\n"
+              "        return lambda z, w: z + x\n"
+              "def f(a, *rest, b=1, **kw):\n"
+              "    def g(c):\n"
+              "        return a + c\n"
+              "    return g(kw)\n"
+              "def h(cls, d=f(0)):\n"
+              "    return cls\n")
+    assert unused_parameters(source) == [(2, "m", "flags"), (3, "<lambda>", "w"),
+                                         (4, "f", "b"), (4, "f", "rest"), (8, "h", "d")]

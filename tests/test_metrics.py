@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS,
                                 iou_1d, load_predictions, mean_ap, mean_iou,
                                 ranking_average_precision, recall_at_1,
                                 save_predictions)
+from momentspot.data import ParseError
 from test_data import make_annotation
 
 
@@ -306,3 +309,21 @@ class TestMeanIoUAndReport:
     def test_missing_prediction_rejected(self):
         with pytest.raises(ValueError):
             compute_report([], [make_annotation()])
+
+
+class TestPredictionsIO:
+    def write(self, path, second_line):
+        save_predictions([QueryPrediction(qid=3, windows=[[4.0, 10.0, 0.9]], saliency=[0.5])], path)
+        path.write_text(path.read_text() + second_line + "\n")
+
+    def test_missing_key_is_a_parse_error_with_its_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        self.write(path, json.dumps({"qid": 4, "pred_relevant_windows": []}))
+        with pytest.raises(ParseError, match=r":2: missing fields \['pred_saliency_scores'\]"):
+            load_predictions(path)
+
+    def test_invalid_json_is_a_parse_error_with_its_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        self.write(path, '{"qid": 4,')
+        with pytest.raises(ParseError, match=":2: invalid JSON"):
+            load_predictions(path)

@@ -198,19 +198,6 @@ class TestForward:
         np.testing.assert_allclose(fw_padded.predictions.moments.data,
                                    fw.predictions.moments.data, atol=1e-9)
 
-    def test_flags_keep_every_attention_call(self):
-        cfg = tiny_config()
-        model = Model(cfg, seed=3)
-        bundle = bundle_for(self.ann, cfg)
-        flags = {}
-        model.forward(bundle, flags=flags)
-        calls = 3 * cfg.fusion_layers + cfg.encoder_layers + 2 * cfg.decoder_layers
-        assert len(flags["attention_weights"]) == len(flags["all_keys_masked"]) == calls
-        # fusion's first stage attends from the clips into the query tokens
-        L, n_tok = bundle.video.shape[0], bundle.text.shape[0]
-        assert flags["attention_weights"][0].shape == (cfg.heads, L, n_tok)
-        assert flags["attention_weights"][-1].shape == (cfg.heads, cfg.num_queries, L)
-
     def test_train_mode_dropout_changes_outputs(self):
         cfg = tiny_config(dropout=0.2, input_dropout=0.3, encoder_layers=1, decoder_layers=1)
         model = Model(cfg, seed=3)

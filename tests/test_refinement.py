@@ -222,11 +222,9 @@ class TestAlignment:
         assert loss.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_gt_flags(self, rng):
-        flags = {}
         loss = alignment_loss(Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(4, 3))),
-                              np.zeros(4), flags=flags)
+                              np.zeros(4))
         assert loss.item() == 1.0
-        assert flags["zero_norm"]
 
     def test_clip_mask_excludes_clips(self, rng):
         t = rng.normal(size=(2, 3))

@@ -10,6 +10,7 @@ from momentspot import training
 from momentspot.autodiff import Tensor, xavier_uniform
 from momentspot.config import ConfigError
 from momentspot.data import save_features
+from momentspot.metrics import MetricReport
 from momentspot.model import Model, Parameter, bundle_for
 from momentspot.training import (AdamW, clip_gradients,
                                  evaluate_checkpoint, evaluate_model,
@@ -422,6 +423,30 @@ class TestTrainLoop:
         assert meta["epoch"] == best_epoch
         meta, _, _ = load_checkpoint(result.last_checkpoint)
         assert meta["best_metric"] == result.best_metric
+
+    def test_best_moves_to_the_first_epoch_reaching_the_top_score(self, tmp_path, monkeypatch):
+        scores = iter([0.1, 0.4, 0.4])
+
+        def scripted_eval(model, annotations, feature_dir=None, bundles=None):
+            return MetricReport(*[0.0] * 4, next(scores), *[0.0] * 3), []
+
+        snapshots = []
+
+        def recording_save(path, *args, **kwargs):
+            save_checkpoint(path, *args, **kwargs)
+            snapshots.append(Path(path).read_bytes())
+
+        monkeypatch.setattr(training, "evaluate_model", scripted_eval)
+        monkeypatch.setattr(training, "save_checkpoint", recording_save)
+        cfg = self.small_cfg(epochs=3, val_fraction=0.34, eval_every=1)
+        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
+        assert len(snapshots) == 4  # the initial save, then one per epoch
+        assert Path(result.best_checkpoint).read_bytes() == snapshots[2]  # after epoch 1
+        meta, _, _ = load_checkpoint(result.best_checkpoint)
+        assert meta["epoch"] == 1 and meta["best_metric"] == 0.4
+        assert result.best_metric == 0.4
+        meta, _, _ = load_checkpoint(result.last_checkpoint)
+        assert meta["epoch"] == 2 and meta["best_metric"] == 0.4
 
     def test_eval_every_zero_validates_after_the_last_epoch(self, tmp_path):
         anns = toy_dataset()
