@@ -7,6 +7,7 @@ metrics) is the classic non-interpolated mean of precision at positive ranks.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 from .data import read_jsonl
@@ -223,8 +224,21 @@ class QueryPrediction:
     saliency: list  # per-clip scores
 
 
+def _check_window(w):
+    """w itself if it is [start, end, score] (3 real numbers); ValueError otherwise."""
+    if not (isinstance(w, (list, tuple)) and len(w) == 3
+            and all(isinstance(x, numbers.Real) for x in w)):
+        raise ValueError(f"window {w!r} is not [start, end, score]")
+    return w
+
+
 def compute_report(predictions, annotations):
-    """Assemble the full MetricReport for matching (prediction, annotation) sets."""
+    """Assemble the full MetricReport for matching (prediction, annotation) sets.
+
+    A prediction whose window is not [start, end, score], or whose saliency
+    list does not have one score per annotated clip, raises ValueError
+    naming its qid.
+    """
     by_qid = {p.qid: p for p in predictions}
     if len(by_qid) != len(predictions):
         raise ValueError("duplicate qids in predictions")
@@ -233,6 +247,14 @@ def compute_report(predictions, annotations):
         if ann.qid not in by_qid:
             raise ValueError(f"missing prediction for qid {ann.qid}")
         p = by_qid[ann.qid]
+        try:
+            for w in p.windows:
+                _check_window(w)
+        except ValueError as err:
+            raise ValueError(f"qid {ann.qid}: {err}") from None
+        if len(p.saliency) != len(ann.saliency_levels):
+            raise ValueError(f"qid {ann.qid}: {len(p.saliency)} saliency scores for "
+                             f"{len(ann.saliency_levels)} clips")
         preds_w.append(p.windows)
         gts_w.append(ann.relevant_windows)
         preds_s.append(p.saliency)
@@ -261,9 +283,11 @@ def save_predictions(predictions, path):
 
 
 def load_predictions(path):
-    """Read save_predictions' JSON lines; parse errors carry line numbers."""
+    """Read save_predictions' JSON lines; parse errors, including a window
+    that is not 3 numbers, carry line numbers."""
     rows = read_jsonl(path, ("qid", "pred_relevant_windows", "pred_saliency_scores"),
                       lambda obj: QueryPrediction(qid=obj["qid"],
-                                                  windows=obj["pred_relevant_windows"],
+                                                  windows=[_check_window(w) for w in
+                                                           obj["pred_relevant_windows"]],
                                                   saliency=obj["pred_saliency_scores"]))
     return [pred for _, pred in rows]

@@ -2,6 +2,7 @@
 and the batch loss computation."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,25 +30,36 @@ class Parameter:
 
 
 class ParamStore:
-    """Flat name -> Parameter registry with seeded, order-deterministic init."""
+    """Flat name -> Parameter registry over one contiguous weight arena.
 
-    def __init__(self, rng, dtype):
+    Every parameter's data is a reshaped view into `arena`, laid out in
+    registry order; nothing may rebind a parameter's .data, or it silently
+    stops aliasing the arena. With `arena` None the store only sizes the
+    layout (its parameters get no tensor). With `rng` None the seeded init is
+    skipped and the arena keeps the caller's values.
+    """
+
+    def __init__(self, rng, dtype, arena=None):
         self.rng = rng
         self.dtype = dtype
+        self.arena = arena
+        self.size = 0
         self.params = {}
 
     def new(self, name, shape, init, fan=None):
         if name in self.params:
             raise ConfigError(f"duplicate parameter name '{name}'")
-        if init == "xavier_uniform":
-            fan_in, fan_out = fan
-            data = xavier_uniform(self.rng, shape, fan_in, fan_out, dtype=self.dtype)
-        elif init == "zeros":
-            data = np.zeros(shape, dtype=self.dtype)
-        elif init == "ones":
-            data = np.ones(shape, dtype=self.dtype)
-        else:
+        if init not in ("xavier_uniform", "zeros", "ones"):
             raise ConfigError(f"unknown init scheme '{init}'")
+        start, self.size = self.size, self.size + math.prod(shape)
+        if self.arena is None:
+            self.params[name] = Parameter(name=name, tensor=None)
+            return None
+        data = self.arena[start:self.size].reshape(shape)
+        if self.rng is not None and init == "xavier_uniform":
+            data[...] = xavier_uniform(self.rng, shape, *fan, dtype=self.dtype)
+        elif self.rng is not None and init == "ones":
+            data[...] = 1.0  # the arena starts at zero
         t = Tensor(data, requires_grad=True)
         self.params[name] = Parameter(name=name, tensor=t)
         return t
@@ -131,9 +143,20 @@ def _decoder_layer(store, prefix, cfg):
 
 
 def build_params(cfg, seed):
-    """Instantiate every named parameter in a fixed order from one seeded RNG."""
+    """Instantiate every named parameter in a fixed order from one seeded RNG.
+
+    A first pass over the builders sizes the arena, the second hands out the
+    views into it. With seed None the arena stays zero for the caller to fill.
+    """
     dtype = np.float64 if cfg.dtype == "float64" else np.float32
-    store = ParamStore(np.random.default_rng(seed), dtype)
+    sizing = ParamStore(None, dtype)
+    _build(sizing, cfg)
+    rng = None if seed is None else np.random.default_rng(seed)
+    store = ParamStore(rng, dtype, arena=np.zeros(sizing.size, dtype=dtype))
+    return store, _build(store, cfg)
+
+
+def _build(store, cfg):
     d = cfg.hidden_dim
     video_proj = _projection(store, "proj.video", cfg.video_dim, cfg)
     text_proj = _projection(store, "proj.text", cfg.text_dim, cfg)
@@ -174,13 +197,18 @@ def build_params(cfg, seed):
                     w_reset=gru_gates["reset"][0], b_reset=gru_gates["reset"][1],
                     w_cand=gru_gates["cand"][0], b_cand=gru_gates["cand"][1],
                     readout_w=readout_w, readout_b=readout_b)
-    structured = ModelParams(video_proj=video_proj, text_proj=text_proj,
-                             refine_conv=refine_conv, fusion=fusion, encoder=encoder,
-                             decoder=decoder, heads=heads, gru=gru)
-    return store, structured
+    return ModelParams(video_proj=video_proj, text_proj=text_proj,
+                       refine_conv=refine_conv, fusion=fusion, encoder=encoder,
+                       decoder=decoder, heads=heads, gru=gru)
 
 
 class Model:
+    """The parameters (one arena, see ParamStore) and the forward pass.
+
+    seed=None skips the random init: the weights start at zero for a
+    checkpoint load to fill.
+    """
+
     def __init__(self, cfg: ModelConfig, seed=0):
         self.cfg = cfg
         self.store, self.params = build_params(cfg, seed)
@@ -206,10 +234,10 @@ class Model:
             extra = set(arrays) - set(mine)
             raise ConfigError(f"state mismatch (missing {sorted(missing)}, unexpected {sorted(extra)})")
         for name, arr in arrays.items():
-            t = mine[name].tensor
-            if arr.shape != t.data.shape:
-                raise ConfigError(f"parameter '{name}' shape {arr.shape} != {t.data.shape}")
-            t.data = np.array(arr, dtype=self.dtype, copy=True)
+            data = mine[name].tensor.data
+            if arr.shape != data.shape:
+                raise ConfigError(f"parameter '{name}' shape {arr.shape} != {data.shape}")
+            data[...] = arr
 
     # -- forward -----------------------------------------------------------
 

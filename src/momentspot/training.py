@@ -6,8 +6,10 @@ import math
 import os
 import shutil
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -20,9 +22,40 @@ CHECKPOINT_MAGIC = b"MSPT"
 CHECKPOINT_VERSION = 1
 
 
+# elements per AdamW chunk: a chunk's weights, moments and scratch stay in cache
+CHUNK = 1 << 16
+
+
+def _flat_segments(arrays):
+    """Flat views covering the C-contiguous `arrays` in order, one per run of
+    arrays that lie back to back in one buffer.
+
+    A model's parameters, views into one ParamStore arena, are one segment;
+    separately allocated arrays are one segment each.
+    """
+    runs = []
+    for a in arrays:
+        if not a.flags.c_contiguous:
+            raise ValueError("parameter data must be C-contiguous")
+        owner = a.base if isinstance(a.base, np.ndarray) and a.base.flags.c_contiguous else a
+        start = a.ctypes.data - owner.ctypes.data
+        if runs and runs[-1][0] is owner and runs[-1][2] == start:
+            runs[-1][2] += a.nbytes
+        else:
+            runs.append([owner, start, start + a.nbytes, a.dtype])
+    return [np.ndarray(((end - start) // dtype.itemsize,), dtype, owner, start)
+            for owner, start, end, dtype in runs]
+
+
 class AdamW:
     """Adam with decoupled weight decay:
-    p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p."""
+    p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p.
+
+    The moments m and v are two flat arenas laid out like the parameters in
+    `params` order; self.m and self.v map each name to its view. step()
+    updates weights and moments in place, CHUNK elements at a time, gathering
+    each chunk's leaf gradients (None counts as zeros) into scratch.
+    """
 
     def __init__(self, params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
         self.params = params  # name -> Parameter
@@ -31,34 +64,71 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.tensor.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.tensor.data) for name, p in params.items()}
+        datas = [p.tensor.data for p in params.values()]
+        dtype = datas[0].dtype
+        bounds = np.cumsum([0] + [d.size for d in datas]).tolist()
+        self.m_arena = np.zeros(bounds[-1], dtype=dtype)
+        self.v_arena = np.zeros(bounds[-1], dtype=dtype)
+        self.m, self.v = ({name: arena[lo:hi].reshape(d.shape)
+                           for name, d, lo, hi in zip(params, datas, bounds, bounds[1:])}
+                          for arena in (self.m_arena, self.v_arena))
+        # each chunk: weight, m and v views, and the (param, lo, hi, at) pieces
+        # of the leaf gradients that fill it
+        self._chunks = []
+        offset = 0
+        for segment in _flat_segments(datas):
+            for lo in range(0, segment.size, CHUNK):
+                hi = min(lo + CHUNK, segment.size)
+                c0, c1 = offset + lo, offset + hi
+                pieces = []
+                for i in range(bisect_right(bounds, c0) - 1, bisect_left(bounds, c1)):
+                    a, b = max(bounds[i], c0), min(bounds[i + 1], c1)
+                    pieces.append((i, a - bounds[i], b - bounds[i], a - c0))
+                self._chunks.append((segment[lo:hi], self.m_arena[c0:c1],
+                                     self.v_arena[c0:c1], pieces))
+            offset += segment.size
+        self._scratch = np.empty((3, min(CHUNK, bounds[-1])), dtype=dtype)
 
     def step(self):
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
-        for name, p in self.params.items():
-            g = p.tensor.grad
-            if g is None:
-                g = np.zeros_like(p.tensor.data)
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            old = p.tensor.data
-            p.tensor.data = old - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) \
-                - self.lr * self.weight_decay * old
+        lr, eps, decay = self.lr, self.eps, self.lr * self.weight_decay
+        grads = [None if p.tensor.grad is None else p.tensor.grad.reshape(-1)
+                 for p in self.params.values()]
+        for w, m, v, pieces in self._chunks:
+            g, t, u = self._scratch[:, :w.size]
+            for i, lo, hi, at in pieces:
+                g[at:at + hi - lo] = 0.0 if grads[i] is None else grads[i][lo:hi]
+            # the same elementwise order as the whole-array expressions
+            # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+            # w = (w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)) - (lr*wd)*w
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=t)
+            np.add(m, t, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=t)
+            np.multiply(t, g, out=t)
+            np.add(v, t, out=v)
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            np.add(t, eps, out=t)
+            np.divide(m, bc1, out=u)
+            np.multiply(u, lr, out=u)
+            np.divide(u, t, out=u)
+            np.multiply(w, decay, out=t)
+            np.subtract(w, u, out=w)
+            np.subtract(w, t, out=w)
 
     def state(self):
         return {"step": self.step_count, "m": self.m, "v": self.v}
 
     def load(self, state):
         self.step_count = int(state["step"])
-        for name, p in self.params.items():
-            self.m[name] = np.array(state["m"][name], dtype=p.tensor.data.dtype, copy=True)
-            self.v[name] = np.array(state["v"][name], dtype=p.tensor.data.dtype, copy=True)
+        for name in self.params:
+            self.m[name][...] = state["m"][name]
+            self.v[name][...] = state["v"][name]
 
 
 def clip_gradients(params, max_norm):
@@ -104,30 +174,32 @@ def _write_atomic(path, write):
 
 
 def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None, best_metric=None):
-    arrays = model.state_arrays()
-    names = list(arrays)
+    params = model.named_parameters()
     payload_dtype = "<f8" if model.cfg.dtype == "float64" else "<f4"
     meta = {
         "config": model.cfg.to_dict(),
         "epoch": int(epoch),
         "payload_dtype": "f64" if payload_dtype == "<f8" else "f32",
-        "params": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
+        "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
         "has_optimizer": optimizer is not None,
         "optimizer_step": optimizer.step_count if optimizer is not None else 0,
         "rng_state": rng_state,
         "best_metric": best_metric,
     }
-    groups = [arrays] if optimizer is None else [arrays, optimizer.m, optimizer.v]
+    blocks = [model.store.arena]
+    if optimizer is not None:
+        if optimizer.m_arena.size != model.store.arena.size:
+            raise ValueError("the optimizer does not cover the model's parameters")
+        blocks += [optimizer.m_arena, optimizer.v_arena]
     meta_bytes = json.dumps(meta).encode("utf-8")
 
     def write(fh):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
-        for group in groups:
-            for n in names:
-                # from the array's own buffer unless its dtype or layout differs
-                fh.write(np.ascontiguousarray(group[n], dtype=payload_dtype))
+        for block in blocks:
+            # from the arena's own buffer unless the payload dtype differs
+            fh.write(np.ascontiguousarray(block, dtype=payload_dtype))
 
     _write_atomic(path, write)
     return path
@@ -139,33 +211,41 @@ def _copy_checkpoint(src, dst):
         _write_atomic(dst, lambda fdst: shutil.copyfileobj(fsrc, fdst))
 
 
+def _read_head(fh, path):
+    """Reads the header; returns (meta, payload dtype).
+
+    Checks the magic, the version and that the rest of the file is exactly
+    the payload the metadata describes.
+    """
+    head = fh.read(12)
+    if len(head) != 12 or head[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    version, meta_len = struct.unpack("<II", head[4:])
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    meta = json.loads(fh.read(meta_len).decode("utf-8"))
+    dtype = np.dtype("<f8" if meta["payload_dtype"] == "f64" else "<f4")
+    count = sum(math.prod(entry["shape"]) for entry in meta["params"])
+    expected = (3 if meta["has_optimizer"] else 1) * count * dtype.itemsize
+    actual = os.fstat(fh.fileno()).st_size - fh.tell()
+    if actual != expected:
+        raise ValueError(f"{path}: payload is {actual} bytes, expected {expected}")
+    return meta, dtype
+
+
 def load_checkpoint(path):
     """Returns (meta dict, params arrays, optimizer m/v arrays or None)."""
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) != 12 or head[:4] != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic)")
-        version, meta_len = struct.unpack("<II", head[4:])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        payload = fh.read()
-    dtype = "<f8" if meta["payload_dtype"] == "f64" else "<f4"
-    itemsize = 8 if dtype == "<f8" else 4
-    specs = [(entry["name"], tuple(entry["shape"])) for entry in meta["params"]]
-    counts = [int(np.prod(shape)) if shape else 1 for _, shape in specs]
-    groups = 3 if meta["has_optimizer"] else 1
-    expected = groups * sum(counts) * itemsize
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype=dtype)
+        meta, dtype = _read_head(fh, path)
+        flat = np.frombuffer(fh.read(), dtype=dtype)
     offset = 0
 
     def take():
         nonlocal offset
         out = {}
-        for (name, shape), count in zip(specs, counts):
-            out[name] = flat[offset:offset + count].reshape(shape)
+        for entry in meta["params"]:
+            count = math.prod(entry["shape"])
+            out[entry["name"]] = flat[offset:offset + count].reshape(entry["shape"])
             offset += count
         return out
 
@@ -179,10 +259,17 @@ def load_checkpoint(path):
 
 
 def model_from_checkpoint(path):
-    meta, params, _ = load_checkpoint(path)
-    cfg = ModelConfig.from_dict(meta["config"])
-    model = Model(cfg, seed=0)
-    model.load_state(params)
+    """The checkpoint's model; reads only the params block, straight into the arena."""
+    with open(path, "rb") as fh:
+        meta, dtype = _read_head(fh, path)
+        model = Model(ModelConfig.from_dict(meta["config"]), seed=None)
+        layout = [(e["name"], tuple(e["shape"])) for e in meta["params"]]
+        if layout != [(n, p.tensor.data.shape) for n, p in model.named_parameters().items()]:
+            raise ValueError(f"{path}: parameter layout does not match its config")
+        arena = model.store.arena
+        fh.readinto(arena.view(np.uint8))
+    if not dtype.isnative:
+        arena.byteswap(inplace=True)
     return model, meta
 
 
@@ -254,8 +341,11 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     A failing loss component, a non-finite loss or a non-finite parameter
     after an update aborts the run and leaves the last good checkpoint on
     disk (diverged=True in the result); the log's last entry then names the
-    batch and the cause. Each epoch's train entry lists the
-    global gradient norm of every step, before clipping, as grad_norms.
+    batch and the cause. Each epoch's train entry lists, for every step, the
+    global gradient norm before clipping (grad_norms) and the wall ms of the
+    forward (batch_loss), the backward and clip plus the AdamW step
+    (forward_ms, backward_ms, optimizer_ms), and gives the epoch's training
+    items/s (items_per_s). The timings never reach a checkpoint or the loss.
     """
     if not annotations:
         raise ValueError("train on an empty dataset")
@@ -297,11 +387,14 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             epoch_total = 0.0
             epoch_parts = {}
             grad_norms = []
+            phase_ms = {"forward_ms": [], "backward_ms": [], "optimizer_ms": []}
             n_batches = 0
             cause = None
+            epoch_start = perf_counter()
             for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start:start + cfg.batch_size]
                 batch = [(train_bundles[i], train_set[i]) for i in idx]
+                t0 = perf_counter()
                 try:
                     total, parts = batch_loss(model, batch, epoch, rng=rng, train=True)
                 except CompositionError as exc:
@@ -310,20 +403,28 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                 if not np.isfinite(total.data):
                     cause = "non-finite total"
                     break
+                t1 = perf_counter()
                 model.zero_grad()
                 total.backward()
+                t2 = perf_counter()
                 grad_norms.append(clip_gradients(model.named_parameters(), cfg.grad_clip))
                 optimizer.step()
-                # a step that overflows the weights must not reach the epoch save
-                cause = next((f"non-finite parameter {name}"
-                              for name, p in model.named_parameters().items()
-                              if not np.isfinite(p.tensor.data).all()), None)
-                if cause is not None:
+                t3 = perf_counter()
+                # a step that overflows the weights must not reach the epoch save;
+                # min and max over the arena propagate any NaN or infinity
+                weights = model.store.arena
+                if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
+                    cause = next(f"non-finite parameter {name}"
+                                 for name, p in model.named_parameters().items()
+                                 if not np.isfinite(p.tensor.data).all())
                     break
+                for key, (a, b) in zip(phase_ms, ((t0, t1), (t1, t2), (t2, t3))):
+                    phase_ms[key].append(1e3 * (b - a))
                 epoch_total += total.item()
                 for key, val in parts.items():
                     epoch_parts[key] = epoch_parts.get(key, 0.0) + float(val.data)
                 n_batches += 1
+            train_s = perf_counter() - epoch_start
             if cause is not None:
                 diverged = True
                 write_log({"epoch": epoch, "split": "train", "diverged": True,
@@ -335,6 +436,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             entry = {"epoch": epoch, "split": "train", "total": mean_total}
             entry.update({k: v / n_batches for k, v in epoch_parts.items()})
             entry["grad_norms"] = grad_norms
+            entry.update(phase_ms)
+            entry["items_per_s"] = len(train_set) / train_s
             write_log(entry)
             improved = False
             if val_set and (epoch + 1) % eval_period == 0:

@@ -80,3 +80,58 @@ def test_checker_flags_unused_parameters():
               "    return cls\n")
     assert unused_parameters(source) == [(2, "m", "flags"), (3, "<lambda>", "w"),
                                          (4, "f", "b"), (4, "f", "rest"), (8, "h", "d")]
+
+
+# a parameter's .data is a view into its model's weight arena; rebinding it
+# silently stops the optimizer and the checkpoints from seeing that parameter
+DATA_WRITERS = {("autodiff.py", "__init__"), ("autodiff.py", "_node")}
+
+
+def data_assignments(source, module):
+    """(line, function) for each assignment to a `.data` attribute outside DATA_WRITERS."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            targets = []
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            stack = list(targets)
+            while stack:
+                target = stack.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    stack.extend(target.elts)
+                elif isinstance(target, ast.Starred):
+                    stack.append(target.value)
+                elif isinstance(target, ast.Attribute) and target.attr == "data" \
+                        and (module, function) not in DATA_WRITERS:
+                    found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_data_rebinding(path):
+    assert data_assignments(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_checker_flags_data_rebinding():
+    source = ("def __init__(self, x):\n"
+              "    self.data = x\n"
+              "def step(p, w):\n"
+              "    p.tensor.data = w\n"
+              "    p.tensor.data[...] = w\n"
+              "    a, p.data = 1, w\n"
+              "    p.data += 1\n"
+              "x.data: int = 0\n")
+    assert data_assignments(source, "autodiff.py") == [(4, "step"), (6, "step"), (7, "step"),
+                                                       (8, "<module>")]
+    assert data_assignments(source, "model.py") == [(2, "__init__"), (4, "step"), (6, "step"),
+                                                    (7, "step"), (8, "<module>")]

@@ -310,6 +310,16 @@ class TestMeanIoUAndReport:
         with pytest.raises(ValueError):
             compute_report([], [make_annotation()])
 
+    def test_malformed_window_rejected_with_its_qid(self):
+        pred = QueryPrediction(qid=3, windows=[[4.0, 10.0]], saliency=[0.1] * 10)
+        with pytest.raises(ValueError, match=r"qid 3: window \[4.0, 10.0\] is not"):
+            compute_report([pred], [make_annotation()])
+
+    def test_saliency_length_mismatch_rejected_with_its_qid(self):
+        pred = QueryPrediction(qid=3, windows=[[4.0, 10.0, 0.9]], saliency=[0.1])
+        with pytest.raises(ValueError, match="qid 3: 1 saliency scores for 10 clips"):
+            compute_report([pred], [make_annotation()])
+
 
 class TestPredictionsIO:
     def write(self, path, second_line):
@@ -320,6 +330,14 @@ class TestPredictionsIO:
         path = tmp_path / "preds.jsonl"
         self.write(path, json.dumps({"qid": 4, "pred_relevant_windows": []}))
         with pytest.raises(ParseError, match=r":2: missing fields \['pred_saliency_scores'\]"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("window", [[4.0, 10.0], [4.0, 10.0, 0.9, 1.0], [4.0, "x", 0.9], 4.0])
+    def test_window_not_three_numbers_is_a_parse_error_with_its_line(self, tmp_path, window):
+        path = tmp_path / "preds.jsonl"
+        self.write(path, json.dumps({"qid": 4, "pred_relevant_windows": [window],
+                                     "pred_saliency_scores": [0.5]}))
+        with pytest.raises(ParseError, match=":2: bad value"):
             load_predictions(path)
 
     def test_invalid_json_is_a_parse_error_with_its_line(self, tmp_path):

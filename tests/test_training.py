@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -6,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momentspot import model as model_module
 from momentspot import training
-from momentspot.autodiff import Tensor, xavier_uniform
-from momentspot.config import ConfigError
+from momentspot.autodiff import Tensor, grad_check, xavier_uniform
+from momentspot.config import ConfigError, ModelConfig
 from momentspot.data import save_features
+from momentspot.fixtures import build_overfit_fixture
 from momentspot.metrics import MetricReport
-from momentspot.model import Model, Parameter, bundle_for
+from momentspot.model import Model, Parameter, batch_loss, bundle_for
 from momentspot.training import (AdamW, clip_gradients,
                                  evaluate_checkpoint, evaluate_model,
                                  load_checkpoint, model_from_checkpoint,
@@ -141,6 +144,128 @@ class TestAdamW:
         assert fresh.step_count == 1
         np.testing.assert_array_equal(fresh.m["p0"], opt.m["p0"])
         np.testing.assert_array_equal(fresh.v["p0"], opt.v["p0"])
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_chunked_step_is_bitwise_the_whole_array_update(self, rng, monkeypatch, dtype):
+        monkeypatch.setattr(training, "CHUNK", 100)  # chunks start and end inside parameters
+        params = Model(tiny_config(dtype=dtype, encoder_layers=1, decoder_layers=1),
+                       seed=0).named_parameters()
+        lr, wd, (b1, b2), eps = 1e-2, 0.1, (0.9, 0.999), 1e-8
+        opt = AdamW(params, lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        assert len(opt._chunks) > len(params) / 2
+        w = {n: p.tensor.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(a) for n, a in w.items()}
+        v = {n: np.zeros_like(a) for n, a in w.items()}
+        for step in (1, 2, 3):
+            for i, p in enumerate(params.values()):
+                g = rng.normal(size=p.tensor.data.shape).astype(dtype)
+                # a missing gradient and a column-major one, as backward can leave them
+                p.tensor.grad = None if i % 7 == 3 else np.asfortranarray(g) if i % 5 == 1 else g
+            opt.step()
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for n, p in params.items():
+                g = p.tensor.grad if p.tensor.grad is not None else np.zeros_like(w[n])
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                w[n] = w[n] - lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps) - lr * wd * w[n]
+                for got, want in ((p.tensor.data, w[n]), (opt.m[n], m[n]), (opt.v[n], v[n])):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+class TestWeightArena:
+    @staticmethod
+    def assert_views_of_the_arena(model):
+        arena = model.store.arena
+        datas = [p.tensor.data for p in model.named_parameters().values()]
+        assert all(np.shares_memory(d, arena) for d in datas)
+        # registry order, back to back
+        assert np.concatenate([d.ravel() for d in datas]).tobytes() == arena.tobytes()
+
+    def test_parameters_stay_views_of_the_arena(self, tmp_path):
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=0)
+        opt = AdamW(model.named_parameters(), lr=1e-2, weight_decay=cfg.weight_decay)
+        batch = [(bundle_for(a, cfg), a) for a in toy_dataset()]
+        step_rng = np.random.default_rng(0)
+        for epoch in range(3):
+            total, _ = batch_loss(model, batch, epoch, rng=step_rng, train=True)
+            model.zero_grad()
+            total.backward()
+            clip_gradients(model.named_parameters(), 1.0)
+            opt.step()
+        self.assert_views_of_the_arena(model)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, optimizer=opt)
+        _, params, opt_state = load_checkpoint(path)
+
+        other = Model(cfg, seed=1)
+        other.load_state(params)
+        self.assert_views_of_the_arena(other)
+        assert other.store.arena.tobytes() == model.store.arena.tobytes()
+        other_opt = AdamW(other.named_parameters(), lr=1e-2)
+        other_opt.load(opt_state)
+        for moments, arena in ((other_opt.m, other_opt.m_arena), (other_opt.v, other_opt.v_arena)):
+            assert all(np.shares_memory(a, arena) for a in moments.values())
+        assert other_opt.m_arena.tobytes() == opt.m_arena.tobytes()
+        assert other_opt.v_arena.tobytes() == opt.v_arena.tobytes()
+
+        restored, _ = model_from_checkpoint(path)
+        self.assert_views_of_the_arena(restored)
+        assert restored.store.arena.tobytes() == model.store.arena.tobytes()
+
+        weight = model.named_parameters()["heads.saliency.weight"].tensor
+        before = model.store.arena.copy()
+        grad_check(lambda _w: batch_loss(model, batch, 0)[0], [weight], max_coords_per_input=3)
+        self.assert_views_of_the_arena(model)
+        assert model.store.arena.tobytes() == before.tobytes()
+
+    def test_model_from_checkpoint_reads_only_the_params_block(self, tmp_path, monkeypatch):
+        cfg = tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=3)
+        opt = AdamW(model.named_parameters(), lr=cfg.lr)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, optimizer=opt)
+        readers = []
+
+        def counting_open(*args, **kwargs):
+            readers.append(CountingReader(open(*args, **kwargs)))
+            return readers[-1]
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a random init")
+
+        monkeypatch.setattr(training, "open", counting_open, raising=False)
+        monkeypatch.setattr(model_module, "xavier_uniform", no_init)
+        restored, _ = model_from_checkpoint(path)
+        assert [r.count for r in readers] == [path.stat().st_size - 2 * model.store.arena.nbytes]
+        assert restored.store.arena.dtype == np.float32
+        assert restored.store.arena.tobytes() == model.store.arena.tobytes()
+
+
+class CountingReader:
+    """A file opened for reading that counts the bytes read out of it."""
+
+    def __init__(self, fh):
+        self.fh, self.count = fh, 0
+
+    def read(self, *args):
+        data = self.fh.read(*args)
+        self.count += len(data)
+        return data
+
+    def readinto(self, buf):
+        n = self.fh.readinto(buf)
+        self.count += n
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
 
 
 class TestClipGradients:
@@ -551,6 +676,34 @@ class TestTrainLoop:
         assert [len(n) for n in norms] == [batches] * cfg.epochs
         assert all(math.isfinite(x) for n in norms for x in n)
         assert [x for n in norms for x in n] == returned
+
+    def test_log_times_every_step_without_touching_the_run(self, tmp_path, monkeypatch):
+        # criterion 8's setup, once on the real clock and once on a fake one
+        feature_dir = tmp_path / "features"
+        anns = build_overfit_fixture(feature_dir=feature_dir)[:4]
+        cfg = ModelConfig.desk(epochs=8)
+        real = train(cfg, anns, tmp_path / "real", seed=3, feature_dir=feature_dir)
+        ticks = itertools.count(0.0, 0.25)
+        monkeypatch.setattr(training, "perf_counter", lambda: next(ticks))
+        fake = train(cfg, anns, tmp_path / "fake", seed=3, feature_dir=feature_dir)
+        assert fake.loss_trace == real.loss_trace
+        for name in ("last.ckpt", "best.ckpt"):
+            assert (tmp_path / "fake" / name).read_bytes() == \
+                (tmp_path / "real" / name).read_bytes()
+        steps = math.ceil(len(anns) / cfg.batch_size)
+        for result in (real, fake):
+            entries = [json.loads(l) for l in open(result.log_path)]
+            assert len(entries) == cfg.epochs
+            for entry in entries:
+                for key in ("grad_norms", "forward_ms", "backward_ms", "optimizer_ms"):
+                    assert len(entry[key]) == steps
+                    assert all(x >= 0.0 for x in entry[key])
+                assert entry["items_per_s"] > 0.0
+        # each phase spans one 0.25 s tick; an epoch spans 4 ticks per step and one more
+        for entry in entries:
+            assert entry["forward_ms"] == entry["backward_ms"] == entry["optimizer_ms"] == \
+                [250.0] * steps
+            assert entry["items_per_s"] == pytest.approx(len(anns) / (0.25 * (4 * steps + 1)))
 
     def test_oversized_video_rejected_before_any_write(self, tmp_path):
         long_item = make_annotation(qid=9, vid="vid_long", duration=40.0,
