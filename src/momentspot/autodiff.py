@@ -756,9 +756,10 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
 # -- initialization ---------------------------------------------------------
 
 
-def xavier_uniform(rng, shape, fan_in, fan_out, dtype=np.float64):
+def xavier_uniform(rng, shape, fan_in, fan_out):
+    """Float64 draws; the caller casts them into its own dtype."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 # -- verification -----------------------------------------------------------

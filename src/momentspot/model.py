@@ -35,29 +35,27 @@ class ParamStore:
     Every parameter's data is a reshaped view into `arena`, laid out in
     registry order; nothing may rebind a parameter's .data, or it silently
     stops aliasing the arena. With `arena` None the store only sizes the
-    layout (its parameters get no tensor). With `rng` None the seeded init is
-    skipped and the arena keeps the caller's values.
+    layout. With `rng` None the seeded init is skipped and the arena keeps
+    the caller's values.
     """
 
-    def __init__(self, rng, dtype, arena=None):
+    def __init__(self, rng, arena=None):
         self.rng = rng
-        self.dtype = dtype
         self.arena = arena
         self.size = 0
         self.params = {}
 
     def new(self, name, shape, init, fan=None):
+        start, self.size = self.size, self.size + math.prod(shape)
+        if self.arena is None:
+            return None
         if name in self.params:
             raise ConfigError(f"duplicate parameter name '{name}'")
         if init not in ("xavier_uniform", "zeros", "ones"):
             raise ConfigError(f"unknown init scheme '{init}'")
-        start, self.size = self.size, self.size + math.prod(shape)
-        if self.arena is None:
-            self.params[name] = Parameter(name=name, tensor=None)
-            return None
         data = self.arena[start:self.size].reshape(shape)
         if self.rng is not None and init == "xavier_uniform":
-            data[...] = xavier_uniform(self.rng, shape, *fan, dtype=self.dtype)
+            data[...] = xavier_uniform(self.rng, shape, *fan)
         elif self.rng is not None and init == "ones":
             data[...] = 1.0  # the arena starts at zero
         t = Tensor(data, requires_grad=True)
@@ -149,10 +147,10 @@ def build_params(cfg, seed):
     views into it. With seed None the arena stays zero for the caller to fill.
     """
     dtype = np.float64 if cfg.dtype == "float64" else np.float32
-    sizing = ParamStore(None, dtype)
+    sizing = ParamStore(None)
     _build(sizing, cfg)
     rng = None if seed is None else np.random.default_rng(seed)
-    store = ParamStore(rng, dtype, arena=np.zeros(sizing.size, dtype=dtype))
+    store = ParamStore(rng, arena=np.zeros(sizing.size, dtype=dtype))
     return store, _build(store, cfg)
 
 
