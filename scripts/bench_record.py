@@ -7,7 +7,7 @@
 `git clone . ../parent && git -C ../parent checkout HEAD~1`); the change is
 the tree this script lives in. For each workload W:N it runs N pairs of
 
-    python3 perfbench/run.py --workload W --seed S --seconds 36 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
 one in each tree, over the first N seeds of SEEDS, alternating which tree
 goes first. Each run's last stdout line is its result object and its `env`
@@ -27,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(1801, 1821))
+# the run length every BENCH_<n>.json is recorded at, so records compare
+SECONDS = 36
 SIDES = ("parent", "change")
 
 
@@ -41,10 +43,10 @@ def git_state(tree):
         return None, None
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """One benchmark run in tree; returns (env header, result object)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -58,12 +60,12 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def record(trees, workload, seeds, seconds, better):
+def record(trees, workload, seeds, better):
     runs = {side: [] for side in SIDES}
     envs = {}
     for k, seed in enumerate(seeds):
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            env, result = run_once(trees[side], workload, seed, seconds)
+            env, result = run_once(trees[side], workload, seed)
             envs[side] = env
             runs[side].append(result)
             print(f"{workload} seed {seed} {side}: step_ms_p50 "
@@ -95,18 +97,16 @@ def main():
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--out", type=Path, required=True, help="output file, relative to the repo root")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
-    parser.add_argument("--seconds", type=float, default=36)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    doc = {"command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                      f"{args.seconds:g} --trace 0",
+    doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
            "git": {side: dict(zip(("sha", "dirty"), git_state(trees[side]))) for side in SIDES},
            "workloads": {}}
     for item in args.workload:
         name, pairs = item.split(":")
-        doc["workloads"][name] = record(trees, name, SEEDS[:int(pairs)], args.seconds, better)
+        doc["workloads"][name] = record(trees, name, SEEDS[:int(pairs)], better)
         (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import MhaParams, Tensor, no_grad, xavier_uniform
+from .autodiff import MhaParams, Tensor, _node, no_grad, xavier_uniform
 from .config import ConfigError, ModelConfig
 from .data import FeatureBundle, encode_item
 from .fusion import FusionParams, FusionStage, fuse
@@ -58,7 +58,10 @@ class ParamStore:
             data[...] = xavier_uniform(self.rng, shape, *fan)
         elif self.rng is not None and init == "ones":
             data[...] = 1.0  # the arena starts at zero
-        t = Tensor(data, requires_grad=True)
+        # xavier draws, zeros and ones are finite by construction: _node skips
+        # Tensor's finiteness scan, a fifth of building a model
+        t = _node(data, (), None)
+        t.requires_grad = True
         self.params[name] = Parameter(name=name, tensor=t)
         return t
 

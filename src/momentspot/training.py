@@ -90,7 +90,7 @@ class AdamW:
                 self._chunks.append((segment[lo:hi], self.m_arena[c0:c1],
                                      self.v_arena[c0:c1], pieces))
             offset += segment.size
-        self._scratch = np.empty((3, min(CHUNK, bounds[-1])), dtype=dtype)
+        self._scratch = np.empty((2, min(CHUNK, bounds[-1])), dtype=dtype)
 
     def step(self):
         self.step_count += 1
@@ -101,7 +101,7 @@ class AdamW:
         grads = [None if p.tensor.grad is None else p.tensor.grad.reshape(-1)
                  for p in self.params.values()]
         for w, m, v, pieces in self._chunks:
-            g, t, u = self._scratch[:, :w.size]
+            g, t = self._scratch[:, :w.size]
             for i, lo, hi, at in pieces:
                 g[at:at + hi - lo] = 0.0 if grads[i] is None else grads[i][lo:hi]
             # the same elementwise order as the whole-array expressions
@@ -117,6 +117,7 @@ class AdamW:
             np.divide(v, bc2, out=t)
             np.sqrt(t, out=t)
             np.add(t, eps, out=t)
+            u = g  # the gradient is spent; its row holds the step
             np.divide(m, bc1, out=u)
             np.multiply(u, lr, out=u)
             np.divide(u, t, out=u)
@@ -262,19 +263,32 @@ def load_checkpoint(path):
     return meta, params, opt_state
 
 
-def model_from_checkpoint(path):
-    """The checkpoint's model; reads only the params block, straight into the arena."""
+def _load_params(path, cfg=None):
+    """(model, meta): a Model with no random init whose arena holds the
+    checkpoint's params block, read straight into it when the dtypes agree and
+    cast to the model's dtype when not. The m/v blocks are never read.
+
+    The model is built from cfg, or from the checkpoint's own config when cfg
+    is None; its parameter names and shapes must match the checkpoint's.
+    """
     with open(path, "rb") as fh:
         meta, dtype = _read_head(fh, path)
-        model = Model(ModelConfig.from_dict(meta["config"]), seed=None)
+        model = Model(ModelConfig.from_dict(meta["config"]) if cfg is None else cfg, seed=None)
         layout = [(e["name"], tuple(e["shape"])) for e in meta["params"]]
         if layout != [(n, p.tensor.data.shape) for n, p in model.named_parameters().items()]:
-            raise ValueError(f"{path}: parameter layout does not match its config")
+            raise ConfigError(f"{path}: parameter layout does not match the model's config")
         arena = model.store.arena
-        fh.readinto(arena.view(np.uint8))
-    if not dtype.isnative:
-        arena.byteswap(inplace=True)
+        block = arena if dtype == arena.dtype else np.empty(arena.size, dtype)
+        if fh.readinto(block.view(np.uint8)) != block.nbytes:
+            raise ValueError(f"{path}: params block is shorter than its layout")
+    if block is not arena:
+        arena[...] = block
     return model, meta
+
+
+def model_from_checkpoint(path):
+    """The checkpoint's model; reads only the params block, straight into the arena."""
+    return _load_params(path)
 
 
 # -- loops -----------------------------------------------------------------------
@@ -360,10 +374,10 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     if not train_set:
         raise ValueError(f"the training split is empty: val_fraction={cfg.val_fraction} "
                          f"puts all {len(annotations)} items in the validation split")
-    model = Model(cfg, seed=seed)
-    if init_from is not None:
-        _, params, _ = load_checkpoint(init_from)
-        model.load_state(params)
+    if init_from is None:
+        model = Model(cfg, seed=seed)
+    else:
+        model, _ = _load_params(init_from, cfg)
     optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([seed, 2])
     train_bundles = _checked_bundles(train_set, cfg, feature_dir)

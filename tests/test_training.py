@@ -241,6 +241,36 @@ class TestWeightArena:
         assert restored.store.arena.dtype == np.float32
         assert restored.store.arena.tobytes() == model.store.arena.tobytes()
 
+    def test_payload_dtype_other_than_the_config_dtype_is_cast(self, tmp_path):
+        model = Model(tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1), seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", raw[8:12])
+        meta = json.loads(raw[12:12 + meta_len])
+        meta["config"]["dtype"] = "float64"  # the payload stays f32
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                         + raw[12 + meta_len:])
+        restored, _ = model_from_checkpoint(path)
+        assert restored.store.arena.dtype == np.float64
+        assert restored.store.arena.tobytes() == model.store.arena.astype(np.float64).tobytes()
+        self.assert_views_of_the_arena(restored)
+
+    def test_short_read_of_the_params_block_is_an_error(self, tmp_path, monkeypatch):
+        model = Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+
+        class ShortReader(CountingReader):
+            def readinto(self, buf):
+                return super().readinto(buf[:len(buf) // 2])
+
+        monkeypatch.setattr(training, "open", lambda *a, **k: ShortReader(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(ValueError, match="params block is shorter"):
+            model_from_checkpoint(path)
+
 
 class CountingReader:
     """A file opened for reading that counts the bytes read out of it."""
@@ -610,6 +640,41 @@ class TestTrainLoop:
                         init_from=first.last_checkpoint)
         # warm start continues from trained weights, so epoch 0 loss drops
         assert resumed.loss_trace[0] < first.loss_trace[0]
+
+    def test_warm_start_reads_only_the_params_block_cast_to_the_config(self, tmp_path,
+                                                                        monkeypatch):
+        source = Model(self.small_cfg(), seed=4)  # float64
+        path = tmp_path / "source.ckpt"
+        save_checkpoint(path, source, optimizer=AdamW(source.named_parameters(), lr=1e-3))
+        readers = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if mode != "rb":
+                return fh
+            readers.append(CountingReader(fh))
+            return readers[-1]
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("a warm start drew a random init")
+
+        monkeypatch.setattr(training, "open", counting_open, raising=False)
+        monkeypatch.setattr(model_module, "xavier_uniform", no_init)
+        cfg = self.small_cfg(dtype="float32", epochs=0)
+        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0, init_from=path)
+        assert readers[0].name == str(path)
+        assert readers[0].count == path.stat().st_size - 2 * source.store.arena.nbytes
+        _, params, _ = load_checkpoint(result.last_checkpoint)
+        for name, arr in source.state_arrays().items():
+            assert params[name].dtype == np.float32
+            assert params[name].tobytes() == arr.astype(np.float32).tobytes()
+
+    def test_warm_start_from_another_layout_is_rejected(self, tmp_path):
+        path = tmp_path / "source.ckpt"
+        save_checkpoint(path, Model(self.small_cfg(), seed=4))
+        with pytest.raises(ConfigError, match="parameter layout"):
+            train(self.small_cfg(hidden_dim=8), toy_dataset(), tmp_path / "run", seed=0,
+                  init_from=path)
 
     def test_divergence_aborts_and_keeps_checkpoint(self, tmp_path):
         cfg = self.small_cfg(epochs=25, lr=1e9, grad_clip=0.0)
