@@ -17,7 +17,7 @@ from pathlib import Path
 
 from momentspot.config import ModelConfig
 from momentspot.fixtures import build_overfit_fixture
-from momentspot.training import evaluate_model, model_from_checkpoint, train
+from momentspot.training import evaluate_checkpoint, train
 
 VARIANTS = {
     "baseline": dict(use_refinement=False, fusion_mode="text_to_video"),
@@ -50,8 +50,8 @@ def main():
         for seed in range(args.seeds):
             result = train(cfg, train_set, out / f"{name}-{seed}", seed=seed,
                            feature_dir=feature_dir)
-            model, _ = model_from_checkpoint(result.last_checkpoint)
-            report, _ = evaluate_model(model, held_out, feature_dir=feature_dir)
+            report, _ = evaluate_checkpoint(result.last_checkpoint, held_out,
+                                            feature_dir=feature_dir)
             scores[name].append(report.map_avg)
             print(f"{name} seed {seed}: held-out map_avg {report.map_avg:.4f}")
 

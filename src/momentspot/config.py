@@ -91,6 +91,11 @@ class ModelConfig:
                               f"{self.batch_size}, {self.epochs} and {self.eval_every}")
         if not (0 <= self.val_fraction < 1):
             raise ConfigError("val_fraction must be in [0, 1)")
+        if not (0 <= self.dropout < 1 and 0 <= self.input_dropout < 1):
+            raise ConfigError(f"dropout and input_dropout must be in [0, 1), got "
+                              f"{self.dropout} and {self.input_dropout}")
+        if self.max_text_len < 1:
+            raise ConfigError(f"max_text_len must be >= 1, got {self.max_text_len}")
         return self
 
     @property

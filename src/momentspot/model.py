@@ -29,27 +29,28 @@ class Parameter:
     tensor: Tensor
 
 
-class ParamStore:
+class ParamStore(dict):
     """Flat name -> Parameter registry over one contiguous weight arena.
 
-    Every parameter's data is a reshaped view into `arena`, laid out in
-    registry order; nothing may rebind a parameter's .data, or it silently
-    stops aliasing the arena. With `arena` None the store only sizes the
-    layout. With `rng` None the seeded init is skipped and the arena keeps
-    the caller's values.
+    Every parameter's data is the reshaped view arena[offsets[name]:...],
+    laid out back to back in registry order; nothing may rebind a
+    parameter's .data, or it silently stops aliasing the arena. With `arena`
+    None the store only sizes the layout. With `rng` None the seeded init is
+    skipped and the arena keeps the caller's values.
     """
 
     def __init__(self, rng, arena=None):
+        super().__init__()
         self.rng = rng
         self.arena = arena
         self.size = 0
-        self.params = {}
+        self.offsets = {}
 
     def new(self, name, shape, init, fan=None):
         start, self.size = self.size, self.size + math.prod(shape)
         if self.arena is None:
             return None
-        if name in self.params:
+        if name in self:
             raise ConfigError(f"duplicate parameter name '{name}'")
         if init not in ("xavier_uniform", "zeros", "ones"):
             raise ConfigError(f"unknown init scheme '{init}'")
@@ -62,7 +63,8 @@ class ParamStore:
         # Tensor's finiteness scan, a fifth of building a model
         t = _node(data, (), None)
         t.requires_grad = True
-        self.params[name] = Parameter(name=name, tensor=t)
+        self.offsets[name] = start
+        self[name] = Parameter(name=name, tensor=t)
         return t
 
     def linear(self, name, d_in, d_out, bias=True):
@@ -216,29 +218,18 @@ class Model:
 
     @property
     def dtype(self):
-        return np.float64 if self.cfg.dtype == "float64" else np.float32
+        return self.store.arena.dtype
 
     def named_parameters(self):
-        return self.store.params
+        """The ParamStore: name -> Parameter, plus the arena and each name's offset."""
+        return self.store
 
     def zero_grad(self):
-        for p in self.store.params.values():
+        for p in self.store.values():
             p.tensor.zero_grad()
 
     def state_arrays(self):
-        return {name: p.tensor.data for name, p in self.store.params.items()}
-
-    def load_state(self, arrays):
-        mine = self.store.params
-        if set(arrays) != set(mine):
-            missing = set(mine) - set(arrays)
-            extra = set(arrays) - set(mine)
-            raise ConfigError(f"state mismatch (missing {sorted(missing)}, unexpected {sorted(extra)})")
-        for name, arr in arrays.items():
-            data = mine[name].tensor.data
-            if arr.shape != data.shape:
-                raise ConfigError(f"parameter '{name}' shape {arr.shape} != {data.shape}")
-            data[...] = arr
+        return {name: p.tensor.data for name, p in self.store.items()}
 
     # -- forward -----------------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, ModelConfig
 from .losses import CompositionError
 from .metrics import compute_report, save_predictions
-from .model import Model, batch_loss, bundle_for, predict_item
+from .model import Model, ParamStore, batch_loss, bundle_for, predict_item
 
 CHECKPOINT_MAGIC = b"MSPT"
 CHECKPOINT_VERSION = 1
@@ -29,68 +29,41 @@ CHUNK = 1 << 16
 WRITE_SLICE = 1 << 18
 
 
-def _flat_segments(arrays):
-    """Flat views covering the C-contiguous `arrays` in order, one per run of
-    arrays that lie back to back in one buffer.
-
-    A model's parameters, views into one ParamStore arena, are one segment;
-    separately allocated arrays are one segment each.
-    """
-    runs = []
-    for a in arrays:
-        if not a.flags.c_contiguous:
-            raise ValueError("parameter data must be C-contiguous")
-        owner = a.base if isinstance(a.base, np.ndarray) and a.base.flags.c_contiguous else a
-        start = a.ctypes.data - owner.ctypes.data
-        if runs and runs[-1][0] is owner and runs[-1][2] == start:
-            runs[-1][2] += a.nbytes
-        else:
-            runs.append([owner, start, start + a.nbytes, a.dtype])
-    return [np.ndarray(((end - start) // dtype.itemsize,), dtype, owner, start)
-            for owner, start, end, dtype in runs]
-
-
 class AdamW:
     """Adam with decoupled weight decay:
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p.
 
-    The moments m and v are two flat arenas laid out like the parameters in
-    `params` order; self.m and self.v map each name to its view. step()
-    updates weights and moments in place, CHUNK elements at a time, gathering
-    each chunk's leaf gradients (None counts as zeros) into scratch.
+    `params` is a model's ParamStore. The moments m and v are two flat arenas
+    laid out like its weight arena. step() updates weights and moments in
+    place, CHUNK elements at a time, gathering each chunk's leaf gradients
+    (None counts as zeros) into scratch.
     """
 
     def __init__(self, params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
-        self.params = params  # name -> Parameter
+        if not isinstance(params, ParamStore):
+            raise TypeError(f"AdamW needs a ParamStore such as Model.named_parameters(), "
+                            f"got {type(params).__name__}")
+        self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.betas = betas
         self.eps = eps
         self.step_count = 0
-        datas = [p.tensor.data for p in params.values()]
-        dtype = datas[0].dtype
-        bounds = np.cumsum([0] + [d.size for d in datas]).tolist()
-        self.m_arena = np.zeros(bounds[-1], dtype=dtype)
-        self.v_arena = np.zeros(bounds[-1], dtype=dtype)
-        self.m, self.v = ({name: arena[lo:hi].reshape(d.shape)
-                           for name, d, lo, hi in zip(params, datas, bounds, bounds[1:])}
-                          for arena in (self.m_arena, self.v_arena))
+        arena = params.arena
+        self.m_arena = np.zeros_like(arena)
+        self.v_arena = np.zeros_like(arena)
+        bounds = [*params.offsets.values(), arena.size]
         # each chunk: weight, m and v views, and the (param, lo, hi, at) pieces
         # of the leaf gradients that fill it
         self._chunks = []
-        offset = 0
-        for segment in _flat_segments(datas):
-            for lo in range(0, segment.size, CHUNK):
-                hi = min(lo + CHUNK, segment.size)
-                c0, c1 = offset + lo, offset + hi
-                pieces = []
-                for i in range(bisect_right(bounds, c0) - 1, bisect_left(bounds, c1)):
-                    a, b = max(bounds[i], c0), min(bounds[i + 1], c1)
-                    pieces.append((i, a - bounds[i], b - bounds[i], a - c0))
-                self._chunks.append((segment[lo:hi], self.m_arena[c0:c1],
-                                     self.v_arena[c0:c1], pieces))
-            offset += segment.size
-        self._scratch = np.empty((2, min(CHUNK, bounds[-1])), dtype=dtype)
+        for c0 in range(0, arena.size, CHUNK):
+            c1 = min(c0 + CHUNK, arena.size)
+            pieces = []
+            for i in range(bisect_right(bounds, c0) - 1, bisect_left(bounds, c1)):
+                a, b = max(bounds[i], c0), min(bounds[i + 1], c1)
+                pieces.append((i, a - bounds[i], b - bounds[i], a - c0))
+            self._chunks.append((arena[c0:c1], self.m_arena[c0:c1], self.v_arena[c0:c1], pieces))
+        self._scratch = np.empty((2, min(CHUNK, arena.size)), dtype=arena.dtype)
 
     def step(self):
         self.step_count += 1
@@ -125,15 +98,6 @@ class AdamW:
             np.subtract(w, u, out=w)
             np.subtract(w, t, out=w)
 
-    def state(self):
-        return {"step": self.step_count, "m": self.m, "v": self.v}
-
-    def load(self, state):
-        self.step_count = int(state["step"])
-        for name in self.params:
-            self.m[name][...] = state["m"][name]
-            self.v[name][...] = state["v"][name]
-
 
 def clip_gradients(params, max_norm):
     """Scale all gradients so their global L2 norm is at most max_norm."""
@@ -153,9 +117,10 @@ def clip_gradients(params, max_norm):
 # -- checkpoint format ----------------------------------------------------------
 # magic "MSPT" | u32 version | u32 json_len | json metadata | raw little-endian
 # payload (params, then optimizer m and v in the same order). The payload dtype
-# is f32 unless the model runs in float64 (recorded in the metadata). Every
-# checkpoint file is written through _write_atomic, so a run killed mid-write
-# leaves the previous file whole.
+# is the arena's, tagged f32 or f64 in the metadata. Every checkpoint file is
+# written through _write_atomic, so a run killed mid-write leaves the previous
+# file whole.
+PAYLOAD_DTYPES = {"f32": "<f4", "f64": "<f8"}
 
 
 def _write_atomic(path, write):
@@ -179,20 +144,21 @@ def _write_atomic(path, write):
 
 def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None, best_metric=None):
     params = model.named_parameters()
-    payload_dtype = "<f8" if model.cfg.dtype == "float64" else "<f4"
+    tag = f"f{8 * params.arena.itemsize}"
+    payload_dtype = PAYLOAD_DTYPES[tag]
     meta = {
         "config": model.cfg.to_dict(),
         "epoch": int(epoch),
-        "payload_dtype": "f64" if payload_dtype == "<f8" else "f32",
+        "payload_dtype": tag,
         "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
         "has_optimizer": optimizer is not None,
         "optimizer_step": optimizer.step_count if optimizer is not None else 0,
         "rng_state": rng_state,
         "best_metric": best_metric,
     }
-    blocks = [model.store.arena]
+    blocks = [params.arena]
     if optimizer is not None:
-        if optimizer.m_arena.size != model.store.arena.size:
+        if optimizer.m_arena.size != params.arena.size:
             raise ValueError("the optimizer does not cover the model's parameters")
         blocks += [optimizer.m_arena, optimizer.v_arena]
     meta_bytes = json.dumps(meta).encode("utf-8")
@@ -219,8 +185,9 @@ def _copy_checkpoint(src, dst):
 def _read_head(fh, path):
     """Reads the header; returns (meta, payload dtype).
 
-    Checks the magic, the version and that the rest of the file is exactly
-    the payload the metadata describes.
+    Checks the magic, the version, the metadata keys a load needs, the payload
+    dtype tag and that the rest of the file is exactly the payload the
+    metadata describes.
     """
     head = fh.read(12)
     if len(head) != 12 or head[:4] != CHECKPOINT_MAGIC:
@@ -229,7 +196,13 @@ def _read_head(fh, path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     meta = json.loads(fh.read(meta_len).decode("utf-8"))
-    dtype = np.dtype("<f8" if meta["payload_dtype"] == "f64" else "<f4")
+    missing = [key for key in ("config", "params", "payload_dtype", "has_optimizer")
+               if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+    if meta["payload_dtype"] not in PAYLOAD_DTYPES:
+        raise ValueError(f"{path}: unknown payload dtype {meta['payload_dtype']!r}")
+    dtype = np.dtype(PAYLOAD_DTYPES[meta["payload_dtype"]])
     count = sum(math.prod(entry["shape"]) for entry in meta["params"])
     expected = (3 if meta["has_optimizer"] else 1) * count * dtype.itemsize
     actual = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -238,38 +211,14 @@ def _read_head(fh, path):
     return meta, dtype
 
 
-def load_checkpoint(path):
-    """Returns (meta dict, params arrays, optimizer m/v arrays or None)."""
-    with open(path, "rb") as fh:
-        meta, dtype = _read_head(fh, path)
-        flat = np.frombuffer(fh.read(), dtype=dtype)
-    offset = 0
-
-    def take():
-        nonlocal offset
-        out = {}
-        for entry in meta["params"]:
-            count = math.prod(entry["shape"])
-            out[entry["name"]] = flat[offset:offset + count].reshape(entry["shape"])
-            offset += count
-        return out
-
-    params = take()
-    opt_state = None
-    if meta["has_optimizer"]:
-        m = take()
-        v = take()
-        opt_state = {"step": meta["optimizer_step"], "m": m, "v": v}
-    return meta, params, opt_state
-
-
-def _load_params(path, cfg=None):
+def model_from_checkpoint(path, cfg=None):
     """(model, meta): a Model with no random init whose arena holds the
     checkpoint's params block, read straight into it when the dtypes agree and
     cast to the model's dtype when not. The m/v blocks are never read.
 
-    The model is built from cfg, or from the checkpoint's own config when cfg
-    is None; its parameter names and shapes must match the checkpoint's.
+    The model is built from cfg (a warm start passes the run's), or from the
+    checkpoint's own config when cfg is None; its parameter names and shapes
+    must match the checkpoint's.
     """
     with open(path, "rb") as fh:
         meta, dtype = _read_head(fh, path)
@@ -284,11 +233,6 @@ def _load_params(path, cfg=None):
     if block is not arena:
         arena[...] = block
     return model, meta
-
-
-def model_from_checkpoint(path):
-    """The checkpoint's model; reads only the params block, straight into the arena."""
-    return _load_params(path)
 
 
 # -- loops -----------------------------------------------------------------------
@@ -377,7 +321,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     if init_from is None:
         model = Model(cfg, seed=seed)
     else:
-        model, _ = _load_params(init_from, cfg)
+        model, _ = model_from_checkpoint(init_from, cfg)
     optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([seed, 2])
     train_bundles = _checked_bundles(train_set, cfg, feature_dir)

@@ -5,7 +5,7 @@ import pytest
 
 from momentspot.cli import main
 from momentspot.data import load_dataset
-from momentspot.training import load_checkpoint
+from momentspot.training import model_from_checkpoint
 
 from conftest import tiny_config
 
@@ -123,6 +123,6 @@ class TestTrainEval:
         main(["train", "--config", str(config), "--data", str(dataset),
               "--out", str(tmp_path / "run"), "--seed", "1"])
         capsys.readouterr()
-        meta, _, _ = load_checkpoint(tmp_path / "run" / "last.ckpt")
+        _, meta = model_from_checkpoint(tmp_path / "run" / "last.ckpt")
         assert meta["config"]["hidden_dim"] == 16
         assert meta["config"]["video_parts"] == [["clip_v", 8]]

@@ -32,6 +32,12 @@ class TestValidation:
         dict(video_parts=(("resnet", 10),)),
         dict(video_parts=(("clip_t", 10),)),  # a text encoder as a video part
         dict(text_parts=(("glove", 6),)),
+        dict(dropout=1.5),
+        dict(dropout=1.0),
+        dict(dropout=-0.1),
+        dict(input_dropout=1.0),
+        dict(input_dropout=-0.5),
+        dict(max_text_len=0),
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError):

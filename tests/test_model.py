@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentspot.autodiff import Tensor
-from momentspot.config import ConfigError, ModelConfig
+from momentspot.config import ModelConfig
 from momentspot.losses import COMPONENT_KEYS, compose_total
 from momentspot.model import (Model, batch_loss, bundle_for, normalized_windows,
                               predict_item, _fg_probs)
@@ -109,30 +109,6 @@ class TestParameterRegistry:
         m32 = Model(tiny_config(dtype="float32"), seed=0)
         assert all(p.tensor.data.dtype == np.float32
                    for p in m32.named_parameters().values())
-
-    def test_load_state_round_trip(self):
-        cfg = tiny_config()
-        src = Model(cfg, seed=5)
-        dst = Model(cfg, seed=6)
-        dst.load_state(src.state_arrays())
-        for name, p in dst.named_parameters().items():
-            np.testing.assert_array_equal(p.tensor.data, src.named_parameters()[name].tensor.data)
-
-    def test_load_state_rejects_mismatch(self):
-        cfg = tiny_config()
-        model = Model(cfg, seed=0)
-        state = model.state_arrays()
-        state.pop("heads.saliency.weight")
-        with pytest.raises(ConfigError):
-            model.load_state(state)
-
-    def test_load_state_copies_arrays(self):
-        cfg = tiny_config()
-        model = Model(cfg, seed=0)
-        state = {k: v.copy() for k, v in model.state_arrays().items()}
-        model.load_state(state)
-        state["heads.saliency.weight"][:] = 123.0
-        assert not np.any(model.named_parameters()["heads.saliency.weight"].tensor.data == 123.0)
 
     def test_zero_grad(self):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)

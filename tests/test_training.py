@@ -14,10 +14,9 @@ from momentspot.config import ConfigError, ModelConfig
 from momentspot.data import save_features
 from momentspot.fixtures import build_overfit_fixture
 from momentspot.metrics import MetricReport
-from momentspot.model import Model, Parameter, batch_loss, bundle_for
-from momentspot.training import (AdamW, clip_gradients,
-                                 evaluate_checkpoint, evaluate_model,
-                                 load_checkpoint, model_from_checkpoint,
+from momentspot.model import Model, ParamStore, Parameter, batch_loss, bundle_for
+from momentspot.training import (AdamW, clip_gradients, evaluate_checkpoint,
+                                 evaluate_model, model_from_checkpoint,
                                  save_checkpoint, split_dataset, train)
 from test_data import make_annotation
 
@@ -25,11 +24,28 @@ from conftest import tiny_config
 
 
 def make_params(rng, shapes):
-    out = {}
+    """A ParamStore of parameters p0, p1, ... with the given shapes, drawn from rng."""
+    store = ParamStore(None, arena=rng.normal(size=sum(math.prod(s) for s in shapes)))
     for i, shape in enumerate(shapes):
-        t = Tensor(rng.normal(size=shape), requires_grad=True)
-        out[f"p{i}"] = Parameter(name=f"p{i}", tensor=t)
-    return out
+        store.new(f"p{i}", shape, "zeros")  # with no rng the arena keeps its draws
+    return store
+
+
+def trailing_moments(path, model):
+    """The m and v blocks at the end of checkpoint `path`, as one flat array."""
+    arena = model.store.arena
+    return np.frombuffer(Path(path).read_bytes()[-2 * arena.nbytes:], dtype=arena.dtype)
+
+
+def rewrite_meta(path, edit):
+    """Apply edit(meta) to the JSON header of checkpoint `path`, keeping its payload."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    meta = json.loads(raw[12:12 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                     + raw[12 + meta_len:])
 
 
 class ShortWriter:
@@ -131,19 +147,10 @@ class TestAdamW:
         opt.step()
         np.testing.assert_allclose(params["p0"].tensor.data, before, atol=1e-15)
 
-    def test_state_round_trip(self, rng):
-        params = make_params(rng, [(3, 3)])
-        opt = AdamW(params, lr=0.01)
-        params["p0"].tensor.grad = rng.normal(size=(3, 3))
-        opt.step()
-        state = opt.state()
-        fresh = AdamW(params, lr=0.01)
-        fresh.load({"step": state["step"],
-                    "m": {k: v.copy() for k, v in state["m"].items()},
-                    "v": {k: v.copy() for k, v in state["v"].items()}})
-        assert fresh.step_count == 1
-        np.testing.assert_array_equal(fresh.m["p0"], opt.m["p0"])
-        np.testing.assert_array_equal(fresh.v["p0"], opt.v["p0"])
+    def test_rejects_a_plain_dict_of_parameters(self, rng):
+        t = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        with pytest.raises(TypeError, match="ParamStore"):
+            AdamW({"p0": Parameter(name="p0", tensor=t)}, lr=0.01)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_chunked_step_is_bitwise_the_whole_array_update(self, rng, monkeypatch, dtype):
@@ -168,17 +175,25 @@ class TestAdamW:
                 m[n] = b1 * m[n] + (1.0 - b1) * g
                 v[n] = b2 * v[n] + (1.0 - b2) * g * g
                 w[n] = w[n] - lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps) - lr * wd * w[n]
-                for got, want in ((p.tensor.data, w[n]), (opt.m[n], m[n]), (opt.v[n], v[n])):
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+                assert p.tensor.data.dtype == w[n].dtype
+                assert p.tensor.data.tobytes() == w[n].tobytes(), n
+            for got, want in ((opt.m_arena, m), (opt.v_arena, v)):
+                assert got.dtype == params.arena.dtype
+                assert got.tobytes() == b"".join(want[n].tobytes() for n in params)
 
 
 class TestWeightArena:
     @staticmethod
     def assert_views_of_the_arena(model):
-        arena = model.store.arena
-        datas = [p.tensor.data for p in model.named_parameters().values()]
-        assert all(np.shares_memory(d, arena) for d in datas)
+        store = model.named_parameters()
+        arena = store.arena
+        for name, p in store.items():
+            data = p.tensor.data
+            view = arena[store.offsets[name]:store.offsets[name] + data.size]
+            assert data.base is arena and data.ctypes.data == view.ctypes.data, name
+            assert data.size == view.size and data.flags.c_contiguous, name
         # registry order, back to back
+        datas = [p.tensor.data for p in store.values()]
         assert np.concatenate([d.ravel() for d in datas]).tobytes() == arena.tobytes()
 
     def test_parameters_stay_views_of_the_arena(self, tmp_path):
@@ -196,22 +211,17 @@ class TestWeightArena:
         self.assert_views_of_the_arena(model)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, optimizer=opt)
-        _, params, opt_state = load_checkpoint(path)
-
-        other = Model(cfg, seed=1)
-        other.load_state(params)
-        self.assert_views_of_the_arena(other)
-        assert other.store.arena.tobytes() == model.store.arena.tobytes()
-        other_opt = AdamW(other.named_parameters(), lr=1e-2)
-        other_opt.load(opt_state)
-        for moments, arena in ((other_opt.m, other_opt.m_arena), (other_opt.v, other_opt.v_arena)):
-            assert all(np.shares_memory(a, arena) for a in moments.values())
-        assert other_opt.m_arena.tobytes() == opt.m_arena.tobytes()
-        assert other_opt.v_arena.tobytes() == opt.v_arena.tobytes()
+        assert trailing_moments(path, model).tobytes() == \
+            opt.m_arena.tobytes() + opt.v_arena.tobytes()
 
         restored, _ = model_from_checkpoint(path)
         self.assert_views_of_the_arena(restored)
         assert restored.store.arena.tobytes() == model.store.arena.tobytes()
+        # the warm-start load: train(init_from=...) passes its own config, here float32
+        warm, _ = model_from_checkpoint(path, tiny_config(dtype="float32", encoder_layers=1,
+                                                          decoder_layers=1))
+        self.assert_views_of_the_arena(warm)
+        assert warm.store.arena.tobytes() == model.store.arena.astype(np.float32).tobytes()
 
         weight = model.named_parameters()["heads.saliency.weight"].tensor
         before = model.store.arena.copy()
@@ -245,13 +255,7 @@ class TestWeightArena:
         model = Model(tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1), seed=3)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack("<I", raw[8:12])
-        meta = json.loads(raw[12:12 + meta_len])
-        meta["config"]["dtype"] = "float64"  # the payload stays f32
-        meta_bytes = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
-                         + raw[12 + meta_len:])
+        rewrite_meta(path, lambda meta: meta["config"].update(dtype="float64"))  # payload stays f32
         restored, _ = model_from_checkpoint(path)
         assert restored.store.arena.dtype == np.float64
         assert restored.store.arena.tobytes() == model.store.arena.astype(np.float64).tobytes()
@@ -351,27 +355,29 @@ class TestCheckpoint:
         opt.step()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, optimizer=opt, epoch=3, best_metric=0.5)
-        meta, params, opt_state = load_checkpoint(path)
+        restored, meta = model_from_checkpoint(path)
         assert meta["epoch"] == 3
         assert meta["best_metric"] == 0.5
         assert meta["payload_dtype"] == "f64"
-        assert opt_state["step"] == 1
+        assert meta["has_optimizer"] and meta["optimizer_step"] == 1
+        params = restored.named_parameters()
         for name, p in model.named_parameters().items():
-            np.testing.assert_array_equal(params[name], p.tensor.data)
-            np.testing.assert_array_equal(opt_state["m"][name], opt.m[name])
-            np.testing.assert_array_equal(opt_state["v"][name], opt.v[name])
+            np.testing.assert_array_equal(params[name].tensor.data, p.tensor.data)
+        assert trailing_moments(path, model).tobytes() == \
+            opt.m_arena.tobytes() + opt.v_arena.tobytes()
 
     def test_round_trip_bitwise_float32(self, tmp_path):
         cfg = tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1)
         model = Model(cfg, seed=1)
         path = tmp_path / "model32.ckpt"
         save_checkpoint(path, model)
-        meta, params, opt_state = load_checkpoint(path)
+        restored, meta = model_from_checkpoint(path)
         assert meta["payload_dtype"] == "f32"
-        assert opt_state is None
+        assert meta["has_optimizer"] is False
+        params = restored.named_parameters()
         for name, p in model.named_parameters().items():
-            assert params[name].dtype == np.dtype("<f4")
-            np.testing.assert_array_equal(params[name], p.tensor.data)
+            assert params[name].tensor.data.dtype == np.dtype("<f4")
+            np.testing.assert_array_equal(params[name].tensor.data, p.tensor.data)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
@@ -408,9 +414,9 @@ class TestCheckpoint:
             for p in params.values():
                 p.tensor.grad = rng.normal(size=p.tensor.data.shape)
             opt.step()
-        groups = [{n: p.tensor.data for n, p in params.items()}]
+        blocks = [p.tensor.data for p in params.values()]
         if with_optimizer:
-            groups += [opt.m, opt.v]
+            blocks += [opt.m_arena, opt.v_arena]
         rng_state = np.random.default_rng(4).bit_generator.state
         path = tmp_path / "layout.ckpt"
         save_checkpoint(path, model, optimizer=opt, epoch=2, rng_state=rng_state,
@@ -425,8 +431,7 @@ class TestCheckpoint:
             "rng_state": rng_state,
             "best_metric": 0.25,
         }).encode("utf-8")
-        payload = b"".join(np.asarray(group[n], dtype=payload_dtype).tobytes()
-                           for group in groups for n in params)
+        payload = b"".join(np.asarray(block, dtype=payload_dtype).tobytes() for block in blocks)
         want = b"MSPT" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta + payload
         assert path.read_bytes() == want
 
@@ -441,7 +446,7 @@ class TestCheckpoint:
 
         def assert_intact(path, want):
             assert path.read_bytes() == want
-            load_checkpoint(path)
+            model_from_checkpoint(path)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
 
         with monkeypatch.context() as patch:
@@ -462,8 +467,8 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match="bad magic"):
+            model_from_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
@@ -472,8 +477,8 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
+            model_from_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
@@ -481,8 +486,23 @@ class TestCheckpoint:
         save_checkpoint(path, Model(cfg, seed=0))
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match="payload is"):
+            model_from_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["params", "config", "payload_dtype", "has_optimizer"])
+    def test_header_missing_a_key(self, tmp_path, key):
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
+        rewrite_meta(path, lambda meta: meta.pop(key))
+        with pytest.raises(ValueError, match=f"{path}: checkpoint metadata lacks {key}"):
+            model_from_checkpoint(path)
+
+    def test_header_with_an_unknown_payload_dtype(self, tmp_path):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
+        rewrite_meta(path, lambda meta: meta.update(payload_dtype="f16"))
+        with pytest.raises(ValueError, match=f"{path}: unknown payload dtype 'f16'"):
+            model_from_checkpoint(path)
 
 
 class TestSplit:
@@ -554,7 +574,7 @@ class TestTrainLoop:
         val_lines = [l for l in lines if l["split"] == "val"]
         assert len(val_lines) == 3
         assert all("map_avg" in l for l in val_lines)
-        meta, _, _ = load_checkpoint(tmp_path / "run" / "best.ckpt")
+        _, meta = model_from_checkpoint(tmp_path / "run" / "best.ckpt")
         assert meta["best_metric"] == pytest.approx(result.best_metric)
 
     def test_validation_writes_last_once_per_epoch_and_copies_it_to_best(self, tmp_path,
@@ -574,9 +594,9 @@ class TestTrainLoop:
         best_epoch = val_maps.index(result.best_metric)  # the first epoch to reach the best
         best = Path(result.best_checkpoint).read_bytes()
         assert best == snapshots[best_epoch + 1][1]  # snapshot 0 is the initial save
-        meta, _, _ = load_checkpoint(result.best_checkpoint)
+        _, meta = model_from_checkpoint(result.best_checkpoint)
         assert meta["epoch"] == best_epoch
-        meta, _, _ = load_checkpoint(result.last_checkpoint)
+        _, meta = model_from_checkpoint(result.last_checkpoint)
         assert meta["best_metric"] == result.best_metric
 
     def test_best_moves_to_the_first_epoch_reaching_the_top_score(self, tmp_path, monkeypatch):
@@ -597,10 +617,10 @@ class TestTrainLoop:
         result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
         assert len(snapshots) == 4  # the initial save, then one per epoch
         assert Path(result.best_checkpoint).read_bytes() == snapshots[2]  # after epoch 1
-        meta, _, _ = load_checkpoint(result.best_checkpoint)
+        _, meta = model_from_checkpoint(result.best_checkpoint)
         assert meta["epoch"] == 1 and meta["best_metric"] == 0.4
         assert result.best_metric == 0.4
-        meta, _, _ = load_checkpoint(result.last_checkpoint)
+        _, meta = model_from_checkpoint(result.last_checkpoint)
         assert meta["epoch"] == 2 and meta["best_metric"] == 0.4
 
     def test_eval_every_zero_validates_after_the_last_epoch(self, tmp_path):
@@ -622,10 +642,9 @@ class TestTrainLoop:
         r1 = train(cfg, toy_dataset(), tmp_path / "a", seed=3)
         r2 = train(cfg, toy_dataset(), tmp_path / "b", seed=3)
         assert r1.loss_trace == r2.loss_trace
-        _, p1, _ = load_checkpoint(r1.last_checkpoint)
-        _, p2, _ = load_checkpoint(r2.last_checkpoint)
-        for name in p1:
-            np.testing.assert_array_equal(p1[name], p2[name])
+        m1, _ = model_from_checkpoint(r1.last_checkpoint)
+        m2, _ = model_from_checkpoint(r2.last_checkpoint)
+        assert m1.store.arena.tobytes() == m2.store.arena.tobytes()
 
     def test_seed_changes_run(self, tmp_path):
         cfg = self.small_cfg(epochs=2)
@@ -664,7 +683,8 @@ class TestTrainLoop:
         result = train(cfg, toy_dataset(), tmp_path / "run", seed=0, init_from=path)
         assert readers[0].name == str(path)
         assert readers[0].count == path.stat().st_size - 2 * source.store.arena.nbytes
-        _, params, _ = load_checkpoint(result.last_checkpoint)
+        restored, _ = model_from_checkpoint(result.last_checkpoint)
+        params = restored.state_arrays()
         for name, arr in source.state_arrays().items():
             assert params[name].dtype == np.float32
             assert params[name].tobytes() == arr.astype(np.float32).tobytes()
@@ -683,8 +703,8 @@ class TestTrainLoop:
         assert result.diverged
         assert result.epochs_run < 25
         assert (tmp_path / "run" / "last.ckpt").exists()
-        meta, params, _ = load_checkpoint(tmp_path / "run" / "last.ckpt")
-        assert all(np.isfinite(arr).all() for arr in params.values())
+        restored, _ = model_from_checkpoint(tmp_path / "run" / "last.ckpt")
+        assert np.isfinite(restored.store.arena).all()
         lines = [json.loads(l) for l in open(result.log_path)]
         assert lines[-1].get("diverged") is True
         assert isinstance(lines[-1]["batch"], int) and lines[-1]["batch"] >= 0
@@ -698,9 +718,10 @@ class TestTrainLoop:
         assert result.diverged and result.epochs_run == 0
         best = Path(result.best_checkpoint).read_bytes()
         assert best == Path(result.last_checkpoint).read_bytes()
-        _, params, opt_state = load_checkpoint(result.best_checkpoint)
-        arrays = [*params.values(), *opt_state["m"].values(), *opt_state["v"].values()]
-        assert all(np.isfinite(arr).all() for arr in arrays)
+        restored, meta = model_from_checkpoint(result.best_checkpoint)
+        assert meta["has_optimizer"]
+        assert np.isfinite(restored.store.arena).all()
+        assert np.isfinite(trailing_moments(result.best_checkpoint, restored)).all()
 
     def test_each_checkpoint_is_written_once(self, tmp_path, monkeypatch):
         written = []
