@@ -45,8 +45,8 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         if arr.ndim > 3:
@@ -76,9 +76,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("item() on non-scalar tensor")
         return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data)
 
     # -- autodiff ------------------------------------------------------
 
@@ -120,40 +117,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _node(data, parents, backward_fn):
@@ -607,14 +575,17 @@ def log_softmax_rows(t):
     return sub(z, lse)
 
 
-def layer_norm(t, gamma, beta, eps=1e-5):
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(t, gamma, beta):
     """Per-row layer normalization over the last axis, as one node."""
     x = t.data
     if x.ndim not in (2, 3):
         raise ShapeError("layer_norm expects a rank-2 or rank-3 tensor")
     scale = 1.0 / x.shape[-1]
     centered = x - x.sum(axis=-1, keepdims=True) * scale
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + eps)
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + LAYER_NORM_EPS)
     xhat = centered * inv
     out_data = xhat * gamma.data + beta.data
 

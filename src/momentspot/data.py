@@ -246,19 +246,21 @@ def encode_item(ann, video_parts, text_parts, max_text_len, feature_dir=None):
 
     Precomputed files, when present under feature_dir, are named
     "<vid>.<kind>.vlft" for video parts and "qid<qid>.<kind>.vlft" for text
-    parts; missing files fall back to the pseudo encoder.
+    parts; missing files fall back to the pseudo encoder. A loaded file with
+    non-finite values is a ValueError naming the qid and the file; pseudo
+    features are finite by construction.
     """
     length = ann.num_clips
     vparts = []
     for kind, dim in video_parts:
-        arr = _maybe_load(feature_dir, f"{ann.vid}.{kind}.vlft", length, dim)
+        arr = _maybe_load(feature_dir, f"{ann.vid}.{kind}.vlft", length, dim, ann.qid)
         if arr is None:
             arr = pseudo_encode(kind, ann.vid, length, dim)
         vparts.append(arr)
     n_tok = text_token_count(ann.query, max_text_len)
     tparts = []
     for kind, dim in text_parts:
-        arr = _maybe_load(feature_dir, f"qid{ann.qid}.{kind}.vlft", n_tok, dim)
+        arr = _maybe_load(feature_dir, f"qid{ann.qid}.{kind}.vlft", n_tok, dim, ann.qid)
         if arr is None:
             arr = pseudo_encode(kind, ann.query, n_tok, dim)
         tparts.append(arr)
@@ -270,7 +272,7 @@ def encode_item(ann, video_parts, text_parts, max_text_len, feature_dir=None):
     )
 
 
-def _maybe_load(feature_dir, name, length, dim):
+def _maybe_load(feature_dir, name, length, dim, qid):
     if feature_dir is None:
         return None
     path = Path(feature_dir) / name
@@ -279,10 +281,15 @@ def _maybe_load(feature_dir, name, length, dim):
     arr = load_features(path)
     if arr.shape != (length, dim):
         raise ValueError(f"{path}: shape {arr.shape} does not match expected ({length}, {dim})")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"qid {qid}: {path} holds non-finite features")
     return arr
 
 
 # -- synthetic data generation ------------------------------------------------
+
+INTERVAL_LEN = 10.0  # seconds per captioned interval
+EMBED_DIM = 16  # width of default_embedder's vectors
 
 
 @dataclass
@@ -300,8 +307,8 @@ def _interval_frames(start, end):
     return [float(t) for t in ticks]
 
 
-def generate_synthetic(duration, captioner, embedder, interval_len=10.0):
-    """Tile [0, duration] into <= interval_len chunks and score frames against captions.
+def generate_synthetic(duration, captioner, embedder):
+    """Tile [0, duration] into <= INTERVAL_LEN chunks and score frames against captions.
 
     The representative frame of each interval (its middle 1 Hz tick) is
     captioned; every frame's saliency is the cosine between the caption
@@ -310,11 +317,11 @@ def generate_synthetic(duration, captioner, embedder, interval_len=10.0):
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    n = int(math.ceil(duration / interval_len))
+    n = int(math.ceil(duration / INTERVAL_LEN))
     records = []
     for i in range(n):
-        start = i * interval_len
-        end = min((i + 1) * interval_len, duration)
+        start = i * INTERVAL_LEN
+        end = min((i + 1) * INTERVAL_LEN, duration)
         frames = _interval_frames(start, end)
         caption = captioner(frames[len(frames) // 2])
         cap_vec = np.asarray(embedder(caption), dtype=np.float64)
@@ -340,12 +347,12 @@ def default_captioner(vid):
     return caption
 
 
-def default_embedder(vid, dim=16):
+def default_embedder(vid):
     """Embeds captions by their text and frames by (vid, floor(t)), both via sin-hash."""
     def embed(x):
         if isinstance(x, str):
-            return pseudo_encode("clip_t", x, 1, dim)[0]
-        return pseudo_encode("clip_v", f"{vid}@{int(math.floor(x))}", 1, dim)[0]
+            return pseudo_encode("clip_t", x, 1, EMBED_DIM)[0]
+        return pseudo_encode("clip_v", f"{vid}@{int(math.floor(x))}", 1, EMBED_DIM)[0]
     return embed
 
 

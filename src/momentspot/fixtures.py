@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ModelConfig
 from .data import (Annotation, clips_overlapping_windows, pseudo_encode,
                    save_features, text_token_count)
 
@@ -32,6 +33,8 @@ WINDOW_PROFILES = {
     15: (1, 1, 2, 2, 3, 3, 4, 4, 4, 3, 3, 2, 2, 1, 1),
 }
 PLANT_GAIN = 2.0
+N_ITEMS = 8
+N_CLIPS = 16
 
 
 def _window_span(i, n_clips):
@@ -56,25 +59,29 @@ def planted_video_features(vid, query, levels, video_dim, text_dim,
     return video
 
 
-def build_overfit_fixture(n_items=8, n_clips=16, clip_len=2.0, video_dim=24,
-                          text_dim=16, max_text_len=8, feature_dir=None):
-    """n_items single-window annotations over n_clips-clip toy videos.
+def build_overfit_fixture(feature_dir=None):
+    """N_ITEMS single-window annotations over N_CLIPS-clip toy videos, shaped
+    for ModelConfig.desk(): its clip length, video part, text width and
+    token limit.
 
     feature_dir, when given, receives the planted video features as vlft
     files keyed by vid (text features stay on the pseudo encoder). Without
     it the annotations still describe the same windows but training sees
     plain pseudo video features.
     """
+    cfg = ModelConfig.desk()
+    (video_kind, video_dim), = cfg.video_parts
+    clip_len = cfg.clip_len
     annotations = []
-    duration = n_clips * clip_len
+    duration = N_CLIPS * clip_len
     if feature_dir is not None:
         Path(feature_dir).mkdir(parents=True, exist_ok=True)
-    for i in range(n_items):
+    for i in range(N_ITEMS):
         vid = f"toy{i:02d}"
         query = f"find the highlighted moment number {i}"
-        start, length = _window_span(i, n_clips)
+        start, length = _window_span(i, N_CLIPS)
         window = [start * clip_len, (start + length) * clip_len]
-        levels = [0] * n_clips
+        levels = [0] * N_CLIPS
         for j, lv in enumerate(WINDOW_PROFILES[length]):
             levels[start + j] = lv
         ann = Annotation(
@@ -90,6 +97,6 @@ def build_overfit_fixture(n_items=8, n_clips=16, clip_len=2.0, video_dim=24,
         annotations.append(ann.validate())
         if feature_dir is not None:
             video = planted_video_features(vid, query, levels, video_dim,
-                                           text_dim, max_text_len)
-            save_features(Path(feature_dir) / f"{vid}.clip_v.vlft", video)
+                                           cfg.text_dim, cfg.max_text_len)
+            save_features(Path(feature_dir) / f"{vid}.{video_kind}.vlft", video)
     return annotations

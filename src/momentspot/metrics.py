@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .data import read_jsonl
 
+# QVHighlights' definitions: "Very Good" clips are the highlight positives and
+# mAP averages over IoU 0.5:0.05:0.95
 VERY_GOOD_LEVEL = 4
 DEFAULT_IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
@@ -114,12 +116,12 @@ def average_precision_detection(pred_windows, gt_windows, threshold):
     return ap
 
 
-def mean_ap(pred_windows_per_query, gt_windows_per_query, thresholds=DEFAULT_IOU_THRESHOLDS):
-    """mAP per IoU threshold plus their average; queries without gt are skipped."""
+def mean_ap(pred_windows_per_query, gt_windows_per_query):
+    """mAP at each of DEFAULT_IOU_THRESHOLDS plus their average; queries without gt are skipped."""
     if len(pred_windows_per_query) != len(gt_windows_per_query):
         raise ValueError("prediction/gt query counts differ")
     per_threshold = {}
-    for thr in thresholds:
+    for thr in DEFAULT_IOU_THRESHOLDS:
         aps = []
         for preds, gts in zip(pred_windows_per_query, gt_windows_per_query):
             ap = average_precision_detection(preds, gts, thr)
@@ -130,8 +132,8 @@ def mean_ap(pred_windows_per_query, gt_windows_per_query, thresholds=DEFAULT_IOU
     return per_threshold, avg
 
 
-def hit_at_1(pred_saliency_per_query, gt_levels_per_query, very_good=VERY_GOOD_LEVEL):
-    """Fraction of queries whose top-scored clip has gt level >= very_good."""
+def hit_at_1(pred_saliency_per_query, gt_levels_per_query):
+    """Fraction of queries whose top-scored clip has gt level >= VERY_GOOD_LEVEL."""
     if len(pred_saliency_per_query) != len(gt_levels_per_query):
         raise ValueError("prediction/gt query counts differ")
     if not gt_levels_per_query:
@@ -139,7 +141,7 @@ def hit_at_1(pred_saliency_per_query, gt_levels_per_query, very_good=VERY_GOOD_L
     hits = 0
     for scores, levels in zip(pred_saliency_per_query, gt_levels_per_query):
         top = _ranked_order(scores)[0]
-        if levels[top] >= very_good:
+        if levels[top] >= VERY_GOOD_LEVEL:
             hits += 1
     return hits / len(gt_levels_per_query)
 
@@ -162,13 +164,13 @@ def ranking_average_precision(scores, positives):
     return total / n_pos
 
 
-def hd_map(pred_saliency_per_query, gt_levels_per_query, very_good=VERY_GOOD_LEVEL):
-    """Mean ranking AP of predicted clip scores against level >= very_good clips."""
+def hd_map(pred_saliency_per_query, gt_levels_per_query):
+    """Mean ranking AP of predicted clip scores against level >= VERY_GOOD_LEVEL clips."""
     if len(pred_saliency_per_query) != len(gt_levels_per_query):
         raise ValueError("prediction/gt query counts differ")
     aps = []
     for scores, levels in zip(pred_saliency_per_query, gt_levels_per_query):
-        ap = ranking_average_precision(scores, [lv >= very_good for lv in levels])
+        ap = ranking_average_precision(scores, [lv >= VERY_GOOD_LEVEL for lv in levels])
         if ap is not None:
             aps.append(ap)
     return sum(aps) / len(aps) if aps else 0.0
@@ -205,16 +207,7 @@ class MetricReport:
     miou: float
 
     def to_dict(self):
-        return {
-            "r1_050": self.r1_050,
-            "r1_070": self.r1_070,
-            "map_050": self.map_050,
-            "map_075": self.map_075,
-            "map_avg": self.map_avg,
-            "hd_map": self.hd_map,
-            "hit_at_1": self.hit_at_1,
-            "miou": self.miou,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -67,9 +67,9 @@ class ParamStore(dict):
         self[name] = Parameter(name=name, tensor=t)
         return t
 
-    def linear(self, name, d_in, d_out, bias=True):
+    def linear(self, name, d_in, d_out):
         w = self.new(f"{name}.weight", (d_in, d_out), "xavier_uniform", fan=(d_in, d_out))
-        b = self.new(f"{name}.bias", (d_out,), "zeros") if bias else None
+        b = self.new(f"{name}.bias", (d_out,), "zeros")
         return w, b
 
     def conv(self, name, kernel, c_in, c_out):
@@ -361,5 +361,8 @@ def predict_item(model, bundle, ann):
 
 
 def bundle_for(ann, cfg, feature_dir=None):
+    """The item's feature bundle; a video longer than cfg.max_clips is a ConfigError."""
+    if ann.num_clips > cfg.max_clips:
+        raise ConfigError(f"qid {ann.qid}: {ann.num_clips} clips exceed max_clips={cfg.max_clips}")
     return encode_item(ann, cfg.video_parts, cfg.text_parts, cfg.max_text_len,
                        feature_dir=feature_dir)

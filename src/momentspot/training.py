@@ -22,6 +22,9 @@ CHECKPOINT_MAGIC = b"MSPT"
 CHECKPOINT_VERSION = 1
 
 
+# AdamW's standard moment decay rates and denominator guard (Loshchilov & Hutter)
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 # elements per AdamW chunk: a chunk's weights, moments and scratch stay in cache
 CHUNK = 1 << 16
 # elements per checkpoint write: one write of a whole 46 MB arena measured
@@ -39,15 +42,13 @@ class AdamW:
     (None counts as zeros) into scratch.
     """
 
-    def __init__(self, params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr, weight_decay=0.0):
         if not isinstance(params, ParamStore):
             raise TypeError(f"AdamW needs a ParamStore such as Model.named_parameters(), "
                             f"got {type(params).__name__}")
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         arena = params.arena
         self.m_arena = np.zeros_like(arena)
@@ -67,10 +68,10 @@ class AdamW:
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
-        lr, eps, decay = self.lr, self.eps, self.lr * self.weight_decay
+        lr, decay = self.lr, self.lr * self.weight_decay
         grads = [None if p.tensor.grad is None else p.tensor.grad.reshape(-1)
                  for p in self.params.values()]
         for w, m, v, pieces in self._chunks:
@@ -89,7 +90,7 @@ class AdamW:
             np.add(v, t, out=v)
             np.divide(v, bc2, out=t)
             np.sqrt(t, out=t)
-            np.add(t, eps, out=t)
+            np.add(t, EPS, out=t)
             u = g  # the gradient is spent; its row holds the step
             np.divide(m, bc1, out=u)
             np.multiply(u, lr, out=u)
@@ -116,7 +117,7 @@ def clip_gradients(params, max_norm):
 
 # -- checkpoint format ----------------------------------------------------------
 # magic "MSPT" | u32 version | u32 json_len | json metadata | raw little-endian
-# payload (params, then optimizer m and v in the same order). The payload dtype
+# payload (params, then AdamW's m and v in the same layout). The payload dtype
 # is the arena's, tagged f32 or f64 in the metadata. Every checkpoint file is
 # written through _write_atomic, so a run killed mid-write leaves the previous
 # file whole.
@@ -142,8 +143,10 @@ def _write_atomic(path, write):
     return path
 
 
-def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None, best_metric=None):
+def save_checkpoint(path, model, optimizer, epoch=0, rng_state=None, best_metric=None):
     params = model.named_parameters()
+    if optimizer.m_arena.size != params.arena.size:
+        raise ValueError("the optimizer does not cover the model's parameters")
     tag = f"f{8 * params.arena.itemsize}"
     payload_dtype = PAYLOAD_DTYPES[tag]
     meta = {
@@ -151,16 +154,11 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None, best_m
         "epoch": int(epoch),
         "payload_dtype": tag,
         "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
-        "has_optimizer": optimizer is not None,
-        "optimizer_step": optimizer.step_count if optimizer is not None else 0,
+        "optimizer_step": optimizer.step_count,
         "rng_state": rng_state,
         "best_metric": best_metric,
     }
-    blocks = [params.arena]
-    if optimizer is not None:
-        if optimizer.m_arena.size != params.arena.size:
-            raise ValueError("the optimizer does not cover the model's parameters")
-        blocks += [optimizer.m_arena, optimizer.v_arena]
+    blocks = (params.arena, optimizer.m_arena, optimizer.v_arena)
     meta_bytes = json.dumps(meta).encode("utf-8")
 
     def write(fh):
@@ -182,12 +180,22 @@ def _copy_checkpoint(src, dst):
         _write_atomic(dst, lambda fdst: shutil.copyfileobj(fsrc, fdst))
 
 
+def _is_param_entry(entry):
+    """True for a params entry: an object with a string name and a shape of non-negative ints."""
+    if not isinstance(entry, dict):
+        return False
+    shape = entry.get("shape")
+    return (isinstance(entry.get("name"), str) and isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape))
+
+
 def _read_head(fh, path):
     """Reads the header; returns (meta, payload dtype).
 
-    Checks the magic, the version, the metadata keys a load needs, the payload
-    dtype tag and that the rest of the file is exactly the payload the
-    metadata describes.
+    Checks the magic, the version, that the metadata is a JSON object with
+    the keys a load needs, the params entries, the payload dtype tag and
+    that the rest of the file is exactly the params, m and v blocks the
+    metadata describes. Any failure is a ValueError naming path.
     """
     head = fh.read(12)
     if len(head) != 12 or head[:4] != CHECKPOINT_MAGIC:
@@ -195,16 +203,24 @@ def _read_head(fh, path):
     version, meta_len = struct.unpack("<II", head[4:])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    meta = json.loads(fh.read(meta_len).decode("utf-8"))
-    missing = [key for key in ("config", "params", "payload_dtype", "has_optimizer")
-               if key not in meta]
+    try:
+        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"{path}: checkpoint metadata is not UTF-8 JSON ({err})") from err
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint metadata is not a JSON object "
+                         f"(got {type(meta).__name__})")
+    missing = [key for key in ("config", "params", "payload_dtype") if key not in meta]
     if missing:
         raise ValueError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+    entries = meta["params"]
+    if not (isinstance(entries, list) and all(_is_param_entry(e) for e in entries)):
+        raise ValueError(f"{path}: each params entry needs a string name and a shape "
+                         f"of non-negative ints")
     if meta["payload_dtype"] not in PAYLOAD_DTYPES:
         raise ValueError(f"{path}: unknown payload dtype {meta['payload_dtype']!r}")
     dtype = np.dtype(PAYLOAD_DTYPES[meta["payload_dtype"]])
-    count = sum(math.prod(entry["shape"]) for entry in meta["params"])
-    expected = (3 if meta["has_optimizer"] else 1) * count * dtype.itemsize
+    expected = 3 * sum(math.prod(e["shape"]) for e in entries) * dtype.itemsize
     actual = os.fstat(fh.fileno()).st_size - fh.tell()
     if actual != expected:
         raise ValueError(f"{path}: payload is {actual} bytes, expected {expected}")
@@ -261,30 +277,12 @@ def split_dataset(annotations, val_fraction, seed):
     return train, val
 
 
-def _checked_bundles(annotations, cfg, feature_dir=None):
-    """bundle_for over a dataset, rejecting items the model cannot run.
-
-    A video longer than max_clips raises ConfigError and non-finite video or
-    text features raise ValueError, each naming the item's qid.
-    """
-    bundles = []
-    for ann in annotations:
-        bundle = bundle_for(ann, cfg, feature_dir)
-        clips = bundle.video.shape[0]
-        if clips > cfg.max_clips:
-            raise ConfigError(f"qid {ann.qid}: {clips} clips exceed max_clips={cfg.max_clips}")
-        if not (np.isfinite(bundle.video).all() and np.isfinite(bundle.text).all()):
-            raise ValueError(f"qid {ann.qid}: non-finite video or text features")
-        bundles.append(bundle)
-    return bundles
-
-
 def evaluate_model(model, annotations, feature_dir=None, bundles=None):
     """Eval-mode predictions and the full metric report for a dataset."""
     if not annotations:
         raise ValueError("evaluate on an empty dataset")
     if bundles is None:
-        bundles = _checked_bundles(annotations, model.cfg, feature_dir)
+        bundles = [bundle_for(a, model.cfg, feature_dir) for a in annotations]
     predictions = [predict_item(model, b, a) for b, a in zip(bundles, annotations)]
     return compute_report(predictions, annotations), predictions
 
@@ -293,8 +291,9 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
           feature_dir=None, quiet=True):
     """Run the full training loop; writes last/best checkpoints and a jsonl log.
 
-    Every item is bundled and checked (see _checked_bundles), and the training
-    split must be non-empty, before anything is written. Validation runs every
+    Every item is bundled, which rejects an item the model cannot run (see
+    bundle_for and data.encode_item), and the training split must be
+    non-empty, before anything is written. Validation runs every
     cfg.eval_every epochs (0: after the last epoch only). last.ckpt is written
     at the start and after each epoch's validation, with the best validation
     mAP so far as best_metric; best.ckpt is its byte copy from the epoch that
@@ -324,8 +323,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
         model, _ = model_from_checkpoint(init_from, cfg)
     optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([seed, 2])
-    train_bundles = _checked_bundles(train_set, cfg, feature_dir)
-    val_bundles = _checked_bundles(val_set, cfg, feature_dir)
+    train_bundles = [bundle_for(a, cfg, feature_dir) for a in train_set]
+    val_bundles = [bundle_for(a, cfg, feature_dir) for a in val_set]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl"

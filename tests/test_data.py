@@ -16,7 +16,9 @@ from momentspot.data import (Annotation, ParseError,
                              pseudo_encode, records_to_annotations,
                              save_dataset, save_features, stable_hash,
                              synthetic_level, text_token_count)
-from momentspot.fixtures import build_overfit_fixture
+from momentspot.config import ModelConfig
+from momentspot.fixtures import build_overfit_fixture, planted_video_features
+from momentspot.model import bundle_for
 
 
 def make_annotation(**overrides):
@@ -267,6 +269,14 @@ class TestEncodeItem:
         with pytest.raises(ValueError):
             encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, feature_dir=tmp_path)
 
+    def test_non_finite_file_is_an_error_naming_qid_and_file(self, tmp_path):
+        ann = make_annotation()
+        feats = np.ones((4, 5))  # qid 3's query has 4 tokens
+        feats[1, 2] = np.nan
+        save_features(tmp_path / "qid3.clip_t.vlft", feats)
+        with pytest.raises(ValueError, match=r"qid 3: .*qid3\.clip_t\.vlft holds non-finite"):
+            encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, feature_dir=tmp_path)
+
 
 class TestSyntheticGeneration:
     def test_interval_count_formula(self):
@@ -375,7 +385,18 @@ class TestManifest:
 class TestOverfitFixture:
     def test_feature_dir_is_created(self, tmp_path):
         feature_dir = tmp_path / "missing" / "features"
-        anns = build_overfit_fixture(n_items=2, feature_dir=feature_dir)
+        anns = build_overfit_fixture(feature_dir=feature_dir)[:2]
+        # the fixture is shaped for the desk preset: clip length, video part,
+        # text width and token limit
+        cfg = ModelConfig.desk()
+        (kind, dim), = cfg.video_parts
         for ann in anns:
-            video = load_features(feature_dir / f"{ann.vid}.clip_v.vlft")
-            assert video.shape[0] == ann.num_clips
+            video = load_features(feature_dir / f"{ann.vid}.{kind}.vlft")
+            assert ann.clip_len == cfg.clip_len
+            assert video.shape == (ann.num_clips, dim)
+            want = planted_video_features(ann.vid, ann.query, ann.saliency_levels, dim,
+                                          cfg.text_dim, cfg.max_text_len)
+            assert video.tobytes() == want.astype("<f4").astype(np.float64).tobytes()
+            bundle = bundle_for(ann, cfg, feature_dir)
+            assert bundle.text.shape == (text_token_count(ann.query, cfg.max_text_len),
+                                         cfg.text_dim)

@@ -291,8 +291,8 @@ class TestMeanIoUAndReport:
         assert report.hd_map == 1.0  # single level-4 clip (id 4) is top scored
         assert report.hit_at_1 == 1.0
         assert report.miou == 1.0
-        assert set(report.to_dict()) == {"r1_050", "r1_070", "map_050", "map_075",
-                                         "map_avg", "hd_map", "hit_at_1", "miou"}
+        assert list(report.to_dict()) == ["r1_050", "r1_070", "map_050", "map_075",
+                                          "map_avg", "hd_map", "hit_at_1", "miou"]
         path = tmp_path / "preds.jsonl"
         save_predictions([pred], path)
         back = load_predictions(path)

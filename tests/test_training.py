@@ -37,15 +37,68 @@ def trailing_moments(path, model):
     return np.frombuffer(Path(path).read_bytes()[-2 * arena.nbytes:], dtype=arena.dtype)
 
 
-def rewrite_meta(path, edit):
-    """Apply edit(meta) to the JSON header of checkpoint `path`, keeping its payload."""
+def save_with_fresh_adamw(path, model, **kwargs):
+    """save_checkpoint with a new AdamW over the model: zero moments, step 0."""
+    return save_checkpoint(path, model, AdamW(model.named_parameters(), lr=1e-3), **kwargs)
+
+
+def read_meta(path):
+    """The JSON header of checkpoint `path`."""
     raw = path.read_bytes()
     (meta_len,) = struct.unpack("<I", raw[8:12])
-    meta = json.loads(raw[12:12 + meta_len])
-    edit(meta)
-    meta_bytes = json.dumps(meta).encode("utf-8")
+    return json.loads(raw[12:12 + meta_len])
+
+
+def replace_header(path, meta_bytes):
+    """Put meta_bytes in place of checkpoint `path`'s JSON header, keeping its payload."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[8:12])
     path.write_bytes(raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
                      + raw[12 + meta_len:])
+
+
+def rewrite_meta(path, edit):
+    """Apply edit(meta) to the JSON header of checkpoint `path`, keeping its payload."""
+    meta = read_meta(path)
+    edit(meta)
+    replace_header(path, json.dumps(meta).encode("utf-8"))
+
+
+def edited(edit):
+    """A header maker for replace_header: the JSON of meta after edit(meta)."""
+    def header(meta):
+        edit(meta)
+        return json.dumps(meta).encode("utf-8")
+    return header
+
+
+ENTRY_MESSAGE = "each params entry needs a string name and a shape of non-negative ints"
+MALFORMED_HEADERS = [
+    pytest.param(edited(lambda meta: meta.pop("config")),
+                 "checkpoint metadata lacks config", id="config"),
+    pytest.param(edited(lambda meta: meta.pop("params")),
+                 "checkpoint metadata lacks params", id="params"),
+    pytest.param(edited(lambda meta: meta.pop("payload_dtype")),
+                 "checkpoint metadata lacks payload_dtype", id="payload_dtype"),
+    pytest.param(lambda meta: b"7", "checkpoint metadata is not a JSON object",
+                 id="not-an-object"),
+    pytest.param(lambda meta: b'{"config": ', "checkpoint metadata is not UTF-8 JSON",
+                 id="not-json"),
+    pytest.param(lambda meta: b'"\xff"', "checkpoint metadata is not UTF-8 JSON",
+                 id="not-utf8"),
+    pytest.param(edited(lambda meta: meta.update(params=7)), ENTRY_MESSAGE,
+                 id="params-not-a-list"),
+    pytest.param(edited(lambda meta: meta["params"].__setitem__(0, ["w", [2]])), ENTRY_MESSAGE,
+                 id="entry-not-an-object"),
+    pytest.param(edited(lambda meta: meta["params"][0].pop("shape")), ENTRY_MESSAGE,
+                 id="entry-without-shape"),
+    pytest.param(edited(lambda meta: meta["params"][0].update(name=3)), ENTRY_MESSAGE,
+                 id="entry-name-not-a-string"),
+    pytest.param(edited(lambda meta: meta["params"][-1].update(shape=[-1, 2])), ENTRY_MESSAGE,
+                 id="negative-dim"),
+    pytest.param(edited(lambda meta: meta["params"][-1].update(shape=[2.0])), ENTRY_MESSAGE,
+                 id="float-dim"),
+]
 
 
 class ShortWriter:
@@ -101,7 +154,7 @@ class TestAdamW:
         for n, p in params.items():
             p.tensor.grad = grads[n].copy()
         lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
-        opt = AdamW(params, lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        opt = AdamW(params, lr=lr, weight_decay=wd)
         opt.step()
         for n in params:
             g = grads[n]
@@ -115,7 +168,7 @@ class TestAdamW:
     def test_two_steps_matches_oracle(self, rng):
         params = make_params(rng, [(5,)])
         lr, wd, b1, b2, eps = 0.05, 0.01, 0.9, 0.999, 1e-8
-        opt = AdamW(params, lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        opt = AdamW(params, lr=lr, weight_decay=wd)
         p = params["p0"].tensor
         ref = p.data.copy()
         m = np.zeros_like(ref)
@@ -158,7 +211,7 @@ class TestAdamW:
         params = Model(tiny_config(dtype=dtype, encoder_layers=1, decoder_layers=1),
                        seed=0).named_parameters()
         lr, wd, (b1, b2), eps = 1e-2, 0.1, (0.9, 0.999), 1e-8
-        opt = AdamW(params, lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        opt = AdamW(params, lr=lr, weight_decay=wd)
         assert len(opt._chunks) > len(params) / 2
         w = {n: p.tensor.data.copy() for n, p in params.items()}
         m = {n: np.zeros_like(a) for n, a in w.items()}
@@ -254,7 +307,7 @@ class TestWeightArena:
     def test_payload_dtype_other_than_the_config_dtype_is_cast(self, tmp_path):
         model = Model(tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1), seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model)
+        save_with_fresh_adamw(path, model)
         rewrite_meta(path, lambda meta: meta["config"].update(dtype="float64"))  # payload stays f32
         restored, _ = model_from_checkpoint(path)
         assert restored.store.arena.dtype == np.float64
@@ -264,7 +317,7 @@ class TestWeightArena:
     def test_short_read_of_the_params_block_is_an_error(self, tmp_path, monkeypatch):
         model = Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model)
+        save_with_fresh_adamw(path, model)
 
         class ShortReader(CountingReader):
             def readinto(self, buf):
@@ -359,7 +412,7 @@ class TestCheckpoint:
         assert meta["epoch"] == 3
         assert meta["best_metric"] == 0.5
         assert meta["payload_dtype"] == "f64"
-        assert meta["has_optimizer"] and meta["optimizer_step"] == 1
+        assert meta["optimizer_step"] == 1
         params = restored.named_parameters()
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(params[name].tensor.data, p.tensor.data)
@@ -370,10 +423,10 @@ class TestCheckpoint:
         cfg = tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1)
         model = Model(cfg, seed=1)
         path = tmp_path / "model32.ckpt"
-        save_checkpoint(path, model)
+        save_with_fresh_adamw(path, model)
         restored, meta = model_from_checkpoint(path)
         assert meta["payload_dtype"] == "f32"
-        assert meta["has_optimizer"] is False
+        assert meta["optimizer_step"] == 0
         params = restored.named_parameters()
         for name, p in model.named_parameters().items():
             assert params[name].tensor.data.dtype == np.dtype("<f4")
@@ -383,8 +436,8 @@ class TestCheckpoint:
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
         model = Model(cfg, seed=2)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(a, model, epoch=1)
-        save_checkpoint(b, model, epoch=1)
+        save_with_fresh_adamw(a, model, epoch=1)
+        save_with_fresh_adamw(b, model, epoch=1)
         assert a.read_bytes() == b.read_bytes()
 
     def test_model_from_checkpoint_reproduces_outputs(self, tmp_path):
@@ -394,29 +447,26 @@ class TestCheckpoint:
         bundle = bundle_for(ann, cfg)
         want = model.forward(bundle).predictions.saliency.data
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model)
+        save_with_fresh_adamw(path, model)
         restored, meta = model_from_checkpoint(path)
         assert restored.cfg == cfg
         got = restored.forward(bundle).predictions.saliency.data
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("dtype, with_optimizer, payload_dtype, tag", [
+    @pytest.mark.parametrize("dtype, stepped, payload_dtype, tag", [
         ("float64", True, "<f8", "f64"),
         ("float32", False, "<f4", "f32"),
     ])
-    def test_byte_layout(self, tmp_path, rng, dtype, with_optimizer, payload_dtype, tag):
+    def test_byte_layout(self, tmp_path, rng, dtype, stepped, payload_dtype, tag):
         cfg = tiny_config(dtype=dtype, encoder_layers=1, decoder_layers=1)
         model = Model(cfg, seed=5)
         params = model.named_parameters()
-        opt = None
-        if with_optimizer:
-            opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        if stepped:
             for p in params.values():
                 p.tensor.grad = rng.normal(size=p.tensor.data.shape)
             opt.step()
-        blocks = [p.tensor.data for p in params.values()]
-        if with_optimizer:
-            blocks += [opt.m_arena, opt.v_arena]
+        blocks = [p.tensor.data for p in params.values()] + [opt.m_arena, opt.v_arena]
         rng_state = np.random.default_rng(4).bit_generator.state
         path = tmp_path / "layout.ckpt"
         save_checkpoint(path, model, optimizer=opt, epoch=2, rng_state=rng_state,
@@ -426,8 +476,7 @@ class TestCheckpoint:
             "epoch": 2,
             "payload_dtype": tag,
             "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
-            "has_optimizer": with_optimizer,
-            "optimizer_step": 1 if with_optimizer else 0,
+            "optimizer_step": 1 if stepped else 0,
             "rng_state": rng_state,
             "best_metric": 0.25,
         }).encode("utf-8")
@@ -438,7 +487,7 @@ class TestCheckpoint:
     def test_interrupted_writes_keep_previous_files(self, tmp_path, monkeypatch):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
         last, best = tmp_path / "last.ckpt", tmp_path / "best.ckpt"
-        save_checkpoint(last, Model(cfg, seed=0))
+        save_with_fresh_adamw(last, Model(cfg, seed=0))
         best.write_bytes(last.read_bytes())
         old = last.read_bytes()
         header = 12 + struct.unpack("<I", old[8:12])[0]
@@ -452,9 +501,9 @@ class TestCheckpoint:
         with monkeypatch.context() as patch:
             short_writes(patch, budget)
             with pytest.raises(OSError):
-                save_checkpoint(last, Model(cfg, seed=1))
+                save_with_fresh_adamw(last, Model(cfg, seed=1))
         assert_intact(last, old)
-        save_checkpoint(last, Model(cfg, seed=1))
+        save_with_fresh_adamw(last, Model(cfg, seed=1))
         new = last.read_bytes()
         assert new != old
         with monkeypatch.context() as patch:
@@ -473,7 +522,7 @@ class TestCheckpoint:
     def test_bad_version(self, tmp_path):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
         path = tmp_path / "v.ckpt"
-        save_checkpoint(path, Model(cfg, seed=0))
+        save_with_fresh_adamw(path, Model(cfg, seed=0))
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
@@ -483,23 +532,43 @@ class TestCheckpoint:
     def test_truncated_payload(self, tmp_path):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
         path = tmp_path / "t.ckpt"
-        save_checkpoint(path, Model(cfg, seed=0))
+        save_with_fresh_adamw(path, Model(cfg, seed=0))
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(ValueError, match="payload is"):
             model_from_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["params", "config", "payload_dtype", "has_optimizer"])
-    def test_header_missing_a_key(self, tmp_path, key):
+    @pytest.mark.parametrize("header, message", MALFORMED_HEADERS)
+    def test_header_missing_a_key(self, tmp_path, header, message):
         path = tmp_path / "k.ckpt"
-        save_checkpoint(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
-        rewrite_meta(path, lambda meta: meta.pop(key))
-        with pytest.raises(ValueError, match=f"{path}: checkpoint metadata lacks {key}"):
+        save_with_fresh_adamw(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
+        replace_header(path, header(read_meta(path)))
+        with pytest.raises(ValueError, match=f"{path}: {message}"):
             model_from_checkpoint(path)
+
+    def test_has_optimizer_is_neither_written_nor_required(self, tmp_path):
+        model = Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0)
+        path = tmp_path / "h.ckpt"
+        save_with_fresh_adamw(path, model)
+        assert "has_optimizer" not in read_meta(path)
+        # files from before the key was dropped carry it, always true
+        rewrite_meta(path, lambda meta: meta.update(has_optimizer=True))
+        restored, _ = model_from_checkpoint(path)
+        assert restored.store.arena.tobytes() == model.store.arena.tobytes()
+        # a params-only payload is not a checkpoint
+        path.write_bytes(path.read_bytes()[:-2 * model.store.arena.nbytes])
+        with pytest.raises(ValueError, match="payload is"):
+            model_from_checkpoint(path)
+
+    def test_save_needs_an_optimizer(self, tmp_path):
+        path = tmp_path / "o.ckpt"
+        with pytest.raises(TypeError):
+            save_checkpoint(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
+        assert not path.exists()
 
     def test_header_with_an_unknown_payload_dtype(self, tmp_path):
         path = tmp_path / "d.ckpt"
-        save_checkpoint(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
+        save_with_fresh_adamw(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
         rewrite_meta(path, lambda meta: meta.update(payload_dtype="f16"))
         with pytest.raises(ValueError, match=f"{path}: unknown payload dtype 'f16'"):
             model_from_checkpoint(path)
@@ -691,7 +760,7 @@ class TestTrainLoop:
 
     def test_warm_start_from_another_layout_is_rejected(self, tmp_path):
         path = tmp_path / "source.ckpt"
-        save_checkpoint(path, Model(self.small_cfg(), seed=4))
+        save_with_fresh_adamw(path, Model(self.small_cfg(), seed=4))
         with pytest.raises(ConfigError, match="parameter layout"):
             train(self.small_cfg(hidden_dim=8), toy_dataset(), tmp_path / "run", seed=0,
                   init_from=path)
@@ -718,8 +787,7 @@ class TestTrainLoop:
         assert result.diverged and result.epochs_run == 0
         best = Path(result.best_checkpoint).read_bytes()
         assert best == Path(result.last_checkpoint).read_bytes()
-        restored, meta = model_from_checkpoint(result.best_checkpoint)
-        assert meta["has_optimizer"]
+        restored, _ = model_from_checkpoint(result.best_checkpoint)
         assert np.isfinite(restored.store.arena).all()
         assert np.isfinite(trailing_moments(result.best_checkpoint, restored)).all()
 
