@@ -17,9 +17,19 @@ the failed/attempted operation counts, and, per metric, the pairs the change
 won and the ratio of the medians. It also records the env line, both git
 shas and the seeds. Run it on an otherwise idle machine: the two sides of a
 pair share the host, not its load.
+
+Absolute numbers do not carry across records (the host's speed drifts
+between sessions), so each workload also gets a `trajectory`: per metric,
+the product of the change_over_parent ratios of every earlier
+BENCH_<n>.json at the repo root (numbered below the output file) and of
+its own, that is, the change against the first recorded parent, chained
+through paired ratios only. A record without the workload or metric
+counts as 1.
 """
 import argparse
 import json
+import math
+import re
 import statistics
 import subprocess
 import sys
@@ -30,6 +40,7 @@ SEEDS = tuple(range(1801, 1821))
 # the run length every BENCH_<n>.json is recorded at, so records compare
 SECONDS = 36
 SIDES = ("parent", "change")
+BENCH_NAME = re.compile(r"BENCH_(\d+)\.json")
 
 
 def git_state(tree):
@@ -92,6 +103,22 @@ def record(trees, workload, seeds, better):
     return out
 
 
+def earlier_records(out):
+    """The BENCH_<n>.json documents at the repo root numbered below out's n, in order."""
+    match = BENCH_NAME.fullmatch(Path(out).name)
+    limit = int(match.group(1)) if match else math.inf
+    numbered = [(int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
+                if (m := BENCH_NAME.fullmatch(path.name))]
+    return [json.loads(path.read_text()) for n, path in sorted(numbered) if n < limit]
+
+
+def trajectory(records, workload, ratios):
+    """Per metric: the product of the records' change_over_parent for workload and ratios."""
+    earlier = [doc["workloads"].get(workload, {}).get("change_over_parent", {}) for doc in records]
+    return {name: math.prod(r.get(name, 1.0) for r in earlier) * ratio
+            for name, ratio in ratios.items()}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -104,9 +131,12 @@ def main():
     doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
            "git": {side: dict(zip(("sha", "dirty"), git_state(trees[side]))) for side in SIDES},
            "workloads": {}}
+    earlier = earlier_records(args.out)
     for item in args.workload:
         name, pairs = item.split(":")
-        doc["workloads"][name] = record(trees, name, SEEDS[:int(pairs)], better)
+        result = record(trees, name, SEEDS[:int(pairs)], better)
+        result["trajectory"] = trajectory(earlier, name, result["change_over_parent"])
+        doc["workloads"][name] = result
         (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -80,7 +80,10 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def zero_grad(self):
-        self.grad = None
+        if self.grad is not None and self._backward_fn is None:
+            self.grad.fill(0.0)  # a leaf keeps its buffer
+        else:
+            self.grad = None
 
     def backward(self, grad=None):
         if grad is None:
@@ -137,9 +140,16 @@ def _node(data, parents, backward_fn):
 
 
 def _accumulate(t, g):
+    """Add g into t.grad. A leaf owns its buffer (a parameter's is its view of
+    the grad arena): it copies the first g, adds later ones in place."""
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if t._backward_fn is not None:
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.grad is None:
+        t.grad = np.array(g)
+    else:
+        t.grad += g
 
 
 def as_tensor(x, like=None):

@@ -29,6 +29,27 @@ class LossWeights:
     background_weight: float = 0.1
 
 
+# the JSON types from_dict accepts per field annotation; parts are [kind, dim] pairs
+JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+              "tuple": (list, tuple), "LossWeights": (dict,)}
+
+
+def _checked_fields(cls, d, what):
+    """A copy of d once it is a dict of cls's fields, each of its field's JSON type."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {type(d).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in d.items():
+        if key not in types:
+            raise ConfigError(f"unknown {what} field {key!r}")
+        ok = type(value) in JSON_TYPES[types[key]]
+        if ok and types[key] == "tuple":
+            ok = all(type(p) in (list, tuple) and list(map(type, p)) == [str, int] for p in value)
+        if not ok:
+            raise ConfigError(f"{what} field {key} has the wrong type: {value!r}")
+    return dict(d)
+
+
 @dataclass
 class ModelConfig:
     hidden_dim: int = 256
@@ -147,21 +168,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "weights" in d and isinstance(d["weights"], dict):
-            wknown = {f.name for f in dataclasses.fields(LossWeights)}
-            wunknown = set(d["weights"]) - wknown
-            if wunknown:
-                raise ConfigError(f"unknown loss weight fields: {sorted(wunknown)}")
-            d["weights"] = LossWeights(**d["weights"])
-        for key in ("video_parts", "text_parts"):
-            if key in d:
-                d[key] = tuple((k, int(dim)) for k, dim in d[key])
-        return cls(**d)
+        """A JSON object as to_dict() gives; a field of the wrong type is a ConfigError."""
+        d = _checked_fields(cls, d, "config")
+        if "weights" in d:
+            d["weights"] = LossWeights(**_checked_fields(LossWeights, d["weights"], "weights"))
+        return cls(**d)  # __post_init__ makes the parts tuples
 
     @classmethod
     def from_json(cls, path):

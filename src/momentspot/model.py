@@ -30,21 +30,23 @@ class Parameter:
 
 
 class ParamStore(dict):
-    """Flat name -> Parameter registry over one contiguous weight arena.
+    """Flat name -> Parameter registry over one contiguous weight arena and
+    one gradient arena laid out like it.
 
-    Every parameter's data is the reshaped view arena[offsets[name]:...],
-    laid out back to back in registry order; nothing may rebind a
-    parameter's .data, or it silently stops aliasing the arena. With `arena`
-    None the store only sizes the layout. With `rng` None the seeded init is
-    skipped and the arena keeps the caller's values.
+    Every parameter's .data and .grad are reshaped views, at the same place,
+    of `arena` and `grad_arena`, back to back in registry order; nothing may
+    rebind a parameter's .data or .grad, or it silently stops aliasing its
+    arena. With `arena` None the store only sizes the layout. With `rng`
+    None the seeded init is skipped and the arena keeps the caller's values.
     """
 
     def __init__(self, rng, arena=None):
         super().__init__()
         self.rng = rng
         self.arena = arena
+        # np.zeros, not zeros_like, which writes every byte up front
+        self.grad_arena = None if arena is None else np.zeros(arena.shape, arena.dtype)
         self.size = 0
-        self.offsets = {}
 
     def new(self, name, shape, init, fan=None):
         start, self.size = self.size, self.size + math.prod(shape)
@@ -63,7 +65,7 @@ class ParamStore(dict):
         # Tensor's finiteness scan, a fifth of building a model
         t = _node(data, (), None)
         t.requires_grad = True
-        self.offsets[name] = start
+        t.grad = self.grad_arena[start:self.size].reshape(shape)
         self[name] = Parameter(name=name, tensor=t)
         return t
 
@@ -206,7 +208,7 @@ def _build(store, cfg):
 
 
 class Model:
-    """The parameters (one arena, see ParamStore) and the forward pass.
+    """The parameters (weight and gradient arenas, see ParamStore) and the forward pass.
 
     seed=None skips the random init: the weights start at zero for a
     checkpoint load to fill.
@@ -221,12 +223,11 @@ class Model:
         return self.store.arena.dtype
 
     def named_parameters(self):
-        """The ParamStore: name -> Parameter, plus the arena and each name's offset."""
+        """The ParamStore: name -> Parameter, plus the weight and gradient arenas."""
         return self.store
 
     def zero_grad(self):
-        for p in self.store.values():
-            p.tensor.zero_grad()
+        self.store.grad_arena.fill(0.0)
 
     def state_arrays(self):
         return {name: p.tensor.data for name, p in self.store.items()}

@@ -6,7 +6,6 @@ import math
 import os
 import shutil
 import struct
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -37,33 +36,25 @@ class AdamW:
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p.
 
     `params` is a model's ParamStore. The moments m and v are two flat arenas
-    laid out like its weight arena. step() updates weights and moments in
-    place, CHUNK elements at a time, gathering each chunk's leaf gradients
-    (None counts as zeros) into scratch.
+    laid out like its weight and gradient arenas. step() updates weights and
+    moments in place, CHUNK elements at a time: a chunk is the same slice of
+    the four arenas, and two scratch rows hold its intermediates, so the
+    gradients are left as backward and clipping made them.
     """
 
     def __init__(self, params, lr, weight_decay=0.0):
         if not isinstance(params, ParamStore):
             raise TypeError(f"AdamW needs a ParamStore such as Model.named_parameters(), "
                             f"got {type(params).__name__}")
-        self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
         arena = params.arena
         self.m_arena = np.zeros_like(arena)
         self.v_arena = np.zeros_like(arena)
-        bounds = [*params.offsets.values(), arena.size]
-        # each chunk: weight, m and v views, and the (param, lo, hi, at) pieces
-        # of the leaf gradients that fill it
-        self._chunks = []
-        for c0 in range(0, arena.size, CHUNK):
-            c1 = min(c0 + CHUNK, arena.size)
-            pieces = []
-            for i in range(bisect_right(bounds, c0) - 1, bisect_left(bounds, c1)):
-                a, b = max(bounds[i], c0), min(bounds[i + 1], c1)
-                pieces.append((i, a - bounds[i], b - bounds[i], a - c0))
-            self._chunks.append((arena[c0:c1], self.m_arena[c0:c1], self.v_arena[c0:c1], pieces))
+        arenas = (arena, params.grad_arena, self.m_arena, self.v_arena)
+        # each chunk: the same slice of the weight, gradient, m and v arenas
+        self._chunks = [[a[c0:c0 + CHUNK] for a in arenas] for c0 in range(0, arena.size, CHUNK)]
         self._scratch = np.empty((2, min(CHUNK, arena.size)), dtype=arena.dtype)
 
     def step(self):
@@ -72,12 +63,8 @@ class AdamW:
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         lr, decay = self.lr, self.lr * self.weight_decay
-        grads = [None if p.tensor.grad is None else p.tensor.grad.reshape(-1)
-                 for p in self.params.values()]
-        for w, m, v, pieces in self._chunks:
-            g, t = self._scratch[:, :w.size]
-            for i, lo, hi, at in pieces:
-                g[at:at + hi - lo] = 0.0 if grads[i] is None else grads[i][lo:hi]
+        for w, g, m, v in self._chunks:
+            t, u = self._scratch[:, :w.size]
             # the same elementwise order as the whole-array expressions
             # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
             # w = (w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)) - (lr*wd)*w
@@ -91,7 +78,6 @@ class AdamW:
             np.divide(v, bc2, out=t)
             np.sqrt(t, out=t)
             np.add(t, EPS, out=t)
-            u = g  # the gradient is spent; its row holds the step
             np.divide(m, bc1, out=u)
             np.multiply(u, lr, out=u)
             np.divide(u, t, out=u)
@@ -101,17 +87,14 @@ class AdamW:
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale the grad arena in place so the global L2 norm (float64 sums of
+    squares, per parameter in registry order) is at most max_norm."""
     total = 0.0
     for p in params.values():
-        if p.tensor.grad is not None:
-            total += float((p.tensor.grad.astype(np.float64) ** 2).sum())
+        total += float((p.tensor.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.tensor.grad is not None:
-                p.tensor.grad = p.tensor.grad * scale
+        params.grad_arena *= max_norm / norm
     return norm
 
 

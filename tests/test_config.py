@@ -80,3 +80,20 @@ class TestSerialization:
                                      "text_parts": [["clip_t", 4]]})
         assert cfg.video_parts == (("clip_v", 8),)
         assert cfg.text_parts == (("clip_t", 4),)
+
+    @pytest.mark.parametrize("d, field", [
+        pytest.param(7, "config must be an object", id="int"),
+        pytest.param(["a"], "config must be an object", id="list"),
+        pytest.param({"video_parts": 7}, "video_parts", id="parts-not-a-list"),
+        pytest.param({"video_parts": [["clip_v", "x"]]}, "video_parts", id="part-dim-string"),
+        pytest.param({"video_parts": [["clip_v", 8, 1]]}, "video_parts", id="part-triple"),
+        pytest.param({"hidden_dim": "wide"}, "hidden_dim", id="dim-string"),
+        pytest.param({"hidden_dim": 32.0}, "hidden_dim", id="dim-float"),
+        pytest.param({"use_refinement": 1}, "use_refinement", id="bool-int"),
+        pytest.param({"lr": True}, "lr", id="number-bool"),
+        pytest.param({"weights": 7}, "weights", id="weights-not-an-object"),
+        pytest.param({"weights": {"l1": "x"}}, "l1", id="weight-string"),
+    ])
+    def test_malformed_dict_is_a_config_error_naming_the_field(self, d, field):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.from_dict(d)

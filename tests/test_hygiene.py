@@ -82,13 +82,18 @@ def test_checker_flags_unused_parameters():
                                          (4, "f", "b"), (4, "f", "rest"), (8, "h", "d")]
 
 
-# a parameter's .data is a view into its model's weight arena; rebinding it
-# silently stops the optimizer and the checkpoints from seeing that parameter
-DATA_WRITERS = {("autodiff.py", "__init__"), ("autodiff.py", "_node")}
+# a parameter's .data and .grad are views into its model's weight and grad
+# arenas; rebinding either silently stops the optimizer, the clipping and the
+# checkpoints from seeing that parameter
+WRITERS = {
+    "data": {("autodiff.py", "__init__"), ("autodiff.py", "_node")},
+    "grad": {("autodiff.py", "__init__"), ("autodiff.py", "_node"),
+             ("autodiff.py", "_accumulate"), ("autodiff.py", "zero_grad"), ("model.py", "new")},
+}
 
 
-def data_assignments(source, module):
-    """(line, function) for each assignment to a `.data` attribute outside DATA_WRITERS."""
+def attribute_assignments(source, module, attr):
+    """(line, function) for each assignment to an `attr` attribute outside WRITERS[attr]."""
     found = []
 
     def visit(node, function):
@@ -108,8 +113,8 @@ def data_assignments(source, module):
                     stack.extend(target.elts)
                 elif isinstance(target, ast.Starred):
                     stack.append(target.value)
-                elif isinstance(target, ast.Attribute) and target.attr == "data" \
-                        and (module, function) not in DATA_WRITERS:
+                elif isinstance(target, ast.Attribute) and target.attr == attr \
+                        and (module, function) not in WRITERS[attr]:
                     found.append((child.lineno, function))
             visit(child, function)
 
@@ -119,7 +124,12 @@ def data_assignments(source, module):
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_data_rebinding(path):
-    assert data_assignments(path.read_text(encoding="utf-8"), path.name) == []
+    assert attribute_assignments(path.read_text(encoding="utf-8"), path.name, "data") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_grad_rebinding(path):
+    assert attribute_assignments(path.read_text(encoding="utf-8"), path.name, "grad") == []
 
 
 def test_checker_flags_data_rebinding():
@@ -131,7 +141,23 @@ def test_checker_flags_data_rebinding():
               "    a, p.data = 1, w\n"
               "    p.data += 1\n"
               "x.data: int = 0\n")
-    assert data_assignments(source, "autodiff.py") == [(4, "step"), (6, "step"), (7, "step"),
-                                                       (8, "<module>")]
-    assert data_assignments(source, "model.py") == [(2, "__init__"), (4, "step"), (6, "step"),
-                                                    (7, "step"), (8, "<module>")]
+    assert attribute_assignments(source, "autodiff.py", "data") == [
+        (4, "step"), (6, "step"), (7, "step"), (8, "<module>")]
+    assert attribute_assignments(source, "model.py", "data") == [
+        (2, "__init__"), (4, "step"), (6, "step"), (7, "step"), (8, "<module>")]
+
+
+def test_checker_flags_grad_rebinding():
+    source = ("def _accumulate(t, g):\n"
+              "    t.grad += g\n"
+              "def new(self, t, view):\n"
+              "    t.grad = view\n"
+              "def clip_gradients(params, scale):\n"
+              "    for p in params.values():\n"
+              "        p.tensor.grad = p.tensor.grad * scale\n"
+              "        p.tensor.grad[...] *= scale\n"
+              "    params.grad_arena *= scale\n")
+    assert attribute_assignments(source, "autodiff.py", "grad") == [
+        (4, "new"), (7, "clip_gradients")]
+    assert attribute_assignments(source, "model.py", "grad") == [
+        (2, "_accumulate"), (7, "clip_gradients")]

@@ -9,7 +9,7 @@ import pytest
 
 from momentspot import model as model_module
 from momentspot import training
-from momentspot.autodiff import Tensor, grad_check, xavier_uniform
+from momentspot.autodiff import Tensor, add, grad_check, tsum, xavier_uniform
 from momentspot.config import ConfigError, ModelConfig
 from momentspot.data import save_features
 from momentspot.fixtures import build_overfit_fixture
@@ -152,7 +152,7 @@ class TestAdamW:
         grads = {n: rng.normal(size=p.tensor.data.shape) for n, p in params.items()}
         before = {n: p.tensor.data.copy() for n, p in params.items()}
         for n, p in params.items():
-            p.tensor.grad = grads[n].copy()
+            p.tensor.grad[...] = grads[n]
         lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
         opt = AdamW(params, lr=lr, weight_decay=wd)
         opt.step()
@@ -175,7 +175,7 @@ class TestAdamW:
         v = np.zeros_like(ref)
         for step in (1, 2):
             g = np.full_like(ref, 0.5 * step)
-            p.grad = g.copy()
+            p.grad[...] = g
             opt.step()
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
@@ -189,7 +189,7 @@ class TestAdamW:
         params = make_params(rng, [(4,)])
         before = params["p0"].tensor.data.copy()
         opt = AdamW(params, lr=0.1, weight_decay=0.5)
-        params["p0"].tensor.grad = np.zeros(4)
+        params["p0"].tensor.grad[...] = 0.0
         opt.step()
         np.testing.assert_allclose(params["p0"].tensor.data, before * (1 - 0.1 * 0.5), atol=1e-15)
 
@@ -218,13 +218,14 @@ class TestAdamW:
         v = {n: np.zeros_like(a) for n, a in w.items()}
         for step in (1, 2, 3):
             for i, p in enumerate(params.values()):
-                g = rng.normal(size=p.tensor.data.shape).astype(dtype)
-                # a missing gradient and a column-major one, as backward can leave them
-                p.tensor.grad = None if i % 7 == 3 else np.asfortranarray(g) if i % 5 == 1 else g
+                # a parameter backward never reached keeps its zero-filled view
+                p.tensor.grad[...] = 0.0 if i % 7 == 3 else rng.normal(size=p.tensor.data.shape)
+            grads = params.grad_arena.copy()
             opt.step()
+            assert params.grad_arena.tobytes() == grads.tobytes()  # step() leaves them readable
             bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
             for n, p in params.items():
-                g = p.tensor.grad if p.tensor.grad is not None else np.zeros_like(w[n])
+                g = p.tensor.grad
                 m[n] = b1 * m[n] + (1.0 - b1) * g
                 v[n] = b2 * v[n] + (1.0 - b2) * g * g
                 w[n] = w[n] - lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps) - lr * wd * w[n]
@@ -238,16 +239,56 @@ class TestAdamW:
 class TestWeightArena:
     @staticmethod
     def assert_views_of_the_arena(model):
+        """Every parameter's .data and .grad are its views of the weight and grad
+        arenas, back to back in registry order."""
         store = model.named_parameters()
-        arena = store.arena
-        for name, p in store.items():
-            data = p.tensor.data
-            view = arena[store.offsets[name]:store.offsets[name] + data.size]
-            assert data.base is arena and data.ctypes.data == view.ctypes.data, name
-            assert data.size == view.size and data.flags.c_contiguous, name
-        # registry order, back to back
-        datas = [p.tensor.data for p in store.values()]
-        assert np.concatenate([d.ravel() for d in datas]).tobytes() == arena.tobytes()
+        starts = np.cumsum([0] + [p.tensor.data.size for p in store.values()])
+        for arena, attr in ((store.arena, "data"), (store.grad_arena, "grad")):
+            assert starts[-1] == arena.size and arena.dtype == store.arena.dtype
+            for start, (name, p) in zip(starts, store.items()):
+                a = getattr(p.tensor, attr)
+                view = arena[start:start + a.size]
+                assert a.base is arena and a.ctypes.data == view.ctypes.data, (attr, name)
+                assert a.shape == p.tensor.data.shape and a.flags.c_contiguous, (attr, name)
+            arrays = [getattr(p.tensor, attr) for p in store.values()]
+            assert np.concatenate([a.ravel() for a in arrays]).tobytes() == arena.tobytes()
+
+    def test_gradients_stay_views_of_the_grad_arena(self):
+        cfg = tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=0)
+        store = model.named_parameters()
+        self.assert_views_of_the_arena(model)
+        assert not store.grad_arena.any()
+        opt = AdamW(store, lr=1e-2, weight_decay=cfg.weight_decay)
+        batch = [(bundle_for(a, cfg), a) for a in toy_dataset()]
+        total, _ = batch_loss(model, batch, 0, rng=np.random.default_rng(0), train=True)
+        model.zero_grad()
+        total.backward()
+        clip_gradients(store, 1e-3)
+        clipped = store.grad_arena.copy()
+        opt.step()
+        self.assert_views_of_the_arena(model)
+        assert store.grad_arena.tobytes() == clipped.tobytes()
+        assert clipped.any()
+        model.zero_grad()
+        self.assert_views_of_the_arena(model)
+        assert not store.grad_arena.any()
+
+    def test_a_leaf_used_twice_owns_the_sum_of_both_gradients(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        y = add(x, x)
+        total = tsum(y)  # its backward hands y a read-only broadcast of the seed
+        total.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0, 1.0])
+        assert total.grad == 1.0
+        buffer = x.grad
+        assert buffer.flags.writeable and not np.shares_memory(buffer, y.grad)
+        tsum(add(x, x)).backward()  # a second backward adds into the same buffer
+        assert x.grad is buffer
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+        x.zero_grad()
+        assert x.grad is buffer and not buffer.any()
 
     def test_parameters_stay_views_of_the_arena(self, tmp_path):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
@@ -359,7 +400,7 @@ class TestClipGradients:
     def test_large_norm_scaled_to_max(self, rng):
         params = make_params(rng, [(4,), (2, 3)])
         for p in params.values():
-            p.tensor.grad = rng.normal(size=p.tensor.data.shape) * 10
+            p.tensor.grad[...] = rng.normal(size=p.tensor.data.shape) * 10
         norm_before = math.sqrt(sum(float((p.tensor.grad ** 2).sum()) for p in params.values()))
         returned = clip_gradients(params, 0.1)
         assert returned == pytest.approx(norm_before)
@@ -368,14 +409,14 @@ class TestClipGradients:
 
     def test_small_norm_untouched(self, rng):
         params = make_params(rng, [(4,)])
-        params["p0"].tensor.grad = np.full(4, 1e-4)
+        params["p0"].tensor.grad[...] = 1e-4
         g_before = params["p0"].tensor.grad.copy()
         clip_gradients(params, 0.1)
         np.testing.assert_array_equal(params["p0"].tensor.grad, g_before)
 
     def test_nonpositive_max_disables(self, rng):
         params = make_params(rng, [(4,)])
-        params["p0"].tensor.grad = np.full(4, 100.0)
+        params["p0"].tensor.grad[...] = 100.0
         g_before = params["p0"].tensor.grad.copy()
         norm = clip_gradients(params, 0.0)
         np.testing.assert_array_equal(params["p0"].tensor.grad, g_before)
@@ -383,7 +424,7 @@ class TestClipGradients:
 
     def test_none_grads_skipped(self, rng):
         params = make_params(rng, [(4,), (3,)])
-        params["p0"].tensor.grad = np.full(4, 5.0)
+        params["p0"].tensor.grad[...] = 5.0  # p1's view stays zero
         assert clip_gradients(params, 0.0) == pytest.approx(10.0)
 
 
@@ -404,7 +445,7 @@ class TestCheckpoint:
         model = Model(cfg, seed=7)
         opt = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         for p in model.named_parameters().values():
-            p.tensor.grad = rng.normal(size=p.tensor.data.shape)
+            p.tensor.grad[...] = rng.normal(size=p.tensor.data.shape)
         opt.step()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, optimizer=opt, epoch=3, best_metric=0.5)
@@ -464,7 +505,7 @@ class TestCheckpoint:
         opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         if stepped:
             for p in params.values():
-                p.tensor.grad = rng.normal(size=p.tensor.data.shape)
+                p.tensor.grad[...] = rng.normal(size=p.tensor.data.shape)
             opt.step()
         blocks = [p.tensor.data for p in params.values()] + [opt.m_arena, opt.v_arena]
         rng_state = np.random.default_rng(4).bit_generator.state
@@ -544,6 +585,17 @@ class TestCheckpoint:
         save_with_fresh_adamw(path, Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0))
         replace_header(path, header(read_meta(path)))
         with pytest.raises(ValueError, match=f"{path}: {message}"):
+            model_from_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda cfg: 7, "config must be an object", id="not-an-object"),
+        pytest.param(lambda cfg: {**cfg, "hidden_dim": "wide"}, "hidden_dim", id="dim-string"),
+    ])
+    def test_header_config_of_the_wrong_type_is_a_config_error(self, tmp_path, edit, field):
+        path = tmp_path / "m.ckpt"
+        save_with_fresh_adamw(path, Model(tiny_config(encoder_layers=1, decoder_layers=1)))
+        rewrite_meta(path, lambda meta: meta.update(config=edit(meta["config"])))
+        with pytest.raises(ConfigError, match=field):
             model_from_checkpoint(path)
 
     def test_has_optimizer_is_neither_written_nor_required(self, tmp_path):
