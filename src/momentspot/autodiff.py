@@ -80,10 +80,8 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def zero_grad(self):
-        if self.grad is not None and self._backward_fn is None:
+        if self.grad is not None:
             self.grad.fill(0.0)  # a leaf keeps its buffer
-        else:
-            self.grad = None
 
     def backward(self, grad=None):
         if grad is None:

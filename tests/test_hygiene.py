@@ -88,7 +88,7 @@ def test_checker_flags_unused_parameters():
 WRITERS = {
     "data": {("autodiff.py", "__init__"), ("autodiff.py", "_node")},
     "grad": {("autodiff.py", "__init__"), ("autodiff.py", "_node"),
-             ("autodiff.py", "_accumulate"), ("autodiff.py", "zero_grad"), ("model.py", "new")},
+             ("autodiff.py", "_accumulate"), ("model.py", "new")},
 }
 
 

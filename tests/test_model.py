@@ -262,15 +262,12 @@ class TestLossAssembly:
     def test_total_backward_reaches_every_trainable_tensor(self):
         total, _ = batch_loss(self.model, [(self.bundle, self.ann)], epoch=0,
                               rng=np.random.default_rng(1))
-        # every .grad is an arena view from the start, so walk the graph backward walks
-        reached, stack = set(), [total]
-        while stack:
-            node = stack.pop()
-            if id(node) not in reached:
-                reached.add(id(node))
-                stack.extend(node._parents)
+        # unbind the arena views: only a backward that reaches a leaf gives it a .grad
+        for p in self.model.named_parameters().values():
+            p.tensor.grad = None
+        total.backward()
         missing = [name for name, p in self.model.named_parameters().items()
-                   if id(p.tensor) not in reached]
+                   if p.tensor.grad is None]
         assert missing == []
 
 
