@@ -468,22 +468,6 @@ def unfold1d(t, kernel):
     return _node(out_data, (t,), backward)
 
 
-def gather(t, index):
-    """Rows t.data[index] picked by integer arrays over t's leading axes.
-
-    index is one array (rows of an (N, C) tensor) or a tuple of arrays
-    ((item, row) pairs of a (B, N, C) batch); repeated rows accumulate.
-    """
-    out_data = t.data[index]
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, index, g)
-        _accumulate(t, full)
-
-    return _node(out_data, (t,), backward)
-
-
 # -- masks ------------------------------------------------------------------
 
 
@@ -546,15 +530,11 @@ def softmax_masked(scores, key_mask=None):
     return _node(y, (scores,), backward)
 
 
-def logsumexp(t, include=None):
-    """log sum exp over the last axis of t, restricted to the entries include keeps.
+def _logsumexp(x, include):
+    """(log sum exp, softmax weights) of an array over the last axis within include.
 
-    include (default: all) broadcasts against t, so it may hold one subset
-    per row of a (B, L) tensor, or several subsets of each row when t carries
-    a unit axis: t (B, 1, L) with include (B, R, L) gives a (B, R) result.
-    A subset with no kept entry is an error.
+    The weights have the broadcast shape of x and include, zero outside it.
     """
-    x = t.data
     inc = np.ones(x.shape, dtype=bool) if include is None else np.asarray(include, dtype=bool)
     try:
         shape = np.broadcast_shapes(x.shape, inc.shape)
@@ -566,8 +546,19 @@ def logsumexp(t, include=None):
     m = xb.max(axis=-1, keepdims=True, where=inc, initial=-np.inf)
     e = np.exp(xb - m, where=inc, out=np.zeros(shape, dtype=x.dtype))
     s = e.sum(axis=-1, keepdims=True)
-    out_data = np.asarray((m + np.log(s))[..., 0], dtype=x.dtype)
-    weights = e / s
+    return np.asarray((m + np.log(s))[..., 0], dtype=x.dtype), e / s
+
+
+def logsumexp(t, include=None):
+    """log sum exp over the last axis of t, restricted to the entries include keeps.
+
+    include (default: all) broadcasts against t, so it may hold one subset
+    per row of a (B, L) tensor, or several subsets of each row when t carries
+    a unit axis: t (B, 1, L) with include (B, R, L) gives a (B, R) result.
+    A subset with no kept entry is an error.
+    """
+    x = t.data
+    out_data, weights = _logsumexp(x, include)
 
     def backward(g):
         _accumulate(t, _unbroadcast(g[..., None] * weights, x.shape))

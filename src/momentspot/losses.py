@@ -5,6 +5,12 @@ padded batch, (B, L) or (B, L, d), with masks and gt arrays of the same
 leading shape. Each term is normalised per item and averaged over the B
 items, so a batch's loss is the mean of its items' losses; an un-batched
 call is the B = 1 case.
+
+Each loss term is one graph node whose backward is written out in NumPy,
+like the GRU scan: the rank hinge, the contrastive ratio, the hard
+positive/negative pair, the masked 1 - cosine (task-specific, the outer
+cosine of task-coupled and of alignment) and the weighted total. The
+composed versions they replace live on in tests/composed.py as oracles.
 """
 from __future__ import annotations
 
@@ -12,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, _accumulate, _node, _rows, _unbroadcast,
-                       absval, add, div, keep_mask, logsumexp, mask_rows, mul,
-                       relu, reshape, sqrt, square, stable_sigmoid, sub, tsum)
+from .autodiff import (ShapeError, Tensor, _accumulate, _logsumexp, _node, _rows,
+                       _unbroadcast, keep_mask, stable_sigmoid)
 
 
 class CompositionError(ValueError):
@@ -30,6 +35,37 @@ def _items(scores):
     return int(np.prod(scores.data.shape[:-1]))
 
 
+def _cosine_loss(a, b, keep=None):
+    """one_minus_cosine of a and b after zeroing the entries keep drops, as one node."""
+    x, y = a.data, b.data
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ValueError("one_minus_cosine expects two rank-1 or rank-2 tensors of equal shape")
+    if keep is not None:
+        keep = keep.astype(x.dtype)
+        x, y = x * keep, y * keep
+    sumsq_x = (x * x).sum(axis=-1, keepdims=True)
+    sumsq_y = (y * y).sum(axis=-1, keepdims=True)
+    dead = (sumsq_x == 0.0) | (sumsq_y == 0.0)
+    if dead.all():
+        return Tensor(np.asarray(1.0, dtype=x.dtype))
+    # a dead row divides by 1 instead of 0 and is weighted 0: its cosine is 0
+    guard = dead.astype(x.dtype)
+    norm_x, norm_y = np.sqrt(sumsq_x + guard), np.sqrt(sumsq_y + guard)
+    unit_x, unit_y = x / norm_x, y / norm_y
+    weights = (1.0 - guard) / _items(a)
+    out_data = np.asarray(1.0 - (unit_x * unit_y * weights).sum(), dtype=x.dtype)
+
+    def backward(g):
+        cos = (unit_x * unit_y).sum(axis=-1, keepdims=True)
+        scale = -g * weights
+        for t, unit, other, norm in ((a, unit_x, unit_y, norm_x), (b, unit_y, unit_x, norm_y)):
+            if t.requires_grad:
+                grad = scale * (other - cos * unit) / norm
+                _accumulate(t, grad if keep is None else grad * keep)
+
+    return _node(out_data, (a, b), backward)
+
+
 def one_minus_cosine(a, b):
     """1 - cosine(normalize(a), normalize(b)) over the last axis; range [0, 2].
 
@@ -38,20 +74,7 @@ def one_minus_cosine(a, b):
     row's loss is then the constant 1 (orthogonal convention) with zero
     gradient.
     """
-    if a.data.shape != b.data.shape or a.data.ndim not in (1, 2):
-        raise ValueError("one_minus_cosine expects two rank-1 or rank-2 tensors of equal shape")
-    dead = (np.linalg.norm(a.data, axis=-1) == 0.0) | (np.linalg.norm(b.data, axis=-1) == 0.0)
-    if dead.all():
-        return Tensor(np.asarray(1.0, dtype=a.data.dtype))
-    # a dead row divides by 1 instead of 0 and is weighted 0: its cosine is 0
-    guard = dead.astype(a.data.dtype)[..., None]
-
-    def unit(x):
-        sumsq = tsum(square(x), axis=-1, keepdims=True)
-        return div(x, sqrt(add(sumsq, guard) if dead.any() else sumsq))
-
-    weights = (1.0 - guard) / _items(a)
-    return sub(1.0, tsum(mul(mul(unit(a), unit(b)), weights)))
+    return _cosine_loss(a, b)
 
 
 # -- highlight ranking losses -------------------------------------------------
@@ -70,13 +93,20 @@ def rank_margin_loss(saliency, high_idx, low_idx, margin):
     paired = np.flatnonzero((hi >= 0) & (lo >= 0))
     if paired.size == 0:
         return _zero(saliency)
-    picks = np.zeros((hi.size, saliency.data.shape[-1]), dtype=saliency.data.dtype)
-    picks[paired, lo[paired]] += 1.0
-    picks[paired, hi[paired]] -= 1.0
-    weights = np.zeros(hi.size, dtype=saliency.data.dtype)
-    weights[paired] = 1.0 / hi.size
-    gaps = tsum(mul(saliency, picks.reshape(saliency.data.shape)), axis=-1)  # s[low] - s[high]
-    return tsum(mul(relu(add(gaps, margin)), weights.reshape(gaps.data.shape)))
+    scores = saliency.data.reshape(hi.size, -1)
+    hi, lo = hi[paired], lo[paired]
+    hinge = scores[paired, lo] - scores[paired, hi] + margin
+    weight = np.asarray(1.0 / _items(saliency), dtype=scores.dtype)
+    out_data = (np.maximum(hinge, 0.0) * weight).sum()
+
+    def backward(g):
+        coef = g * weight * (hinge > 0.0)
+        grad = np.zeros_like(scores)
+        grad[paired, lo] += coef
+        grad[paired, hi] -= coef
+        _accumulate(saliency, grad.reshape(saliency.data.shape))
+
+    return _node(np.asarray(out_data), (saliency,), backward)
 
 
 def sample_rank_pair(levels, rng, clip_mask=None):
@@ -117,17 +147,56 @@ def contrastive_rank_loss(saliency, levels, temperature, clip_mask=None):
     coef = (coef / _items(saliency)).astype(saliency.data.dtype)
     # subsets weighted 0 reduce every clip instead, so none is empty
     subsets = np.where(coef[..., None] != 0, subsets, True)
-    shape = saliency.data.shape
-    scaled = reshape(mul(saliency, 1.0 / temperature), shape[:-1] + (1, shape[-1]))
-    return tsum(mul(logsumexp(scaled, subsets), coef))
+    scale = np.asarray(1.0 / temperature, dtype=saliency.data.dtype)
+    lse, softmax = _logsumexp((saliency.data * scale)[..., None, :], subsets)
+    out_data = (lse * coef).sum()
+
+    def backward(g):
+        _accumulate(saliency, ((g * coef)[..., None] * softmax).sum(axis=-2) * scale)
+
+    return _node(np.asarray(out_data), (saliency,), backward)
+
+
+def highlight_distribution_loss(saliency, gt_saliency, positive_mask, negative_mask, epoch):
+    """Hard-positive plus hard-negative term (the epoch-weighted pair), as one node.
+
+    The positive part is the mean squared error against gt saliency over each
+    item's positive clips (0 for an item without any), the negative part the
+    sum of |s| over its negative clips. Both are scaled by (epoch+1) and
+    averaged over items; the scale multiplies each finished sum, so the
+    epoch ramp is bitwise exact.
+    """
+    pos = np.asarray(positive_mask, dtype=bool)
+    neg = np.asarray(negative_mask, dtype=bool)
+    if not (pos.any() or neg.any()):
+        return _zero(saliency)
+    s = saliency.data
+    scale = np.asarray(float(epoch + 1) / _items(saliency), dtype=s.dtype)
+    out_data = np.asarray(0.0, dtype=s.dtype)
+    if pos.any():
+        diff = np.asarray(gt_saliency, dtype=s.dtype) - s
+        weights = (pos / np.maximum(pos.sum(axis=-1, keepdims=True), 1)).astype(s.dtype)
+        out_data = out_data + (diff * diff * weights).sum() * scale
+    if neg.any():
+        keep = neg.astype(s.dtype)
+        out_data = out_data + (np.abs(s) * keep).sum() * scale
+
+    def backward(g):
+        grad = np.zeros_like(s)
+        if pos.any():
+            half = g * scale * weights * diff
+            grad -= half + half
+        if neg.any():
+            grad += g * scale * keep * np.sign(s)
+        _accumulate(saliency, grad)
+
+    return _node(np.asarray(out_data), (saliency,), backward)
 
 
 def hard_negative_loss(saliency, negative_mask, epoch):
     """(epoch+1) * sum of |s| over clips outside every gt window, averaged over items."""
     neg = np.asarray(negative_mask, dtype=bool)
-    if not neg.any():
-        return _zero(saliency)
-    return mul(tsum(mask_rows(absval(saliency), neg)), float(epoch + 1) / _items(saliency))
+    return highlight_distribution_loss(saliency, np.zeros(neg.shape), np.zeros_like(neg), neg, epoch)
 
 
 def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
@@ -136,28 +205,17 @@ def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
     Items are averaged; an item without positive clips contributes 0.
     """
     pos = np.asarray(positive_mask, dtype=bool)
-    if not pos.any():
-        return _zero(saliency)
-    gt = Tensor(np.asarray(gt_saliency, dtype=saliency.data.dtype))
-    weights = (pos / np.maximum(pos.sum(axis=-1, keepdims=True), 1)).astype(saliency.data.dtype)
-    # scale the finished mean so an item's (epoch+1) ramp is bitwise exact
-    mse = tsum(mul(square(sub(gt, saliency)), weights))
-    return mul(mse, float(epoch + 1) / _items(saliency))
-
-
-def highlight_distribution_loss(saliency, gt_saliency, positive_mask, negative_mask, epoch):
-    """Hard-positive plus hard-negative term (the epoch-weighted pair)."""
-    return hard_positive_loss(saliency, gt_saliency, positive_mask, epoch) + \
-        hard_negative_loss(saliency, negative_mask, epoch)
+    return highlight_distribution_loss(saliency, gt_saliency, pos, np.zeros_like(pos), epoch)
 
 
 # -- cross-task saliency losses ----------------------------------------------
 
 
 def masked_cosine_loss(scores, gt_saliency, clip_mask=None):
-    """one_minus_cosine of rank-1 scores against gt values, both over unmasked clips."""
+    """one_minus_cosine of scores against gt values, both over unmasked clips; one node."""
     gt = Tensor(np.asarray(gt_saliency, dtype=scores.data.dtype))
-    return one_minus_cosine(mask_rows(scores, clip_mask), mask_rows(gt, clip_mask))
+    keep = None if clip_mask is None else keep_mask(clip_mask, scores.data.shape)
+    return _cosine_loss(scores, gt, keep)
 
 
 def task_specific_loss(saliency, gt_saliency, clip_mask=None):
@@ -268,15 +326,20 @@ def task_coupled_loss(features, gru, gt_saliency, clip_mask=None):
 
 COMPONENT_KEYS = ("l1", "giou", "cls", "rank", "contrastive", "hard",
                   "task_specific", "task_coupled", "alignment")
+# the terms compose_total scales by weights.saliency, in summation order
+HIGHLIGHT_KEYS = ("rank", "contrastive", "hard", "task_specific", "task_coupled")
 
 
 def compose_total(components, weights):
-    """Weighted total of all loss components; non-finite components are an error.
+    """Weighted total of all loss components, as one node; non-finite components are an error.
 
     total = saliency_w * (rank_w*rank + cont_w*contrastive + hard_w*hard
                           + ts_w*task_specific + tc_w*task_coupled)
             + (l1_w*l1 + giou_w*giou + cls_w*cls)
             + align_w*alignment
+
+    A component may be a float, which enters as a constant. The backward
+    hands each component g times its effective weight.
     """
     vals = {}
     for key in COMPONENT_KEYS:
@@ -288,10 +351,21 @@ def compose_total(components, weights):
         if not np.all(np.isfinite(c.data)):
             raise CompositionError(f"loss component '{key}' is not finite")
         vals[key] = c
-    highlight = (mul(vals["rank"], weights.rank) + mul(vals["contrastive"], weights.contrastive)
-                 + mul(vals["hard"], weights.hard) + mul(vals["task_specific"], weights.task_specific)
-                 + mul(vals["task_coupled"], weights.task_coupled))
-    retrieval = (mul(vals["l1"], weights.l1) + mul(vals["giou"], weights.giou)
-                 + mul(vals["cls"], weights.cls))
-    total = mul(highlight, weights.saliency) + retrieval + mul(vals["alignment"], weights.alignment)
-    return reshape(total, ())
+
+    def term(key):
+        data = vals[key].data
+        return data * np.asarray(getattr(weights, key), dtype=data.dtype)
+
+    highlight = sum((term(key) for key in HIGHLIGHT_KEYS[1:]), term(HIGHLIGHT_KEYS[0]))
+    retrieval = term("l1") + term("giou") + term("cls")
+    total = highlight * np.asarray(weights.saliency, dtype=highlight.dtype) + retrieval \
+        + term("alignment")
+
+    def backward(g):
+        outer = g * np.asarray(weights.saliency, dtype=g.dtype)
+        for key, c in vals.items():
+            g_key = outer if key in HIGHLIGHT_KEYS else g
+            _accumulate(c, np.reshape(g_key * np.asarray(getattr(weights, key), dtype=c.data.dtype),
+                                      c.data.shape))
+
+    return _node(np.asarray(total).reshape(()), tuple(vals.values()), backward)

@@ -1,4 +1,12 @@
-"""Set matching between predicted and gt moments, and the matched-pair losses."""
+"""Set matching between predicted and gt moments, and the matched-pair losses.
+
+The set loss follows DETR / Moment-DETR: a Hungarian assignment on detached
+costs, then L1, gIoU and a down-weighted-background cross-entropy over the
+matched pairs. Each of the three terms is one graph node with a NumPy
+backward; the L1 and gIoU nodes gather the matched rows themselves. One
+gIoU formula, the gap form of `metrics.giou_1d`, serves the cost matrix and
+the gIoU term.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import (Tensor, absval, clip01, div, gather, log_softmax_rows,
-                       maximum, minimum, mul, narrow, relu, sub, tsum)
-from .metrics import giou_1d
+from .autodiff import Tensor, _accumulate, _node
 
 WIDTH_FLOOR = 1e-4
 
@@ -22,6 +28,25 @@ def span_from_cw(cw):
     return [s, e]
 
 
+def _spans(cw):
+    """span_from_cw over the rows of a (..., 2) array: (start, end) arrays of its shape[:-1]."""
+    half = 0.5 * np.maximum(cw[..., 1], WIDTH_FLOOR)
+    return _clip01(cw[..., 0] - half), _clip01(cw[..., 0] + half)
+
+
+def _clip01(x):
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _giou_parts(sa, ea, sb, eb):
+    """(inter, union, enclosure, gap) of span pairs, elementwise, as in metrics.giou_1d."""
+    inter = np.maximum(np.minimum(ea, eb) - np.maximum(sa, sb), 0.0)
+    union = (ea - sa) + (eb - sb) - inter
+    enclosure = np.maximum(ea, eb) - np.minimum(sa, sb)
+    gap = np.maximum(np.maximum(sa, sb) - np.minimum(ea, eb), 0.0)
+    return inter, union, enclosure, gap
+
+
 @dataclass
 class MatchResult:
     pred_indices: list
@@ -29,21 +54,20 @@ class MatchResult:
 
 
 def match_cost_matrix(pred_moments, fg_probs, gt_moments, weights):
-    """Pairwise assignment costs: l1 + (1 - gIoU) + (-fg prob), each weighted."""
-    pred_moments = np.asarray(pred_moments, dtype=float)
-    gt_moments = np.asarray(gt_moments, dtype=float)
+    """Pairwise assignment costs: l1 + (1 - gIoU) + (-fg prob), each weighted.
+
+    Array ops over all (pred, gt) pairs, bitwise equal to span_from_cw and
+    metrics.giou_1d applied pair by pair (a pair with an empty union or
+    enclosure has gIoU 0).
+    """
+    pred = np.asarray(pred_moments, dtype=float)[:, None, :]
+    gt = np.asarray(gt_moments, dtype=float)[None, :, :]
     fg_probs = np.asarray(fg_probs, dtype=float)
-    n_pred, n_gt = pred_moments.shape[0], gt_moments.shape[0]
-    cost = np.zeros((n_pred, n_gt))
-    for i in range(n_pred):
-        ps = span_from_cw(pred_moments[i])
-        for j in range(n_gt):
-            gs = span_from_cw(gt_moments[j])
-            l1 = abs(pred_moments[i, 0] - gt_moments[j, 0]) + abs(pred_moments[i, 1] - gt_moments[j, 1])
-            cost[i, j] = (weights.l1 * l1
-                          + weights.giou * (1.0 - giou_1d(ps, gs))
-                          + weights.cls * (-fg_probs[i]))
-    return cost
+    inter, union, enclosure, gap = _giou_parts(*_spans(pred), *_spans(gt))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        giou = np.where((union > 0.0) & (enclosure > 0.0), inter / union - gap / enclosure, 0.0)
+    l1 = np.abs(pred[..., 0] - gt[..., 0]) + np.abs(pred[..., 1] - gt[..., 1])
+    return weights.l1 * l1 + weights.giou * (1.0 - giou) + weights.cls * (-fg_probs[:, None])
 
 
 def hungarian_match(pred_moments, fg_probs, gt_moments, weights):
@@ -57,20 +81,79 @@ def hungarian_match(pred_moments, fg_probs, gt_moments, weights):
     return MatchResult([int(r) for r in rows[order]], [int(c) for c in cols[order]])
 
 
-def _spans(cw):
-    """Differentiable (P, 2) center/width -> start, end columns, clipped."""
-    c = narrow(cw, 1, 0, 1)
-    w = maximum(narrow(cw, 1, 1, 1), WIDTH_FLOOR)
-    half = mul(w, 0.5)
-    return clip01(sub(c, half)), clip01(c + half)
+def _scatter(moments, index, rows_grad):
+    full = np.zeros_like(moments.data)
+    np.add.at(full, index, rows_grad)
+    _accumulate(moments, full)
 
 
-def giou_spans(start_a, end_a, start_b, end_b):
-    """Differentiable gIoU columns for matched span pairs (strictly positive unions)."""
-    inter = relu(sub(minimum(end_a, end_b), maximum(start_a, start_b)))
-    union = sub(sub(end_a, start_a) + sub(end_b, start_b), inter)
-    enclosure = sub(maximum(end_a, end_b), minimum(start_a, start_b))
-    return sub(div(inter, union), div(sub(enclosure, union), enclosure))
+def matched_l1(moments, index, gt_rows, pair_weights):
+    """sum over matched pairs of pair_weight * |pred - gt| (center and width), as one node.
+
+    moments[index] are the matched (P, 2) predictions; gt_rows the (P, 2) gt
+    and pair_weights the (P, 1) weight of each pair.
+    """
+    diff = moments.data[index] - gt_rows
+    out_data = np.asarray((np.abs(diff) * pair_weights).sum())
+
+    def backward(g):
+        _scatter(moments, index, g * pair_weights * np.sign(diff))
+
+    return _node(out_data, (moments,), backward)
+
+
+def matched_giou(moments, index, gt_rows, pair_weights):
+    """sum over matched pairs of pair_weight * (1 - gIoU(pred span, gt span)), as one node.
+
+    Spans are the clipped, width-floored ends of span_from_cw; the gt unions
+    must be non-empty. Subgradients at the kinks follow the composed ops:
+    ties of min/max go to the prediction, clipping passes at the bounds,
+    and the gap takes the gradient of enclosure - union.
+    """
+    cw = moments.data[index]
+    dtype = cw.dtype
+    c, w_raw = cw[:, 0], cw[:, 1]
+    floor = np.asarray(WIDTH_FLOOR, dtype=dtype)
+    half = np.maximum(w_raw, floor) * np.asarray(0.5, dtype=dtype)
+    lo, hi = c - half, c + half
+    sa, ea = _clip01(lo), _clip01(hi)
+    sb, eb = _spans(np.asarray(gt_rows, dtype=dtype))
+    inter, union, enclosure, gap = _giou_parts(sa, ea, sb, eb)
+    giou = inter / union - gap / enclosure
+    weights = pair_weights[:, 0]
+    out_data = np.asarray(((1.0 - giou) * weights).sum())
+
+    def backward(g):
+        g_giou = -g * weights
+        d_inter = g_giou / union
+        d_union = g_giou * (1.0 / enclosure - inter / (union * union))
+        d_enclosure = g_giou * (gap / (enclosure * enclosure) - 1.0 / enclosure)
+        d_inter = (d_inter - d_union) * (np.minimum(ea, eb) - np.maximum(sa, sb) > 0.0)
+        g_ea = d_union + d_inter * (ea <= eb) + d_enclosure * (ea >= eb)
+        g_sa = -d_union - d_inter * (sa >= sb) - d_enclosure * (sa <= sb)
+        g_lo = g_sa * ((lo >= 0.0) & (lo <= 1.0))
+        g_hi = g_ea * ((hi >= 0.0) & (hi <= 1.0))
+        g_w = (g_hi - g_lo) * 0.5 * (w_raw >= floor)
+        _scatter(moments, index, np.stack([g_lo + g_hi, g_w], axis=-1).astype(dtype, copy=False))
+
+    return _node(out_data, (moments,), backward)
+
+
+def weighted_cross_entropy(class_logits, picks):
+    """sum of picks * log_softmax(class_logits) over the last axis, as one node.
+
+    picks holds each query's -weight at its target class and 0 elsewhere.
+    """
+    z = class_logits.data - class_logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    out_data = np.asarray(((z - np.log(s)) * picks).sum())
+
+    def backward(g):
+        g_picks = g * picks
+        _accumulate(class_logits, g_picks + (-g_picks.sum(axis=-1, keepdims=True) / s) * e)
+
+    return _node(out_data, (class_logits,), backward)
 
 
 def moment_loss(class_logits, moments, gt_moments, match, weights):
@@ -91,14 +174,12 @@ def moment_loss(class_logits, moments, gt_moments, match, weights):
     items = np.repeat(np.arange(n_items), counts)
     queries = np.array([q for m in matches for q in m.pred_indices], dtype=int)
     if queries.size:
-        pred_rows = gather(moments, (items, queries) if batched else queries)
-        gt_rows = Tensor(np.concatenate([np.asarray(g, dtype=dtype).reshape(-1, 2)[m.gt_indices]
-                                         for g, m in zip(gts, matches)]))
+        index = (items, queries) if batched else queries
+        gt_rows = np.concatenate([np.asarray(g, dtype=dtype).reshape(-1, 2)[m.gt_indices]
+                                  for g, m in zip(gts, matches)])
         pair_weights = (1.0 / (n_items * counts[items])).astype(dtype)[:, None]
-        l1 = tsum(mul(absval(sub(pred_rows, gt_rows)), pair_weights))
-        ps, pe = _spans(pred_rows)
-        gs, ge = _spans(gt_rows)
-        giou = tsum(mul(sub(1.0, giou_spans(ps, pe, gs, ge)), pair_weights))
+        l1 = matched_l1(moments, index, gt_rows, pair_weights)
+        giou = matched_giou(moments, index, gt_rows, pair_weights)
     else:
         l1 = Tensor(np.asarray(0.0, dtype=dtype))
         giou = Tensor(np.asarray(0.0, dtype=dtype))
@@ -110,5 +191,5 @@ def moment_loss(class_logits, moments, gt_moments, match, weights):
     norm = n_items * class_weights.sum(axis=1, keepdims=True)
     picks = np.zeros((n_items, n_q, 2), dtype=class_logits.data.dtype)
     picks[np.arange(n_items)[:, None], np.arange(n_q), targets] = -class_weights / norm
-    cls = tsum(mul(log_softmax_rows(class_logits), Tensor(picks.reshape(class_logits.data.shape))))
+    cls = weighted_cross_entropy(class_logits, picks.reshape(class_logits.data.shape))
     return {"l1": l1, "giou": giou, "cls": cls}

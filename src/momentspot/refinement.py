@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat, conv1d, div, dropout, keep_mask,
-                       mask_rows, matmul, maximum, mul, relu, reshape, sqrt,
-                       square, transpose, tsum)
+from .autodiff import (Tensor, _accumulate, _node, concat, conv1d, dropout,
+                       keep_mask, mask_rows, matmul, relu, transpose)
 from .config import ConfigError
 from .losses import masked_cosine_loss
 
@@ -43,13 +42,21 @@ def project(x, params, input_dropout=0.0, train=False, rng=None, mask=None):
     return t
 
 
-def masked_mean_pool(t, mask=None):
-    """Mean over the unmasked rows of (L, d), or of each item of (B, L, d), kept as (1, d) / (B, 1, d)."""
-    keep = keep_mask(mask, t.data.shape[:-1])
-    counts = keep.sum(axis=-1, keepdims=True)[..., None]  # (..., 1, 1)
+def _pool_weights(mask, shape, dtype):
+    """(..., 1, N) weights of the mean over the unmasked rows of each (N, d) sequence."""
+    keep = keep_mask(mask, shape)
+    counts = keep.sum(axis=-1, keepdims=True)
     if not counts.all():
         raise ValueError("masked_mean_pool over an empty (fully masked) sequence")
-    return mul(tsum(mask_rows(t, keep), axis=-2, keepdims=True), 1.0 / counts)
+    return (keep / counts).astype(dtype)[..., None, :]
+
+
+def masked_mean_pool(t, mask=None):
+    """Mean over the unmasked rows of (L, d), or of each item of (B, L, d), kept as (1, d) / (B, 1, d).
+
+    One matmul node: masked rows are weighted 0, so they need not be zeroed.
+    """
+    return matmul(Tensor(_pool_weights(mask, t.data.shape[:-1], t.data.dtype)), t)
 
 
 def refine(v_bar, t_bar, conv, n_max, text_mask=None, clip_mask=None):
@@ -78,17 +85,36 @@ def refine(v_bar, t_bar, conv, n_max, text_mask=None, clip_mask=None):
 def clip_query_cosines(t_bar, v_r, text_mask=None):
     """Cosine between the pooled query and every refined clip: (L,), or (B, L) for a batch.
 
-    Zero-norm rows (e.g. masked clips zeroed upstream) yield cosine 0 exactly,
-    with zero gradient: their squared norm is taken as 1, so sqrt never sees 0.
+    One node: the masked mean of t_bar is pooled in NumPy inside it. A
+    zero-norm clip row (e.g. a masked clip zeroed upstream) gets cosine 0
+    exactly: its norm is taken as 1, so sqrt never sees 0. A zero pooled
+    query gives cosines 0 and passes no gradient to t_bar.
     """
-    pooled = masked_mean_pool(t_bar, text_mask)
-    dots = reshape(matmul(v_r, transpose(pooled)), v_r.data.shape[:-1])
-    sumsq = tsum(square(v_r), axis=-1)
-    zero_rows = sumsq.data == 0.0
-    row_norms = sqrt(add(sumsq, zero_rows.astype(sumsq.data.dtype)) if zero_rows.any() else sumsq)
-    pooled_norm = sqrt(tsum(square(pooled), axis=-1))
-    denom = maximum(mul(row_norms, pooled_norm), 1e-30)
-    return div(dots, denom)
+    t, v = t_bar.data, v_r.data
+    weights = _pool_weights(text_mask, t.shape[:-1], t.dtype)
+    pooled = weights @ t                                      # (..., 1, d)
+    dots = (v @ pooled.swapaxes(-1, -2))[..., 0]              # (..., L)
+    sumsq = (v * v).sum(axis=-1)
+    row_norms = np.sqrt(sumsq + (sumsq == 0.0))
+    pooled_norm = np.sqrt((pooled * pooled).sum(axis=-1))    # (..., 1)
+    denom = row_norms * pooled_norm
+    live = denom >= 1e-30
+    denom = np.maximum(denom, np.asarray(1e-30, dtype=t.dtype))
+    out_data = dots / denom
+
+    def backward(g):
+        g_dots = g / denom
+        g_denom = -g * dots / (denom * denom) * live
+        g_rows = g_denom * pooled_norm / row_norms
+        _accumulate(v_r, g_dots[..., None] * pooled + g_rows[..., None] * v)
+        if t_bar.requires_grad:
+            g_pooled_norm = (g_denom * row_norms).sum(axis=-1, keepdims=True)
+            g_pooled = g_dots[..., None, :] @ v \
+                + (g_pooled_norm / np.where(pooled_norm > 0.0, pooled_norm, 1.0))[..., None] * pooled
+            g_pooled *= (pooled_norm > 0.0)[..., None]
+            _accumulate(t_bar, weights.swapaxes(-1, -2) @ g_pooled)
+
+    return _node(out_data, (t_bar, v_r), backward)
 
 
 def alignment_loss(t_bar, v_r, gt_saliency, text_mask=None, clip_mask=None):

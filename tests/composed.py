@@ -1,18 +1,25 @@
 """Reference versions of the fused kernels, built from small autodiff ops.
 
-`autodiff.layer_norm`, `autodiff.multi_head_attention` and
-`losses.gru_saliency` are each one graph node with a hand-written backward.
-These compositions compute the same functions op by op, so reverse mode
-derives their gradients; the equivalence tests compare the two.
+`autodiff.layer_norm`, `autodiff.multi_head_attention`,
+`losses.gru_saliency`, each loss term in `losses`, `matching` and
+`refinement`, and `losses.compose_total` are each one graph node with a
+hand-written backward. These compositions compute the same functions op by
+op, so reverse mode derives their gradients; the equivalence tests compare
+the two. The loss oracles are the composed bodies the fused nodes replaced.
 """
 import math
 
 import numpy as np
 
-from momentspot.autodiff import (Tensor, add, as_tensor, concat, div, linear,
-                                 mask_rows, matmul, mul, narrow, reshape,
-                                 sigmoid, softmax_masked, sqrt, square, sub,
-                                 tanh, tmean, transpose)
+from momentspot.autodiff import (ShapeError, Tensor, _accumulate, _node, absval,
+                                 add, as_tensor, clip01, concat, div, keep_mask,
+                                 linear, log_softmax_rows, logsumexp,
+                                 mask_rows, matmul, maximum, minimum, mul,
+                                 narrow, relu, reshape, sigmoid,
+                                 softmax_masked, sqrt, square, sub, tanh,
+                                 tmean, transpose, tsum)
+from momentspot.losses import COMPONENT_KEYS, CompositionError
+from momentspot.matching import WIDTH_FLOOR
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):
@@ -58,3 +65,260 @@ def gru_saliency(features, params):
         h = mul(sub(1.0, z), h) + mul(z, cand)
         outputs.append(linear(h, params.readout_w, params.readout_b))
     return reshape(concat(outputs, axis=0), (length,))
+
+
+# -- loss terms -----------------------------------------------------------------
+
+
+def gather(t, index):
+    """Rows t.data[index] picked by integer arrays over t's leading axes.
+
+    index is one array (rows of an (N, C) tensor) or a tuple of arrays
+    ((item, row) pairs of a (B, N, C) batch); repeated rows accumulate.
+    """
+    out_data = t.data[index]
+
+    def backward(g):
+        full = np.zeros_like(t.data)
+        np.add.at(full, index, g)
+        _accumulate(t, full)
+
+    return _node(out_data, (t,), backward)
+
+
+def _zero(t):
+    return Tensor(np.asarray(0.0, dtype=t.data.dtype))
+
+
+def _items(scores):
+    """Number of items behind per-clip scores: 1 for (L,), B for (B, L)."""
+    return int(np.prod(scores.data.shape[:-1]))
+
+
+def one_minus_cosine(a, b):
+    """1 - cosine(normalize(a), normalize(b)) over the last axis; range [0, 2].
+
+    Rank-1 tensors give their loss; (B, L) tensors give the mean of the
+    per-row losses. A zero-norm operand makes a row's cosine undefined: that
+    row's loss is then the constant 1 (orthogonal convention) with zero
+    gradient.
+    """
+    if a.data.shape != b.data.shape or a.data.ndim not in (1, 2):
+        raise ValueError("one_minus_cosine expects two rank-1 or rank-2 tensors of equal shape")
+    dead = (np.linalg.norm(a.data, axis=-1) == 0.0) | (np.linalg.norm(b.data, axis=-1) == 0.0)
+    if dead.all():
+        return Tensor(np.asarray(1.0, dtype=a.data.dtype))
+    # a dead row divides by 1 instead of 0 and is weighted 0: its cosine is 0
+    guard = dead.astype(a.data.dtype)[..., None]
+
+    def unit(x):
+        sumsq = tsum(square(x), axis=-1, keepdims=True)
+        return div(x, sqrt(add(sumsq, guard) if dead.any() else sumsq))
+
+    weights = (1.0 - guard) / _items(a)
+    return sub(1.0, tsum(mul(mul(unit(a), unit(b)), weights)))
+
+
+def rank_margin_loss(saliency, high_idx, low_idx, margin):
+    """Hinge max(0, margin + s[low] - s[high]) per item, averaged over items.
+
+    saliency is (L,) with int indices, or (B, L) with index arrays of length
+    B; a negative index marks an item without a pair, whose loss is 0.
+    """
+    hi = np.asarray(high_idx).reshape(-1)
+    lo = np.asarray(low_idx).reshape(-1)
+    if hi.shape != lo.shape or hi.size != _items(saliency):
+        raise ShapeError(f"rank pair indices do not match saliency of shape {saliency.data.shape}")
+    paired = np.flatnonzero((hi >= 0) & (lo >= 0))
+    if paired.size == 0:
+        return _zero(saliency)
+    picks = np.zeros((hi.size, saliency.data.shape[-1]), dtype=saliency.data.dtype)
+    picks[paired, lo[paired]] += 1.0
+    picks[paired, hi[paired]] -= 1.0
+    weights = np.zeros(hi.size, dtype=saliency.data.dtype)
+    weights[paired] = 1.0 / hi.size
+    gaps = tsum(mul(saliency, picks.reshape(saliency.data.shape)), axis=-1)  # s[low] - s[high]
+    return tsum(mul(relu(add(gaps, margin)), weights.reshape(gaps.data.shape)))
+
+
+def contrastive_rank_loss(saliency, levels, temperature, clip_mask=None):
+    """-log of the positive-mass softmax ratio, averaged over active level thresholds.
+
+    For each threshold r in 1..4 having at least one positive clip:
+    loss_r = -log( sum_{gt >= r} exp(s/t) / sum_all exp(s/t) ), masked clips
+    excluded from both sums. An item's loss is lse_all - mean_r(lse_r), 0
+    without active thresholds; one logsumexp call reduces all five subsets
+    (all clips, then level >= 1..4) of every item.
+    """
+    levels = np.asarray(levels)
+    include = keep_mask(clip_mask, levels.shape)
+    subsets = np.stack([include] + [include & (levels >= r) for r in range(1, 5)], axis=-2)
+    active = subsets[..., 1:, :].any(axis=-1)  # (..., 4)
+    if not active.any():
+        return _zero(saliency)
+    n_active = active.sum(axis=-1, keepdims=True)
+    coef = np.concatenate([n_active > 0, active / -np.maximum(n_active, 1)], axis=-1)
+    coef = (coef / _items(saliency)).astype(saliency.data.dtype)
+    # subsets weighted 0 reduce every clip instead, so none is empty
+    subsets = np.where(coef[..., None] != 0, subsets, True)
+    shape = saliency.data.shape
+    scaled = reshape(mul(saliency, 1.0 / temperature), shape[:-1] + (1, shape[-1]))
+    return tsum(mul(logsumexp(scaled, subsets), coef))
+
+
+def hard_negative_loss(saliency, negative_mask, epoch):
+    """(epoch+1) * sum of |s| over clips outside every gt window, averaged over items."""
+    neg = np.asarray(negative_mask, dtype=bool)
+    if not neg.any():
+        return _zero(saliency)
+    return mul(tsum(mask_rows(absval(saliency), neg)), float(epoch + 1) / _items(saliency))
+
+
+def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
+    """(epoch+1) * mean squared error against gt saliency over each item's positive clips.
+
+    Items are averaged; an item without positive clips contributes 0.
+    """
+    pos = np.asarray(positive_mask, dtype=bool)
+    if not pos.any():
+        return _zero(saliency)
+    gt = Tensor(np.asarray(gt_saliency, dtype=saliency.data.dtype))
+    weights = (pos / np.maximum(pos.sum(axis=-1, keepdims=True), 1)).astype(saliency.data.dtype)
+    # scale the finished mean so an item's (epoch+1) ramp is bitwise exact
+    mse = tsum(mul(square(sub(gt, saliency)), weights))
+    return mul(mse, float(epoch + 1) / _items(saliency))
+
+
+def highlight_distribution_loss(saliency, gt_saliency, positive_mask, negative_mask, epoch):
+    """Hard-positive plus hard-negative term (the epoch-weighted pair)."""
+    return hard_positive_loss(saliency, gt_saliency, positive_mask, epoch) + \
+        hard_negative_loss(saliency, negative_mask, epoch)
+
+
+def masked_cosine_loss(scores, gt_saliency, clip_mask=None):
+    """one_minus_cosine of rank-1 scores against gt values, both over unmasked clips."""
+    gt = Tensor(np.asarray(gt_saliency, dtype=scores.data.dtype))
+    return one_minus_cosine(mask_rows(scores, clip_mask), mask_rows(gt, clip_mask))
+
+
+def compose_total(components, weights):
+    """Weighted total of all loss components; non-finite components are an error.
+
+    total = saliency_w * (rank_w*rank + cont_w*contrastive + hard_w*hard
+                          + ts_w*task_specific + tc_w*task_coupled)
+            + (l1_w*l1 + giou_w*giou + cls_w*cls)
+            + align_w*alignment
+    """
+    vals = {}
+    for key in COMPONENT_KEYS:
+        if key not in components:
+            raise CompositionError(f"missing loss component '{key}'")
+        c = components[key]
+        if not isinstance(c, Tensor):
+            c = Tensor(np.asarray(float(c)))
+        if not np.all(np.isfinite(c.data)):
+            raise CompositionError(f"loss component '{key}' is not finite")
+        vals[key] = c
+    highlight = (mul(vals["rank"], weights.rank) + mul(vals["contrastive"], weights.contrastive)
+                 + mul(vals["hard"], weights.hard) + mul(vals["task_specific"], weights.task_specific)
+                 + mul(vals["task_coupled"], weights.task_coupled))
+    retrieval = (mul(vals["l1"], weights.l1) + mul(vals["giou"], weights.giou)
+                 + mul(vals["cls"], weights.cls))
+    total = mul(highlight, weights.saliency) + retrieval + mul(vals["alignment"], weights.alignment)
+    return reshape(total, ())
+
+
+def _spans(cw):
+    """Differentiable (P, 2) center/width -> start, end columns, clipped."""
+    c = narrow(cw, 1, 0, 1)
+    w = maximum(narrow(cw, 1, 1, 1), WIDTH_FLOOR)
+    half = mul(w, 0.5)
+    return clip01(sub(c, half)), clip01(c + half)
+
+
+def giou_spans(start_a, end_a, start_b, end_b):
+    """Differentiable gIoU columns for matched span pairs (strictly positive unions)."""
+    inter = relu(sub(minimum(end_a, end_b), maximum(start_a, start_b)))
+    union = sub(sub(end_a, start_a) + sub(end_b, start_b), inter)
+    enclosure = sub(maximum(end_a, end_b), minimum(start_a, start_b))
+    return sub(div(inter, union), div(sub(enclosure, union), enclosure))
+
+
+def moment_loss(class_logits, moments, gt_moments, match, weights):
+    """L1, gIoU, and down-weighted-background CE terms of the moment queries.
+
+    For one item, class_logits/moments are (n_q, 2) tensors from the heads,
+    gt_moments a numpy (M, 2) array of normalized (center, width) and match
+    one MatchResult pairing pred rows with gt rows. For a batch they are
+    (B, n_q, 2) tensors with lists of B gt arrays and B matches: the matched
+    pairs of all items run through one L1/gIoU/CE, each term normalised per
+    item and averaged over items. Returns scalar tensors "l1", "giou", "cls".
+    """
+    batched = class_logits.data.ndim == 3
+    gts, matches = (gt_moments, match) if batched else ([gt_moments], [match])
+    n_items, n_q = len(matches), class_logits.data.shape[-2]
+    dtype = moments.data.dtype
+    counts = np.array([len(m.pred_indices) for m in matches], dtype=int)
+    items = np.repeat(np.arange(n_items), counts)
+    queries = np.array([q for m in matches for q in m.pred_indices], dtype=int)
+    if queries.size:
+        pred_rows = gather(moments, (items, queries) if batched else queries)
+        gt_rows = Tensor(np.concatenate([np.asarray(g, dtype=dtype).reshape(-1, 2)[m.gt_indices]
+                                         for g, m in zip(gts, matches)]))
+        pair_weights = (1.0 / (n_items * counts[items])).astype(dtype)[:, None]
+        l1 = tsum(mul(absval(sub(pred_rows, gt_rows)), pair_weights))
+        ps, pe = _spans(pred_rows)
+        gs, ge = _spans(gt_rows)
+        giou = tsum(mul(sub(1.0, giou_spans(ps, pe, gs, ge)), pair_weights))
+    else:
+        l1 = Tensor(np.asarray(0.0, dtype=dtype))
+        giou = Tensor(np.asarray(0.0, dtype=dtype))
+    # 2-way cross entropy; unmatched queries are background at reduced weight
+    targets = np.ones((n_items, n_q), dtype=int)
+    targets[items, queries] = 0
+    class_weights = np.where(targets == 0, 1.0, weights.background_weight)
+    # picks holds -weight / (item weight total * items) at each query's target column
+    norm = n_items * class_weights.sum(axis=1, keepdims=True)
+    picks = np.zeros((n_items, n_q, 2), dtype=class_logits.data.dtype)
+    picks[np.arange(n_items)[:, None], np.arange(n_q), targets] = -class_weights / norm
+    cls = tsum(mul(log_softmax_rows(class_logits), Tensor(picks.reshape(class_logits.data.shape))))
+    return {"l1": l1, "giou": giou, "cls": cls}
+
+
+def masked_mean_pool(t, mask=None):
+    """Mean over the unmasked rows of (L, d), or of each item of (B, L, d), kept as (1, d) / (B, 1, d)."""
+    keep = keep_mask(mask, t.data.shape[:-1])
+    counts = keep.sum(axis=-1, keepdims=True)[..., None]  # (..., 1, 1)
+    if not counts.all():
+        raise ValueError("masked_mean_pool over an empty (fully masked) sequence")
+    return mul(tsum(mask_rows(t, keep), axis=-2, keepdims=True), 1.0 / counts)
+
+
+def clip_query_cosines(t_bar, v_r, text_mask=None):
+    """Cosine between the pooled query and every refined clip: (L,), or (B, L) for a batch.
+
+    Zero-norm rows (e.g. masked clips zeroed upstream) yield cosine 0 exactly,
+    with zero gradient: their squared norm is taken as 1, so sqrt never sees 0.
+    """
+    pooled = masked_mean_pool(t_bar, text_mask)
+    dots = reshape(matmul(v_r, transpose(pooled)), v_r.data.shape[:-1])
+    sumsq = tsum(square(v_r), axis=-1)
+    zero_rows = sumsq.data == 0.0
+    row_norms = sqrt(add(sumsq, zero_rows.astype(sumsq.data.dtype)) if zero_rows.any() else sumsq)
+    pooled_norm = sqrt(tsum(square(pooled), axis=-1))
+    denom = maximum(mul(row_norms, pooled_norm), 1e-30)
+    return div(dots, denom)
+
+
+def alignment_loss(t_bar, v_r, gt_saliency, text_mask=None, clip_mask=None):
+    """1 - cosine between (normalized) predicted and gt per-clip query alignment.
+
+    gt_saliency holds the normalized (level/4) per-clip values. Masked clips
+    are excluded from both vectors; a zero-norm side gives loss 1.
+    A batch's loss is the mean of its items' losses.
+    """
+    pred = clip_query_cosines(t_bar, v_r, text_mask=text_mask)
+    gt = np.asarray(gt_saliency, dtype=pred.data.dtype)
+    if gt.shape != pred.data.shape:
+        raise ValueError(f"gt saliency shape {gt.shape} does not match clip count {pred.data.shape}")
+    return masked_cosine_loss(pred, gt, clip_mask)

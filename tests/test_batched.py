@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from momentspot import autodiff as ad
-from momentspot.autodiff import (MhaParams, Tensor, conv1d, gather, grad_check,
+from composed import gather
+from momentspot.autodiff import (MhaParams, Tensor, conv1d, grad_check,
                                  layer_norm, linear, logsumexp, mask_rows, mul,
                                  multi_head_attention, tsum)
 from momentspot.config import LossWeights

@@ -3,16 +3,28 @@
 Each case compares the forward value and the gradient of every parent under
 a random linear readout. Tolerances are fixed per dtype: 1e-12 relative in
 float64, 1e-5 relative in float32 (summation order differs between the two
-versions, so float32 cannot match bitwise).
+versions, so float32 cannot match bitwise). Each fused loss node also
+passes a grad_check of its own.
 """
 import numpy as np
 import pytest
 
 import composed
-from momentspot.autodiff import (MhaParams, Tensor, layer_norm, mul,
-                                 multi_head_attention, tsum)
-from momentspot.losses import (GruParams, gru_saliency, masked_cosine_loss,
-                               task_coupled_loss)
+from conftest import away_from_zero
+from momentspot.autodiff import (MhaParams, Tensor, grad_check, layer_norm,
+                                 mul, multi_head_attention, tsum)
+from momentspot.config import LossWeights
+from momentspot.losses import (COMPONENT_KEYS, GruParams, _cosine_loss,
+                               compose_total, contrastive_rank_loss,
+                               gru_saliency, hard_negative_loss,
+                               hard_positive_loss, highlight_distribution_loss,
+                               masked_cosine_loss, one_minus_cosine,
+                               rank_margin_loss, task_coupled_loss,
+                               task_specific_loss)
+from momentspot.matching import (MatchResult, matched_giou, matched_l1,
+                                 moment_loss, weighted_cross_entropy)
+from momentspot.refinement import (alignment_loss, clip_query_cosines,
+                                   masked_mean_pool)
 
 TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -146,3 +158,269 @@ def test_task_coupled_loss_matches_composed(seed, length, masked):
         lambda f, *p: task_coupled_loss(f, GruParams(*p), gt, clip_mask=clip_mask),
         lambda f, *p: masked_cosine_loss(composed.gru_saliency(f, GruParams(*p)), gt, clip_mask),
         gru_arrays(rng, length, 4), np.float64)
+
+
+# -- the loss tail: one node per term ------------------------------------------
+
+# a padded batch of four items over 8 clips; column 7 is padding in every item
+LENGTHS = (7, 5, 3, 6)
+CLIP_MASK = np.arange(8) < np.array(LENGTHS)[:, None]
+LEVELS = np.zeros((4, 8), dtype=int)
+LEVELS[0, :7] = [0, 1, 2, 4, 3, 0, 0]
+LEVELS[2, :3] = [1, 4, 2]         # item 1's gt saliency is all zero; item 2 has no negatives
+LEVELS[3, :6] = [0, 0, 2, 3, 0, 1]
+GT = LEVELS / 4.0
+POSITIVE = (LEVELS > 0) & CLIP_MASK
+NEGATIVE = ~POSITIVE & CLIP_MASK
+HIGH, LOW = np.array([3, -1, 1, -1]), np.array([0, -1, 0, -1])  # items 1 and 3 have no rank pair
+TEXT_LENGTHS = (4, 2, 3, 1)
+TEXT_MASK = np.arange(4) < np.array(TEXT_LENGTHS)[:, None]
+# the un-batched call: item 0 alone, unpadded
+ONE = dict(mask=CLIP_MASK[0, :7], levels=LEVELS[0, :7], high=3, low=0)
+
+
+def saliency(seed, shape=(4, 8)):
+    """Scores away from the kinks at 0; the rank hinges are active."""
+    s = away_from_zero(np.random.default_rng(seed).normal(size=shape))
+    s[..., 3] = s[..., 0] - 0.1  # s[low] - s[high] + margin = 0.1 + 0.2 > 0
+    s[..., 1] = s[..., 0] - 0.25 if len(shape) == 2 else s[1]
+    return s
+
+
+def saliency_cases(batched):
+    if batched:
+        return dict(mask=CLIP_MASK, levels=LEVELS, high=HIGH, low=LOW)
+    return ONE
+
+
+SALIENCY_TERMS = {
+    "rank": (lambda s, c: rank_margin_loss(s, c["high"], c["low"], 0.2),
+             lambda s, c: composed.rank_margin_loss(s, c["high"], c["low"], 0.2)),
+    "contrastive": (lambda s, c: contrastive_rank_loss(s, c["levels"], 0.5, clip_mask=c["mask"]),
+                    lambda s, c: composed.contrastive_rank_loss(s, c["levels"], 0.5,
+                                                                clip_mask=c["mask"])),
+    "hard": (lambda s, c: highlight_distribution_loss(
+                 s, c["levels"] / 4.0, (c["levels"] > 0) & c["mask"], (c["levels"] == 0) & c["mask"], 3),
+             lambda s, c: composed.highlight_distribution_loss(
+                 s, c["levels"] / 4.0, (c["levels"] > 0) & c["mask"], (c["levels"] == 0) & c["mask"], 3)),
+    "hard_positive": (lambda s, c: hard_positive_loss(s, c["levels"] / 4.0, (c["levels"] > 0) & c["mask"], 2),
+                      lambda s, c: composed.hard_positive_loss(s, c["levels"] / 4.0,
+                                                               (c["levels"] > 0) & c["mask"], 2)),
+    "hard_negative": (lambda s, c: hard_negative_loss(s, (c["levels"] == 0) & c["mask"], 2),
+                      lambda s, c: composed.hard_negative_loss(s, (c["levels"] == 0) & c["mask"], 2)),
+    "task_specific": (lambda s, c: task_specific_loss(s, c["levels"] / 4.0, clip_mask=c["mask"]),
+                      lambda s, c: composed.masked_cosine_loss(s, c["levels"] / 4.0, c["mask"])),
+}
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
+@pytest.mark.parametrize("term", list(SALIENCY_TERMS))
+class TestSaliencyTermsMatchComposed:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_and_gradient(self, term, batched, dtype, seed):
+        fused, oracle = SALIENCY_TERMS[term]
+        case = saliency_cases(batched)
+        s = saliency(seed, CLIP_MASK.shape if batched else (7,))
+        assert_matches_oracle(lambda x: fused(x, case), lambda x: oracle(x, case), [s], dtype)
+
+    def test_one_node_passes_grad_check(self, term, batched):
+        fused, _ = SALIENCY_TERMS[term]
+        case = saliency_cases(batched)
+        s = Tensor(saliency(5, CLIP_MASK.shape if batched else (7,)), requires_grad=True)
+        out = fused(s, case)
+        assert out._parents == (s,)
+        assert grad_check(lambda x: fused(x, case), [s]) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("seed", range(3))
+class TestCosineMatchesComposed:
+    def test_both_sides_differentiable(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+        b[1] = 0.0  # a dead row: cosine 0, zero gradient
+        assert_matches_oracle(one_minus_cosine, composed.one_minus_cosine, [a, b], dtype)
+
+    def test_masked_scores_against_constant_gt(self, dtype, seed):
+        s = np.random.default_rng(seed).normal(size=(4, 8))
+        assert_matches_oracle(lambda x: masked_cosine_loss(x, GT, CLIP_MASK),
+                              lambda x: composed.masked_cosine_loss(x, GT, CLIP_MASK), [s], dtype)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_cosine_node_grad_check(masked):
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+    keep = CLIP_MASK if masked else None
+    assert _cosine_loss(a, b, keep)._parents == (a, b)
+    assert grad_check(lambda x, y: _cosine_loss(x, y, keep), [a, b]) < 1e-6
+
+
+def query_arrays(seed, batched):
+    rng = np.random.default_rng(seed)
+    tokens = rng.normal(size=(4, 4, 5))
+    clips = rng.normal(size=(4, 8, 5))
+    clips[~CLIP_MASK] = 0.0  # refined clips are zero at masked rows
+    if batched:
+        return [tokens, clips], TEXT_MASK, CLIP_MASK, GT
+    return [tokens[0], clips[0, :7]], TEXT_MASK[0], CLIP_MASK[0, :7], GT[0, :7]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
+@pytest.mark.parametrize("seed", range(3))
+class TestQueryAlignmentMatchesComposed:
+    def test_masked_mean_pool(self, dtype, batched, seed):
+        (tokens, _), text_mask, _, _ = query_arrays(seed, batched)
+        assert_matches_oracle(lambda t: masked_mean_pool(t, text_mask),
+                              lambda t: composed.masked_mean_pool(t, text_mask), [tokens], dtype)
+
+    def test_clip_query_cosines(self, dtype, batched, seed):
+        arrays, text_mask, _, _ = query_arrays(seed, batched)
+        assert_matches_oracle(lambda t, v: clip_query_cosines(t, v, text_mask),
+                              lambda t, v: composed.clip_query_cosines(t, v, text_mask),
+                              arrays, dtype)
+
+    def test_alignment_loss(self, dtype, batched, seed):
+        arrays, text_mask, clip_mask, gt = query_arrays(seed, batched)
+        assert_matches_oracle(
+            lambda t, v: alignment_loss(t, v, gt, text_mask=text_mask, clip_mask=clip_mask),
+            lambda t, v: composed.alignment_loss(t, v, gt, text_mask=text_mask, clip_mask=clip_mask),
+            arrays, dtype)
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
+def test_clip_query_cosines_grad_check(batched):
+    arrays, text_mask, _, _ = query_arrays(6, batched)
+    rng = np.random.default_rng(6)
+    # no zero clip row: a zero row is a kink of the cosine, where central differences break
+    t, v = (Tensor(a + (a == 0.0) * rng.normal(size=a.shape), requires_grad=True) for a in arrays)
+    assert clip_query_cosines(t, v, text_mask)._parents == (t, v)
+    readout = np.random.default_rng(1).normal(size=v.data.shape[:-1])
+    assert grad_check(lambda a, b: tsum(mul(clip_query_cosines(a, b, text_mask), Tensor(readout))),
+                      [t, v]) < 1e-6
+
+
+def test_zero_pooled_query_passes_no_gradient():
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    v = Tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
+    out = clip_query_cosines(t, v)
+    assert np.all(out.data == 0.0)
+    tsum(out).backward()
+    assert np.all(t.grad == 0.0) and np.all(v.grad == 0.0)
+
+
+# (n_q, 2) center/width rows: clipped at 0 and at 1, and one width under WIDTH_FLOOR
+MOMENTS = np.array([[0.3, 0.2], [0.05, 0.3], [0.62, 5e-5], [0.9, 0.4], [0.5, 0.35]])
+GT_MOMENTS = [np.array([[0.35, 0.3], [0.8, 0.3]]), np.array([[0.1, 0.15]]),
+              np.zeros((0, 2)), np.array([[0.6, 0.1], [0.2, 0.2], [0.5, 0.5]])]
+MATCHES = [MatchResult([0, 3], [0, 1]), MatchResult([1], [0]), MatchResult([], []),
+           MatchResult([4, 0, 2], [0, 1, 2])]  # item 2 has no matched query
+
+
+def moment_arrays(seed, batched):
+    rng = np.random.default_rng(seed)
+    n = 4 if batched else 1
+    moments = MOMENTS + rng.uniform(-0.02, 0.02, size=(n,) + MOMENTS.shape)
+    logits = rng.normal(size=(n, 5, 2))
+    if batched:
+        return [logits, moments], GT_MOMENTS, MATCHES
+    return [logits[0], moments[0]], GT_MOMENTS[0], MATCHES[0]
+
+
+@pytest.mark.parametrize("key", ["l1", "giou", "cls"])
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
+class TestMomentTermsMatchComposed:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_and_gradient(self, key, batched, dtype, seed):
+        (logits, moments), gts, matches = moment_arrays(seed, batched)
+        w = LossWeights()
+        if key == "cls":  # the class term reads only the logits, l1 and giou only the moments
+            def call(fn):
+                return lambda lg: fn(lg, Tensor(moments.astype(dtype)), gts, matches, w)[key]
+            arrays = [logits]
+        else:
+            def call(fn):
+                return lambda mo: fn(Tensor(logits.astype(dtype)), mo, gts, matches, w)[key]
+            arrays = [moments]
+        assert_matches_oracle(call(moment_loss), call(composed.moment_loss), arrays, dtype)
+
+    def test_one_node(self, key, batched):
+        arrays, gts, matches = moment_arrays(0, batched)
+        logits, moments = (Tensor(a, requires_grad=True) for a in arrays)
+        out = moment_loss(logits, moments, gts, matches, LossWeights())[key]
+        assert out._parents == ((logits,) if key == "cls" else (moments,))
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
+def test_matched_pair_nodes_grad_check(batched):
+    (logits, moments), _, _ = moment_arrays(2, batched)
+    index = np.array([0, 3, 4])
+    if batched:
+        index = (np.array([0, 0, 3]), index)
+    gt_rows = np.array([[0.35, 0.3], [0.8, 0.3], [0.6, 0.1]])
+    pair_weights = np.array([[0.25], [0.25], [0.5]])
+    m = Tensor(moments, requires_grad=True)
+    assert grad_check(lambda x: matched_l1(x, index, gt_rows, pair_weights), [m]) < 1e-6
+    assert grad_check(lambda x: matched_giou(x, index, gt_rows, pair_weights), [m]) < 1e-6
+    picks = -np.random.default_rng(3).uniform(0.1, 1.0, size=logits.shape)
+    lg = Tensor(logits, requires_grad=True)
+    assert grad_check(lambda x: weighted_cross_entropy(x, picks), [lg]) < 1e-6
+
+
+def test_giou_at_the_clip_and_floor_kinks_matches_composed():
+    # a span end exactly at 0 or 1 and a width exactly at the floor: the
+    # subgradient conventions of the composed ops (ties pass, ties go to the prediction)
+    moments = np.array([[0.1, 0.2], [0.9, 0.2], [0.5, 1e-4], [0.4, 0.3]])
+    gt = np.array([[0.1, 0.2], [0.7, 0.3], [0.5, 0.2], [0.4, 0.3]])
+    match = MatchResult([0, 1, 2, 3], [0, 1, 2, 3])
+    w = LossWeights()
+    logits = Tensor(np.zeros((4, 2)))
+    assert_matches_oracle(lambda mo: moment_loss(logits, mo, gt, match, w)["giou"],
+                          lambda mo: composed.moment_loss(logits, mo, gt, match, w)["giou"],
+                          [moments], np.float64)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_compose_total_matches_composed(dtype):
+    values = np.random.default_rng(8).uniform(0.1, 3.0, size=len(COMPONENT_KEYS))
+    w = LossWeights()
+
+    def total(fn):
+        return lambda *ts: fn(dict(zip(COMPONENT_KEYS, ts)), w)
+
+    assert_matches_oracle(total(compose_total), total(composed.compose_total),
+                          [np.asarray(v) for v in values], dtype)
+
+
+def test_compose_total_grad_check_and_float_components():
+    ts = [Tensor(np.asarray(v), requires_grad=True)
+          for v in np.random.default_rng(2).uniform(0.1, 3.0, size=len(COMPONENT_KEYS))]
+    w = LossWeights()
+    out = compose_total(dict(zip(COMPONENT_KEYS, ts)), w)
+    assert out._parents == tuple(ts)
+    assert grad_check(lambda *xs: compose_total(dict(zip(COMPONENT_KEYS, xs)), w), ts) < 1e-6
+    mixed = dict(zip(COMPONENT_KEYS, ts))
+    mixed["giou"] = 0.5
+    got = compose_total(mixed, w)
+    assert got._parents == tuple(t for key, t in zip(COMPONENT_KEYS, ts) if key != "giou")
+    assert got.item() == pytest.approx(composed.compose_total(mixed, w).item(), rel=1e-15)
+
+
+def test_edge_cases_build_no_graph():
+    s = Tensor(saliency(0), requires_grad=True)
+    no_pair = rank_margin_loss(s, np.full(4, -1), np.full(4, -1), 0.2)
+    no_threshold = contrastive_rank_loss(s, np.zeros((4, 8), dtype=int), 0.5, clip_mask=CLIP_MASK)
+    no_clips = highlight_distribution_loss(s, GT, np.zeros((4, 8), bool), np.zeros((4, 8), bool), 1)
+    all_dead = task_specific_loss(s, np.zeros((4, 8)), clip_mask=CLIP_MASK)
+    for out, value in ((no_pair, 0.0), (no_threshold, 0.0), (no_clips, 0.0), (all_dead, 1.0)):
+        assert out.item() == value and not out.requires_grad
+    arrays, _, _ = moment_arrays(0, True)
+    out = moment_loss(*(Tensor(a, requires_grad=True) for a in arrays), GT_MOMENTS[2:3] * 4,
+                      [MatchResult([], [])] * 4, LossWeights())
+    assert out["l1"].item() == 0.0 and not out["l1"].requires_grad
+    assert out["giou"].item() == 0.0 and not out["giou"].requires_grad
+    assert out["cls"].requires_grad

@@ -161,3 +161,71 @@ def test_checker_flags_grad_rebinding():
         (4, "new"), (7, "clip_gradients")]
     assert attribute_assignments(source, "model.py", "grad") == [
         (2, "_accumulate"), (7, "clip_gradients")]
+
+
+# every op with a hand-written backward is gradient-checked by some test
+GRAD_CHECKERS = {"grad_check", "check_op"}
+
+
+def backward_ops(source):
+    """Top-level functions that call _node(...) with a backward closure defined inside them."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        closures = {n.name for n in ast.walk(fn) if isinstance(n, ast.FunctionDef) and n is not fn}
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
+                    and call.func.id == "_node" and len(call.args) == 3 \
+                    and isinstance(call.args[2], ast.Name) and call.args[2].id in closures:
+                found.append(fn.name)
+                break
+    return found
+
+
+def grad_checked_names(source):
+    """Names referenced in a test function that also calls grad_check or check_op."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("test")):
+            continue
+        refs = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        if refs & GRAD_CHECKERS:
+            names |= refs
+    return names
+
+
+def test_every_backward_op_is_grad_checked():
+    checked = set().union(*(grad_checked_names(p.read_text(encoding="utf-8"))
+                            for p in sorted((ROOT / "tests").glob("test_*.py"))))
+    ops = [(p.name, name) for p in PACKAGE for name in backward_ops(p.read_text(encoding="utf-8"))]
+    assert len(ops) > 30
+    assert [op for op in ops if op[1] not in checked] == []
+
+
+def test_checker_finds_unchecked_backward_ops():
+    source = ("def op(t):\n"
+              "    def backward(g):\n"
+              "        _accumulate(t, g)\n"
+              "    return _node(t.data, (t,), backward)\n"
+              "def leaf(x):\n"
+              "    return _node(x, (), None)\n"
+              "def wrapper(t):\n"
+              "    return op(t)\n"
+              "class Store:\n"
+              "    def new(self, t):\n"
+              "        def backward(g):\n"
+              "            pass\n"
+              "        return _node(t, (), backward)\n")
+    assert backward_ops(source) == ["op"]
+    tests = ("def test_value():\n"
+             "    assert op(x).item() == 1\n"
+             "def helper():\n"
+             "    grad_check(lambda a: ad.wrapper(a), [x])\n"
+             "class TestOp:\n"
+             "    def test_grad(self):\n"
+             "        check_op(lambda a: ad.sub(a, a), [x])\n")
+    checked = grad_checked_names(tests)
+    assert "sub" in checked and "check_op" in checked
+    assert "op" not in checked and "wrapper" not in checked

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from composed import giou_spans
 from momentspot.autodiff import Tensor, grad_check
 from momentspot.config import LossWeights
-from momentspot.matching import (WIDTH_FLOOR, MatchResult, giou_spans,
-                                 hungarian_match, match_cost_matrix,
-                                 moment_loss, span_from_cw)
+from momentspot.matching import (WIDTH_FLOOR, MatchResult, hungarian_match,
+                                 match_cost_matrix, moment_loss, span_from_cw)
 from momentspot.metrics import giou_1d
 
 
@@ -54,6 +55,53 @@ class TestCostMatrix:
         gts = np.array([[0.5, 0.2]])
         cost = match_cost_matrix(preds, np.array([0.99, 0.01]), gts, w)
         assert cost[0, 0] < cost[1, 0]
+
+
+def loop_cost_matrix(pred_moments, fg_probs, gt_moments, weights):
+    """The pair-by-pair cost matrix: span_from_cw and giou_1d per (pred, gt) pair."""
+    cost = np.zeros((len(pred_moments), len(gt_moments)))
+    for i, p in enumerate(pred_moments):
+        for j, g in enumerate(gt_moments):
+            l1 = abs(p[0] - g[0]) + abs(p[1] - g[1])
+            cost[i, j] = (weights.l1 * l1
+                          + weights.giou * (1.0 - giou_1d(span_from_cw(p), span_from_cw(g)))
+                          + weights.cls * (-fg_probs[i]))
+    return cost
+
+
+# (center, width) rows whose spans touch, nest, coincide, clip at 0 or 1,
+# collapse to a point at 1, or have widths under WIDTH_FLOOR
+BOUNDARY_MOMENTS = np.array([
+    [0.2, 0.2], [0.4, 0.2], [0.3, 0.4], [0.3, 0.1], [0.2, 0.2], [0.05, 0.3], [0.95, 0.3],
+    [1.2, 0.2], [-0.1, 0.1], [0.5, 0.0], [0.5, 5e-5], [0.5, WIDTH_FLOOR], [0.5 + 5e-5, 1e-5],
+])
+
+
+class TestVectorizedCostMatrix:
+    def assert_bitwise(self, preds, fg, gts):
+        w = LossWeights()
+        got = match_cost_matrix(preds, fg, gts, w)
+        want = loop_cost_matrix(preds, fg, gts, w)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        got_match = hungarian_match(preds, fg, gts, w)
+        rows, cols = linear_sum_assignment(want)
+        order = np.argsort(cols)
+        assert got_match.pred_indices == rows[order].tolist()
+        assert got_match.gt_indices == cols[order].tolist()
+
+    def test_random_spans(self, rng):
+        for _ in range(200):
+            n_gt = int(rng.integers(1, 5))
+            n_pred = int(rng.integers(n_gt, 9))
+            preds = np.column_stack([rng.uniform(-0.1, 1.1, size=n_pred), rng.uniform(0, 0.7, size=n_pred)])
+            gts = np.column_stack([rng.uniform(0.1, 0.9, size=n_gt), rng.uniform(0.05, 0.6, size=n_gt)])
+            self.assert_bitwise(preds, rng.uniform(0, 1, size=n_pred), gts)
+
+    def test_boundary_spans(self, rng):
+        fg = rng.uniform(0, 1, size=len(BOUNDARY_MOMENTS))
+        self.assert_bitwise(BOUNDARY_MOMENTS, fg, BOUNDARY_MOMENTS)
+        self.assert_bitwise(BOUNDARY_MOMENTS, fg, BOUNDARY_MOMENTS[:4])
 
 
 class TestHungarian:

@@ -3,6 +3,7 @@ import pytest
 
 from momentspot.autodiff import Tensor
 from momentspot.config import ModelConfig
+from momentspot.fixtures import build_overfit_fixture
 from momentspot.losses import COMPONENT_KEYS, compose_total
 from momentspot.model import (Model, batch_loss, bundle_for, normalized_windows,
                               predict_item, _fg_probs)
@@ -348,6 +349,36 @@ class TestBatchedGraph:
         one, _ = batch_loss(self.model, self.batch[:1], 0, rng=np.random.default_rng(0))
         four, _ = batch_loss(self.model, self.batch, 0, rng=np.random.default_rng(0))
         assert op_nodes(four) <= 1.1 * op_nodes(one)
+
+
+class TestLossGraph:
+    """The loss tail is one node per term: re-composing any term changes the count."""
+
+    # 144 forward nodes, then 12: the nine terms, the GRU scan, the
+    # clip-query cosines and compose_total (the composed tail made it 268)
+    DESK_BATCH_NODES = 156
+
+    def test_desk_batch_graph_size(self, tmp_path):
+        cfg = ModelConfig.desk(batch_size=4)
+        anns = build_overfit_fixture(feature_dir=tmp_path)[:4]
+        batch = [(bundle_for(a, cfg, feature_dir=tmp_path), a) for a in anns]
+        total, parts = batch_loss(Model(cfg, seed=0), batch, epoch=0, rng=np.random.default_rng(0))
+        assert op_nodes(total) == self.DESK_BATCH_NODES
+        assert total._parents == tuple(parts[key] for key in COMPONENT_KEYS)
+        # each term is one node over a forward output (saliency, moments,
+        # logits), over the GRU scan of the memory, or over the clip-query cosines
+        saliency, = parts["rank"]._parents
+        for key in ("contrastive", "hard", "task_specific"):
+            assert parts[key]._parents == (saliency,), key
+        moments, = parts["l1"]._parents
+        assert parts["giou"]._parents == (moments,)
+        logits, = parts["cls"]._parents
+        assert logits is not moments and logits is not saliency
+        scan, = parts["task_coupled"]._parents
+        assert op_nodes(parts["task_coupled"]) == op_nodes(scan) + 1
+        cosines, = parts["alignment"]._parents
+        assert op_nodes(parts["alignment"]) == op_nodes(cosines) + 1
+        assert len(cosines._parents) == 2  # the query tokens and the refined clips
 
 
 class TestPrediction:
