@@ -134,7 +134,7 @@ def matched_giou(moments, index, gt_rows, pair_weights):
         g_lo = g_sa * ((lo >= 0.0) & (lo <= 1.0))
         g_hi = g_ea * ((hi >= 0.0) & (hi <= 1.0))
         g_w = (g_hi - g_lo) * 0.5 * (w_raw >= floor)
-        _scatter(moments, index, np.stack([g_lo + g_hi, g_w], axis=-1).astype(dtype, copy=False))
+        _scatter(moments, index, np.stack([g_lo + g_hi, g_w], axis=-1))
 
     return _node(out_data, (moments,), backward)
 

@@ -11,13 +11,13 @@ import pytest
 
 import composed
 from conftest import away_from_zero
+from momentspot import losses
 from momentspot.autodiff import (MhaParams, Tensor, grad_check, layer_norm,
                                  mul, multi_head_attention, tsum)
 from momentspot.config import LossWeights
 from momentspot.losses import (COMPONENT_KEYS, GruParams, _cosine_loss,
                                compose_total, contrastive_rank_loss,
-                               gru_saliency, hard_negative_loss,
-                               hard_positive_loss, highlight_distribution_loss,
+                               gru_saliency, highlight_distribution_loss,
                                masked_cosine_loss, one_minus_cosine,
                                rank_margin_loss, task_coupled_loss,
                                task_specific_loss)
@@ -170,8 +170,6 @@ LEVELS[0, :7] = [0, 1, 2, 4, 3, 0, 0]
 LEVELS[2, :3] = [1, 4, 2]         # item 1's gt saliency is all zero; item 2 has no negatives
 LEVELS[3, :6] = [0, 0, 2, 3, 0, 1]
 GT = LEVELS / 4.0
-POSITIVE = (LEVELS > 0) & CLIP_MASK
-NEGATIVE = ~POSITIVE & CLIP_MASK
 HIGH, LOW = np.array([3, -1, 1, -1]), np.array([0, -1, 0, -1])  # items 1 and 3 have no rank pair
 TEXT_LENGTHS = (4, 2, 3, 1)
 TEXT_MASK = np.arange(4) < np.array(TEXT_LENGTHS)[:, None]
@@ -183,7 +181,7 @@ def saliency(seed, shape=(4, 8)):
     """Scores away from the kinks at 0; the rank hinges are active."""
     s = away_from_zero(np.random.default_rng(seed).normal(size=shape))
     s[..., 3] = s[..., 0] - 0.1  # s[low] - s[high] + margin = 0.1 + 0.2 > 0
-    s[..., 1] = s[..., 0] - 0.25 if len(shape) == 2 else s[1]
+    s[..., 1] = s[..., 0] - 0.25  # item 2: high 1, low 0
     return s
 
 
@@ -193,24 +191,27 @@ def saliency_cases(batched):
     return ONE
 
 
-SALIENCY_TERMS = {
-    "rank": (lambda s, c: rank_margin_loss(s, c["high"], c["low"], 0.2),
-             lambda s, c: composed.rank_margin_loss(s, c["high"], c["low"], 0.2)),
-    "contrastive": (lambda s, c: contrastive_rank_loss(s, c["levels"], 0.5, clip_mask=c["mask"]),
-                    lambda s, c: composed.contrastive_rank_loss(s, c["levels"], 0.5,
-                                                                clip_mask=c["mask"])),
-    "hard": (lambda s, c: highlight_distribution_loss(
-                 s, c["levels"] / 4.0, (c["levels"] > 0) & c["mask"], (c["levels"] == 0) & c["mask"], 3),
-             lambda s, c: composed.highlight_distribution_loss(
-                 s, c["levels"] / 4.0, (c["levels"] > 0) & c["mask"], (c["levels"] == 0) & c["mask"], 3)),
-    "hard_positive": (lambda s, c: hard_positive_loss(s, c["levels"] / 4.0, (c["levels"] > 0) & c["mask"], 2),
-                      lambda s, c: composed.hard_positive_loss(s, c["levels"] / 4.0,
-                                                               (c["levels"] > 0) & c["mask"], 2)),
-    "hard_negative": (lambda s, c: hard_negative_loss(s, (c["levels"] == 0) & c["mask"], 2),
-                      lambda s, c: composed.hard_negative_loss(s, (c["levels"] == 0) & c["mask"], 2)),
-    "task_specific": (lambda s, c: task_specific_loss(s, c["levels"] / 4.0, clip_mask=c["mask"]),
-                      lambda s, c: composed.masked_cosine_loss(s, c["levels"] / 4.0, c["mask"])),
-}
+def saliency_terms(ns):
+    """The saliency loss calls, taken from the fused module or from the composed oracles."""
+    def positive(c):
+        return (c["levels"] > 0) & c["mask"]
+
+    def negative(c):
+        return (c["levels"] == 0) & c["mask"]
+
+    return {
+        "rank": lambda s, c: ns.rank_margin_loss(s, c["high"], c["low"], 0.2),
+        "contrastive": lambda s, c: ns.contrastive_rank_loss(s, c["levels"], 0.5, clip_mask=c["mask"]),
+        "hard": lambda s, c: ns.highlight_distribution_loss(s, c["levels"] / 4.0, positive(c),
+                                                            negative(c), 3),
+        "hard_positive": lambda s, c: ns.hard_positive_loss(s, c["levels"] / 4.0, positive(c), 2),
+        "hard_negative": lambda s, c: ns.hard_negative_loss(s, negative(c), 2),
+        "task_specific": lambda s, c: ns.masked_cosine_loss(s, c["levels"] / 4.0, c["mask"]),
+    }
+
+
+SALIENCY_TERMS = {key: (fused, saliency_terms(composed)[key])
+                  for key, fused in saliency_terms(losses).items()}
 
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
@@ -235,17 +236,11 @@ class TestSaliencyTermsMatchComposed:
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("seed", range(3))
-class TestCosineMatchesComposed:
-    def test_both_sides_differentiable(self, dtype, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
-        b[1] = 0.0  # a dead row: cosine 0, zero gradient
-        assert_matches_oracle(one_minus_cosine, composed.one_minus_cosine, [a, b], dtype)
-
-    def test_masked_scores_against_constant_gt(self, dtype, seed):
-        s = np.random.default_rng(seed).normal(size=(4, 8))
-        assert_matches_oracle(lambda x: masked_cosine_loss(x, GT, CLIP_MASK),
-                              lambda x: composed.masked_cosine_loss(x, GT, CLIP_MASK), [s], dtype)
+def test_cosine_of_two_differentiable_sides_matches_composed(dtype, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+    b[1] = 0.0  # a dead row: cosine 0, zero gradient
+    assert_matches_oracle(one_minus_cosine, composed.one_minus_cosine, [a, b], dtype)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
