@@ -82,7 +82,9 @@ def decode(memory, params, heads, drop_p=0.0, clip_mask=None, train=False, rng=N
     """Moment-query decoder: targets start at zero, query embeddings join q/k.
 
     Returns the decoded query states (num_queries, d), or (B, num_queries, d)
-    for a (B, L, d) memory.
+    for a (B, L, d) memory. As in DETR, the zero start makes every value of
+    layer 0's self-attention its value bias, so that layer's q/k weights and
+    v.weight get zero gradient by design.
     """
     tgt = Tensor(np.zeros(memory.data.shape[:-2] + params.query_embed.data.shape,
                           dtype=memory.data.dtype))

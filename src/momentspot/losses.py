@@ -122,9 +122,9 @@ def sample_rank_pair(levels, rng, clip_mask=None):
     top, bot = lv.max(), lv.min()
     if top == bot:
         return None
-    high = int(rng.choice(eligible[lv == top]))
-    low = int(rng.choice(eligible[lv == bot]))
-    return high, low
+    highs, lows = eligible[lv == top], eligible[lv == bot]
+    # the stream of rng.choice(highs) and rng.choice(lows), without choice's overhead
+    return int(highs[rng.integers(len(highs))]), int(lows[rng.integers(len(lows))])
 
 
 def contrastive_rank_loss(saliency, levels, temperature, clip_mask=None):

@@ -19,17 +19,9 @@ from .autodiff import Tensor, _accumulate, _node
 WIDTH_FLOOR = 1e-4
 
 
-def span_from_cw(cw):
-    """(center, width) -> [start, end] clipped to [0, 1], width floored. numpy in/out."""
-    c, w = float(cw[0]), float(cw[1])
-    w = max(w, WIDTH_FLOOR)
-    s = min(max(c - 0.5 * w, 0.0), 1.0)
-    e = min(max(c + 0.5 * w, 0.0), 1.0)
-    return [s, e]
-
-
 def _spans(cw):
-    """span_from_cw over the rows of a (..., 2) array: (start, end) arrays of its shape[:-1]."""
+    """(center, width) rows of a (..., 2) array -> (start, end) arrays of its
+    shape[:-1], clipped to [0, 1], with the width floored at WIDTH_FLOOR."""
     half = 0.5 * np.maximum(cw[..., 1], WIDTH_FLOOR)
     return _clip01(cw[..., 0] - half), _clip01(cw[..., 0] + half)
 
@@ -56,9 +48,9 @@ class MatchResult:
 def match_cost_matrix(pred_moments, fg_probs, gt_moments, weights):
     """Pairwise assignment costs: l1 + (1 - gIoU) + (-fg prob), each weighted.
 
-    Array ops over all (pred, gt) pairs, bitwise equal to span_from_cw and
-    metrics.giou_1d applied pair by pair (a pair with an empty union or
-    enclosure has gIoU 0).
+    Array ops over all (pred, gt) pairs, bitwise equal to a per-row span
+    conversion and metrics.giou_1d applied pair by pair (a pair with an
+    empty union or enclosure has gIoU 0).
     """
     pred = np.asarray(pred_moments, dtype=float)[:, None, :]
     gt = np.asarray(gt_moments, dtype=float)[None, :, :]
@@ -105,7 +97,7 @@ def matched_l1(moments, index, gt_rows, pair_weights):
 def matched_giou(moments, index, gt_rows, pair_weights):
     """sum over matched pairs of pair_weight * (1 - gIoU(pred span, gt span)), as one node.
 
-    Spans are the clipped, width-floored ends of span_from_cw; the gt unions
+    Spans are the clipped, width-floored ends of _spans; the gt unions
     must be non-empty. Subgradients at the kinks follow the composed ops:
     ties of min/max go to the prediction, clipping passes at the bounds,
     and the gap takes the gradient of enclosure - union.

@@ -18,7 +18,7 @@ from .losses import (CompositionError, GruParams, compose_total,
                      contrastive_rank_loss, highlight_distribution_loss,
                      rank_margin_loss, sample_rank_pair, task_coupled_loss,
                      task_specific_loss)
-from .matching import hungarian_match, moment_loss, span_from_cw
+from .matching import _spans, hungarian_match, moment_loss
 from .metrics import QueryPrediction
 from .refinement import ConvLayer, ProjectionParams, alignment_loss, project, refine
 
@@ -353,10 +353,9 @@ def predict_item(model, bundle, ann):
     with no_grad():
         preds = model.forward(bundle, train=False).predictions
     fg = _fg_probs(preds.class_logits.data)
-    windows = []
-    for q in range(model.cfg.num_queries):
-        s, e = span_from_cw(preds.moments.data[q])
-        windows.append([s * ann.duration, e * ann.duration, float(fg[q])])
+    starts, ends = _spans(preds.moments.data.astype(float))
+    windows = [[s * ann.duration, e * ann.duration, p]
+               for s, e, p in zip(starts.tolist(), ends.tolist(), fg.tolist())]
     return QueryPrediction(qid=ann.qid, windows=windows,
                            saliency=[float(x) for x in preds.saliency.data])
 

@@ -18,7 +18,7 @@ from .metrics import compute_report, save_predictions
 from .model import Model, ParamStore, batch_loss, bundle_for, predict_item
 
 CHECKPOINT_MAGIC = b"MSPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # AdamW's standard moment decay rates and denominator guard (Loshchilov & Hutter)
@@ -100,11 +100,13 @@ def clip_gradients(params, max_norm):
 
 # -- checkpoint format ----------------------------------------------------------
 # magic "MSPT" | u32 version | u32 json_len | json metadata | raw little-endian
-# payload (params, then AdamW's m and v in the same layout). The payload dtype
-# is the arena's, tagged f32 or f64 in the metadata. Every checkpoint file is
-# written through _write_atomic, so a run killed mid-write leaves the previous
-# file whole.
+# payload: the params arena. The payload dtype is the arena's, tagged f32 or
+# f64 in the metadata. Every checkpoint file is written through _write_atomic,
+# so a run killed mid-write leaves the previous file whole.
 PAYLOAD_DTYPES = {"f32": "<f4", "f64": "<f8"}
+# arena-sized payload blocks per version: version 1 wrote params|m|v (AdamW's
+# moments, which no load ever read), version 2 writes params alone
+PAYLOAD_BLOCKS = {1: 3, 2: 1}
 
 
 def _write_atomic(path, write):
@@ -126,32 +128,33 @@ def _write_atomic(path, write):
     return path
 
 
-def save_checkpoint(path, model, optimizer, epoch=0, rng_state=None, best_metric=None):
+def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
+    """Write the model's params arena under a header with its config and layout.
+
+    epoch is the number of finished epochs (header key epochs_done) and the
+    optimizer supplies its step count; its moments are not saved.
+    """
     params = model.named_parameters()
-    if optimizer.m_arena.size != params.arena.size:
-        raise ValueError("the optimizer does not cover the model's parameters")
-    tag = f"f{8 * params.arena.itemsize}"
+    arena = params.arena
+    tag = f"f{8 * arena.itemsize}"
     payload_dtype = PAYLOAD_DTYPES[tag]
     meta = {
         "config": model.cfg.to_dict(),
-        "epoch": int(epoch),
+        "epochs_done": int(epoch),
         "payload_dtype": tag,
         "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
         "optimizer_step": optimizer.step_count,
-        "rng_state": rng_state,
         "best_metric": best_metric,
     }
-    blocks = (params.arena, optimizer.m_arena, optimizer.v_arena)
     meta_bytes = json.dumps(meta).encode("utf-8")
 
     def write(fh):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
-        for block in blocks:
-            for lo in range(0, block.size, WRITE_SLICE):
-                # from the arena's own buffer unless the payload dtype differs
-                fh.write(np.ascontiguousarray(block[lo:lo + WRITE_SLICE], dtype=payload_dtype))
+        for lo in range(0, arena.size, WRITE_SLICE):
+            # from the arena's own buffer unless the payload dtype differs
+            fh.write(np.ascontiguousarray(arena[lo:lo + WRITE_SLICE], dtype=payload_dtype))
 
     _write_atomic(path, write)
     return path
@@ -177,14 +180,15 @@ def _read_head(fh, path):
 
     Checks the magic, the version, that the metadata is a JSON object with
     the keys a load needs, the params entries, the payload dtype tag and
-    that the rest of the file is exactly the params, m and v blocks the
-    metadata describes. Any failure is a ValueError naming path.
+    that the rest of the file is exactly the version's PAYLOAD_BLOCKS blocks
+    of the layout the metadata describes. Any failure is a ValueError naming
+    path.
     """
     head = fh.read(12)
     if len(head) != 12 or head[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
     version, meta_len = struct.unpack("<II", head[4:])
-    if version != CHECKPOINT_VERSION:
+    if version not in PAYLOAD_BLOCKS:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     try:
         meta = json.loads(fh.read(meta_len).decode("utf-8"))
@@ -203,7 +207,7 @@ def _read_head(fh, path):
     if meta["payload_dtype"] not in PAYLOAD_DTYPES:
         raise ValueError(f"{path}: unknown payload dtype {meta['payload_dtype']!r}")
     dtype = np.dtype(PAYLOAD_DTYPES[meta["payload_dtype"]])
-    expected = 3 * sum(math.prod(e["shape"]) for e in entries) * dtype.itemsize
+    expected = PAYLOAD_BLOCKS[version] * sum(math.prod(e["shape"]) for e in entries) * dtype.itemsize
     actual = os.fstat(fh.fileno()).st_size - fh.tell()
     if actual != expected:
         raise ValueError(f"{path}: payload is {actual} bytes, expected {expected}")
@@ -213,7 +217,8 @@ def _read_head(fh, path):
 def model_from_checkpoint(path, cfg=None):
     """(model, meta): a Model with no random init whose arena holds the
     checkpoint's params block, read straight into it when the dtypes agree and
-    cast to the model's dtype when not. The m/v blocks are never read.
+    cast to the model's dtype when not. A version-1 file's trailing m and v
+    blocks are never read.
 
     The model is built from cfg (a warm start passes the run's), or from the
     checkpoint's own config when cfg is None; its parameter names and shapes
@@ -319,8 +324,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     epochs_run = 0
     eval_period = cfg.eval_every or cfg.epochs
     # ensure a "last good" checkpoint exists even if epoch 0 diverges
-    save_checkpoint(last_path, model, optimizer=optimizer, epoch=0,
-                    rng_state=rng.bit_generator.state, best_metric=None)
+    save_checkpoint(last_path, model, optimizer=optimizer, epoch=0, best_metric=None)
     with open(log_path, "w", encoding="utf-8") as log:
         def write_log(entry):
             log.write(json.dumps(entry) + "\n")
@@ -392,8 +396,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                 improved = report.map_avg > best_metric
                 if improved:
                     best_metric = report.map_avg
-            save_checkpoint(last_path, model, optimizer=optimizer, epoch=epoch,
-                            rng_state=rng.bit_generator.state,
+            save_checkpoint(last_path, model, optimizer=optimizer, epoch=epoch + 1,
                             best_metric=None if best_metric == -math.inf else best_metric)
             if improved:
                 _copy_checkpoint(last_path, best_path)

@@ -228,6 +228,15 @@ def compose_total(components, weights):
     return reshape(total, ())
 
 
+def span_from_cw(cw):
+    """(center, width) -> [start, end] clipped to [0, 1], width floored; one row at a time."""
+    c, w = float(cw[0]), float(cw[1])
+    w = max(w, WIDTH_FLOOR)
+    s = min(max(c - 0.5 * w, 0.0), 1.0)
+    e = min(max(c + 0.5 * w, 0.0), 1.0)
+    return [s, e]
+
+
 def _spans(cw):
     """Differentiable (P, 2) center/width -> start, end columns, clipped."""
     c = narrow(cw, 1, 0, 1)

@@ -98,6 +98,24 @@ class TestSampleRankPair:
         rng = np.random.default_rng(0)
         assert sample_rank_pair([0, 4], rng, clip_mask=[False, False]) is None
 
+    def test_integer_draw_is_the_stream_of_choice(self):
+        for n in range(1, 101):
+            pool = np.arange(3, 3 + 2 * n, 2)
+            by_choice, by_index = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(20):
+                assert by_choice.choice(pool) == pool[by_index.integers(len(pool))]
+            assert by_choice.bit_generator.state == by_index.bit_generator.state
+
+    def test_pairs_are_the_choice_draws(self):
+        data, drawn, reference = (np.random.default_rng(s) for s in (4, 5, 5))
+        for _ in range(200):
+            levels = data.integers(0, 5, size=int(data.integers(2, 40)))
+            pair = sample_rank_pair(levels, drawn)
+            if pair is not None:
+                assert pair == (
+                    int(reference.choice(np.flatnonzero(levels == levels.max()))),
+                    int(reference.choice(np.flatnonzero(levels == levels.min()))))
+
 
 class TestContrastive:
     def test_frozen_example(self):

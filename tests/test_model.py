@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from composed import span_from_cw
 from momentspot.autodiff import Tensor
 from momentspot.config import ModelConfig
 from momentspot.fixtures import build_overfit_fixture
@@ -393,6 +394,21 @@ class TestPrediction:
         for s, e, score in pred.windows:
             assert 0.0 <= s <= e <= ann.duration
             assert 0.0 <= score <= 1.0
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_windows_equal_the_per_query_conversion(self, dtype):
+        cfg = tiny_config(dtype=dtype, encoder_layers=1, decoder_layers=1, num_queries=12)
+        ann = make_annotation(duration=19.7)
+        bundle = bundle_for(ann, cfg)
+        for seed in range(3):
+            model = Model(cfg, seed=seed)
+            preds = model.forward(bundle).predictions
+            fg = _fg_probs(preds.class_logits.data)
+            want = [[s * ann.duration, e * ann.duration, float(fg[q])]
+                    for q, (s, e) in enumerate(map(span_from_cw, preds.moments.data))]
+            got = predict_item(model, bundle, ann).windows
+            assert got == want
+            assert all(type(x) is float for row in got for x in row)
 
     def test_predict_item_builds_no_graph(self, monkeypatch):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)

@@ -31,10 +31,11 @@ def make_params(rng, shapes):
     return store
 
 
-def trailing_moments(path, model):
-    """The m and v blocks at the end of checkpoint `path`, as one flat array."""
-    arena = model.store.arena
-    return np.frombuffer(Path(path).read_bytes()[-2 * arena.nbytes:], dtype=arena.dtype)
+def payload(path):
+    """The bytes of checkpoint `path` after its header."""
+    raw = Path(path).read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    return raw[12 + meta_len:]
 
 
 def save_with_fresh_adamw(path, model, **kwargs):
@@ -305,8 +306,7 @@ class TestWeightArena:
         self.assert_views_of_the_arena(model)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, optimizer=opt)
-        assert trailing_moments(path, model).tobytes() == \
-            opt.m_arena.tobytes() + opt.v_arena.tobytes()
+        assert payload(path) == model.store.arena.tobytes()
 
         restored, _ = model_from_checkpoint(path)
         self.assert_views_of_the_arena(restored)
@@ -341,7 +341,7 @@ class TestWeightArena:
         monkeypatch.setattr(training, "open", counting_open, raising=False)
         monkeypatch.setattr(model_module, "xavier_uniform", no_init)
         restored, _ = model_from_checkpoint(path)
-        assert [r.count for r in readers] == [path.stat().st_size - 2 * model.store.arena.nbytes]
+        assert [r.count for r in readers] == [path.stat().st_size]  # the header, then params
         assert restored.store.arena.dtype == np.float32
         assert restored.store.arena.tobytes() == model.store.arena.tobytes()
 
@@ -450,15 +450,14 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, optimizer=opt, epoch=3, best_metric=0.5)
         restored, meta = model_from_checkpoint(path)
-        assert meta["epoch"] == 3
+        assert meta["epochs_done"] == 3
         assert meta["best_metric"] == 0.5
         assert meta["payload_dtype"] == "f64"
         assert meta["optimizer_step"] == 1
         params = restored.named_parameters()
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(params[name].tensor.data, p.tensor.data)
-        assert trailing_moments(path, model).tobytes() == \
-            opt.m_arena.tobytes() + opt.v_arena.tobytes()
+        assert payload(path) == model.store.arena.tobytes()
 
     def test_round_trip_bitwise_float32(self, tmp_path):
         cfg = tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1)
@@ -507,22 +506,19 @@ class TestCheckpoint:
             for p in params.values():
                 p.tensor.grad[...] = rng.normal(size=p.tensor.data.shape)
             opt.step()
-        blocks = [p.tensor.data for p in params.values()] + [opt.m_arena, opt.v_arena]
-        rng_state = np.random.default_rng(4).bit_generator.state
         path = tmp_path / "layout.ckpt"
-        save_checkpoint(path, model, optimizer=opt, epoch=2, rng_state=rng_state,
-                        best_metric=0.25)
+        save_checkpoint(path, model, optimizer=opt, epoch=2, best_metric=0.25)
         meta = json.dumps({
             "config": cfg.to_dict(),
-            "epoch": 2,
+            "epochs_done": 2,
             "payload_dtype": tag,
             "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
             "optimizer_step": 1 if stepped else 0,
-            "rng_state": rng_state,
             "best_metric": 0.25,
         }).encode("utf-8")
-        payload = b"".join(np.asarray(block, dtype=payload_dtype).tobytes() for block in blocks)
-        want = b"MSPT" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta + payload
+        params_block = b"".join(np.asarray(p.tensor.data, dtype=payload_dtype).tobytes()
+                                for p in params.values())
+        want = b"MSPT" + struct.pack("<I", 2) + struct.pack("<I", len(meta)) + meta + params_block
         assert path.read_bytes() == want
 
     def test_interrupted_writes_keep_previous_files(self, tmp_path, monkeypatch):
@@ -607,9 +603,45 @@ class TestCheckpoint:
         rewrite_meta(path, lambda meta: meta.update(has_optimizer=True))
         restored, _ = model_from_checkpoint(path)
         assert restored.store.arena.tobytes() == model.store.arena.tobytes()
-        # a params-only payload is not a checkpoint
-        path.write_bytes(path.read_bytes()[:-2 * model.store.arena.nbytes])
-        with pytest.raises(ValueError, match="payload is"):
+
+    def test_version_1_file_loads_its_params_block(self, tmp_path, monkeypatch, rng):
+        # as earlier runs wrote it: params|m|v under a header with epoch and rng_state
+        cfg = tiny_config(dtype="float32", encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=6)
+        params = model.named_parameters()
+        meta = json.dumps({
+            "config": cfg.to_dict(),
+            "epoch": 4,
+            "payload_dtype": "f32",
+            "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
+            "optimizer_step": 10,
+            "rng_state": np.random.default_rng(4).bit_generator.state,
+            "best_metric": None,
+        }).encode("utf-8")
+        moments = rng.normal(size=2 * params.arena.size).astype(np.float32)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"MSPT" + struct.pack("<II", 1, len(meta)) + meta
+                         + params.arena.tobytes() + moments.tobytes())
+        readers = []
+
+        def counting_open(*args, **kwargs):
+            readers.append(CountingReader(open(*args, **kwargs)))
+            return readers[-1]
+
+        monkeypatch.setattr(training, "open", counting_open, raising=False)
+        restored, meta = model_from_checkpoint(path)
+        assert restored.store.arena.tobytes() == params.arena.tobytes()
+        assert meta["epoch"] == 4 and meta["optimizer_step"] == 10
+        assert [r.count for r in readers] == [path.stat().st_size - moments.nbytes]
+
+    def test_version_2_with_three_blocks_is_rejected(self, tmp_path):
+        model = Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0)
+        path = tmp_path / "three.ckpt"
+        save_with_fresh_adamw(path, model)
+        arena = model.store.arena
+        path.write_bytes(path.read_bytes() + np.zeros(2 * arena.size, arena.dtype).tobytes())
+        with pytest.raises(ValueError, match=f"{path}: payload is {3 * arena.nbytes} bytes, "
+                                             f"expected {arena.nbytes}"):
             model_from_checkpoint(path)
 
     def test_save_needs_an_optimizer(self, tmp_path):
@@ -710,13 +742,15 @@ class TestTrainLoop:
         cfg = self.small_cfg(epochs=3, val_fraction=0.34, eval_every=1)
         result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
         assert [name for name, _ in snapshots] == ["last.ckpt"] * (cfg.epochs + 1)
+        metas = [json.loads(raw[12:12 + struct.unpack("<I", raw[8:12])[0]]) for _, raw in snapshots]
+        assert [meta["epochs_done"] for meta in metas] == [0, 1, 2, 3]  # finished epochs
         lines = [json.loads(l) for l in open(result.log_path)]
         val_maps = [l["map_avg"] for l in lines if l["split"] == "val"]
         best_epoch = val_maps.index(result.best_metric)  # the first epoch to reach the best
         best = Path(result.best_checkpoint).read_bytes()
         assert best == snapshots[best_epoch + 1][1]  # snapshot 0 is the initial save
         _, meta = model_from_checkpoint(result.best_checkpoint)
-        assert meta["epoch"] == best_epoch
+        assert meta["epochs_done"] == best_epoch + 1
         _, meta = model_from_checkpoint(result.last_checkpoint)
         assert meta["best_metric"] == result.best_metric
 
@@ -739,10 +773,10 @@ class TestTrainLoop:
         assert len(snapshots) == 4  # the initial save, then one per epoch
         assert Path(result.best_checkpoint).read_bytes() == snapshots[2]  # after epoch 1
         _, meta = model_from_checkpoint(result.best_checkpoint)
-        assert meta["epoch"] == 1 and meta["best_metric"] == 0.4
+        assert meta["epochs_done"] == 2 and meta["best_metric"] == 0.4
         assert result.best_metric == 0.4
         _, meta = model_from_checkpoint(result.last_checkpoint)
-        assert meta["epoch"] == 2 and meta["best_metric"] == 0.4
+        assert meta["epochs_done"] == 3 and meta["best_metric"] == 0.4
 
     def test_eval_every_zero_validates_after_the_last_epoch(self, tmp_path):
         anns = toy_dataset()
@@ -803,7 +837,7 @@ class TestTrainLoop:
         cfg = self.small_cfg(dtype="float32", epochs=0)
         result = train(cfg, toy_dataset(), tmp_path / "run", seed=0, init_from=path)
         assert readers[0].name == str(path)
-        assert readers[0].count == path.stat().st_size - 2 * source.store.arena.nbytes
+        assert readers[0].count == path.stat().st_size  # the header, then params
         restored, _ = model_from_checkpoint(result.last_checkpoint)
         params = restored.state_arrays()
         for name, arr in source.state_arrays().items():
@@ -841,7 +875,6 @@ class TestTrainLoop:
         assert best == Path(result.last_checkpoint).read_bytes()
         restored, _ = model_from_checkpoint(result.best_checkpoint)
         assert np.isfinite(restored.store.arena).all()
-        assert np.isfinite(trailing_moments(result.best_checkpoint, restored)).all()
 
     def test_each_checkpoint_is_written_once(self, tmp_path, monkeypatch):
         written = []
@@ -856,6 +889,16 @@ class TestTrainLoop:
         assert written == ["last.ckpt"] * 4  # the initial save, then one per epoch
         assert Path(result.best_checkpoint).read_bytes() == \
             Path(result.last_checkpoint).read_bytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_checkpoints_hold_the_header_and_one_params_block(self, tmp_path, dtype):
+        cfg = self.small_cfg(dtype=dtype, val_fraction=0.34, eval_every=1)
+        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
+        arena = Model(cfg, seed=None).store.arena
+        for path in (Path(result.last_checkpoint), Path(result.best_checkpoint)):
+            (meta_len,) = struct.unpack("<I", path.read_bytes()[8:12])
+            assert path.stat().st_size == 12 + meta_len + arena.nbytes
+            assert "rng_state" not in read_meta(path)
 
     def test_rerun_without_validation_replaces_stale_best(self, tmp_path):
         run = tmp_path / "run"
