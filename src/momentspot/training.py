@@ -129,11 +129,8 @@ def _write_atomic(path, write):
 
 
 def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
-    """Write the model's params arena under a header with its config and layout.
-
-    epoch is the number of finished epochs (header key epochs_done) and the
-    optimizer supplies its step count; its moments are not saved.
-    """
+    """Write the params arena under a header; epoch counts finished epochs
+    (header key epochs_done), and the optimizer gives only its step count."""
     params = model.named_parameters()
     arena = params.arena
     tag = f"f{8 * arena.itemsize}"
