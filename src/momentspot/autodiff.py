@@ -612,6 +612,11 @@ def dropout(t, p, rng=None, train=False):
     return mul(t, Tensor(keep))
 
 
+def identity(t):
+    """The dropout function of a stage run without dropout."""
+    return t
+
+
 def conv1d(x, weight, bias=None):
     """Same-padding 1-D convolution over rows: (L, C_in) -> (L, C_out), per item of a (B, L, C_in) batch.
 

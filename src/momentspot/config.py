@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .data import TEXT_ENCODER_KINDS, VIDEO_ENCODER_KINDS
@@ -35,7 +36,7 @@ JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str
 
 
 def _checked_fields(cls, d, what):
-    """A copy of d once it is a dict of cls's fields, each of its field's JSON type."""
+    """A copy of d once it is a dict of cls's fields, each of its field's JSON type (floats finite)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be an object, got {type(d).__name__}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -47,6 +48,9 @@ def _checked_fields(cls, d, what):
             ok = all(type(p) in (list, tuple) and list(map(type, p)) == [str, int] for p in value)
         if not ok:
             raise ConfigError(f"{what} field {key} has the wrong type: {value!r}")
+        # JSON's NaN and Infinity parse as floats
+        if types[key] == "float" and not math.isfinite(value):
+            raise ConfigError(f"{what} field {key} must be finite, got {value!r}")
     return dict(d)
 
 
@@ -117,6 +121,8 @@ class ModelConfig:
                               f"{self.dropout} and {self.input_dropout}")
         if self.max_text_len < 1:
             raise ConfigError(f"max_text_len must be >= 1, got {self.max_text_len}")
+        if not self.weights.temperature > 0:
+            raise ConfigError(f"weights field temperature must be > 0, got {self.weights.temperature}")
         return self
 
     @property

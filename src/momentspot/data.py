@@ -140,14 +140,18 @@ def _annotation(obj, default_clip_len):
 
 
 def load_dataset(path, default_clip_len=2.0):
-    """Read line-delimited JSON annotations; parse errors carry line numbers."""
+    """Read line-delimited JSON annotations; parse errors and duplicate qids carry line numbers."""
     annotations = []
+    seen = set()
     rows = read_jsonl(path, _ANNOTATION_FIELDS, lambda obj: _annotation(obj, default_clip_len))
     for lineno, ann in rows:
         try:
             ann.validate()
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from err
+        if ann.qid in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate qid {ann.qid}")
+        seen.add(ann.qid)
         annotations.append(ann)
     return annotations
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (MhaParams, Tensor, add, dropout, layer_norm, linear,
+from .autodiff import (MhaParams, Tensor, add, identity, layer_norm, linear,
                        matmul, mul, multi_head_attention, relu, reshape, sigmoid)
 
 
@@ -62,23 +62,21 @@ class PredictionSet:
     saliency: Tensor      # (L,); (B, L) for a batch
 
 
-def _ffn(x, layer, drop_p, train, rng):
-    hidden = dropout(relu(linear(x, layer.ffn_w1, layer.ffn_b1)), drop_p, rng=rng, train=train)
+def _ffn(x, layer, drop):
+    hidden = drop(relu(linear(x, layer.ffn_w1, layer.ffn_b1)))
     return linear(hidden, layer.ffn_w2, layer.ffn_b2)
 
 
-def encode(x, layers, heads, drop_p=0.0, clip_mask=None, train=False, rng=None):
+def encode(x, layers, heads, drop=identity, clip_mask=None):
     """Post-norm self-attention + FFN stack over the clip stream (L, d) or (B, L, d)."""
     for layer in layers:
         attended = multi_head_attention(x, x, x, layer.attn, heads, key_mask=clip_mask)
-        x = layer_norm(add(x, dropout(attended, drop_p, rng=rng, train=train)),
-                       layer.ln1_gamma, layer.ln1_beta)
-        x = layer_norm(add(x, dropout(_ffn(x, layer, drop_p, train, rng), drop_p, rng=rng, train=train)),
-                       layer.ln2_gamma, layer.ln2_beta)
+        x = layer_norm(add(x, drop(attended)), layer.ln1_gamma, layer.ln1_beta)
+        x = layer_norm(add(x, drop(_ffn(x, layer, drop))), layer.ln2_gamma, layer.ln2_beta)
     return x
 
 
-def decode(memory, params, heads, drop_p=0.0, clip_mask=None, train=False, rng=None):
+def decode(memory, params, heads, drop=identity, clip_mask=None):
     """Moment-query decoder: targets start at zero, query embeddings join q/k.
 
     Returns the decoded query states (num_queries, d), or (B, num_queries, d)
@@ -91,14 +89,11 @@ def decode(memory, params, heads, drop_p=0.0, clip_mask=None, train=False, rng=N
     for layer in params.layers:
         q = add(tgt, params.query_embed)
         attended = multi_head_attention(q, q, tgt, layer.self_attn, heads)
-        tgt = layer_norm(add(tgt, dropout(attended, drop_p, rng=rng, train=train)),
-                         layer.ln1_gamma, layer.ln1_beta)
+        tgt = layer_norm(add(tgt, drop(attended)), layer.ln1_gamma, layer.ln1_beta)
         cross = multi_head_attention(add(tgt, params.query_embed), memory, memory,
                                      layer.cross_attn, heads, key_mask=clip_mask)
-        tgt = layer_norm(add(tgt, dropout(cross, drop_p, rng=rng, train=train)),
-                         layer.ln2_gamma, layer.ln2_beta)
-        tgt = layer_norm(add(tgt, dropout(_ffn(tgt, layer, drop_p, train, rng), drop_p, rng=rng, train=train)),
-                         layer.ln3_gamma, layer.ln3_beta)
+        tgt = layer_norm(add(tgt, drop(cross)), layer.ln2_gamma, layer.ln2_beta)
+        tgt = layer_norm(add(tgt, drop(_ffn(tgt, layer, drop))), layer.ln3_gamma, layer.ln3_beta)
     return tgt
 
 

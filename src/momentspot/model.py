@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .autodiff import MhaParams, Tensor, _node, no_grad, xavier_uniform
+from .autodiff import MhaParams, Tensor, _node, dropout, no_grad, xavier_uniform
 from .config import ConfigError, ModelConfig
 from .data import FeatureBundle, encode_item
 from .fusion import FusionParams, FusionStage, fuse
@@ -108,7 +109,6 @@ class ModelParams:
 class ForwardResult:
     text_tokens: Tensor
     refined: Tensor
-    fused: Tensor
     memory: Tensor
     predictions: PredictionSet
 
@@ -239,31 +239,28 @@ class Model:
 
         Every stage keeps the bundle's leading shape: an item gives (L, d)
         clip states, (num_queries, 2) moments and (L,) saliency; a batch gives
-        the same with a leading B axis.
+        the same with a leading B axis. With train set, the stages' dropout
+        functions (cfg.input_dropout, then cfg.dropout) draw from rng in order.
         """
         cfg, p = self.cfg, self.params
         vmask, tmask = bundle.video_mask, bundle.text_mask
+        input_drop = partial(dropout, p=cfg.input_dropout, rng=rng, train=train)
+        drop = partial(dropout, p=cfg.dropout, rng=rng, train=train)
         video = Tensor(bundle.video.astype(self.dtype))
         text = Tensor(bundle.text.astype(self.dtype))
-        v_bar = project(video, p.video_proj, cfg.input_dropout, train=train, rng=rng, mask=vmask)
-        t_bar = project(text, p.text_proj, cfg.input_dropout, train=train, rng=rng, mask=tmask)
+        v_bar = project(video, p.video_proj, input_drop, mask=vmask)
+        t_bar = project(text, p.text_proj, input_drop, mask=tmask)
         if cfg.use_refinement:
-            v_r = refine(v_bar, t_bar, p.refine_conv, cfg.max_text_len,
-                         text_mask=tmask, clip_mask=vmask)
+            v_r = refine(v_bar, t_bar, p.refine_conv, text_mask=tmask, clip_mask=vmask)
         else:
             v_r = v_bar
-        fused = fuse(v_r, t_bar, p.fusion, cfg.heads, mode=cfg.fusion_mode,
-                     drop_p=cfg.dropout, clip_mask=vmask, text_mask=tmask,
-                     train=train, rng=rng)
-        memory = encode(fused, p.encoder, cfg.heads, drop_p=cfg.dropout,
-                        clip_mask=vmask, train=train, rng=rng)
+        fused = fuse(v_r, t_bar, p.fusion, cfg.heads, drop, clip_mask=vmask, text_mask=tmask)
+        memory = encode(fused, p.encoder, cfg.heads, drop, clip_mask=vmask)
         saliency = predict_saliency(memory, p.heads.saliency_w)
-        decoded = decode(memory, p.decoder, cfg.heads, drop_p=cfg.dropout,
-                         clip_mask=vmask, train=train, rng=rng)
+        decoded = decode(memory, p.decoder, cfg.heads, drop, clip_mask=vmask)
         logits, moments = predict_moments(decoded, p.heads)
         preds = PredictionSet(class_logits=logits, moments=moments, saliency=saliency)
-        return ForwardResult(text_tokens=t_bar, refined=v_r, fused=fused,
-                             memory=memory, predictions=preds)
+        return ForwardResult(text_tokens=t_bar, refined=v_r, memory=memory, predictions=preds)
 
 
 def normalized_windows(ann):

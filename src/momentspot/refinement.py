@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, _accumulate, _node, concat, conv1d, dropout,
+from .autodiff import (Tensor, _accumulate, _node, concat, conv1d, identity,
                        keep_mask, mask_rows, matmul, relu, transpose)
 from .config import ConfigError
 from .losses import masked_cosine_loss
@@ -23,11 +23,11 @@ class ProjectionParams:
     layers: list  # of ConvLayer
 
 
-def project(x, params, input_dropout=0.0, train=False, rng=None, mask=None):
+def project(x, params, drop=identity, mask=None):
     """Stacked same-padding conv1d + ReLU mapping raw features (L, d_in) -> (L, d).
 
-    A padded (B, L, d_in) batch maps to (B, L, d) with a (B, L) mask. Input
-    dropout runs before the first conv at train time only. Masked rows are
+    A padded (B, L, d_in) batch maps to (B, L, d) with a (B, L) mask. drop,
+    the input dropout function, runs before the first conv. Masked rows are
     zeroed in the input and in every conv output, so padded tokens cannot
     leak into their neighbors through the kernel support, and an item's
     padding acts as the zero boundary of its convolution.
@@ -36,7 +36,7 @@ def project(x, params, input_dropout=0.0, train=False, rng=None, mask=None):
     d_in = params.layers[0].weight.data.shape[1]
     if t.data.ndim not in (2, 3) or t.data.shape[-1] != d_in:
         raise ConfigError(f"projection input shape {t.data.shape} does not match d_in={d_in}")
-    t = mask_rows(dropout(t, input_dropout, rng=rng, train=train), mask)
+    t = mask_rows(drop(t), mask)
     for layer in params.layers:
         t = mask_rows(relu(conv1d(t, layer.weight, layer.bias)), mask)
     return t
@@ -59,13 +59,14 @@ def masked_mean_pool(t, mask=None):
     return matmul(Tensor(_pool_weights(mask, t.data.shape[:-1], t.data.dtype)), t)
 
 
-def refine(v_bar, t_bar, conv, n_max, text_mask=None, clip_mask=None):
+def refine(v_bar, t_bar, conv, text_mask=None, clip_mask=None):
     """Fuse per-clip query correspondence and the pooled query into each clip.
 
     Concatenates [v_bar | v_bar @ t_bar^T (zero-padded to n_max) | v_bar @ pooled^T
-    | pooled row-broadcast] and projects back to width d with a same-padding conv.
-    A padded batch, (B, L, d) clips and (B, N, d) tokens, is refined per item.
+    | pooled row-broadcast] and projects back to width d with a same-padding conv
+    of input width 2d + n_max + 1. A padded batch is refined per item.
     """
+    n_max = conv.weight.data.shape[1] - 2 * v_bar.data.shape[-1] - 1
     n_tok = t_bar.data.shape[-2]
     if n_tok > n_max:
         raise ConfigError(f"{n_tok} text tokens exceed n_max={n_max}")

@@ -262,10 +262,20 @@ def split_dataset(annotations, val_fraction, seed):
     return train, val
 
 
+def _reject_duplicate_qids(annotations, split):
+    """A qid that repeats within one split would reach compute_report twice."""
+    seen = set()
+    for ann in annotations:
+        if ann.qid in seen:
+            raise ValueError(f"duplicate qid {ann.qid} in the {split} set")
+        seen.add(ann.qid)
+
+
 def evaluate_model(model, annotations, feature_dir=None, bundles=None):
-    """Eval-mode predictions and the full metric report for a dataset."""
+    """Eval-mode predictions and the full metric report for a dataset of unique qids."""
     if not annotations:
         raise ValueError("evaluate on an empty dataset")
+    _reject_duplicate_qids(annotations, "evaluation")
     if bundles is None:
         bundles = [bundle_for(a, model.cfg, feature_dir) for a in annotations]
     predictions = [predict_item(model, b, a) for b, a in zip(bundles, annotations)]
@@ -277,12 +287,13 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     """Run the full training loop; writes last/best checkpoints and a jsonl log.
 
     Every item is bundled, which rejects an item the model cannot run (see
-    bundle_for and data.encode_item), and the training split must be
-    non-empty, before anything is written. Validation runs every
-    cfg.eval_every epochs (0: after the last epoch only). last.ckpt is written
-    at the start and after each epoch's validation, with the best validation
-    mAP so far as best_metric; best.ckpt is its byte copy from the epoch that
-    set that best, or from the end when no validation ran.
+    bundle_for and data.encode_item), the training split must be non-empty,
+    and no qid may repeat within either split, before anything is written.
+    Validation runs every cfg.eval_every epochs (0: after the last epoch
+    only). last.ckpt is written at the start and after each epoch's
+    validation, with the best validation mAP so far as best_metric; best.ckpt
+    is its byte copy from the epoch that set that best, or from the end when
+    no validation ran.
 
     A failing loss component, a non-finite loss or a non-finite parameter
     after an update aborts the run and leaves the last good checkpoint on
@@ -302,6 +313,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     if not train_set:
         raise ValueError(f"the training split is empty: val_fraction={cfg.val_fraction} "
                          f"puts all {len(annotations)} items in the validation split")
+    _reject_duplicate_qids(train_set, "training")
+    _reject_duplicate_qids(val_set, "validation")
     if init_from is None:
         model = Model(cfg, seed=seed)
     else:

@@ -265,10 +265,10 @@ class TestBatchedLosses:
         video, v_mask = padded(rng, LENGTHS, 5)
         text, t_mask = padded(rng, (2, 4, 3), 5)
         out = refine(project(Tensor(video), proj, mask=v_mask), project(Tensor(text), proj, mask=t_mask),
-                     conv, 4, text_mask=t_mask, clip_mask=v_mask)
+                     conv, text_mask=t_mask, clip_mask=v_mask)
         for i, (n, n_tok) in enumerate(zip(v_mask.sum(1), t_mask.sum(1))):
             one = refine(project(Tensor(video[i, :n]), proj), project(Tensor(text[i, :n_tok]), proj),
-                         conv, 4)
+                         conv)
             assert_close(out.data[i, :n], one.data)
         assert np.all(out.data[~v_mask] == 0.0)
 

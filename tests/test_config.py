@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from momentspot.config import ConfigError, LossWeights, ModelConfig
@@ -38,6 +40,8 @@ class TestValidation:
         dict(input_dropout=1.0),
         dict(input_dropout=-0.5),
         dict(max_text_len=0),
+        dict(weights=LossWeights(temperature=0.0)),
+        dict(weights=LossWeights(temperature=float("nan"))),
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError):
@@ -74,6 +78,22 @@ class TestSerialization:
     def test_unknown_weight_field_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"weights": {"iou": 1.0}})
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"weights": {"temperature": 0}}', "temperature"),
+        ('{"weights": {"temperature": -0.5}}', "temperature"),
+        ('{"lr": NaN}', "lr"),
+        ('{"weight_decay": Infinity}', "weight_decay"),
+        ('{"grad_clip": NaN}', "grad_clip"),
+        ('{"clip_len": -Infinity}', "clip_len"),
+        ('{"weights": {"l1": NaN}}', "l1"),
+        ('{"weights": {"margin": Infinity}}', "margin"),
+        ('{"weights": {"temperature": NaN}}', "temperature"),
+    ])
+    def test_non_finite_values_and_temperature_rejected(self, text, field):
+        # json.loads reads NaN and Infinity as floats, so the JSON types pass
+        with pytest.raises(ConfigError, match=f"field {field} must be"):
+            ModelConfig.from_dict(json.loads(text))
 
     def test_parts_normalized_to_tuples(self):
         cfg = ModelConfig.from_dict({"video_parts": [["clip_v", 8]],

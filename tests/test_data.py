@@ -143,6 +143,12 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: bad value \\({cause}"):
             load_dataset(path)
 
+    def test_duplicate_qid_carries_its_line_number(self, tmp_path):
+        path = tmp_path / "twice.jsonl"
+        save_dataset([make_annotation(), make_annotation(qid=4), make_annotation(vid="vid_b")], path)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: duplicate qid 3$"):
+            load_dataset(path)
+
     def test_non_object_line_is_a_parse_error(self, tmp_path):
         path = tmp_path / "list.jsonl"
         path.write_text("7\n")

@@ -1,9 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from momentspot.autodiff import MhaParams, Tensor, grad_check, tsum
+from momentspot.autodiff import MhaParams, Tensor, dropout, grad_check, tsum
 from momentspot.config import ConfigError
 from momentspot.fusion import FusionParams, FusionStage, fuse
+
+
+def seeded_dropout(p, seed):
+    """A train-mode dropout function at rate p drawing from a fresh seeded generator."""
+    return partial(dropout, p=p, rng=np.random.default_rng(seed), train=True)
 
 
 def make_mha(rng, d, grad=False):
@@ -39,7 +46,7 @@ class TestShapesAndErrors:
         d = 6
         params = make_params(rng, d, mode=mode)
         out = fuse(Tensor(rng.normal(size=(7, d))), Tensor(rng.normal(size=(4, d))),
-                   params, heads=2, mode=mode)
+                   params, heads=2)
         assert out.shape == (7, d)
 
     def test_too_many_clips(self, rng):
@@ -53,22 +60,17 @@ class TestShapesAndErrors:
             fuse(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(4, 4))), params, heads=2)
 
     def test_wrong_block_arity(self, rng):
-        params = make_params(rng, 4, mode="text_to_video")
-        with pytest.raises(ConfigError):
-            fuse(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(2, 4))),
-                 params, heads=2, mode="bidirectional")
-
-    def test_unknown_mode(self, rng):
         params = make_params(rng, 4)
-        with pytest.raises(ConfigError):
+        params.blocks[0] = params.blocks[0][:2]  # neither bidirectional nor text_to_video
+        with pytest.raises(ConfigError, match="2 stages"):
             fuse(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(2, 4))),
-                 params, heads=2, mode="video_only")
+                 params, heads=2)
 
     def test_final_stage_output_is_nonnegative(self, rng):
         for mode in ("bidirectional", "text_to_video"):
             params = make_params(rng, 6, mode=mode)
             out = fuse(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(3, 6))),
-                       params, heads=2, mode=mode)
+                       params, heads=2)
             assert (out.data >= 0.0).all()
 
 
@@ -81,8 +83,8 @@ class TestTextInfluence:
             for stage in block:
                 stage.attn.wo = Tensor(np.zeros((d, d)))
         v = Tensor(rng.normal(size=(5, d)))
-        base = fuse(v, Tensor(rng.normal(size=(3, d))), params, heads=2, mode=mode)
-        alt = fuse(v, Tensor(rng.normal(size=(3, d)) * 37.0), params, heads=2, mode=mode)
+        base = fuse(v, Tensor(rng.normal(size=(3, d))), params, heads=2)
+        alt = fuse(v, Tensor(rng.normal(size=(3, d)) * 37.0), params, heads=2)
         np.testing.assert_allclose(alt.data, base.data, atol=1e-9)
 
     def test_text_does_influence_normally(self, rng):
@@ -100,10 +102,10 @@ class TestTextInfluence:
         v = Tensor(rng.normal(size=(5, d)))
         t = rng.normal(size=(4, d))
         mask = np.array([True, True, False, True])
-        base = fuse(v, Tensor(t), params, heads=2, mode=mode, text_mask=mask)
+        base = fuse(v, Tensor(t), params, heads=2, text_mask=mask)
         poked = t.copy()
         poked[2] = 250.0
-        alt = fuse(v, Tensor(poked), params, heads=2, mode=mode, text_mask=mask)
+        alt = fuse(v, Tensor(poked), params, heads=2, text_mask=mask)
         np.testing.assert_allclose(alt.data, base.data, atol=1e-9)
 
     def test_masked_clip_does_not_leak_into_other_rows(self, rng):
@@ -128,8 +130,8 @@ class TestPositionalEncoding:
         v = Tensor(rng.normal(size=(5, d)))
         t = rng.normal(size=(4, d))
         perm = np.array([2, 0, 3, 1])
-        base = fuse(v, Tensor(t), params, heads=2, mode=mode)
-        shuffled = fuse(v, Tensor(t[perm].copy()), params, heads=2, mode=mode)
+        base = fuse(v, Tensor(t), params, heads=2)
+        shuffled = fuse(v, Tensor(t[perm].copy()), params, heads=2)
         np.testing.assert_allclose(shuffled.data, base.data, atol=1e-9)
 
     @pytest.mark.parametrize("mode", ["bidirectional", "text_to_video"])
@@ -139,8 +141,8 @@ class TestPositionalEncoding:
         v = Tensor(rng.normal(size=(5, d)))
         t = rng.normal(size=(4, d))
         perm = np.array([2, 0, 3, 1])
-        base = fuse(v, Tensor(t), params, heads=2, mode=mode)
-        shuffled = fuse(v, Tensor(t[perm].copy()), params, heads=2, mode=mode)
+        base = fuse(v, Tensor(t), params, heads=2)
+        shuffled = fuse(v, Tensor(t[perm].copy()), params, heads=2)
         assert not np.allclose(shuffled.data, base.data, atol=1e-6)
 
     def test_only_leading_position_rows_used(self, rng):
@@ -169,7 +171,7 @@ class TestFusionGrad:
 
         def f(*_):
             from momentspot.autodiff import mul
-            return tsum(mul(fuse(v, t, params, heads=2, mode=mode), mix))
+            return tsum(mul(fuse(v, t, params, heads=2), mix))
 
         assert grad_check(f, checked) < 1e-5
 
@@ -178,11 +180,8 @@ class TestFusionGrad:
         params = make_params(rng, d, mode="text_to_video")
         v = Tensor(rng.normal(size=(4, d)))
         t = Tensor(rng.normal(size=(3, d)))
-        a = fuse(v, t, params, heads=2, mode="text_to_video", drop_p=0.3,
-                 train=True, rng=np.random.default_rng(5))
-        b = fuse(v, t, params, heads=2, mode="text_to_video", drop_p=0.3,
-                 train=True, rng=np.random.default_rng(5))
+        a = fuse(v, t, params, heads=2, drop=seeded_dropout(0.3, 5))
+        b = fuse(v, t, params, heads=2, drop=seeded_dropout(0.3, 5))
         np.testing.assert_array_equal(a.data, b.data)
-        c = fuse(v, t, params, heads=2, mode="text_to_video", drop_p=0.3,
-                 train=True, rng=np.random.default_rng(6))
+        c = fuse(v, t, params, heads=2, drop=seeded_dropout(0.3, 6))
         assert not np.array_equal(a.data, c.data)

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and every
-parameter of a source function is read in that function's body."""
+"""Every name a module imports is read somewhere in that module, every
+parameter of a source function is read in that function's body, and the
+source's defaulted parameters stay at a pinned count."""
 import ast
 from pathlib import Path
 
@@ -229,3 +230,30 @@ def test_checker_finds_unchecked_backward_ops():
     checked = grad_checked_names(tests)
     assert "sub" in checked and "check_op" in checked
     assert "op" not in checked and "wrapper" not in checked
+
+
+def defaulted_parameters(source):
+    """How many parameters, positional or keyword-only, of the functions and lambdas in source have a default."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+# The knob budget: every defaulted parameter is a setting a caller may pass or
+# forget. A change that adds one raises this pin and says why in CHANGES.md; a
+# change that removes one lowers it (it went 100 -> 80 -> 71).
+DEFAULTED_PARAMETERS = 71
+
+
+def test_defaulted_parameter_count():
+    assert sum(defaulted_parameters(p.read_text(encoding="utf-8")) for p in PACKAGE) \
+        == DEFAULTED_PARAMETERS
+
+
+def test_checker_counts_positional_and_keyword_only_defaults():
+    source = ("def f(a, b=1, *rest, c, d=2, **kw):\n"
+              "    return lambda x, y=3: x\n"
+              "class A:\n"
+              "    def m(self, e=None):\n"
+              "        pass\n")
+    assert defaulted_parameters(source) == 4

@@ -137,7 +137,6 @@ class TestForward:
         fw = self.model.forward(self.bundle)
         L, n_q, d = self.ann.num_clips, self.cfg.num_queries, self.cfg.hidden_dim
         assert fw.refined.shape == (L, d)
-        assert fw.fused.shape == (L, d)
         assert fw.memory.shape == (L, d)
         assert fw.predictions.saliency.shape == (L,)
         assert fw.predictions.class_logits.shape == (n_q, 2)
@@ -183,6 +182,36 @@ class TestForward:
         eval_out = model.forward(bundle).predictions.saliency.data
         train_out = model.forward(bundle, train=True, rng=np.random.default_rng(0))
         assert not np.allclose(train_out.predictions.saliency.data, eval_out)
+
+    @pytest.mark.parametrize("fusion_mode,stages", [("bidirectional", 3), ("text_to_video", 1)])
+    def test_train_mode_dropout_draw_order(self, fusion_mode, stages):
+        # pins every rng draw of a train-mode forward, by shape and in order,
+        # so a rerun's dropout masks (and so its loss trace) cannot drift
+        cfg = tiny_config(dropout=0.2, input_dropout=0.3, fusion_mode=fusion_mode,
+                          fusion_layers=2, encoder_layers=2, decoder_layers=2)
+        model = Model(cfg, seed=3)
+        bundle = bundle_for(self.ann, cfg)
+        rng = DrawRecorder(np.random.default_rng(0))
+        model.forward(bundle, train=True, rng=rng)
+        (L, d_v), (N, d_t) = bundle.video.shape, bundle.text.shape
+        d, ffn, q = cfg.hidden_dim, cfg.ffn_dim, cfg.num_queries
+        # bidirectional blocks: text into video, video into text, then back into video
+        stage_shapes = [(L, d), (N, d), (L, d)][:stages]
+        expected = ([(L, d_v), (N, d_t)] + stage_shapes * cfg.fusion_layers
+                    + [(L, d), (L, ffn), (L, d)] * cfg.encoder_layers
+                    + [(q, d), (q, d), (q, ffn), (q, d)] * cfg.decoder_layers)
+        assert rng.shapes == expected
+
+
+class DrawRecorder:
+    """A Generator stand-in that records the shape of every random() draw."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, shape):
+        self.shapes.append(tuple(shape))
+        return self.rng.random(shape)
 
 
 class TestNormalizationHelpers:

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from momentspot.autodiff import Tensor, grad_check, tsum
+from momentspot.autodiff import Tensor, dropout, grad_check, tsum
 from momentspot.config import ConfigError
 from momentspot.refinement import (ConvLayer, ProjectionParams, alignment_loss,
                                    clip_query_cosines, masked_mean_pool,
@@ -50,10 +52,10 @@ class TestProjection:
     def test_input_dropout_train_only(self, rng):
         params = identity_projection(4)
         x = Tensor(np.ones((4, 4)))
-        eval_out = project(x, params, input_dropout=0.5, train=False)
+        eval_out = project(x, params, partial(dropout, p=0.5, train=False))
         np.testing.assert_array_equal(eval_out.data, x.data)
-        train_out = project(x, params, input_dropout=0.5, train=True,
-                            rng=np.random.default_rng(0))
+        train_out = project(x, params, partial(dropout, p=0.5, rng=np.random.default_rng(0),
+                                               train=True))
         kept = train_out.data != 0.0
         assert np.all(train_out.data[kept] == 2.0)
 
@@ -104,7 +106,7 @@ class TestRefine:
     def test_output_shape(self, rng):
         d, n_max = 6, 4
         conv = self.make_conv(rng, d, n_max)
-        out = refine(Tensor(rng.normal(size=(7, d))), Tensor(rng.normal(size=(3, d))), conv, n_max)
+        out = refine(Tensor(rng.normal(size=(7, d))), Tensor(rng.normal(size=(3, d))), conv)
         assert out.shape == (7, d)
 
     def test_correspondence_block_oracle(self, rng):
@@ -116,7 +118,7 @@ class TestRefine:
         conv = ConvLayer(Tensor(w), Tensor(np.zeros(n_max)))
         v = rng.normal(size=(length, d))
         t = rng.normal(size=(n_tok, d))
-        out = refine(Tensor(v), Tensor(t), conv, n_max)
+        out = refine(Tensor(v), Tensor(t), conv)
         np.testing.assert_allclose(out.data[:, :n_tok], v @ t.T, atol=1e-12)
         np.testing.assert_allclose(out.data[:, n_tok:], 0.0, atol=1e-12)  # zero padding
 
@@ -130,20 +132,20 @@ class TestRefine:
         v = rng.normal(size=(length, d))
         t = rng.normal(size=(3, d))
         mask = np.array([True, True, False])
-        out = refine(Tensor(v), Tensor(t), conv, n_max, text_mask=mask)
+        out = refine(Tensor(v), Tensor(t), conv, text_mask=mask)
         pooled = t[mask].mean(axis=0)
         np.testing.assert_allclose(out.data[:, 0], v @ pooled, atol=1e-12)
         np.testing.assert_allclose(out.data[:, 1:], np.tile(pooled, (length, 1)), atol=1e-12)
 
     def test_too_many_tokens_rejected(self, rng):
-        conv = self.make_conv(rng, 4, 2)
-        with pytest.raises(ConfigError):
-            refine(Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(3, 4))), conv, 2)
+        conv = self.make_conv(rng, 4, 2)  # n_max comes from the conv's input width
+        with pytest.raises(ConfigError, match="3 text tokens exceed n_max=2"):
+            refine(Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(3, 4))), conv)
 
     def test_fully_masked_query_rejected(self, rng):
         conv = self.make_conv(rng, 4, 4)
         with pytest.raises(ValueError):
-            refine(Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(2, 4))), conv, 4,
+            refine(Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(2, 4))), conv,
                    text_mask=np.zeros(2, dtype=bool))
 
     def test_masked_text_token_has_zero_influence(self, rng):
@@ -152,10 +154,10 @@ class TestRefine:
         v = rng.normal(size=(6, d))
         t = rng.normal(size=(3, d))
         mask = np.array([True, False, True])
-        base = refine(Tensor(v), Tensor(t), conv, n_max, text_mask=mask)
+        base = refine(Tensor(v), Tensor(t), conv, text_mask=mask)
         poked = t.copy()
         poked[1] = -500.0
-        alt = refine(Tensor(v), Tensor(poked), conv, n_max, text_mask=mask)
+        alt = refine(Tensor(v), Tensor(poked), conv, text_mask=mask)
         np.testing.assert_allclose(alt.data, base.data, atol=1e-12)
 
     def test_masked_clip_rows_zeroed_and_isolated(self, rng):
@@ -164,11 +166,11 @@ class TestRefine:
         v = rng.normal(size=(6, d))
         t = rng.normal(size=(2, d))
         clip_mask = np.array([True, True, True, True, False, False])
-        base = refine(Tensor(v), Tensor(t), conv, n_max, clip_mask=clip_mask)
+        base = refine(Tensor(v), Tensor(t), conv, clip_mask=clip_mask)
         assert np.all(base.data[4:] == 0.0)
         poked = v.copy()
         poked[5] = 1e4
-        alt = refine(Tensor(poked), Tensor(t), conv, n_max, clip_mask=clip_mask)
+        alt = refine(Tensor(poked), Tensor(t), conv, clip_mask=clip_mask)
         np.testing.assert_allclose(alt.data, base.data, atol=1e-12)
 
     def test_grad(self, rng):
@@ -178,7 +180,7 @@ class TestRefine:
         t = Tensor(rng.normal(size=(2, d)), requires_grad=True)
 
         def f(vv, tt, w, b):
-            return tsum(refine(vv, tt, conv, n_max))
+            return tsum(refine(vv, tt, conv))
 
         assert grad_check(f, [v, t, conv.weight, conv.bias]) < 1e-6
 

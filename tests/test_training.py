@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -586,6 +587,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, field", [
         pytest.param(lambda cfg: 7, "config must be an object", id="not-an-object"),
         pytest.param(lambda cfg: {**cfg, "hidden_dim": "wide"}, "hidden_dim", id="dim-string"),
+        pytest.param(lambda cfg: {**cfg, "weights": {**cfg["weights"], "temperature": 0}},
+                     "temperature", id="zero-temperature"),
+        pytest.param(lambda cfg: {**cfg, "lr": math.nan}, "lr", id="nan-lr"),
     ])
     def test_header_config_of_the_wrong_type_is_a_config_error(self, tmp_path, edit, field):
         path = tmp_path / "m.ckpt"
@@ -801,6 +805,20 @@ class TestTrainLoop:
         m2, _ = model_from_checkpoint(r2.last_checkpoint)
         assert m1.store.arena.tobytes() == m2.store.arena.tobytes()
 
+    def test_rerun_with_dropout_is_byte_identical(self, tmp_path):
+        cfg = self.small_cfg(epochs=3, dtype="float32", dropout=0.2, input_dropout=0.3,
+                             grad_clip=0.5, val_fraction=0.34, eval_every=1)
+        r1 = train(cfg, toy_dataset(), tmp_path / "a", seed=2)
+        r2 = train(cfg, toy_dataset(), tmp_path / "b", seed=2)
+        assert r1.loss_trace == r2.loss_trace
+        assert np.isfinite(r1.best_metric)  # validation ran
+        for name in ("last.ckpt", "best.ckpt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # the dropout masks took part: without them the same run gives another trace
+        plain = train(dataclasses.replace(cfg, dropout=0.0, input_dropout=0.0), toy_dataset(),
+                      tmp_path / "c", seed=2)
+        assert plain.loss_trace != r1.loss_trace
+
     def test_seed_changes_run(self, tmp_path):
         cfg = self.small_cfg(epochs=2)
         r1 = train(cfg, toy_dataset(), tmp_path / "a", seed=1)
@@ -866,11 +884,14 @@ class TestTrainLoop:
         assert isinstance(lines[-1]["cause"], str) and lines[-1]["cause"]
 
     def test_diverged_run_without_validation_leaves_finite_best(self, tmp_path):
-        # an infinite lr overflows the first update (epoch 0, batch 0)
+        # the largest finite lr overflows the first update (epoch 0, batch 0); an
+        # infinite one would also, but a checkpoint header holding it does not load
         with np.errstate(all="ignore"):
-            result = train(self.small_cfg(lr=float("inf")), toy_dataset(), tmp_path / "run",
-                           seed=0)
+            result = train(self.small_cfg(lr=float(np.finfo(np.float64).max)), toy_dataset(),
+                           tmp_path / "run", seed=0)
         assert result.diverged and result.epochs_run == 0
+        log = [json.loads(line) for line in open(result.log_path)]
+        assert log[-1]["batch"] == 0 and log[-1]["cause"].startswith("non-finite parameter")
         best = Path(result.best_checkpoint).read_bytes()
         assert best == Path(result.last_checkpoint).read_bytes()
         restored, _ = model_from_checkpoint(result.best_checkpoint)
@@ -983,6 +1004,17 @@ class TestTrainLoop:
             train(self.small_cfg(val_fraction=0.75), toy_dataset()[:2], tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_duplicate_qid_rejected_before_any_write(self, tmp_path, split):
+        anns = toy_dataset()
+        twin = make_annotation(qid=anns[0].qid, vid="vid_twin")
+        train_set, val_set = (anns + [twin], anns[1:]) if split == "training" else \
+            (anns[1:], [anns[0], twin])
+        cfg = self.small_cfg(eval_every=1)
+        with pytest.raises(ValueError, match=f"duplicate qid {twin.qid} in the {split} set"):
+            train(cfg, train_set, tmp_path / "run", seed=0, val_annotations=val_set)
+        assert not (tmp_path / "run").exists()
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             train(self.small_cfg(), [], tmp_path / "run")
@@ -996,6 +1028,16 @@ class TestEvaluation:
         assert len(predictions) == 3
         for value in report.to_dict().values():
             assert np.isfinite(value)
+
+    def test_evaluate_model_rejects_a_duplicate_qid_before_any_forward(self, monkeypatch):
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=0)
+        forwards = []
+        monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: forwards.append(args))
+        anns = toy_dataset()
+        with pytest.raises(ValueError, match=f"duplicate qid {anns[1].qid} in the evaluation set"):
+            evaluate_model(model, anns + [anns[1]])
+        assert forwards == []
 
     def test_evaluate_model_empty_rejected(self):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
