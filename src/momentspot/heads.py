@@ -8,43 +8,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (MhaParams, Tensor, add, identity, layer_norm, linear,
-                       matmul, mul, multi_head_attention, relu, reshape, sigmoid)
+from .autodiff import (Tensor, add, identity, layer_norm, linear, matmul, mul,
+                       multi_head_attention, relu, reshape, sigmoid)
 
 
 @dataclass
-class EncoderLayerParams:
-    attn: MhaParams
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
+class Sublayer:
+    """A post-norm residual sublayer, as in DETR: layer_norm(x + drop(y)) for
+    the output y of its body run on x.
 
-
-@dataclass
-class DecoderLayerParams:
-    self_attn: MhaParams
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    cross_attn: MhaParams
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    ln3_gamma: Tensor
-    ln3_beta: Tensor
+    An encoder layer is an (attn, ffn) pair of them, a decoder layer a
+    (self_attn, cross, ffn) triple, and a fusion stage one.
+    """
+    body: object  # MhaParams, or the FFN's (w1, b1, w2, b2)
+    ln_gamma: Tensor
+    ln_beta: Tensor
 
 
 @dataclass
 class DecoderParams:
     query_embed: Tensor  # (num_queries, d) learnable
-    layers: list         # of DecoderLayerParams
+    layers: list         # of (self_attn, cross, ffn) Sublayer triples
 
 
 @dataclass
@@ -62,17 +46,21 @@ class PredictionSet:
     saliency: Tensor      # (L,); (B, L) for a batch
 
 
-def _ffn(x, layer, drop):
-    hidden = drop(relu(linear(x, layer.ffn_w1, layer.ffn_b1)))
-    return linear(hidden, layer.ffn_w2, layer.ffn_b2)
+def _residual(x, y, sub, drop):
+    return layer_norm(add(x, drop(y)), sub.ln_gamma, sub.ln_beta)
+
+
+def _ffn(x, sub, drop):
+    w1, b1, w2, b2 = sub.body
+    return linear(drop(relu(linear(x, w1, b1))), w2, b2)
 
 
 def encode(x, layers, heads, drop=identity, clip_mask=None):
     """Post-norm self-attention + FFN stack over the clip stream (L, d) or (B, L, d)."""
-    for layer in layers:
-        attended = multi_head_attention(x, x, x, layer.attn, heads, key_mask=clip_mask)
-        x = layer_norm(add(x, drop(attended)), layer.ln1_gamma, layer.ln1_beta)
-        x = layer_norm(add(x, drop(_ffn(x, layer, drop))), layer.ln2_gamma, layer.ln2_beta)
+    for attn, ffn in layers:
+        x = _residual(x, multi_head_attention(x, x, x, attn.body, heads, key_mask=clip_mask),
+                      attn, drop)
+        x = _residual(x, _ffn(x, ffn, drop), ffn, drop)
     return x
 
 
@@ -86,14 +74,14 @@ def decode(memory, params, heads, drop=identity, clip_mask=None):
     """
     tgt = Tensor(np.zeros(memory.data.shape[:-2] + params.query_embed.data.shape,
                           dtype=memory.data.dtype))
-    for layer in params.layers:
+    for self_attn, cross, ffn in params.layers:
         q = add(tgt, params.query_embed)
-        attended = multi_head_attention(q, q, tgt, layer.self_attn, heads)
-        tgt = layer_norm(add(tgt, drop(attended)), layer.ln1_gamma, layer.ln1_beta)
-        cross = multi_head_attention(add(tgt, params.query_embed), memory, memory,
-                                     layer.cross_attn, heads, key_mask=clip_mask)
-        tgt = layer_norm(add(tgt, drop(cross)), layer.ln2_gamma, layer.ln2_beta)
-        tgt = layer_norm(add(tgt, drop(_ffn(tgt, layer, drop))), layer.ln3_gamma, layer.ln3_beta)
+        tgt = _residual(tgt, multi_head_attention(q, q, tgt, self_attn.body, heads),
+                        self_attn, drop)
+        tgt = _residual(tgt, multi_head_attention(add(tgt, params.query_embed), memory, memory,
+                                                  cross.body, heads, key_mask=clip_mask),
+                        cross, drop)
+        tgt = _residual(tgt, _ffn(tgt, ffn, drop), ffn, drop)
     return tgt
 
 

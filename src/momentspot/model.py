@@ -11,17 +11,16 @@ import numpy as np
 from .autodiff import MhaParams, Tensor, _node, dropout, no_grad, xavier_uniform
 from .config import ConfigError, ModelConfig
 from .data import FeatureBundle, encode_item
-from .fusion import FusionParams, FusionStage, fuse
-from .heads import (DecoderLayerParams, DecoderParams, EncoderLayerParams,
-                    HeadParams, PredictionSet, decode, encode, predict_moments,
-                    predict_saliency)
+from .fusion import FusionParams, fuse
+from .heads import (DecoderParams, HeadParams, PredictionSet, Sublayer, decode,
+                    encode, predict_moments, predict_saliency)
 from .losses import (CompositionError, GruParams, compose_total,
                      contrastive_rank_loss, highlight_distribution_loss,
                      rank_margin_loss, sample_rank_pair, task_coupled_loss,
                      task_specific_loss)
 from .matching import _spans, hungarian_match, moment_loss
 from .metrics import QueryPrediction
-from .refinement import ConvLayer, ProjectionParams, alignment_loss, project, refine
+from .refinement import ConvLayer, alignment_loss, project, refine
 
 
 @dataclass
@@ -85,18 +84,25 @@ class ParamStore(dict):
         return (self.new(f"{name}.gamma", (d,), "ones"),
                 self.new(f"{name}.beta", (d,), "zeros"))
 
-    def attention(self, name, d):
+    def attention(self, name, ln, d):
+        """A Sublayer of attention weights `name` and layer norm `ln`."""
         wq, bq = self.linear(f"{name}.q", d, d)
         wk, bk = self.linear(f"{name}.k", d, d)
         wv, bv = self.linear(f"{name}.v", d, d)
         wo, bo = self.linear(f"{name}.out", d, d)
-        return MhaParams(wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo)
+        mha = MhaParams(wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo)
+        return Sublayer(mha, *self.layer_norm(ln, d))
+
+    def ffn(self, prefix, ln, d, d_ff):
+        """A Sublayer of the FFN <prefix>.ffn1, .ffn2 (d -> d_ff -> d) and layer norm `ln`."""
+        body = (*self.linear(f"{prefix}.ffn1", d, d_ff), *self.linear(f"{prefix}.ffn2", d_ff, d))
+        return Sublayer(body, *self.layer_norm(ln, d))
 
 
 @dataclass
 class ModelParams:
-    video_proj: ProjectionParams
-    text_proj: ProjectionParams
+    video_proj: list  # of ConvLayer
+    text_proj: list   # of ConvLayer
     refine_conv: object
     fusion: FusionParams
     encoder: list
@@ -114,37 +120,9 @@ class ForwardResult:
 
 
 def _projection(store, prefix, d_in, cfg):
-    layers = []
-    width_in = d_in
-    for i in range(cfg.proj_layers):
-        layers.append(store.conv(f"{prefix}.{i}", cfg.proj_kernel, width_in, cfg.hidden_dim))
-        width_in = cfg.hidden_dim
-    return ProjectionParams(layers=layers)
-
-
-def _encoder_layer(store, prefix, cfg):
-    attn = store.attention(f"{prefix}.attn", cfg.hidden_dim)
-    ln1 = store.layer_norm(f"{prefix}.ln1", cfg.hidden_dim)
-    w1, b1 = store.linear(f"{prefix}.ffn1", cfg.hidden_dim, cfg.ffn_dim)
-    w2, b2 = store.linear(f"{prefix}.ffn2", cfg.ffn_dim, cfg.hidden_dim)
-    ln2 = store.layer_norm(f"{prefix}.ln2", cfg.hidden_dim)
-    return EncoderLayerParams(attn=attn, ln1_gamma=ln1[0], ln1_beta=ln1[1],
-                              ffn_w1=w1, ffn_b1=b1, ffn_w2=w2, ffn_b2=b2,
-                              ln2_gamma=ln2[0], ln2_beta=ln2[1])
-
-
-def _decoder_layer(store, prefix, cfg):
-    self_attn = store.attention(f"{prefix}.self", cfg.hidden_dim)
-    ln1 = store.layer_norm(f"{prefix}.ln1", cfg.hidden_dim)
-    cross = store.attention(f"{prefix}.cross", cfg.hidden_dim)
-    ln2 = store.layer_norm(f"{prefix}.ln2", cfg.hidden_dim)
-    w1, b1 = store.linear(f"{prefix}.ffn1", cfg.hidden_dim, cfg.ffn_dim)
-    w2, b2 = store.linear(f"{prefix}.ffn2", cfg.ffn_dim, cfg.hidden_dim)
-    ln3 = store.layer_norm(f"{prefix}.ln3", cfg.hidden_dim)
-    return DecoderLayerParams(self_attn=self_attn, ln1_gamma=ln1[0], ln1_beta=ln1[1],
-                              cross_attn=cross, ln2_gamma=ln2[0], ln2_beta=ln2[1],
-                              ffn_w1=w1, ffn_b1=b1, ffn_w2=w2, ffn_b2=b2,
-                              ln3_gamma=ln3[0], ln3_beta=ln3[1])
+    widths = [d_in] + [cfg.hidden_dim] * (cfg.proj_layers - 1)
+    return [store.conv(f"{prefix}.{i}", cfg.proj_kernel, width, cfg.hidden_dim)
+            for i, width in enumerate(widths)]
 
 
 def build_params(cfg, seed):
@@ -172,19 +150,19 @@ def _build(store, cfg):
     pos_text = store.new("fusion.pos_text", (cfg.max_text_len, d), "xavier_uniform",
                          fan=(cfg.max_text_len, d))
     stages_per_block = 3 if cfg.fusion_mode == "bidirectional" else 1
-    blocks = []
-    for b in range(cfg.fusion_layers):
-        stages = []
-        for s in range(stages_per_block):
-            attn = store.attention(f"fusion.block{b}.stage{s}.attn", d)
-            gamma, beta = store.layer_norm(f"fusion.block{b}.stage{s}.ln", d)
-            stages.append(FusionStage(attn=attn, ln_gamma=gamma, ln_beta=beta))
-        blocks.append(stages)
+    names = [[f"fusion.block{b}.stage{s}" for s in range(stages_per_block)]
+             for b in range(cfg.fusion_layers)]
+    blocks = [[store.attention(f"{s}.attn", f"{s}.ln", d) for s in block] for block in names]
     fusion = FusionParams(pos_video=pos_video, pos_text=pos_text, blocks=blocks)
-    encoder = [_encoder_layer(store, f"encoder.{i}", cfg) for i in range(cfg.encoder_layers)]
+    encoder = [(store.attention(f"encoder.{i}.attn", f"encoder.{i}.ln1", d),
+                store.ffn(f"encoder.{i}", f"encoder.{i}.ln2", d, cfg.ffn_dim))
+               for i in range(cfg.encoder_layers)]
     query_embed = store.new("decoder.query_embed", (cfg.num_queries, d), "xavier_uniform",
                             fan=(cfg.num_queries, d))
-    dec_layers = [_decoder_layer(store, f"decoder.{i}", cfg) for i in range(cfg.decoder_layers)]
+    dec_layers = [(store.attention(f"decoder.{i}.self", f"decoder.{i}.ln1", d),
+                   store.attention(f"decoder.{i}.cross", f"decoder.{i}.ln2", d),
+                   store.ffn(f"decoder.{i}", f"decoder.{i}.ln3", d, cfg.ffn_dim))
+                  for i in range(cfg.decoder_layers)]
     decoder = DecoderParams(query_embed=query_embed, layers=dec_layers)
     class_w, class_b = store.linear("heads.class", d, 2)
     moment_layers = []
@@ -193,15 +171,8 @@ def _build(store, cfg):
     saliency_w = store.new("heads.saliency.weight", (d, 1), "xavier_uniform", fan=(d, 1))
     heads = HeadParams(class_w=class_w, class_b=class_b,
                        moment_layers=moment_layers, saliency_w=saliency_w)
-    gru_gates = {}
-    for gate in ("update", "reset", "cand"):
-        w, b = store.linear(f"gru.{gate}", 2 * d, d)
-        gru_gates[gate] = (w, b)
-    readout_w, readout_b = store.linear("gru.readout", d, 1)
-    gru = GruParams(w_update=gru_gates["update"][0], b_update=gru_gates["update"][1],
-                    w_reset=gru_gates["reset"][0], b_reset=gru_gates["reset"][1],
-                    w_cand=gru_gates["cand"][0], b_cand=gru_gates["cand"][1],
-                    readout_w=readout_w, readout_b=readout_b)
+    gru = GruParams(*store.linear("gru.update", 2 * d, d), *store.linear("gru.reset", 2 * d, d),
+                    *store.linear("gru.cand", 2 * d, d), *store.linear("gru.readout", d, 1))
     return ModelParams(video_proj=video_proj, text_proj=text_proj,
                        refine_conv=refine_conv, fusion=fusion, encoder=encoder,
                        decoder=decoder, heads=heads, gru=gru)

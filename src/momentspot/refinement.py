@@ -18,12 +18,7 @@ class ConvLayer:
     bias: Tensor    # (C_out,)
 
 
-@dataclass
-class ProjectionParams:
-    layers: list  # of ConvLayer
-
-
-def project(x, params, drop=identity, mask=None):
+def project(x, layers, drop=identity, mask=None):
     """Stacked same-padding conv1d + ReLU mapping raw features (L, d_in) -> (L, d).
 
     A padded (B, L, d_in) batch maps to (B, L, d) with a (B, L) mask. drop,
@@ -33,11 +28,11 @@ def project(x, params, drop=identity, mask=None):
     padding acts as the zero boundary of its convolution.
     """
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    d_in = params.layers[0].weight.data.shape[1]
+    d_in = layers[0].weight.data.shape[1]
     if t.data.ndim not in (2, 3) or t.data.shape[-1] != d_in:
         raise ConfigError(f"projection input shape {t.data.shape} does not match d_in={d_in}")
     t = mask_rows(drop(t), mask)
-    for layer in params.layers:
+    for layer in layers:
         t = mask_rows(relu(conv1d(t, layer.weight, layer.bias)), mask)
     return t
 

@@ -130,7 +130,11 @@ def _write_atomic(path, write):
 
 def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
     """Write the params arena under a header; epoch counts finished epochs
-    (header key epochs_done), and the optimizer gives only its step count."""
+    (header key epochs_done), and the optimizer gives only its step count.
+
+    A config that model_from_checkpoint would refuse (ModelConfig.from_dict on
+    the header's config) is a ConfigError before any file is opened.
+    """
     params = model.named_parameters()
     arena = params.arena
     tag = f"f{8 * arena.itemsize}"
@@ -143,6 +147,7 @@ def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
         "optimizer_step": optimizer.step_count,
         "best_metric": best_metric,
     }
+    ModelConfig.from_dict(meta["config"])
     meta_bytes = json.dumps(meta).encode("utf-8")
 
     def write(fh):
@@ -278,7 +283,8 @@ def evaluate_model(model, annotations, feature_dir=None, bundles=None):
     _reject_duplicate_qids(annotations, "evaluation")
     if bundles is None:
         bundles = [bundle_for(a, model.cfg, feature_dir) for a in annotations]
-    predictions = [predict_item(model, b, a) for b, a in zip(bundles, annotations)]
+    pairs = list(zip(bundles, annotations, strict=True))  # a count mismatch raises here
+    predictions = [predict_item(model, b, a) for b, a in pairs]
     return compute_report(predictions, annotations), predictions
 
 

@@ -19,8 +19,7 @@ from momentspot.losses import (GruParams, contrastive_rank_loss, gru_saliency,
                                rank_margin_loss, task_coupled_loss,
                                task_specific_loss)
 from momentspot.matching import MatchResult, moment_loss
-from momentspot.refinement import (ConvLayer, ProjectionParams, alignment_loss, project,
-                                   refine)
+from momentspot.refinement import ConvLayer, alignment_loss, project, refine
 
 LENGTHS = (5, 2, 4)
 TOL = 1e-12
@@ -259,8 +258,8 @@ class TestBatchedLosses:
 
     def test_projection_and_refinement(self, rng):
         d = 4
-        proj = ProjectionParams([ConvLayer(param(rng, 3, 5, d), param(rng, d)),
-                                 ConvLayer(param(rng, 3, d, d), param(rng, d))])
+        proj = [ConvLayer(param(rng, 3, 5, d), param(rng, d)),
+                ConvLayer(param(rng, 3, d, d), param(rng, d))]
         conv = ConvLayer(param(rng, 3, 2 * d + 4 + 1, d), param(rng, d))
         video, v_mask = padded(rng, LENGTHS, 5)
         text, t_mask = padded(rng, (2, 4, 3), 5)

@@ -5,7 +5,8 @@ import pytest
 
 from momentspot.autodiff import MhaParams, Tensor, dropout, grad_check, tsum
 from momentspot.config import ConfigError
-from momentspot.fusion import FusionParams, FusionStage, fuse
+from momentspot.fusion import FusionParams, fuse
+from momentspot.heads import Sublayer
 
 
 def seeded_dropout(p, seed):
@@ -22,9 +23,8 @@ def make_mha(rng, d, grad=False):
 
 
 def make_stage(rng, d, grad=False):
-    return FusionStage(attn=make_mha(rng, d, grad=grad),
-                       ln_gamma=Tensor(np.ones(d), requires_grad=grad),
-                       ln_beta=Tensor(np.zeros(d), requires_grad=grad))
+    return Sublayer(make_mha(rng, d, grad=grad), Tensor(np.ones(d), requires_grad=grad),
+                    Tensor(np.zeros(d), requires_grad=grad))
 
 
 def make_params(rng, d, max_clips=10, n_max=6, mode="bidirectional", n_blocks=1,
@@ -81,7 +81,7 @@ class TestTextInfluence:
         params = make_params(rng, d, mode=mode)
         for block in params.blocks:
             for stage in block:
-                stage.attn.wo = Tensor(np.zeros((d, d)))
+                stage.body.wo = Tensor(np.zeros((d, d)))
         v = Tensor(rng.normal(size=(5, d)))
         base = fuse(v, Tensor(rng.normal(size=(3, d))), params, heads=2)
         alt = fuse(v, Tensor(rng.normal(size=(3, d)) * 37.0), params, heads=2)
@@ -167,7 +167,7 @@ class TestFusionGrad:
         mix = Tensor(rng.normal(size=(4, d)))
         stage = params.blocks[0][0]
         checked = [v, t, params.pos_video, params.pos_text,
-                   stage.attn.wq, stage.attn.wv, stage.attn.wo, stage.ln_gamma]
+                   stage.body.wq, stage.body.wv, stage.body.wo, stage.ln_gamma]
 
         def f(*_):
             from momentspot.autodiff import mul

@@ -1,39 +1,27 @@
 import numpy as np
 
 from momentspot.autodiff import Tensor, grad_check, mul, square, tsum
-from momentspot.heads import (DecoderLayerParams, DecoderParams,
-                              EncoderLayerParams, HeadParams, decode, encode,
+from momentspot.heads import (DecoderParams, HeadParams, Sublayer, decode, encode,
                               predict_moments, predict_saliency)
-from test_fusion import make_mha
+from test_fusion import make_stage
+
+
+def make_ffn(rng, d, ffn=8, grad=False):
+    body = tuple(Tensor(rng.normal(size=shape) * 0.3, requires_grad=grad)
+                 for shape in ((d, ffn), (ffn,), (ffn, d), (d,)))
+    return Sublayer(body, Tensor(np.ones(d), requires_grad=grad),
+                    Tensor(np.zeros(d), requires_grad=grad))
 
 
 def make_encoder_layer(rng, d, ffn=8, grad=False):
-    def w(shape):
-        return Tensor(rng.normal(size=shape) * 0.3, requires_grad=grad)
-
-    return EncoderLayerParams(
-        attn=make_mha(rng, d, grad=grad),
-        ln1_gamma=Tensor(np.ones(d), requires_grad=grad), ln1_beta=Tensor(np.zeros(d), requires_grad=grad),
-        ffn_w1=w((d, ffn)), ffn_b1=w((ffn,)), ffn_w2=w((ffn, d)), ffn_b2=w((d,)),
-        ln2_gamma=Tensor(np.ones(d), requires_grad=grad), ln2_beta=Tensor(np.zeros(d), requires_grad=grad),
-    )
+    return make_stage(rng, d, grad=grad), make_ffn(rng, d, ffn=ffn, grad=grad)
 
 
 def make_decoder(rng, d, n_q, n_layers=2, ffn=8, grad=False):
-    def w(shape):
-        return Tensor(rng.normal(size=shape) * 0.3, requires_grad=grad)
-
-    layers = []
-    for _ in range(n_layers):
-        layers.append(DecoderLayerParams(
-            self_attn=make_mha(rng, d, grad=grad),
-            ln1_gamma=Tensor(np.ones(d), requires_grad=grad), ln1_beta=Tensor(np.zeros(d), requires_grad=grad),
-            cross_attn=make_mha(rng, d, grad=grad),
-            ln2_gamma=Tensor(np.ones(d), requires_grad=grad), ln2_beta=Tensor(np.zeros(d), requires_grad=grad),
-            ffn_w1=w((d, ffn)), ffn_b1=w((ffn,)), ffn_w2=w((ffn, d)), ffn_b2=w((d,)),
-            ln3_gamma=Tensor(np.ones(d), requires_grad=grad), ln3_beta=Tensor(np.zeros(d), requires_grad=grad),
-        ))
-    return DecoderParams(query_embed=w((n_q, d)), layers=layers)
+    layers = [(make_stage(rng, d, grad=grad), make_stage(rng, d, grad=grad),
+               make_ffn(rng, d, ffn=ffn, grad=grad)) for _ in range(n_layers)]
+    query_embed = Tensor(rng.normal(size=(n_q, d)) * 0.3, requires_grad=grad)
+    return DecoderParams(query_embed=query_embed, layers=layers)
 
 
 def make_heads(rng, d, grad=False):
@@ -75,11 +63,11 @@ class TestEncoder:
 
     def test_grad(self, rng):
         d = 4
-        layer = make_encoder_layer(rng, d, grad=True)
+        layer = attn, ffn = make_encoder_layer(rng, d, grad=True)
         x = Tensor(rng.normal(size=(3, d)), requires_grad=True)
         mix = Tensor(rng.normal(size=(3, d)))
-        checked = [x, layer.attn.wq, layer.attn.wv, layer.ffn_w1, layer.ffn_w2,
-                   layer.ln1_gamma, layer.ln2_beta]
+        checked = [x, attn.body.wq, attn.body.wv, ffn.body[0], ffn.body[2],
+                   attn.ln_gamma, ffn.ln_beta]
 
         def f(*_):
             return tsum(mul(encode(x, [layer], heads=2), mix))
@@ -132,9 +120,9 @@ class TestDecoder:
         dec = make_decoder(rng, d, n_q, n_layers=1, grad=True)
         memory = Tensor(rng.normal(size=(4, d)), requires_grad=True)
         mix = Tensor(rng.normal(size=(n_q, d)))
-        layer = dec.layers[0]
-        checked = [memory, dec.query_embed, layer.self_attn.wv, layer.cross_attn.wq,
-                   layer.cross_attn.wv, layer.ffn_w1]
+        self_attn, cross, ffn = dec.layers[0]
+        checked = [memory, dec.query_embed, self_attn.body.wv, cross.body.wq,
+                   cross.body.wv, ffn.body[0]]
 
         def f(*_):
             return tsum(mul(decode(memory, dec, heads=2), mix))

@@ -5,9 +5,8 @@ import pytest
 
 from momentspot.autodiff import Tensor, dropout, grad_check, tsum
 from momentspot.config import ConfigError
-from momentspot.refinement import (ConvLayer, ProjectionParams, alignment_loss,
-                                   clip_query_cosines, masked_mean_pool,
-                                   project, refine)
+from momentspot.refinement import (ConvLayer, alignment_loss, clip_query_cosines,
+                                   masked_mean_pool, project, refine)
 
 from conftest import away_from_zero
 
@@ -15,7 +14,7 @@ from conftest import away_from_zero
 def identity_projection(d):
     w = np.zeros((3, d, d))
     w[1] = np.eye(d)  # center tap copies the input row
-    return ProjectionParams(layers=[ConvLayer(Tensor(w), Tensor(np.zeros(d)))])
+    return [ConvLayer(Tensor(w), Tensor(np.zeros(d)))]
 
 
 def random_projection(rng, d_in, d_out, layers=2, kernel=3):
@@ -25,7 +24,7 @@ def random_projection(rng, d_in, d_out, layers=2, kernel=3):
         convs.append(ConvLayer(Tensor(rng.normal(size=(kernel, cin, d_out)) * 0.3, requires_grad=True),
                                Tensor(rng.normal(size=(d_out,)) * 0.1, requires_grad=True)))
         cin = d_out
-    return ProjectionParams(layers=convs)
+    return convs
 
 
 class TestProjection:
@@ -77,7 +76,7 @@ class TestProjection:
         def f(xx, w, b):
             return tsum(project(xx, params))
 
-        assert grad_check(f, [x, params.layers[0].weight, params.layers[0].bias]) < 1e-6
+        assert grad_check(f, [x, params[0].weight, params[0].bias]) < 1e-6
 
 
 class TestMaskedMeanPool:

@@ -1015,6 +1015,13 @@ class TestTrainLoop:
             train(cfg, train_set, tmp_path / "run", seed=0, val_annotations=val_set)
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_lr_is_rejected_before_any_checkpoint(self, tmp_path):
+        # a Python-built config skips from_dict; the first save runs its check
+        run = tmp_path / "run"
+        with pytest.raises(ConfigError, match="config field lr must be finite, got inf"):
+            train(self.small_cfg(lr=math.inf), toy_dataset(), run, seed=0)
+        assert list(run.iterdir()) == []  # no .ckpt, no .tmp, no log
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             train(self.small_cfg(), [], tmp_path / "run")
@@ -1037,6 +1044,19 @@ class TestEvaluation:
         anns = toy_dataset()
         with pytest.raises(ValueError, match=f"duplicate qid {anns[1].qid} in the evaluation set"):
             evaluate_model(model, anns + [anns[1]])
+        assert forwards == []
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["fewer-bundles", "more-bundles"])
+    def test_evaluate_model_rejects_a_bundle_count_mismatch_before_any_forward(
+            self, monkeypatch, extra):
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=0)
+        anns = toy_dataset()
+        bundles = [bundle_for(a, cfg) for a in (anns + anns)[:len(anns) + extra]]
+        forwards = []
+        monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: forwards.append(args))
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (longer|shorter)"):
+            evaluate_model(model, anns, bundles=bundles)
         assert forwards == []
 
     def test_evaluate_model_empty_rejected(self):
