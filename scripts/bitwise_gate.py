@@ -1,6 +1,6 @@
 """Print SHA-256 digests of runs that a behaviour-preserving change must keep bit for bit.
 
-    python3 scripts/bitwise_gate.py [--epochs 5] [--seed 2]
+    python3 scripts/bitwise_gate.py
 
 Run it in two checkouts, for example a change and its parent
 (`git clone . ../parent && git -C ../parent checkout HEAD~1`, then copy this
@@ -20,7 +20,6 @@ Digests:
   backward, clip, AdamW) of the full-scale preset, dropout on, on one batch of
   the full-long benchmark workload's items.
 """
-import argparse
 import hashlib
 import json
 import os
@@ -41,19 +40,23 @@ from momentspot.model import Model, batch_loss, bundle_for
 from momentspot.training import AdamW, clip_gradients, evaluate_checkpoint, train
 from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
 
+EPOCHS = 5  # of each desk run
+SEED = 2
+STEPS = 2  # of the full-preset run
+
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def desk_run(tmp, dtype, fusion_mode, epochs, seed):
+def desk_run(tmp, dtype, fusion_mode):
     """Digests of one desk train() run with every dropout and clip path on."""
     features = tmp / "features"
     annotations = build_overfit_fixture(feature_dir=features)
-    cfg = ModelConfig.desk(dtype=dtype, fusion_mode=fusion_mode, epochs=epochs, dropout=0.1,
+    cfg = ModelConfig.desk(dtype=dtype, fusion_mode=fusion_mode, epochs=EPOCHS, dropout=0.1,
                            input_dropout=0.2, grad_clip=0.5, val_fraction=0.25, eval_every=1)
     run = tmp / f"{dtype}-{fusion_mode}"
-    result = train(cfg, annotations, run, seed=seed, feature_dir=features)
+    result = train(cfg, annotations, run, seed=SEED, feature_dir=features)
     evaluate_checkpoint(result.best_checkpoint, annotations, out_dir=run / "eval",
                         feature_dir=features)
     return {
@@ -64,16 +67,16 @@ def desk_run(tmp, dtype, fusion_mode, epochs, seed):
     }
 
 
-def full_steps(seed, steps=2):
-    """Digest of the full-preset params arena after `steps` train-mode steps on one batch."""
+def full_steps():
+    """Digest of the full-preset params arena after STEPS train-mode steps on one batch."""
     workload = WORKLOADS["full-long"]
     cfg = workload.cfg
-    items = make_inputs(workload, seed, None).train_items[:BATCH_SIZE]
+    items = make_inputs(workload, SEED, None).train_items[:BATCH_SIZE]
     batch = [(bundle_for(ann, cfg), ann) for ann in items]
-    model = Model(cfg, seed=seed)
+    model = Model(cfg, seed=SEED)
     optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng([seed, 2])
-    for step in range(steps):
+    rng = np.random.default_rng([SEED, 2])
+    for step in range(STEPS):
         total, _ = batch_loss(model, batch, step, rng=rng, train=True)
         model.zero_grad()
         total.backward()
@@ -83,17 +86,12 @@ def full_steps(seed, steps=2):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--epochs", type=int, default=5, help="epochs of each desk run")
-    parser.add_argument("--seed", type=int, default=2)
-    args = parser.parse_args()
     digests = {}
     with tempfile.TemporaryDirectory(prefix="bitwise-gate-") as tmp:
         for dtype in ("float64", "float32"):
             for mode in ("bidirectional", "text_to_video"):
-                digests[f"desk/{dtype}/{mode}"] = desk_run(Path(tmp), dtype, mode,
-                                                          args.epochs, args.seed)
-    digests["full/float32"] = full_steps(args.seed)
+                digests[f"desk/{dtype}/{mode}"] = desk_run(Path(tmp), dtype, mode)
+    digests["full/float32"] = full_steps()
     print(json.dumps(digests, indent=2, sort_keys=True))
 
 

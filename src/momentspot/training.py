@@ -128,13 +128,22 @@ def _write_atomic(path, write):
     return path
 
 
+def _check_as_read(cfg):
+    """ModelConfig.from_dict on cfg as it reads back from a header's JSON, the
+    check model_from_checkpoint runs: a ConfigError for a config it would
+    refuse (a non-finite float), while a numpy float, written as a plain one,
+    passes."""
+    ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+
+
 def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
     """Write the params arena under a header; epoch counts finished epochs
     (header key epochs_done), and the optimizer gives only its step count.
 
-    A config that model_from_checkpoint would refuse (ModelConfig.from_dict on
-    the header's config) is a ConfigError before any file is opened.
+    A config that model_from_checkpoint would refuse is a ConfigError before
+    any file is opened (see _check_as_read).
     """
+    _check_as_read(model.cfg)
     params = model.named_parameters()
     arena = params.arena
     tag = f"f{8 * arena.itemsize}"
@@ -147,7 +156,6 @@ def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
         "optimizer_step": optimizer.step_count,
         "best_metric": best_metric,
     }
-    ModelConfig.from_dict(meta["config"])
     meta_bytes = json.dumps(meta).encode("utf-8")
 
     def write(fh):
@@ -294,7 +302,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
 
     Every item is bundled, which rejects an item the model cannot run (see
     bundle_for and data.encode_item), the training split must be non-empty,
-    and no qid may repeat within either split, before anything is written.
+    no qid may repeat within either split, and the config must be one
+    model_from_checkpoint accepts, before anything is written.
     Validation runs every cfg.eval_every epochs (0: after the last epoch
     only). last.ckpt is written at the start and after each epoch's
     validation, with the best validation mAP so far as best_metric; best.ckpt
@@ -329,6 +338,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     rng = np.random.default_rng([seed, 2])
     train_bundles = [bundle_for(a, cfg, feature_dir) for a in train_set]
     val_bundles = [bundle_for(a, cfg, feature_dir) for a in val_set]
+    _check_as_read(model.cfg)  # the first save's check, before the run directory exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl"

@@ -1015,12 +1015,20 @@ class TestTrainLoop:
             train(cfg, train_set, tmp_path / "run", seed=0, val_annotations=val_set)
         assert not (tmp_path / "run").exists()
 
-    def test_non_finite_lr_is_rejected_before_any_checkpoint(self, tmp_path):
-        # a Python-built config skips from_dict; the first save runs its check
+    def test_non_finite_lr_is_rejected_before_any_write(self, tmp_path):
+        # a Python-built config skips from_dict; train runs the first save's check
         run = tmp_path / "run"
         with pytest.raises(ConfigError, match="config field lr must be finite, got inf"):
             train(self.small_cfg(lr=math.inf), toy_dataset(), run, seed=0)
-        assert list(run.iterdir()) == []  # no .ckpt, no .tmp, no log
+        assert not run.exists()
+
+    def test_numpy_float_lr_saves_and_reloads(self, tmp_path):
+        # np.float64 is a float to json, so the header holds a plain float
+        cfg = self.small_cfg(lr=np.float64(1e-3))
+        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
+        model, meta = model_from_checkpoint(result.best_checkpoint)
+        assert type(model.cfg.lr) is float and model.cfg.lr == 1e-3
+        assert meta["config"]["lr"] == 1e-3
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
