@@ -6,7 +6,9 @@ Run it in two checkouts, for example a change and its parent
 (`git clone . ../parent && git -C ../parent checkout HEAD~1`, then copy this
 script there), and compare the two JSON objects it prints: equal digests
 mean the change left the arithmetic, the init and dropout draws and the
-checkpoint layout alone. The script imports momentspot from the `src/` of
+checkpoint layout alone. Next to the digests it prints losses as `repr`
+floats, so a change that moves bits (a new summation order, say) can report
+how far the runs moved, not only that they did. The script imports momentspot from the `src/` of
 the tree it lives in and pins BLAS to one thread, so the digests do not
 depend on the host's core count.
 
@@ -15,10 +17,12 @@ Digests:
 - desk/<dtype>/<fusion mode>: train() on the planted overfit fixture with
   dropout 0.1, input dropout 0.2, grad_clip=0.5, val_fraction=0.25 and
   validation every epoch; the loss trace, last.ckpt, best.ckpt and the
-  predictions.jsonl of best.ckpt evaluated on every fixture item.
+  predictions.jsonl of best.ckpt evaluated on every fixture item; plus
+  final_loss, the trace's last epoch-mean loss.
 - full/float32: the params arena after two train-mode steps (forward,
   backward, clip, AdamW) of the full-scale preset, dropout on, on one batch of
-  the full-long benchmark workload's items.
+  the full-long benchmark workload's items; plus step_losses, the total loss
+  of each step.
 """
 import hashlib
 import json
@@ -64,11 +68,13 @@ def desk_run(tmp, dtype, fusion_mode):
         "last.ckpt": sha(Path(result.last_checkpoint).read_bytes()),
         "best.ckpt": sha(Path(result.best_checkpoint).read_bytes()),
         "predictions": sha((run / "eval" / "predictions.jsonl").read_bytes()),
+        "final_loss": repr(result.loss_trace[-1]),
     }
 
 
 def full_steps():
-    """Digest of the full-preset params arena after STEPS train-mode steps on one batch."""
+    """Digest of the full-preset params arena after STEPS train-mode steps on one batch,
+    and each step's loss."""
     workload = WORKLOADS["full-long"]
     cfg = workload.cfg
     items = make_inputs(workload, SEED, None).train_items[:BATCH_SIZE]
@@ -76,13 +82,15 @@ def full_steps():
     model = Model(cfg, seed=SEED)
     optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([SEED, 2])
+    losses = []
     for step in range(STEPS):
         total, _ = batch_loss(model, batch, step, rng=rng, train=True)
+        losses.append(repr(total.item()))
         model.zero_grad()
         total.backward()
         clip_gradients(model.named_parameters(), cfg.grad_clip)
         optimizer.step()
-    return {"arena": sha(model.store.arena.tobytes())}
+    return {"arena": sha(model.store.arena.tobytes()), "step_losses": losses}
 
 
 def main():

@@ -337,11 +337,19 @@ def _rows(x):
     return x.reshape(-1, x.shape[-1])
 
 
+def _gemm(x, w):
+    """x @ w as one GEMM when w is a 2-D weight: a (B, m, k) x runs as its
+    (B*m, k) rows, not as B stacked products. Any other x @ w is numpy's."""
+    if x.ndim == 3 and w.ndim == 2:
+        return (_rows(x) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+    return x @ w
+
+
 def matmul(a, b):
     """a @ b for (m, k) or (B, m, k) a and a (k, n) weight, or per item for (B, k, n) b.
 
-    A weight's gradient flattens the leading axes of a into one GEMM, so no
-    per-item (B, k, n) stack is ever formed.
+    With a weight, the product and both gradients flatten the leading axes of
+    a into one GEMM each, so no per-item (B, k, n) stack is ever formed.
     """
     x, w = a.data, b.data
     if x.ndim not in (2, 3) or w.ndim not in (2, x.ndim):
@@ -349,11 +357,11 @@ def matmul(a, b):
                          f"got {x.shape} @ {w.shape}")
     if x.shape[-1] != w.shape[-2] or (w.ndim == 3 and x.shape[0] != w.shape[0]):
         raise ShapeError(f"matmul dims differ: {x.shape} @ {w.shape}")
-    out_data = x @ w
+    out_data = _gemm(x, w)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g @ w.swapaxes(-1, -2))
+            _accumulate(a, _gemm(g, w.swapaxes(-1, -2)))
         if b.requires_grad:
             if w.ndim == 2:
                 _accumulate(b, _rows(x).T @ _rows(g))
@@ -691,14 +699,14 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     def merge(x):  # (..., heads, n, dh) -> (..., n, d)
         return x.transpose(perm).reshape(lead + (-1, d))
 
-    qh = split(qd @ params.wq.data + params.bq.data)
-    kh = split(kd @ params.wk.data + params.bk.data)
-    vh = split(vd @ params.wv.data + params.bv.data)
+    qh = split(_gemm(qd, params.wq.data) + params.bq.data)
+    kh = split(_gemm(kd, params.wk.data) + params.bk.data)
+    vh = split(_gemm(vd, params.wv.data) + params.bv.data)
     attn, dead = _masked_softmax((qh @ kh.swapaxes(-1, -2)) * scale, keep)
     # a query row is dead when no key is kept: the same rows in every head
     dead = dead[:, 0] if lead else dead[0]
     merged = merge(attn @ vh)
-    out_data = merged @ params.wo.data + params.bo.data
+    out_data = _gemm(merged, params.wo.data) + params.bo.data
     live = None
     if dead.any():
         live = (~dead).astype(out_data.dtype)[..., None]
@@ -709,14 +717,14 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
         _accumulate(w, _rows(x.data).T @ _rows(g))
         _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
+            _accumulate(x, _gemm(g, w.data.T))
 
     def backward(g):
         if live is not None:
             g = g * live
         _accumulate(params.wo, _rows(merged).T @ _rows(g))
         _accumulate(params.bo, _unbroadcast(g, params.bo.data.shape))
-        g_out = split(g @ params.wo.data.T)
+        g_out = split(_gemm(g, params.wo.data.T))
         g_attn = g_out @ vh.swapaxes(-1, -2)
         g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
         project_back(q, params.wq, params.bq, merge(g_scores @ kh))

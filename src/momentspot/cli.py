@@ -10,13 +10,17 @@ from .config import ModelConfig
 from .data import (default_captioner, default_embedder, generate_synthetic,
                    load_dataset, load_manifest, records_to_annotations,
                    save_dataset)
-from .training import evaluate_checkpoint, train
+from .training import checkpoint_config, evaluate_checkpoint, train
 
 
 def _add_common(parser):
-    parser.add_argument("--config", type=str, default=None, help="JSON model/training config")
     parser.add_argument("--data", type=str, required=True, help="jsonl input (annotations or manifest)")
     parser.add_argument("--out", type=str, required=True, help="output directory or file")
+    return parser
+
+
+def _add_config(parser):
+    parser.add_argument("--config", type=str, default=None, help="JSON model/training config")
     return parser
 
 
@@ -24,14 +28,16 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="momentspot",
                                      description="Joint moment retrieval and highlight detection")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = _add_common(sub.add_parser("train", help="train a model"))
+    p = _add_config(_add_common(sub.add_parser("train", help="train a model")))
     p.add_argument("--seed", type=int, default=0, help="u64 master seed")
     p.add_argument("--init-from", type=str, default=None, help="checkpoint to warm start from")
     p.add_argument("--val-data", type=str, default=None,
                    help="explicit validation jsonl (overrides the split)")
+    # eval reads its config, clip_len default included, from the checkpoint
     p = _add_common(sub.add_parser("eval", help="evaluate a checkpoint"))
     p.add_argument("--init-from", type=str, default=None, help="checkpoint to evaluate")
-    _add_common(sub.add_parser("datagen", help="generate synthetic annotations from a video manifest"))
+    _add_config(_add_common(sub.add_parser("datagen",
+                                           help="generate synthetic annotations from a video manifest")))
     return parser
 
 
@@ -60,7 +66,7 @@ def cmd_eval(args):
     if not args.init_from:
         print("eval requires --init-from <checkpoint>", file=sys.stderr)
         return 2
-    cfg = _load_config(args.config)
+    cfg = checkpoint_config(args.init_from)
     annotations = load_dataset(args.data, default_clip_len=cfg.clip_len)
     report, _ = evaluate_checkpoint(args.init_from, annotations, out_dir=args.out)
     print(json.dumps(report.to_dict()))

@@ -224,6 +224,13 @@ def _read_head(fh, path):
     return meta, dtype
 
 
+def checkpoint_config(path):
+    """The ModelConfig in checkpoint path's header; the params are not read."""
+    with open(path, "rb") as fh:
+        meta, _ = _read_head(fh, path)
+    return ModelConfig.from_dict(meta["config"])
+
+
 def model_from_checkpoint(path, cfg=None):
     """(model, meta): a Model with no random init whose arena holds the
     checkpoint's params block, read straight into it when the dtypes agree and

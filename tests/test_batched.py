@@ -3,7 +3,8 @@
 Each batched call runs over items of different lengths, zero-padded to the
 longest with (B, L) masks; its real rows, its loss (the mean of the items'
 losses) and the gradients of every input must match the un-batched call on
-each item alone to 1e-12 in float64.
+each item alone to 1e-12 in float64. The products with a 2-D weight, which
+run a (B, m, k) input as one (B*m, k) GEMM, are also checked in float32.
 """
 import numpy as np
 import pytest
@@ -178,6 +179,90 @@ class TestBatchedOps:
         assert grad_check(lambda x: tsum(ad.square(gather(x, (items, rows)))), [t]) < 1e-7
         flat = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         assert grad_check(lambda x: tsum(ad.square(gather(x, [3, 3, 1]))), [flat]) < 1e-7
+
+
+F32_TOL = 1e-5
+D = 16
+
+
+def param32(rng, *shape):
+    return Tensor((rng.normal(size=shape) * 0.4).astype(np.float32), requires_grad=True)
+
+
+def assert_close32(got, want):
+    """Float32 agreement to F32_TOL, relative to the largest entry of want."""
+    assert got.dtype == want.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=F32_TOL, atol=F32_TOL * np.abs(want).max())
+
+
+def check_items32(batched, per_item, arrays, params):
+    """batched(xs) on float32 (B, ., .) inputs vs per_item(x_i) on each item, for
+    the values, the gradients of each input and those of every shared parameter."""
+    rng = np.random.default_rng(5)
+    xs = [Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
+    out = batched(xs)
+    readout = rng.normal(size=out.data.shape).astype(np.float32)
+    got = grads_of(out, xs + params, readout)
+    want_params = [np.zeros_like(p.data) for p in params]
+    for i in range(len(out.data)):
+        items = [Tensor(x.data[i], requires_grad=True) for x in xs]
+        one = per_item(items)
+        assert_close32(out.data[i], one.data)
+        grads = grads_of(one, items + params, readout[i])
+        for x_grad, g in zip(got[:len(xs)], grads[:len(items)]):
+            assert_close32(x_grad[i], g)
+        for k, g in enumerate(grads[len(items):]):
+            want_params[k] += g
+    for g, want in zip(got[len(xs):], want_params):
+        assert_close32(g, want)
+
+
+class TestOneGemmPerWeight:
+    """x @ w with a 2-D weight runs a (B, m, k) x as one GEMM; per item it is m rows
+    of the same weight, so float32 values and gradients match per-item calls."""
+
+    @pytest.mark.parametrize("n", [1, 2, D])  # saliency_w; class head and last moment layer; d
+    def test_weight_widths(self, rng, n):
+        w, b = param32(rng, D, n), param32(rng, n)
+        check_items32(lambda xs: linear(xs[0], w, b), lambda xs: linear(xs[0], w, b),
+                      [rng.normal(size=(3, 5, D))], [w, b])
+
+    @pytest.mark.parametrize("view", ["narrow", "transpose", "transposed-output"])
+    def test_non_contiguous_operands(self, rng, view):
+        w = param32(rng, D, 2)
+        if view == "narrow":  # columns 1..D of each (5, D + 2) item
+            x = rng.normal(size=(3, 5, D + 2))
+            f = lambda t: ad.matmul(ad.narrow(t, t.data.ndim - 1, 1, D), w)
+        elif view == "transpose":  # rows of each (D, 5) item
+            x = rng.normal(size=(3, D, 5))
+            f = lambda t: ad.matmul(ad.transpose(t), w)
+        else:  # the output gradient arrives as a transposed view
+            x = rng.normal(size=(3, 5, D))
+            f = lambda t: ad.transpose(ad.matmul(t, w))
+        check_items32(lambda xs: f(xs[0]), lambda xs: f(xs[0]), [x], [w])
+
+    def test_attention_projections(self, rng):
+        params = MhaParams(*[param32(rng, *s) for s in [(D, D), (D,)] * 4])
+        # bk shifts each query's scores by a constant, so its gradient is zero up to
+        # rounding noise, which has no scale to compare against
+        leaves = [params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo]
+        check_items32(lambda xs: multi_head_attention(xs[0], xs[1], xs[1], params, 2),
+                      lambda xs: multi_head_attention(xs[0], xs[1], xs[1], params, 2),
+                      [rng.normal(size=(3, 5, D)), rng.normal(size=(3, 4, D))], leaves)
+
+    @pytest.mark.parametrize("n", [1, 2, D])
+    def test_rank2_input_is_the_plain_product(self, rng, n):
+        x = rng.normal(size=(5, D)).astype(np.float32)
+        w = rng.normal(size=(D, n)).astype(np.float32)
+        x_cols = x.T.copy().T  # the same values, column-major
+        assert np.array_equal(ad._gemm(x, w), x @ w)
+        assert np.array_equal(ad._gemm(x_cols, w), x_cols @ w)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w)
+        out = ad.matmul(xt, wt)
+        assert np.array_equal(out.data, x @ w)
+        g = rng.normal(size=out.data.shape).astype(np.float32)
+        out.backward(g)
+        assert np.array_equal(xt.grad, g @ w.T)
 
 
 class TestBatchedLosses:

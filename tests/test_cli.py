@@ -61,6 +61,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["train", "--device", "cpu"],
         ["eval", "--seed", "1"],
+        ["eval", "--config", "config.json"],
         ["datagen", "--seed", "1"],
         ["datagen", "--init-from", "x.ckpt"],
     ])
@@ -95,8 +96,7 @@ class TestTrainEval:
         assert (run_dir / "train_log.jsonl").exists()
 
         eval_dir = tmp_path / "eval"
-        rc = main(["eval", "--config", str(config), "--data", str(dataset),
-                   "--out", str(eval_dir), "--init-from", ckpt])
+        rc = main(["eval", "--data", str(dataset), "--out", str(eval_dir), "--init-from", ckpt])
         assert rc == 0
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(report) == {"r1_050", "r1_070", "map_050", "map_075", "map_avg",
@@ -105,10 +105,29 @@ class TestTrainEval:
         assert (eval_dir / "report.json").exists()
 
     def test_eval_requires_checkpoint(self, tmp_path, capsys, dataset):
-        config = cli_config(tmp_path)
-        rc = main(["eval", "--config", str(config), "--data", str(dataset),
-                   "--out", str(tmp_path / "eval")])
+        rc = main(["eval", "--data", str(dataset), "--out", str(tmp_path / "eval")])
         assert rc == 2
+
+    def test_eval_reads_clip_len_default_from_the_checkpoint(self, tmp_path, capsys):
+        config = cli_config(tmp_path, clip_len=1.0)
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, [10.0, 12.0])
+        data = tmp_path / "items.jsonl"
+        main(["datagen", "--config", str(config), "--data", str(manifest), "--out", str(data)])
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(run_dir)]) == 0
+        rows = [json.loads(line) for line in data.read_text().splitlines()]
+        assert {row.pop("clip_len") for row in rows} == {1.0}
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(bare), "--out", str(tmp_path / "eval"),
+                   "--init-from", str(run_dir / "last.ckpt")])
+        assert rc == 0
+        predictions = (tmp_path / "eval" / "predictions.jsonl").read_text().splitlines()
+        assert [len(json.loads(line)["pred_saliency_scores"]) for line in predictions] == \
+            [math.ceil(row["duration"] / 1.0) for row in rows]
 
     def test_train_with_explicit_val_data(self, tmp_path, capsys, dataset):
         config = cli_config(tmp_path, eval_every=1)

@@ -51,6 +51,11 @@ def read_meta(path):
     return json.loads(raw[12:12 + meta_len])
 
 
+def read_log(result):
+    """The entries of a run's train_log.jsonl, one per line."""
+    return [json.loads(line) for line in Path(result.log_path).read_text().splitlines()]
+
+
 def replace_header(path, meta_bytes):
     """Put meta_bytes in place of checkpoint `path`'s JSON header, keeping its payload."""
     raw = path.read_bytes()
@@ -703,7 +708,7 @@ class TestTrainLoop:
         assert all(np.isfinite(x) for x in result.loss_trace)
         assert (tmp_path / "run" / "last.ckpt").exists()
         assert (tmp_path / "run" / "best.ckpt").exists()
-        lines = [json.loads(l) for l in open(result.log_path)]
+        lines = read_log(result)
         train_lines = [l for l in lines if l["split"] == "train"]
         assert [l["epoch"] for l in train_lines] == [0, 1]
         assert all("total" in l and "contrastive" in l for l in train_lines)
@@ -727,7 +732,7 @@ class TestTrainLoop:
         cfg = self.small_cfg(epochs=3, val_fraction=0.34, eval_every=1)
         result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
         assert np.isfinite(result.best_metric)
-        lines = [json.loads(l) for l in open(result.log_path)]
+        lines = read_log(result)
         val_lines = [l for l in lines if l["split"] == "val"]
         assert len(val_lines) == 3
         assert all("map_avg" in l for l in val_lines)
@@ -748,7 +753,7 @@ class TestTrainLoop:
         assert [name for name, _ in snapshots] == ["last.ckpt"] * (cfg.epochs + 1)
         metas = [json.loads(raw[12:12 + struct.unpack("<I", raw[8:12])[0]]) for _, raw in snapshots]
         assert [meta["epochs_done"] for meta in metas] == [0, 1, 2, 3]  # finished epochs
-        lines = [json.loads(l) for l in open(result.log_path)]
+        lines = read_log(result)
         val_maps = [l["map_avg"] for l in lines if l["split"] == "val"]
         best_epoch = val_maps.index(result.best_metric)  # the first epoch to reach the best
         best = Path(result.best_checkpoint).read_bytes()
@@ -786,7 +791,7 @@ class TestTrainLoop:
         anns = toy_dataset()
         cfg = self.small_cfg(epochs=2, eval_every=0)
         result = train(cfg, anns[:2], tmp_path / "run", seed=0, val_annotations=anns[2:])
-        lines = [json.loads(l) for l in open(result.log_path)]
+        lines = read_log(result)
         assert [l["epoch"] for l in lines if l["split"] == "val"] == [1]
         assert np.isfinite(result.best_metric)
 
@@ -878,7 +883,7 @@ class TestTrainLoop:
         assert (tmp_path / "run" / "last.ckpt").exists()
         restored, _ = model_from_checkpoint(tmp_path / "run" / "last.ckpt")
         assert np.isfinite(restored.store.arena).all()
-        lines = [json.loads(l) for l in open(result.log_path)]
+        lines = read_log(result)
         assert lines[-1].get("diverged") is True
         assert isinstance(lines[-1]["batch"], int) and lines[-1]["batch"] >= 0
         assert isinstance(lines[-1]["cause"], str) and lines[-1]["cause"]
@@ -890,7 +895,7 @@ class TestTrainLoop:
             result = train(self.small_cfg(lr=float(np.finfo(np.float64).max)), toy_dataset(),
                            tmp_path / "run", seed=0)
         assert result.diverged and result.epochs_run == 0
-        log = [json.loads(line) for line in open(result.log_path)]
+        log = read_log(result)
         assert log[-1]["batch"] == 0 and log[-1]["cause"].startswith("non-finite parameter")
         best = Path(result.best_checkpoint).read_bytes()
         assert best == Path(result.last_checkpoint).read_bytes()
@@ -940,7 +945,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "clip_gradients", recording_clip)
         cfg = self.small_cfg(epochs=2, batch_size=2, grad_clip=0.5)
         result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
-        lines = [json.loads(l) for l in open(result.log_path)]
+        lines = read_log(result)
         norms = [l["grad_norms"] for l in lines if l["split"] == "train"]
         batches = math.ceil(len(toy_dataset()) / cfg.batch_size)
         assert [len(n) for n in norms] == [batches] * cfg.epochs
@@ -962,7 +967,7 @@ class TestTrainLoop:
                 (tmp_path / "real" / name).read_bytes()
         steps = math.ceil(len(anns) / cfg.batch_size)
         for result in (real, fake):
-            entries = [json.loads(l) for l in open(result.log_path)]
+            entries = read_log(result)
             assert len(entries) == cfg.epochs
             for entry in entries:
                 for key in ("grad_norms", "forward_ms", "backward_ms", "optimizer_ms"):
