@@ -8,9 +8,9 @@ script there), and compare the two JSON objects it prints: equal digests
 mean the change left the arithmetic, the init and dropout draws and the
 checkpoint layout alone. Next to the digests it prints losses as `repr`
 floats, so a change that moves bits (a new summation order, say) can report
-how far the runs moved, not only that they did. The script imports momentspot from the `src/` of
-the tree it lives in and pins BLAS to one thread, so the digests do not
-depend on the host's core count.
+how far the runs moved, not only that they did. The script imports
+momentspot from the `src/` of the tree it lives in and pins BLAS to one
+thread, so the digests do not depend on the host's core count.
 
 Digests:
 

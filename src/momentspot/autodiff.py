@@ -341,7 +341,8 @@ def _gemm(x, w):
     """x @ w as one GEMM when w is a 2-D weight: a (B, m, k) x runs as its
     (B*m, k) rows, not as B stacked products. Any other x @ w is numpy's."""
     if x.ndim == 3 and w.ndim == 2:
-        return (_rows(x) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+        b, m, k = x.shape
+        return (x.reshape(b * m, k) @ w).reshape(b, m, w.shape[1])
     return x @ w
 
 
