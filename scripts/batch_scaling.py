@@ -27,6 +27,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+import numpy as np
+
+from momentspot.model import Model, bundle_for
+from momentspot.training import AdamW
+from perfbench.bench import train_step
+from perfbench.workloads import WORKLOADS, make_inputs
+
 BATCH_SIZES = (1, 4, 8, 32)
 SEED = 1801
 STEPS = 5
@@ -35,13 +42,6 @@ WARMUP = 1
 
 def measure(batch_size):
     """One batch size's step timings, in this process."""
-    import numpy as np
-
-    from momentspot.model import Model, bundle_for
-    from momentspot.training import AdamW
-    from perfbench.bench import train_step
-    from perfbench.workloads import WORKLOADS, make_inputs
-
     workload = WORKLOADS["full-long"]
     workload = dataclasses.replace(workload, train_lengths=workload.train_lengths[:1] * batch_size)
     cfg = workload.cfg

@@ -61,9 +61,9 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["train", "--device", "cpu"],
         ["eval", "--seed", "1"],
-        ["eval", "--config", "config.json"],
         ["datagen", "--seed", "1"],
         ["datagen", "--init-from", "x.ckpt"],
+        ["eval", "--config", "config.json"],
     ])
     def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
