@@ -17,8 +17,10 @@ Digests:
 - desk/<dtype>/<fusion mode>: train() on the planted overfit fixture with
   dropout 0.1, input dropout 0.2, grad_clip=0.5, val_fraction=0.25 and
   validation every epoch; the loss trace, last.ckpt, best.ckpt and the
-  predictions.jsonl of best.ckpt evaluated on every fixture item; plus
-  final_loss, the trace's last epoch-mean loss.
+  predictions.jsonl of best.ckpt evaluated on every fixture item; the params
+  block of each checkpoint (the bytes after its header), which a change to
+  the header alone leaves equal; plus final_loss, the trace's last
+  epoch-mean loss.
 - full/float32: the params arena after two train-mode steps (forward,
   backward, clip, AdamW) of the full-scale preset, dropout on, on one batch of
   the full-long benchmark workload's items; plus step_losses, the total loss
@@ -27,6 +29,7 @@ Digests:
 import hashlib
 import json
 import os
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +56,13 @@ def sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def params_block(path):
+    """The bytes of checkpoint path after its magic, version, header length and header."""
+    raw = Path(path).read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    return raw[12 + meta_len:]
+
+
 def desk_run(tmp, dtype, fusion_mode):
     """Digests of one desk train() run with every dropout and clip path on."""
     features = tmp / "features"
@@ -67,6 +77,8 @@ def desk_run(tmp, dtype, fusion_mode):
         "loss_trace": sha(np.asarray(result.loss_trace, dtype=np.float64).tobytes()),
         "last.ckpt": sha(Path(result.last_checkpoint).read_bytes()),
         "best.ckpt": sha(Path(result.best_checkpoint).read_bytes()),
+        "last.ckpt params": sha(params_block(result.last_checkpoint)),
+        "best.ckpt params": sha(params_block(result.best_checkpoint)),
         "predictions": sha((run / "eval" / "predictions.jsonl").read_bytes()),
         "final_loss": repr(result.loss_trace[-1]),
     }

@@ -35,14 +35,11 @@ def _items(scores):
     return int(np.prod(scores.data.shape[:-1]))
 
 
-def _cosine_loss(a, b, keep=None):
-    """one_minus_cosine of a and b after zeroing the entries keep drops, as one node."""
-    x, y = a.data, b.data
-    if x.shape != y.shape or x.ndim not in (1, 2):
+def _cosine_loss(a, b, keep):
+    """one_minus_cosine of a and b after zeroing the entries the boolean keep drops, as one node."""
+    if a.data.shape != b.data.shape or a.data.ndim not in (1, 2):
         raise ValueError("one_minus_cosine expects two rank-1 or rank-2 tensors of equal shape")
-    if keep is not None:
-        keep = keep.astype(x.dtype)
-        x, y = x * keep, y * keep
+    x, y = a.data * keep, b.data * keep  # a kept entry is multiplied by 1, exactly
     sumsq_x = (x * x).sum(axis=-1, keepdims=True)
     sumsq_y = (y * y).sum(axis=-1, keepdims=True)
     dead = (sumsq_x == 0.0) | (sumsq_y == 0.0)
@@ -61,7 +58,7 @@ def _cosine_loss(a, b, keep=None):
         for t, unit, other, norm in ((a, unit_x, unit_y, norm_x), (b, unit_y, unit_x, norm_y)):
             if t.requires_grad:
                 grad = scale * (other - cos * unit) / norm
-                _accumulate(t, grad if keep is None else grad * keep)
+                _accumulate(t, grad * keep)
 
     return _node(out_data, (a, b), backward)
 
@@ -74,7 +71,7 @@ def one_minus_cosine(a, b):
     row's loss is then the constant 1 (orthogonal convention) with zero
     gradient.
     """
-    return _cosine_loss(a, b)
+    return _cosine_loss(a, b, keep_mask(None, a.data.shape))
 
 
 # -- highlight ranking losses -------------------------------------------------
@@ -214,8 +211,7 @@ def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
 def masked_cosine_loss(scores, gt_saliency, clip_mask=None):
     """one_minus_cosine of scores against gt values, both over unmasked clips; one node."""
     gt = Tensor(np.asarray(gt_saliency, dtype=scores.data.dtype))
-    keep = None if clip_mask is None else keep_mask(clip_mask, scores.data.shape)
-    return _cosine_loss(scores, gt, keep)
+    return _cosine_loss(scores, gt, keep_mask(clip_mask, scores.data.shape))
 
 
 def task_specific_loss(saliency, gt_saliency, clip_mask=None):

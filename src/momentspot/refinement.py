@@ -66,14 +66,12 @@ def refine(v_bar, t_bar, conv, text_mask=None, clip_mask=None):
     if n_tok > n_max:
         raise ConfigError(f"{n_tok} text tokens exceed n_max={n_max}")
     corr = matmul(v_bar, transpose(mask_rows(t_bar, text_mask)))  # (..., L, N)
-    if n_max > n_tok:
-        pad = Tensor(np.zeros(corr.data.shape[:-1] + (n_max - n_tok,), dtype=v_bar.data.dtype))
-        corr = concat([corr, pad], axis=-1)
+    pad = Tensor(np.zeros(corr.data.shape[:-1] + (n_max - n_tok,), dtype=v_bar.data.dtype))
     pooled = masked_mean_pool(t_bar, text_mask)          # (..., 1, d)
     clip_query = matmul(v_bar, transpose(pooled))        # (..., L, 1)
     ones = Tensor(np.ones(v_bar.data.shape[:-1] + (1,), dtype=v_bar.data.dtype))
     pooled_rows = matmul(ones, pooled)                   # (..., L, d)
-    stacked = concat([v_bar, corr, clip_query, pooled_rows], axis=-1)
+    stacked = concat([v_bar, corr, pad, clip_query, pooled_rows], axis=-1)
     out = conv1d(mask_rows(stacked, clip_mask), conv.weight, conv.bias)
     return mask_rows(out, clip_mask)
 

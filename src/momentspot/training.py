@@ -100,13 +100,9 @@ def clip_gradients(params, max_norm):
 
 # -- checkpoint format ----------------------------------------------------------
 # magic "MSPT" | u32 version | u32 json_len | json metadata | raw little-endian
-# payload: the params arena. The payload dtype is the arena's, tagged f32 or
-# f64 in the metadata. Every checkpoint file is written through _write_atomic,
-# so a run killed mid-write leaves the previous file whole.
-PAYLOAD_DTYPES = {"f32": "<f4", "f64": "<f8"}
-# arena-sized payload blocks per version: version 1 wrote params|m|v (AdamW's
-# moments, which no load ever read), version 2 writes params alone
-PAYLOAD_BLOCKS = {1: 3, 2: 1}
+# payload: the params arena, in the dtype of the metadata's config. Every
+# checkpoint file is written through _write_atomic, so a run killed mid-write
+# leaves the previous file whole.
 
 
 def _write_atomic(path, write):
@@ -146,12 +142,10 @@ def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
     _check_as_read(model.cfg)
     params = model.named_parameters()
     arena = params.arena
-    tag = f"f{8 * arena.itemsize}"
-    payload_dtype = PAYLOAD_DTYPES[tag]
+    dtype = np.dtype(model.cfg.dtype).newbyteorder("<")
     meta = {
         "config": model.cfg.to_dict(),
         "epochs_done": int(epoch),
-        "payload_dtype": tag,
         "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
         "optimizer_step": optimizer.step_count,
         "best_metric": best_metric,
@@ -163,8 +157,8 @@ def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
         for lo in range(0, arena.size, WRITE_SLICE):
-            # from the arena's own buffer unless the payload dtype differs
-            fh.write(np.ascontiguousarray(arena[lo:lo + WRITE_SLICE], dtype=payload_dtype))
+            # from the arena's own buffer on a little-endian host
+            fh.write(np.ascontiguousarray(arena[lo:lo + WRITE_SLICE], dtype=dtype))
 
     _write_atomic(path, write)
     return path
@@ -186,19 +180,19 @@ def _is_param_entry(entry):
 
 
 def _read_head(fh, path):
-    """Reads the header; returns (meta, payload dtype).
+    """Reads the header; returns (meta, config, payload dtype).
 
     Checks the magic, the version, that the metadata is a JSON object with
-    the keys a load needs, the params entries, the payload dtype tag and
-    that the rest of the file is exactly the version's PAYLOAD_BLOCKS blocks
-    of the layout the metadata describes. Any failure is a ValueError naming
-    path.
+    the keys a load needs, the params entries, the config (a ConfigError
+    from ModelConfig.from_dict) and that the rest of the file is exactly one
+    params block of the layout the metadata describes, in the config's dtype.
+    Any other failure is a ValueError naming path.
     """
     head = fh.read(12)
     if len(head) != 12 or head[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
     version, meta_len = struct.unpack("<II", head[4:])
-    if version not in PAYLOAD_BLOCKS:
+    if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     try:
         meta = json.loads(fh.read(meta_len).decode("utf-8"))
@@ -207,43 +201,40 @@ def _read_head(fh, path):
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint metadata is not a JSON object "
                          f"(got {type(meta).__name__})")
-    missing = [key for key in ("config", "params", "payload_dtype") if key not in meta]
+    missing = [key for key in ("config", "params") if key not in meta]
     if missing:
         raise ValueError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
     entries = meta["params"]
     if not (isinstance(entries, list) and all(_is_param_entry(e) for e in entries)):
         raise ValueError(f"{path}: each params entry needs a string name and a shape "
                          f"of non-negative ints")
-    if meta["payload_dtype"] not in PAYLOAD_DTYPES:
-        raise ValueError(f"{path}: unknown payload dtype {meta['payload_dtype']!r}")
-    dtype = np.dtype(PAYLOAD_DTYPES[meta["payload_dtype"]])
-    expected = PAYLOAD_BLOCKS[version] * sum(math.prod(e["shape"]) for e in entries) * dtype.itemsize
+    cfg = ModelConfig.from_dict(meta["config"])
+    dtype = np.dtype(cfg.dtype).newbyteorder("<")
+    expected = sum(math.prod(e["shape"]) for e in entries) * dtype.itemsize
     actual = os.fstat(fh.fileno()).st_size - fh.tell()
     if actual != expected:
         raise ValueError(f"{path}: payload is {actual} bytes, expected {expected}")
-    return meta, dtype
+    return meta, cfg, dtype
 
 
 def checkpoint_config(path):
     """The ModelConfig in checkpoint path's header; the params are not read."""
     with open(path, "rb") as fh:
-        meta, _ = _read_head(fh, path)
-    return ModelConfig.from_dict(meta["config"])
+        return _read_head(fh, path)[1]
 
 
 def model_from_checkpoint(path, cfg=None):
     """(model, meta): a Model with no random init whose arena holds the
     checkpoint's params block, read straight into it when the dtypes agree and
-    cast to the model's dtype when not. A version-1 file's trailing m and v
-    blocks are never read.
+    cast to the model's dtype when not.
 
     The model is built from cfg (a warm start passes the run's), or from the
     checkpoint's own config when cfg is None; its parameter names and shapes
-    must match the checkpoint's.
+    must match the checkpoint's. The checkpoint's config is checked either way.
     """
     with open(path, "rb") as fh:
-        meta, dtype = _read_head(fh, path)
-        model = Model(ModelConfig.from_dict(meta["config"]) if cfg is None else cfg, seed=None)
+        meta, own_cfg, dtype = _read_head(fh, path)
+        model = Model(own_cfg if cfg is None else cfg, seed=None)
         layout = [(e["name"], tuple(e["shape"])) for e in meta["params"]]
         if layout != [(n, p.tensor.data.shape) for n, p in model.named_parameters().items()]:
             raise ConfigError(f"{path}: parameter layout does not match the model's config")
@@ -402,8 +393,9 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                 for key, (a, b) in zip(phase_ms, ((t0, t1), (t1, t2), (t2, t3))):
                     phase_ms[key].append(1e3 * (b - a))
                 epoch_total += total.item()
-                for key, val in parts.items():
-                    epoch_parts[key] = epoch_parts.get(key, 0.0) + float(val.data)
+                for key in parts:
+                    epoch_parts[key] = epoch_parts.get(key, 0.0) + float(parts[key].data)
+                del total, parts  # the step's graph, before the next forward or validation
                 n_batches += 1
             train_s = perf_counter() - epoch_start
             if cause is not None:

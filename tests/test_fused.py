@@ -248,7 +248,7 @@ def test_cosine_node_grad_check(masked):
     rng = np.random.default_rng(4)
     a = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-    keep = CLIP_MASK if masked else None
+    keep = CLIP_MASK if masked else np.ones(CLIP_MASK.shape, dtype=bool)
     assert _cosine_loss(a, b, keep)._parents == (a, b)
     assert grad_check(lambda x, y: _cosine_loss(x, y, keep), [a, b]) < 1e-6
 

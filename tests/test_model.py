@@ -384,9 +384,9 @@ class TestBatchedGraph:
 class TestLossGraph:
     """The loss tail is one node per term: re-composing any term changes the count."""
 
-    # 144 forward nodes, then 12: the nine terms, the GRU scan, the
+    # 143 forward nodes, then 12: the nine terms, the GRU scan, the
     # clip-query cosines and compose_total (the composed tail made it 268)
-    DESK_BATCH_NODES = 156
+    DESK_BATCH_NODES = 155
 
     def test_desk_batch_graph_size(self, tmp_path):
         cfg = ModelConfig.desk(batch_size=4)
