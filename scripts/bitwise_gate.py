@@ -19,8 +19,9 @@ Digests:
   validation every epoch; the loss trace, last.ckpt, best.ckpt and the
   predictions.jsonl of best.ckpt evaluated on every fixture item; the params
   block of each checkpoint (the bytes after its header), which a change to
-  the header alone leaves equal; plus final_loss, the trace's last
-  epoch-mean loss.
+  the header alone leaves equal; train_log.jsonl without its wall-time
+  fields (WALL_TIME_KEYS); plus final_loss, the trace's last epoch-mean
+  loss.
 - full/float32: the params arena after two train-mode steps (forward,
   backward, clip, AdamW) of the full-scale preset, dropout on, on one batch of
   the full-long benchmark workload's items; plus step_losses, the total loss
@@ -50,6 +51,8 @@ from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
 EPOCHS = 5  # of each desk run
 SEED = 2
 STEPS = 2  # of the full-preset run
+# the train_log.jsonl fields that differ between two runs of the same arithmetic
+WALL_TIME_KEYS = ("forward_ms", "backward_ms", "optimizer_ms", "items_per_s")
 
 
 def sha(data):
@@ -61,6 +64,13 @@ def params_block(path):
     raw = Path(path).read_bytes()
     (meta_len,) = struct.unpack("<I", raw[8:12])
     return raw[12 + meta_len:]
+
+
+def log_without_wall_times(path):
+    """train_log.jsonl at path with WALL_TIME_KEYS dropped from each entry, re-serialised."""
+    entries = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    return "".join(json.dumps({k: v for k, v in entry.items() if k not in WALL_TIME_KEYS}) + "\n"
+                   for entry in entries).encode()
 
 
 def desk_run(tmp, dtype, fusion_mode):
@@ -80,6 +90,7 @@ def desk_run(tmp, dtype, fusion_mode):
         "last.ckpt params": sha(params_block(result.last_checkpoint)),
         "best.ckpt params": sha(params_block(result.best_checkpoint)),
         "predictions": sha((run / "eval" / "predictions.jsonl").read_bytes()),
+        "train_log": sha(log_without_wall_times(result.log_path)),
         "final_loss": repr(result.loss_trace[-1]),
     }
 

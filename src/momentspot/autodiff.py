@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -626,7 +625,7 @@ def identity(t):
     return t
 
 
-def conv1d(x, weight, bias=None):
+def conv1d(x, weight, bias):
     """Same-padding 1-D convolution over rows: (L, C_in) -> (L, C_out), per item of a (B, L, C_in) batch.
 
     weight has shape (kernel, C_in, C_out); kernel must be odd.
@@ -638,35 +637,17 @@ def conv1d(x, weight, bias=None):
         raise ShapeError(f"conv1d input shape {x.data.shape} does not match C_in={c_in}")
     unf = unfold1d(x, kernel)
     w2 = reshape(weight, (kernel * c_in, c_out))
-    out = matmul(unf, w2)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    return add(matmul(unf, w2), bias)
 
 
-def linear(x, weight, bias=None):
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
-@dataclass
-class MhaParams:
-    """Projection parameters for one multi-head attention call."""
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
+def linear(x, weight, bias):
+    return add(matmul(x, weight), bias)
 
 
 def multi_head_attention(q, k, v, params, heads, key_mask=None):
     """Scaled dot-product attention with input/output projections, as one node.
 
+    params is the ((w, b) of q, k, v, out) projections, each w (d, d).
     q: (n_q, d), k/v: (n_k, d), with an (n_k,) key mask; or per item of a
     batch, q: (B, n_q, d), k/v: (B, n_k, d), with a (B, n_k) key mask. All
     heads run at once over (..., heads, n, d/heads) arrays. Masked keys are
@@ -685,7 +666,8 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
         raise ShapeError(f"query width {d} != key width {kd.shape[-1]}")
     if d % heads != 0:
         raise ShapeError(f"model dim {d} not divisible by {heads} heads")
-    if any(w.data.shape != (d, d) for w in (params.wq, params.wk, params.wv, params.wo)):
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = params
+    if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
         raise ShapeError(f"attention projections must be ({d}, {d})")
     keep = keep_mask(key_mask, kd.shape[:-1])
     if lead:
@@ -700,14 +682,14 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     def merge(x):  # (..., heads, n, dh) -> (..., n, d)
         return x.transpose(perm).reshape(lead + (-1, d))
 
-    qh = split(_gemm(qd, params.wq.data) + params.bq.data)
-    kh = split(_gemm(kd, params.wk.data) + params.bk.data)
-    vh = split(_gemm(vd, params.wv.data) + params.bv.data)
+    qh = split(_gemm(qd, wq.data) + bq.data)
+    kh = split(_gemm(kd, wk.data) + bk.data)
+    vh = split(_gemm(vd, wv.data) + bv.data)
     attn, dead = _masked_softmax((qh @ kh.swapaxes(-1, -2)) * scale, keep)
     # a query row is dead when no key is kept: the same rows in every head
     dead = dead[:, 0] if lead else dead[0]
     merged = merge(attn @ vh)
-    out_data = _gemm(merged, params.wo.data) + params.bo.data
+    out_data = _gemm(merged, wo.data) + bo.data
     live = None
     if dead.any():
         live = (~dead).astype(out_data.dtype)[..., None]
@@ -723,18 +705,16 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     def backward(g):
         if live is not None:
             g = g * live
-        _accumulate(params.wo, _rows(merged).T @ _rows(g))
-        _accumulate(params.bo, _unbroadcast(g, params.bo.data.shape))
-        g_out = split(_gemm(g, params.wo.data.T))
+        _accumulate(wo, _rows(merged).T @ _rows(g))
+        _accumulate(bo, _unbroadcast(g, bo.data.shape))
+        g_out = split(_gemm(g, wo.data.T))
         g_attn = g_out @ vh.swapaxes(-1, -2)
         g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
-        project_back(q, params.wq, params.bq, merge(g_scores @ kh))
-        project_back(k, params.wk, params.bk, merge(g_scores.swapaxes(-1, -2) @ qh))
-        project_back(v, params.wv, params.bv, merge(attn.swapaxes(-1, -2) @ g_out))
+        project_back(q, wq, bq, merge(g_scores @ kh))
+        project_back(k, wk, bk, merge(g_scores.swapaxes(-1, -2) @ qh))
+        project_back(v, wv, bv, merge(attn.swapaxes(-1, -2) @ g_out))
 
-    parents = (q, k, v, params.wq, params.bq, params.wk, params.bk,
-               params.wv, params.bv, params.wo, params.bo)
-    return _node(out_data, parents, backward)
+    return _node(out_data, (q, k, v, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 # -- initialization ---------------------------------------------------------

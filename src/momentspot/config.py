@@ -95,22 +95,28 @@ class ModelConfig:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.hidden_dim <= 0 or self.hidden_dim % self.heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} must be positive and divisible by heads {self.heads}")
-        if self.proj_kernel % 2 != 1 or self.refine_kernel % 2 != 1:
-            raise ConfigError("conv kernels must be odd for same padding")
+        for name in ("proj_kernel", "refine_kernel"):
+            kernel = getattr(self, name)
+            if kernel < 1 or kernel % 2 != 1:
+                raise ConfigError(f"{name} must be odd and positive for same padding, got {kernel}")
         if self.fusion_mode not in ("bidirectional", "text_to_video"):
             raise ConfigError(f"unknown fusion_mode '{self.fusion_mode}'")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got '{self.dtype}'")
         if not self.video_parts or not self.text_parts:
             raise ConfigError("at least one video and one text feature part required")
-        for parts, kinds in ((self.video_parts, VIDEO_ENCODER_KINDS),
-                             (self.text_parts, TEXT_ENCODER_KINDS)):
+        for name, parts, kinds in (("video_parts", self.video_parts, VIDEO_ENCODER_KINDS),
+                                   ("text_parts", self.text_parts, TEXT_ENCODER_KINDS)):
             unknown = sorted({kind for kind, _ in parts} - set(kinds))
             if unknown:
                 raise ConfigError(f"unknown feature parts {unknown} (expected one of {kinds})")
-        if min(self.fusion_layers, self.encoder_layers, self.decoder_layers,
-               self.proj_layers, self.num_queries) < 1:
-            raise ConfigError("layer and query counts must be >= 1")
+            narrow = [list(part) for part in parts if part[1] < 1]
+            if narrow:
+                raise ConfigError(f"{name} widths must be >= 1, got {narrow}")
+        for name in ("fusion_layers", "encoder_layers", "decoder_layers", "proj_layers",
+                     "num_queries", "ffn_dim", "max_text_len", "max_clips"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.batch_size < 1 or self.epochs < 0 or self.eval_every < 0:
             raise ConfigError(f"need batch_size >= 1, epochs >= 0 and eval_every >= 0, got "
                               f"{self.batch_size}, {self.epochs} and {self.eval_every}")
@@ -119,8 +125,6 @@ class ModelConfig:
         if not (0 <= self.dropout < 1 and 0 <= self.input_dropout < 1):
             raise ConfigError(f"dropout and input_dropout must be in [0, 1), got "
                               f"{self.dropout} and {self.input_dropout}")
-        if self.max_text_len < 1:
-            raise ConfigError(f"max_text_len must be >= 1, got {self.max_text_len}")
         if not self.weights.temperature > 0:
             raise ConfigError(f"weights field temperature must be > 0, got {self.weights.temperature}")
         return self

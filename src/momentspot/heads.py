@@ -17,10 +17,12 @@ class Sublayer:
     """A post-norm residual sublayer, as in DETR: layer_norm(x + drop(y)) for
     the output y of its body run on x.
 
-    An encoder layer is an (attn, ffn) pair of them, a decoder layer a
-    (self_attn, cross, ffn) triple, and a fusion stage one.
+    The body is a tuple of (w, b) pairs: an attention's (q, k, v, out)
+    projections or an FFN's (ffn1, ffn2) layers. An encoder layer is an
+    (attn, ffn) pair of sublayers, a decoder layer a (self_attn, cross, ffn)
+    triple, and a fusion stage one.
     """
-    body: object  # MhaParams, or the FFN's (w1, b1, w2, b2)
+    body: tuple
     ln_gamma: Tensor
     ln_beta: Tensor
 
@@ -33,8 +35,7 @@ class DecoderParams:
 
 @dataclass
 class HeadParams:
-    class_w: Tensor      # (d, 2); class 0 = foreground, 1 = background
-    class_b: Tensor
+    cls: tuple           # (w, b), w (d, 2); class 0 = foreground, 1 = background
     moment_layers: list  # [(w, b)] * 3, widths d -> d -> d -> 2
     saliency_w: Tensor   # (d, 1)
 
@@ -51,7 +52,7 @@ def _residual(x, y, sub, drop):
 
 
 def _ffn(x, sub, drop):
-    w1, b1, w2, b2 = sub.body
+    (w1, b1), (w2, b2) = sub.body
     return linear(drop(relu(linear(x, w1, b1))), w2, b2)
 
 
@@ -87,7 +88,7 @@ def decode(memory, params, heads, drop=identity, clip_mask=None):
 
 def predict_moments(decoded, head):
     """Class logits and sigmoid (center, width) spans from decoded query states."""
-    logits = linear(decoded, head.class_w, head.class_b)
+    logits = linear(decoded, *head.cls)
     x = decoded
     last = len(head.moment_layers) - 1
     for i, (w, b) in enumerate(head.moment_layers):

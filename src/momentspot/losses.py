@@ -14,8 +14,6 @@ composed versions they replace live on in tests/composed.py as oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import (ShapeError, Tensor, _accumulate, _logsumexp, _node, _rows,
@@ -219,25 +217,14 @@ def task_specific_loss(saliency, gt_saliency, clip_mask=None):
     return masked_cosine_loss(saliency, gt_saliency, clip_mask)
 
 
-@dataclass
-class GruParams:
-    """Gates act on the concat [h, x] (each of width d); readout maps d -> 1."""
-    w_update: Tensor
-    b_update: Tensor
-    w_reset: Tensor
-    b_reset: Tensor
-    w_cand: Tensor
-    b_cand: Tensor
-    readout_w: Tensor
-    readout_b: Tensor
-
-
 def gru_saliency(features, params):
     """Left-to-right GRU over feature rows, zero initial state, scalar readout per step.
 
-    features is (L, d), or (B, L, d) for a padded batch: one scan of L steps
-    over (B, d) states, so an item's padded steps come after its real ones
-    and never reach them. One graph node. The input halves of the three
+    params holds the (w, b) pairs of the update, reset, cand and readout
+    layers: the gates act on the concat [h, x] (each of width d), the readout
+    maps d -> 1. features is (L, d), or (B, L, d) for a padded batch: one scan
+    of L steps over (B, d) states, so an item's padded steps come after its
+    real ones and never reach them. One graph node. The input halves of the three
     gates (rows d: of each gate weight) are computed for all steps before the
     loop, so the recurrence multiplies only h by the recurrent halves (rows
     :d). Backward runs backpropagation through time in NumPy and forms each
@@ -247,7 +234,8 @@ def gru_saliency(features, params):
     if x.ndim not in (2, 3):
         raise ShapeError("gru_saliency expects (L, d) or (B, L, d) features")
     length, dim = x.shape[-2:]
-    gates = (params.w_update, params.w_reset, params.w_cand)
+    (w_update, b_update), (w_reset, b_reset), (w_cand, b_cand), (readout_w, readout_b) = params
+    gates = (w_update, w_reset, w_cand)
     if any(w.data.shape != (2 * dim, dim) for w in gates):
         raise ShapeError(f"GRU gate weights must be ({2 * dim}, {dim})")
     w_z, w_r, w_c = (w.data for w in gates)
@@ -256,8 +244,8 @@ def gru_saliency(features, params):
     # update and reset gates share their matmuls: columns :d update, d: reset
     w_zr_h = np.concatenate([w_z[:dim], w_r[:dim]], axis=1)
     w_zr_x = np.concatenate([w_z[dim:], w_r[dim:]], axis=1)
-    x_zr = xs @ w_zr_x + np.concatenate([params.b_update.data, params.b_reset.data])
-    x_c = xs @ w_c[dim:] + params.b_cand.data
+    x_zr = xs @ w_zr_x + np.concatenate([b_update.data, b_reset.data])
+    x_c = xs @ w_c[dim:] + b_cand.data
     w_c_h = w_c[:dim]
     hs = np.zeros((length + 1, items, dim), dtype=x.dtype)  # hs[i] is the state before step i
     zr_all = np.empty((length, items, 2 * dim), dtype=x.dtype)
@@ -271,14 +259,14 @@ def gru_saliency(features, params):
         zr_all[i] = zr
         c_all[i] = c
     states = hs[1:]
-    scores = (states @ params.readout_w.data + params.readout_b.data)[..., 0]  # (L, B)
+    scores = (states @ readout_w.data + readout_b.data)[..., 0]  # (L, B)
     out_data = np.ascontiguousarray(scores.T).reshape(x.shape[:-1])
 
     def backward(g):
         g = g.reshape(items, length).T[..., None]  # (L, B, 1)
-        _accumulate(params.readout_w, _rows(states).T @ _rows(g))
-        _accumulate(params.readout_b, _unbroadcast(g, params.readout_b.data.shape))
-        g_states = g @ params.readout_w.data.T
+        _accumulate(readout_w, _rows(states).T @ _rows(g))
+        _accumulate(readout_b, _unbroadcast(g, readout_b.data.shape))
+        g_states = g @ readout_w.data.T
         d_zr = np.empty_like(zr_all)  # gradients of the gate pre-activations
         d_c = np.empty_like(c_all)
         dh = np.zeros((items, dim), dtype=x.dtype)
@@ -297,18 +285,18 @@ def gru_saliency(features, params):
         g_zr_h = prev.T @ flat_zr
         g_zr_x = flat_x.T @ flat_zr
         g_c_h = (_rows(zr_all)[:, dim:] * prev).T @ flat_c
-        _accumulate(params.w_update, np.concatenate([g_zr_h[:, :dim], g_zr_x[:, :dim]]))
-        _accumulate(params.w_reset, np.concatenate([g_zr_h[:, dim:], g_zr_x[:, dim:]]))
-        _accumulate(params.w_cand, np.concatenate([g_c_h, flat_x.T @ flat_c]))
-        _accumulate(params.b_update, _unbroadcast(flat_zr[:, :dim], params.b_update.data.shape))
-        _accumulate(params.b_reset, _unbroadcast(flat_zr[:, dim:], params.b_reset.data.shape))
-        _accumulate(params.b_cand, _unbroadcast(flat_c, params.b_cand.data.shape))
+        _accumulate(w_update, np.concatenate([g_zr_h[:, :dim], g_zr_x[:, :dim]]))
+        _accumulate(w_reset, np.concatenate([g_zr_h[:, dim:], g_zr_x[:, dim:]]))
+        _accumulate(w_cand, np.concatenate([g_c_h, flat_x.T @ flat_c]))
+        _accumulate(b_update, _unbroadcast(flat_zr[:, :dim], b_update.data.shape))
+        _accumulate(b_reset, _unbroadcast(flat_zr[:, dim:], b_reset.data.shape))
+        _accumulate(b_cand, _unbroadcast(flat_c, b_cand.data.shape))
         if features.requires_grad:
             g_x = d_zr @ w_zr_x.T + d_c @ w_c[dim:].T  # (L, B, d)
             _accumulate(features, g_x.swapaxes(0, 1).reshape(x.shape))
 
-    parents = (features, params.w_update, params.b_update, params.w_reset, params.b_reset,
-               params.w_cand, params.b_cand, params.readout_w, params.readout_b)
+    parents = (features, w_update, b_update, w_reset, b_reset, w_cand, b_cand,
+               readout_w, readout_b)
     return _node(out_data, parents, backward)
 
 

@@ -8,19 +8,18 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import MhaParams, Tensor, _node, dropout, no_grad, xavier_uniform
+from .autodiff import Tensor, _node, dropout, no_grad, xavier_uniform
 from .config import ConfigError, ModelConfig
 from .data import FeatureBundle, encode_item
 from .fusion import FusionParams, fuse
 from .heads import (DecoderParams, HeadParams, PredictionSet, Sublayer, decode,
                     encode, predict_moments, predict_saliency)
-from .losses import (CompositionError, GruParams, compose_total,
-                     contrastive_rank_loss, highlight_distribution_loss,
-                     rank_margin_loss, sample_rank_pair, task_coupled_loss,
-                     task_specific_loss)
+from .losses import (CompositionError, compose_total, contrastive_rank_loss,
+                     highlight_distribution_loss, rank_margin_loss,
+                     sample_rank_pair, task_coupled_loss, task_specific_loss)
 from .matching import _spans, hungarian_match, moment_loss
 from .metrics import QueryPrediction
-from .refinement import ConvLayer, alignment_loss, project, refine
+from .refinement import alignment_loss, project, refine
 
 
 @dataclass
@@ -78,7 +77,7 @@ class ParamStore(dict):
         w = self.new(f"{name}.weight", (kernel, c_in, c_out), "xavier_uniform",
                      fan=(c_in * kernel, c_out * kernel))
         b = self.new(f"{name}.bias", (c_out,), "zeros")
-        return ConvLayer(weight=w, bias=b)
+        return w, b
 
     def layer_norm(self, name, d):
         return (self.new(f"{name}.gamma", (d,), "ones"),
@@ -86,29 +85,25 @@ class ParamStore(dict):
 
     def attention(self, name, ln, d):
         """A Sublayer of attention weights `name` and layer norm `ln`."""
-        wq, bq = self.linear(f"{name}.q", d, d)
-        wk, bk = self.linear(f"{name}.k", d, d)
-        wv, bv = self.linear(f"{name}.v", d, d)
-        wo, bo = self.linear(f"{name}.out", d, d)
-        mha = MhaParams(wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo)
-        return Sublayer(mha, *self.layer_norm(ln, d))
+        body = tuple(self.linear(f"{name}.{part}", d, d) for part in ("q", "k", "v", "out"))
+        return Sublayer(body, *self.layer_norm(ln, d))
 
     def ffn(self, prefix, ln, d, d_ff):
         """A Sublayer of the FFN <prefix>.ffn1, .ffn2 (d -> d_ff -> d) and layer norm `ln`."""
-        body = (*self.linear(f"{prefix}.ffn1", d, d_ff), *self.linear(f"{prefix}.ffn2", d_ff, d))
+        body = (self.linear(f"{prefix}.ffn1", d, d_ff), self.linear(f"{prefix}.ffn2", d_ff, d))
         return Sublayer(body, *self.layer_norm(ln, d))
 
 
 @dataclass
 class ModelParams:
-    video_proj: list  # of ConvLayer
-    text_proj: list   # of ConvLayer
-    refine_conv: object
+    video_proj: list  # of conv (weight, bias) pairs
+    text_proj: list   # of conv (weight, bias) pairs
+    refine_conv: tuple  # (weight, bias)
     fusion: FusionParams
     encoder: list
     decoder: DecoderParams
     heads: HeadParams
-    gru: GruParams
+    gru: tuple  # the (w, b) pairs of the update, reset, cand and readout layers
 
 
 @dataclass
@@ -164,15 +159,14 @@ def _build(store, cfg):
                    store.ffn(f"decoder.{i}", f"decoder.{i}.ln3", d, cfg.ffn_dim))
                   for i in range(cfg.decoder_layers)]
     decoder = DecoderParams(query_embed=query_embed, layers=dec_layers)
-    class_w, class_b = store.linear("heads.class", d, 2)
+    cls = store.linear("heads.class", d, 2)
     moment_layers = []
     for i, (w_in, w_out) in enumerate([(d, d), (d, d), (d, 2)]):
         moment_layers.append(store.linear(f"heads.moment.{i}", w_in, w_out))
     saliency_w = store.new("heads.saliency.weight", (d, 1), "xavier_uniform", fan=(d, 1))
-    heads = HeadParams(class_w=class_w, class_b=class_b,
-                       moment_layers=moment_layers, saliency_w=saliency_w)
-    gru = GruParams(*store.linear("gru.update", 2 * d, d), *store.linear("gru.reset", 2 * d, d),
-                    *store.linear("gru.cand", 2 * d, d), *store.linear("gru.readout", d, 1))
+    heads = HeadParams(cls=cls, moment_layers=moment_layers, saliency_w=saliency_w)
+    gru = (store.linear("gru.update", 2 * d, d), store.linear("gru.reset", 2 * d, d),
+           store.linear("gru.cand", 2 * d, d), store.linear("gru.readout", d, 1))
     return ModelParams(video_proj=video_proj, text_proj=text_proj,
                        refine_conv=refine_conv, fusion=fusion, encoder=encoder,
                        decoder=decoder, heads=heads, gru=gru)

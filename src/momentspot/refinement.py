@@ -2,8 +2,6 @@
 alignment loss tying refined clips to the query."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import (Tensor, _accumulate, _node, concat, conv1d, identity,
@@ -12,28 +10,23 @@ from .config import ConfigError
 from .losses import masked_cosine_loss
 
 
-@dataclass
-class ConvLayer:
-    weight: Tensor  # (kernel, C_in, C_out)
-    bias: Tensor    # (C_out,)
-
-
 def project(x, layers, drop=identity, mask=None):
     """Stacked same-padding conv1d + ReLU mapping raw features (L, d_in) -> (L, d).
 
-    A padded (B, L, d_in) batch maps to (B, L, d) with a (B, L) mask. drop,
+    layers holds each conv's (weight, bias) pair: a (kernel, C_in, C_out)
+    weight and a (C_out,) bias. A padded (B, L, d_in) batch maps to (B, L, d) with a (B, L) mask. drop,
     the input dropout function, runs before the first conv. Masked rows are
     zeroed in the input and in every conv output, so padded tokens cannot
     leak into their neighbors through the kernel support, and an item's
     padding acts as the zero boundary of its convolution.
     """
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    d_in = layers[0].weight.data.shape[1]
+    d_in = layers[0][0].data.shape[1]
     if t.data.ndim not in (2, 3) or t.data.shape[-1] != d_in:
         raise ConfigError(f"projection input shape {t.data.shape} does not match d_in={d_in}")
     t = mask_rows(drop(t), mask)
-    for layer in layers:
-        t = mask_rows(relu(conv1d(t, layer.weight, layer.bias)), mask)
+    for weight, bias in layers:
+        t = mask_rows(relu(conv1d(t, weight, bias)), mask)
     return t
 
 
@@ -59,9 +52,11 @@ def refine(v_bar, t_bar, conv, text_mask=None, clip_mask=None):
 
     Concatenates [v_bar | v_bar @ t_bar^T (zero-padded to n_max) | v_bar @ pooled^T
     | pooled row-broadcast] and projects back to width d with a same-padding conv
-    of input width 2d + n_max + 1. A padded batch is refined per item.
+    of input width 2d + n_max + 1, given as its (weight, bias) pair. A padded
+    batch is refined per item.
     """
-    n_max = conv.weight.data.shape[1] - 2 * v_bar.data.shape[-1] - 1
+    weight, bias = conv
+    n_max = weight.data.shape[1] - 2 * v_bar.data.shape[-1] - 1
     n_tok = t_bar.data.shape[-2]
     if n_tok > n_max:
         raise ConfigError(f"{n_tok} text tokens exceed n_max={n_max}")
@@ -72,7 +67,7 @@ def refine(v_bar, t_bar, conv, text_mask=None, clip_mask=None):
     ones = Tensor(np.ones(v_bar.data.shape[:-1] + (1,), dtype=v_bar.data.dtype))
     pooled_rows = matmul(ones, pooled)                   # (..., L, d)
     stacked = concat([v_bar, corr, pad, clip_query, pooled_rows], axis=-1)
-    out = conv1d(mask_rows(stacked, clip_mask), conv.weight, conv.bias)
+    out = conv1d(mask_rows(stacked, clip_mask), weight, bias)
     return mask_rows(out, clip_mask)
 
 

@@ -342,10 +342,9 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     log_path = out / "train_log.jsonl"
     last_path = out / "last.ckpt"
     best_path = out / "best.ckpt"
-    best_metric = -math.inf
+    best_metric = None  # the best validation mAP so far; None until a validation runs
     loss_trace = []
-    diverged = False
-    epochs_run = 0
+    cause = None  # why the run stopped early, if it did
     eval_period = cfg.eval_every or cfg.epochs
     # ensure a "last good" checkpoint exists even if epoch 0 diverges
     save_checkpoint(last_path, model, optimizer=optimizer, epoch=0, best_metric=None)
@@ -360,8 +359,6 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             epoch_parts = {}
             grad_norms = []
             phase_ms = {"forward_ms": [], "backward_ms": [], "optimizer_ms": []}
-            n_batches = 0
-            cause = None
             epoch_start = perf_counter()
             for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start:start + cfg.batch_size]
@@ -396,18 +393,15 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                 for key in parts:
                     epoch_parts[key] = epoch_parts.get(key, 0.0) + float(parts[key].data)
                 del total, parts  # the step's graph, before the next forward or validation
-                n_batches += 1
             train_s = perf_counter() - epoch_start
             if cause is not None:
-                diverged = True
                 write_log({"epoch": epoch, "split": "train", "diverged": True,
                            "batch": batch_index, "cause": cause})
                 break
-            epochs_run = epoch + 1
-            mean_total = epoch_total / n_batches
+            mean_total = epoch_total / len(grad_norms)
             loss_trace.append(mean_total)
             entry = {"epoch": epoch, "split": "train", "total": mean_total}
-            entry.update({k: v / n_batches for k, v in epoch_parts.items()})
+            entry.update({k: v / len(grad_norms) for k, v in epoch_parts.items()})
             entry["grad_norms"] = grad_norms
             entry.update(phase_ms)
             entry["items_per_s"] = len(train_set) / train_s
@@ -418,24 +412,25 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                 entry = {"epoch": epoch, "split": "val"}
                 entry.update(report.to_dict())
                 write_log(entry)
-                improved = report.map_avg > best_metric
+                improved = best_metric is None or report.map_avg > best_metric
                 if improved:
                     best_metric = report.map_avg
             save_checkpoint(last_path, model, optimizer=optimizer, epoch=epoch + 1,
-                            best_metric=None if best_metric == -math.inf else best_metric)
+                            best_metric=best_metric)
             if improved:
                 _copy_checkpoint(last_path, best_path)
             if not quiet:
                 print(f"epoch {epoch}: loss {mean_total:.4f}")
-    if best_metric == -math.inf:
+    if best_metric is None:
         # this run wrote no best.ckpt; the last good checkpoint doubles as
         # "best", replacing any best.ckpt an earlier run left in out_dir
         # (after a divergence the in-memory model is the diverged one)
         _copy_checkpoint(last_path, best_path)
-        best_metric = math.nan
     return TrainResult(last_checkpoint=str(last_path), best_checkpoint=str(best_path),
-                       log_path=str(log_path), best_metric=best_metric,
-                       loss_trace=loss_trace, diverged=diverged, epochs_run=epochs_run)
+                       log_path=str(log_path),
+                       best_metric=math.nan if best_metric is None else best_metric,
+                       loss_trace=loss_trace, diverged=cause is not None,
+                       epochs_run=len(loss_trace))
 
 
 def evaluate_checkpoint(ckpt_path, annotations, out_dir=None, feature_dir=None):

@@ -34,9 +34,10 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     d = q.data.shape[1]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    qp = linear(q, params.wq, params.bq)
-    kp = linear(k, params.wk, params.bk)
-    vp = linear(v, params.wv, params.bv)
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = params
+    qp = linear(q, wq, bq)
+    kp = linear(k, wk, bk)
+    vp = linear(v, wv, bv)
     outs = []
     for h in range(heads):
         qh = narrow(qp, 1, h * dh, dh)
@@ -44,7 +45,7 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
         vh = narrow(vp, 1, h * dh, dh)
         scores = mul(matmul(qh, transpose(kh)), scale)
         outs.append(matmul(softmax_masked(scores, key_mask=key_mask), vh))
-    out = linear(concat(outs, axis=1), params.wo, params.bo)
+    out = linear(concat(outs, axis=1), wo, bo)
     # a query row is dead when no key is kept, so either every row is dead or none is
     if key_mask is not None and not np.any(key_mask):
         out = mask_rows(out, np.zeros(q.data.shape[0], dtype=bool))
@@ -53,17 +54,18 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
 
 def gru_saliency(features, params):
     length, dim = features.data.shape
+    update, reset, cand, readout = params
     h = Tensor(np.zeros((1, dim), dtype=features.data.dtype))
     outputs = []
     for i in range(length):
         x = narrow(features, 0, i, 1)
         hx = concat([h, x], axis=1)
-        z = sigmoid(linear(hx, params.w_update, params.b_update))
-        r = sigmoid(linear(hx, params.w_reset, params.b_reset))
+        z = sigmoid(linear(hx, *update))
+        r = sigmoid(linear(hx, *reset))
         cand_in = concat([mul(r, h), x], axis=1)
-        cand = tanh(linear(cand_in, params.w_cand, params.b_cand))
-        h = mul(sub(1.0, z), h) + mul(z, cand)
-        outputs.append(linear(h, params.readout_w, params.readout_b))
+        c = tanh(linear(cand_in, *cand))
+        h = mul(sub(1.0, z), h) + mul(z, c)
+        outputs.append(linear(h, *readout))
     return reshape(concat(outputs, axis=0), (length,))
 
 

@@ -9,6 +9,11 @@ def away_from_zero(arr, margin=0.05):
     return arr + np.sign(arr + (arr == 0)) * margin
 
 
+def pairs(leaves):
+    """The (w, b) pairs of a flat [w1, b1, w2, b2, ...] list of layer parameters."""
+    return tuple(zip(leaves[::2], leaves[1::2]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

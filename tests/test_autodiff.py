@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentspot import autodiff as ad
-from momentspot.autodiff import (MhaParams, Tensor, absval, add, clip01, concat,
+from momentspot.autodiff import (Tensor, absval, add, clip01, concat,
                                  conv1d, div, dropout, exp, grad_check,
                                  layer_norm, log, log_softmax_rows,
                                  logsumexp, mask_rows, matmul, maximum, minimum,
@@ -299,12 +299,13 @@ def random_mha_params(rng, d):
     def b():
         return t(rng.normal(size=(d,)) * 0.1)
 
-    return MhaParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(), wo=w(), bo=b())
+    return tuple((w(), b()) for _ in range(4))  # q, k, v, out
 
 
 def mha_param_list(params):
     """Every projection parameter except the key bias (see check_mha_grads)."""
-    return [params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo]
+    (wq, bq), (wk, _), (wv, bv), (wo, bo) = params
+    return [wq, bq, wk, wv, bv, wo, bo]
 
 
 def check_mha_grads(f, inputs, params):
@@ -312,8 +313,9 @@ def check_mha_grads(f, inputs, params):
     # a key bias shifts every score of a query row equally, which softmax
     # ignores: its true gradient is 0, so the floor turns the check into an
     # absolute one that still fails on any error above 1e-9
-    assert grad_check(f, [params.bk], denom_floor=1e-3) < 1e-6
-    assert np.abs(params.bk.grad).max() < 1e-12
+    bk = params[1][1]
+    assert grad_check(f, [bk], denom_floor=1e-3) < 1e-6
+    assert np.abs(bk.grad).max() < 1e-12
 
 
 class TestMultiHeadAttention:
@@ -351,7 +353,7 @@ class TestMultiHeadAttention:
         d = 4
         params = random_mha_params(rng, d)
         q, k, v = t(rng.normal(size=(3, d))), t(rng.normal(size=(2, d))), t(rng.normal(size=(2, d)))
-        inputs = [q, k, v] + mha_param_list(params) + [params.bk]
+        inputs = [q, k, v] + mha_param_list(params) + [params[1][1]]
         mix = Tensor(rng.normal(size=(3, d)))
 
         def f(*_):
@@ -366,8 +368,9 @@ class TestMultiHeadAttention:
     def test_single_key_gives_projected_value(self, rng):
         d = 6
         params = random_mha_params(rng, d)
+        (wv, bv), (wo, bo) = params[2:]
         k = Tensor(rng.normal(size=(1, d)))
-        expected = (k.data @ params.wv.data + params.bv.data) @ params.wo.data + params.bo.data
+        expected = (k.data @ wv.data + bv.data) @ wo.data + bo.data
         for _ in range(3):
             q = Tensor(rng.normal(size=(4, d)) * 10)
             out = multi_head_attention(q, k, k, params, 2)
@@ -375,27 +378,26 @@ class TestMultiHeadAttention:
 
     def test_zero_query_identity_projections_average_values(self, rng):
         d = 6
-        params = random_mha_params(rng, d)
-        params.wq = Tensor(np.eye(d))
-        params.bq = Tensor(np.zeros(d))
-        params.wk = Tensor(np.eye(d))
-        params.bk = Tensor(np.zeros(d))
+        (wv, bv), (wo, bo) = random_mha_params(rng, d)[2:]
+        identity = (Tensor(np.eye(d)), Tensor(np.zeros(d)))
+        params = (identity, identity, (wv, bv), (wo, bo))
         q = Tensor(np.zeros((2, d)))
         k = Tensor(rng.normal(size=(5, d)))
         out = multi_head_attention(q, k, k, params, 2)
-        vp = k.data @ params.wv.data + params.bv.data
-        expected = vp.mean(axis=0) @ params.wo.data + params.bo.data
+        vp = k.data @ wv.data + bv.data
+        expected = vp.mean(axis=0) @ wo.data + bo.data
         np.testing.assert_allclose(out.data, np.repeat(expected[None], 2, axis=0), atol=1e-12)
 
     def test_weights_are_row_stochastic(self, rng):
         d = 8
         params = random_mha_params(rng, d)
+        (wv, bv), (wo, bo) = params[2:]
         mask = np.array([True, False, True, True])
         q = Tensor(rng.normal(size=(3, d)))
         # equal value rows: any row-stochastic weights give exactly that row back
         k = rng.normal(size=(4, d))
         v = np.repeat(rng.normal(size=(1, d)), 4, axis=0)
-        expected = (v[:1] @ params.wv.data + params.bv.data) @ params.wo.data + params.bo.data
+        expected = (v[:1] @ wv.data + bv.data) @ wo.data + bo.data
         out = multi_head_attention(q, Tensor(k), Tensor(v), params, 2, key_mask=mask)
         np.testing.assert_allclose(out.data, np.repeat(expected, 3, axis=0), atol=1e-9)
         # the masked key gets weight 0: changing its key and value rows changes nothing
@@ -432,8 +434,8 @@ class TestMultiHeadAttention:
                                  Tensor(np.zeros(v_shape)), params, 2, key_mask=mask)
 
     def test_projection_shape_mismatch_raises(self, rng):
-        params = random_mha_params(rng, 6)
-        params.wv = Tensor(np.zeros((6, 4)))
+        q, k, (_, bv), out = random_mha_params(rng, 6)
+        params = (q, k, (Tensor(np.zeros((6, 4))), bv), out)
         with pytest.raises(ad.ShapeError):
             multi_head_attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6))),
                                  Tensor(np.zeros((3, 6))), params, 2)

@@ -11,16 +11,17 @@ import pytest
 
 from momentspot import autodiff as ad
 from composed import gather
-from momentspot.autodiff import (MhaParams, Tensor, conv1d, grad_check,
+from conftest import pairs
+from momentspot.autodiff import (Tensor, conv1d, grad_check,
                                  layer_norm, linear, logsumexp, mask_rows, mul,
                                  multi_head_attention, tsum)
 from momentspot.config import LossWeights
-from momentspot.losses import (GruParams, contrastive_rank_loss, gru_saliency,
+from momentspot.losses import (contrastive_rank_loss, gru_saliency,
                                highlight_distribution_loss, one_minus_cosine,
                                rank_margin_loss, task_coupled_loss,
                                task_specific_loss)
 from momentspot.matching import MatchResult, moment_loss
-from momentspot.refinement import ConvLayer, alignment_loss, project, refine
+from momentspot.refinement import alignment_loss, project, refine
 
 LENGTHS = (5, 2, 4)
 TOL = 1e-12
@@ -139,9 +140,8 @@ class TestBatchedOps:
     @pytest.mark.parametrize("self_attention", [False, True])
     def test_attention_with_batch_key_mask(self, rng, self_attention):
         d, heads = 4, 2
-        params = MhaParams(*[param(rng, *s) for s in [(d, d), (d,)] * 4])
-        leaves = [params.wq, params.bq, params.wk, params.bk, params.wv, params.bv,
-                  params.wo, params.bo]
+        leaves = [param(rng, *s) for s in [(d, d), (d,)] * 4]
+        params = pairs(leaves)
         q, q_mask = padded(rng, LENGTHS, d)
         k, k_mask = padded(rng, (3, 1, 2), d)
         if self_attention:
@@ -165,11 +165,11 @@ class TestBatchedOps:
 
     def test_gru_scan_padding_comes_last(self, rng):
         d = 3
-        gru = GruParams(*[param(rng, *s) for s in [(2 * d, d), (d,)] * 3], param(rng, d, 1),
-                        param(rng, 1))
+        leaves = [param(rng, *s) for s in [(2 * d, d), (d,)] * 3 + [(d, 1), (1,)]]
+        gru = pairs(leaves)
         x, mask = padded(rng, LENGTHS, d)
         check_rows(lambda xs, m: gru_saliency(xs[0], gru), lambda xs, i: gru_saliency(xs[0], gru),
-                   [x], mask, [getattr(gru, f) for f in GruParams.__dataclass_fields__])
+                   [x], mask, leaves)
 
     def test_gather_rows_of_items(self, rng):
         t = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
@@ -242,10 +242,11 @@ class TestOneGemmPerWeight:
         check_items32(lambda xs: f(xs[0]), lambda xs: f(xs[0]), [x], [w])
 
     def test_attention_projections(self, rng):
-        params = MhaParams(*[param32(rng, *s) for s in [(D, D), (D,)] * 4])
+        flat = [param32(rng, *s) for s in [(D, D), (D,)] * 4]
+        params = pairs(flat)
         # bk shifts each query's scores by a constant, so its gradient is zero up to
         # rounding noise, which has no scale to compare against
-        leaves = [params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo]
+        leaves = flat[:3] + flat[4:]
         check_items32(lambda xs: multi_head_attention(xs[0], xs[1], xs[1], params, 2),
                       lambda xs: multi_head_attention(xs[0], xs[1], xs[1], params, 2),
                       [rng.normal(size=(3, 5, D)), rng.normal(size=(3, 4, D))], leaves)
@@ -318,8 +319,7 @@ class TestBatchedLosses:
 
     def test_task_coupled_and_alignment(self, rng):
         d = 3
-        gru = GruParams(*[param(rng, *s) for s in [(2 * d, d), (d,)] * 3], param(rng, d, 1),
-                        param(rng, 1))
+        gru = pairs([param(rng, *s) for s in [(2 * d, d), (d,)] * 3 + [(d, 1), (1,)]])
         feats, _ = padded(rng, LENGTHS, d)
         tokens, t_mask = padded(rng, (2, 3, 1), d)
         gt = self.levels / 4.0 + 0.1 * self.mask
@@ -343,9 +343,8 @@ class TestBatchedLosses:
 
     def test_projection_and_refinement(self, rng):
         d = 4
-        proj = [ConvLayer(param(rng, 3, 5, d), param(rng, d)),
-                ConvLayer(param(rng, 3, d, d), param(rng, d))]
-        conv = ConvLayer(param(rng, 3, 2 * d + 4 + 1, d), param(rng, d))
+        proj = [(param(rng, 3, 5, d), param(rng, d)), (param(rng, 3, d, d), param(rng, d))]
+        conv = (param(rng, 3, 2 * d + 4 + 1, d), param(rng, d))
         video, v_mask = padded(rng, LENGTHS, 5)
         text, t_mask = padded(rng, (2, 4, 3), 5)
         out = refine(project(Tensor(video), proj, mask=v_mask), project(Tensor(text), proj, mask=t_mask),

@@ -7,6 +7,19 @@ from momentspot.config import ConfigError, LossWeights, ModelConfig
 from conftest import tiny_config
 
 
+# sizes that once built a model (or failed inside Model with a plain ValueError)
+BAD_SIZES = [
+    pytest.param(dict(proj_kernel=-1), "proj_kernel", id="proj_kernel-negative"),
+    pytest.param(dict(refine_kernel=-3), "refine_kernel", id="refine_kernel-negative"),
+    pytest.param(dict(video_parts=(("clip_v", -4),)), "video_parts", id="video-part-negative"),
+    pytest.param(dict(text_parts=(("clip_t", -4),)), "text_parts", id="text-part-negative"),
+    pytest.param(dict(video_parts=(("clip_v", 0),)), "video_parts", id="video-part-zero"),
+    pytest.param(dict(text_parts=(("clip_t", 0),)), "text_parts", id="text-part-zero"),
+    pytest.param(dict(ffn_dim=0), "ffn_dim", id="ffn_dim-zero"),
+    pytest.param(dict(max_clips=0), "max_clips", id="max_clips-zero"),
+]
+
+
 class TestValidation:
     def test_defaults_valid(self):
         cfg = ModelConfig()
@@ -46,6 +59,11 @@ class TestValidation:
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize("overrides, field", BAD_SIZES)
+    def test_bad_size_names_its_field(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.desk(**overrides)
 
     def test_desk_preset(self):
         cfg = ModelConfig.desk()
@@ -94,6 +112,14 @@ class TestSerialization:
         # json.loads reads NaN and Infinity as floats, so the JSON types pass
         with pytest.raises(ConfigError, match=f"field {field} must be"):
             ModelConfig.from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("overrides, field", BAD_SIZES)
+    def test_bad_size_in_a_dict_names_its_field(self, overrides, field):
+        # the path of a --config file and of a checkpoint header's config
+        d = json.loads(ModelConfig.desk().to_json())
+        d.update(json.loads(json.dumps(overrides)))
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.from_dict(d)
 
     def test_parts_normalized_to_tuples(self):
         cfg = ModelConfig.from_dict({"video_parts": [["clip_v", 8]],

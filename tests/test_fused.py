@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import composed
-from conftest import away_from_zero
+from conftest import away_from_zero, pairs
 from momentspot import losses
-from momentspot.autodiff import (MhaParams, Tensor, grad_check, layer_norm,
+from momentspot.autodiff import (Tensor, grad_check, layer_norm,
                                  mul, multi_head_attention, tsum)
 from momentspot.config import LossWeights
-from momentspot.losses import (COMPONENT_KEYS, GruParams, _cosine_loss,
+from momentspot.losses import (COMPONENT_KEYS, _cosine_loss,
                                compose_total, contrastive_rank_loss,
                                gru_saliency, highlight_distribution_loss,
                                masked_cosine_loss, one_minus_cosine,
@@ -76,8 +76,8 @@ class TestAttentionMatchesComposed:
     def test_cross_attention(self, dtype, mask, seed):
         key_mask = MASKS[mask]
         assert_matches_oracle(
-            lambda q, k, v, *p: multi_head_attention(q, k, v, MhaParams(*p), 2, key_mask=key_mask),
-            lambda q, k, v, *p: composed.multi_head_attention(q, k, v, MhaParams(*p), 2, key_mask=key_mask),
+            lambda q, k, v, *p: multi_head_attention(q, k, v, pairs(p), 2, key_mask=key_mask),
+            lambda q, k, v, *p: composed.multi_head_attention(q, k, v, pairs(p), 2, key_mask=key_mask),
             mha_arrays(np.random.default_rng(seed), 8, 3, 5), dtype)
 
     def test_self_attention_on_one_tensor(self, dtype, mask, seed):
@@ -85,8 +85,8 @@ class TestAttentionMatchesComposed:
         arrays = mha_arrays(np.random.default_rng(seed), 8, 5, 5)
         del arrays[:2]  # x alone plays q, k and v
         assert_matches_oracle(
-            lambda x, *p: multi_head_attention(x, x, x, MhaParams(*p), 4, key_mask=key_mask),
-            lambda x, *p: composed.multi_head_attention(x, x, x, MhaParams(*p), 4, key_mask=key_mask),
+            lambda x, *p: multi_head_attention(x, x, x, pairs(p), 4, key_mask=key_mask),
+            lambda x, *p: composed.multi_head_attention(x, x, x, pairs(p), 4, key_mask=key_mask),
             arrays, dtype)
 
     def test_shared_query_and_key(self, dtype, mask, seed):
@@ -95,8 +95,8 @@ class TestAttentionMatchesComposed:
         arrays = mha_arrays(np.random.default_rng(seed), 8, 5, 5)
         del arrays[1]
         assert_matches_oracle(
-            lambda q, v, *p: multi_head_attention(q, q, v, MhaParams(*p), 2, key_mask=key_mask),
-            lambda q, v, *p: composed.multi_head_attention(q, q, v, MhaParams(*p), 2, key_mask=key_mask),
+            lambda q, v, *p: multi_head_attention(q, q, v, pairs(p), 2, key_mask=key_mask),
+            lambda q, v, *p: composed.multi_head_attention(q, q, v, pairs(p), 2, key_mask=key_mask),
             arrays, dtype)
 
 
@@ -128,16 +128,16 @@ def gru_arrays(rng, length, dim):
 class TestGruMatchesComposed:
     def test_scan(self, dtype, length, seed):
         assert_matches_oracle(
-            lambda f, *p: gru_saliency(f, GruParams(*p)),
-            lambda f, *p: composed.gru_saliency(f, GruParams(*p)),
+            lambda f, *p: gru_saliency(f, pairs(p)),
+            lambda f, *p: composed.gru_saliency(f, pairs(p)),
             gru_arrays(np.random.default_rng(seed), length, 4), dtype)
 
     def test_scan_over_masked_zero_rows(self, dtype, length, seed):
         arrays = gru_arrays(np.random.default_rng(seed), length, 4)
         arrays[0][(length + 1) // 2:] = 0.0
         assert_matches_oracle(
-            lambda f, *p: gru_saliency(f, GruParams(*p)),
-            lambda f, *p: composed.gru_saliency(f, GruParams(*p)),
+            lambda f, *p: gru_saliency(f, pairs(p)),
+            lambda f, *p: composed.gru_saliency(f, pairs(p)),
             arrays, dtype)
 
 
@@ -155,8 +155,8 @@ def test_task_coupled_loss_matches_composed(seed, length, masked):
         clip_mask = np.ones(length, dtype=bool)
         clip_mask[(length + 1) // 2:] = False
     assert_matches_oracle(
-        lambda f, *p: task_coupled_loss(f, GruParams(*p), gt, clip_mask=clip_mask),
-        lambda f, *p: masked_cosine_loss(composed.gru_saliency(f, GruParams(*p)), gt, clip_mask),
+        lambda f, *p: task_coupled_loss(f, pairs(p), gt, clip_mask=clip_mask),
+        lambda f, *p: masked_cosine_loss(composed.gru_saliency(f, pairs(p)), gt, clip_mask),
         gru_arrays(rng, length, 4), np.float64)
 
 

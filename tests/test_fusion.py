@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from momentspot.autodiff import MhaParams, Tensor, dropout, grad_check, tsum
+from momentspot.autodiff import Tensor, dropout, grad_check, tsum
 from momentspot.config import ConfigError
 from momentspot.fusion import FusionParams, fuse
 from momentspot.heads import Sublayer
@@ -18,8 +18,7 @@ def make_mha(rng, d, grad=False):
     def w(shape):
         return Tensor(rng.normal(size=shape) * 0.3, requires_grad=grad)
 
-    return MhaParams(wq=w((d, d)), bq=w((d,)), wk=w((d, d)), bk=w((d,)),
-                     wv=w((d, d)), bv=w((d,)), wo=w((d, d)), bo=w((d,)))
+    return tuple((w((d, d)), w((d,))) for _ in range(4))  # q, k, v, out
 
 
 def make_stage(rng, d, grad=False):
@@ -81,7 +80,8 @@ class TestTextInfluence:
         params = make_params(rng, d, mode=mode)
         for block in params.blocks:
             for stage in block:
-                stage.body.wo = Tensor(np.zeros((d, d)))
+                *qkv, (_, bo) = stage.body
+                stage.body = (*qkv, (Tensor(np.zeros((d, d))), bo))
         v = Tensor(rng.normal(size=(5, d)))
         base = fuse(v, Tensor(rng.normal(size=(3, d))), params, heads=2)
         alt = fuse(v, Tensor(rng.normal(size=(3, d)) * 37.0), params, heads=2)
@@ -166,8 +166,8 @@ class TestFusionGrad:
         t = Tensor(rng.normal(size=(3, d)), requires_grad=True)
         mix = Tensor(rng.normal(size=(4, d)))
         stage = params.blocks[0][0]
-        checked = [v, t, params.pos_video, params.pos_text,
-                   stage.body.wq, stage.body.wv, stage.body.wo, stage.ln_gamma]
+        (wq, _), _, (wv, _), (wo, _) = stage.body
+        checked = [v, t, params.pos_video, params.pos_text, wq, wv, wo, stage.ln_gamma]
 
         def f(*_):
             from momentspot.autodiff import mul

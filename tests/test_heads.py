@@ -7,8 +7,10 @@ from test_fusion import make_stage
 
 
 def make_ffn(rng, d, ffn=8, grad=False):
-    body = tuple(Tensor(rng.normal(size=shape) * 0.3, requires_grad=grad)
-                 for shape in ((d, ffn), (ffn,), (ffn, d), (d,)))
+    def w(shape):
+        return Tensor(rng.normal(size=shape) * 0.3, requires_grad=grad)
+
+    body = ((w((d, ffn)), w((ffn,))), (w((ffn, d)), w((d,))))
     return Sublayer(body, Tensor(np.ones(d), requires_grad=grad),
                     Tensor(np.zeros(d), requires_grad=grad))
 
@@ -29,7 +31,7 @@ def make_heads(rng, d, grad=False):
         return Tensor(rng.normal(size=shape) * 0.3, requires_grad=grad)
 
     return HeadParams(
-        class_w=w((d, 2)), class_b=w((2,)),
+        cls=(w((d, 2)), w((2,))),
         moment_layers=[(w((d, d)), w((d,))), (w((d, d)), w((d,))), (w((d, 2)), w((2,)))],
         saliency_w=w((d, 1)),
     )
@@ -66,7 +68,7 @@ class TestEncoder:
         layer = attn, ffn = make_encoder_layer(rng, d, grad=True)
         x = Tensor(rng.normal(size=(3, d)), requires_grad=True)
         mix = Tensor(rng.normal(size=(3, d)))
-        checked = [x, attn.body.wq, attn.body.wv, ffn.body[0], ffn.body[2],
+        checked = [x, attn.body[0][0], attn.body[2][0], ffn.body[0][0], ffn.body[1][0],
                    attn.ln_gamma, ffn.ln_beta]
 
         def f(*_):
@@ -121,8 +123,8 @@ class TestDecoder:
         memory = Tensor(rng.normal(size=(4, d)), requires_grad=True)
         mix = Tensor(rng.normal(size=(n_q, d)))
         self_attn, cross, ffn = dec.layers[0]
-        checked = [memory, dec.query_embed, self_attn.body.wv, cross.body.wq,
-                   cross.body.wv, ffn.body[0]]
+        checked = [memory, dec.query_embed, self_attn.body[2][0], cross.body[0][0],
+                   cross.body[2][0], ffn.body[0][0]]
 
         def f(*_):
             return tsum(mul(decode(memory, dec, heads=2), mix))
@@ -159,8 +161,8 @@ class TestPredictionHeads:
         head = make_heads(rng, d)
         x = rng.normal(size=(3, d))
         logits, _ = predict_moments(Tensor(x), head)
-        np.testing.assert_allclose(logits.data, x @ head.class_w.data + head.class_b.data,
-                                   atol=1e-12)
+        w, b = head.cls
+        np.testing.assert_allclose(logits.data, x @ w.data + b.data, atol=1e-12)
 
     def test_saliency_scaled_dot_product(self, rng):
         d = 9
@@ -182,6 +184,6 @@ class TestPredictionHeads:
             return tsum(square(logits)) + tsum(square(moments)) + \
                 tsum(predict_saliency(memory, sal_w))
 
-        checked = [decoded, memory, head.class_w, head.moment_layers[0][0],
+        checked = [decoded, memory, head.cls[0], head.moment_layers[0][0],
                    head.moment_layers[2][0], sal_w]
         assert grad_check(f, checked) < 1e-5

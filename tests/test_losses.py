@@ -5,9 +5,8 @@ import pytest
 
 from momentspot.autodiff import Tensor, grad_check, mul, tsum
 from momentspot.config import LossWeights
-from momentspot.losses import (COMPONENT_KEYS, CompositionError, GruParams,
-                               compose_total, contrastive_rank_loss,
-                               gru_saliency, hard_negative_loss,
+from momentspot.losses import (COMPONENT_KEYS, CompositionError, compose_total,
+                               contrastive_rank_loss, gru_saliency, hard_negative_loss,
                                hard_positive_loss, highlight_distribution_loss,
                                one_minus_cosine, rank_margin_loss,
                                sample_rank_pair, task_coupled_loss,
@@ -232,12 +231,8 @@ def make_gru(rng, dim):
     def w(shape):
         return Tensor(rng.normal(size=shape) * 0.4, requires_grad=True)
 
-    return GruParams(
-        w_update=w((2 * dim, dim)), b_update=w((dim,)),
-        w_reset=w((2 * dim, dim)), b_reset=w((dim,)),
-        w_cand=w((2 * dim, dim)), b_cand=w((dim,)),
-        readout_w=w((dim, 1)), readout_b=w((1,)),
-    )
+    gates = tuple((w((2 * dim, dim)), w((dim,))) for _ in range(3))  # update, reset, cand
+    return (*gates, (w((dim, 1)), w((1,))))
 
 
 class TestGru:
@@ -252,12 +247,13 @@ class TestGru:
         x = rng.normal(size=(1, dim))
         feats = Tensor(x)
         out = gru_saliency(feats, gru)
+        (w_z, b_z), (w_r, b_r), (w_c, b_c), (w_o, b_o) = gru
         hx = np.concatenate([np.zeros((1, dim)), x], axis=1)
-        z = 1 / (1 + np.exp(-(hx @ gru.w_update.data + gru.b_update.data)))
-        r = 1 / (1 + np.exp(-(hx @ gru.w_reset.data + gru.b_reset.data)))
-        cand = np.tanh(np.concatenate([r * np.zeros((1, dim)), x], 1) @ gru.w_cand.data + gru.b_cand.data)
+        z = 1 / (1 + np.exp(-(hx @ w_z.data + b_z.data)))
+        r = 1 / (1 + np.exp(-(hx @ w_r.data + b_r.data)))
+        cand = np.tanh(np.concatenate([r * np.zeros((1, dim)), x], 1) @ w_c.data + b_c.data)
         h = (1 - z) * 0 + z * cand
-        expected = (h @ gru.readout_w.data + gru.readout_b.data)[0, 0]
+        expected = (h @ w_o.data + b_o.data)[0, 0]
         assert out.item() == pytest.approx(expected, abs=1e-12)
 
     def test_order_sensitivity(self, rng):
@@ -274,8 +270,7 @@ class TestGru:
         gru = make_gru(rng, dim)
         feats = Tensor(rng.normal(size=(4, dim)), requires_grad=True)
         gt = rng.uniform(0.1, 1.0, size=4)
-        params = [feats, gru.w_update, gru.b_update, gru.w_reset, gru.b_reset,
-                  gru.w_cand, gru.b_cand, gru.readout_w, gru.readout_b]
+        params = [feats] + [t for pair in gru for t in pair]
 
         def f(*_):
             return task_coupled_loss(feats, gru, gt)
@@ -290,8 +285,7 @@ class TestGru:
         gru = make_gru(rng, 3)
         feats = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
         mix = Tensor(rng.normal(size=1))
-        params = [feats, gru.w_update, gru.b_update, gru.w_reset, gru.b_reset,
-                  gru.w_cand, gru.b_cand, gru.readout_w, gru.readout_b]
+        params = [feats] + [t for pair in gru for t in pair]
 
         def f(*_):
             return tsum(mul(gru_saliency(feats, gru), mix))

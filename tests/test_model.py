@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ def expected_tensor_shapes(cfg):
     return shapes
 
 
+def tree_leaves(node):
+    """The tensors of a parameter tree, depth first: dataclass fields in
+    declaration order, tuple and list items in sequence."""
+    if isinstance(node, Tensor):
+        yield node
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            yield from tree_leaves(getattr(node, field.name))
+    else:
+        for child in node:
+            yield from tree_leaves(child)
+
+
 class TestParameterRegistry:
     def test_desk_inventory_matches_closed_form(self):
         cfg = ModelConfig.desk()
@@ -92,6 +107,17 @@ class TestParameterRegistry:
         got = {name: p.tensor.data.shape for name, p in model.named_parameters().items()}
         assert list(got.items()) == list(want.items())  # registry order fixes init and layout
         assert not any("stage1" in n or "stage2" in n for n in got)
+
+    @pytest.mark.parametrize("mode", ["bidirectional", "text_to_video"])
+    def test_parameter_tree_walks_the_registry_in_order(self, mode):
+        # the forward unpacks (w, b) pairs by position, so each field must hold
+        # the tensors its builder registered, in the order it registered them
+        model = Model(tiny_config(fusion_mode=mode), seed=0)
+        walked = list(tree_leaves(model.params))
+        registry = list(model.named_parameters().values())
+        assert len(walked) == len(registry)
+        for leaf, param in zip(walked, registry):
+            assert leaf is param.tensor, param.name
 
     def test_same_seed_reproduces_init(self):
         cfg = tiny_config()

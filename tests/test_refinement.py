@@ -5,7 +5,7 @@ import pytest
 
 from momentspot.autodiff import Tensor, dropout, grad_check, tsum
 from momentspot.config import ConfigError
-from momentspot.refinement import (ConvLayer, alignment_loss, clip_query_cosines,
+from momentspot.refinement import (alignment_loss, clip_query_cosines,
                                    masked_mean_pool, project, refine)
 
 from conftest import away_from_zero
@@ -14,15 +14,15 @@ from conftest import away_from_zero
 def identity_projection(d):
     w = np.zeros((3, d, d))
     w[1] = np.eye(d)  # center tap copies the input row
-    return [ConvLayer(Tensor(w), Tensor(np.zeros(d)))]
+    return [(Tensor(w), Tensor(np.zeros(d)))]
 
 
 def random_projection(rng, d_in, d_out, layers=2, kernel=3):
     convs = []
     cin = d_in
     for _ in range(layers):
-        convs.append(ConvLayer(Tensor(rng.normal(size=(kernel, cin, d_out)) * 0.3, requires_grad=True),
-                               Tensor(rng.normal(size=(d_out,)) * 0.1, requires_grad=True)))
+        convs.append((Tensor(rng.normal(size=(kernel, cin, d_out)) * 0.3, requires_grad=True),
+                      Tensor(rng.normal(size=(d_out,)) * 0.1, requires_grad=True)))
         cin = d_out
     return convs
 
@@ -76,7 +76,7 @@ class TestProjection:
         def f(xx, w, b):
             return tsum(project(xx, params))
 
-        assert grad_check(f, [x, params[0].weight, params[0].bias]) < 1e-6
+        assert grad_check(f, [x, *params[0]]) < 1e-6
 
 
 class TestMaskedMeanPool:
@@ -99,8 +99,8 @@ class TestMaskedMeanPool:
 class TestRefine:
     def make_conv(self, rng, d, n_max, grad=False):
         cin = d + n_max + 1 + d
-        return ConvLayer(Tensor(rng.normal(size=(3, cin, d)) * 0.2, requires_grad=grad),
-                         Tensor(np.zeros(d), requires_grad=grad))
+        return (Tensor(rng.normal(size=(3, cin, d)) * 0.2, requires_grad=grad),
+                Tensor(np.zeros(d), requires_grad=grad))
 
     def test_output_shape(self, rng):
         d, n_max = 6, 4
@@ -114,7 +114,7 @@ class TestRefine:
         cin = d + n_max + 1 + d
         w = np.zeros((1, cin, n_max))
         w[0, d:d + n_max, :] = np.eye(n_max)
-        conv = ConvLayer(Tensor(w), Tensor(np.zeros(n_max)))
+        conv = (Tensor(w), Tensor(np.zeros(n_max)))
         v = rng.normal(size=(length, d))
         t = rng.normal(size=(n_tok, d))
         out = refine(Tensor(v), Tensor(t), conv)
@@ -127,7 +127,7 @@ class TestRefine:
         w = np.zeros((1, cin, 1 + d))
         w[0, d + n_max, 0] = 1.0                     # clip-query column
         w[0, d + n_max + 1:, 1:] = np.eye(d)         # pooled-row block
-        conv = ConvLayer(Tensor(w), Tensor(np.zeros(1 + d)))
+        conv = (Tensor(w), Tensor(np.zeros(1 + d)))
         v = rng.normal(size=(length, d))
         t = rng.normal(size=(3, d))
         mask = np.array([True, True, False])
@@ -181,7 +181,7 @@ class TestRefine:
         def f(vv, tt, w, b):
             return tsum(refine(vv, tt, conv))
 
-        assert grad_check(f, [v, t, conv.weight, conv.bias]) < 1e-6
+        assert grad_check(f, [v, t, *conv]) < 1e-6
 
 
 class TestAlignment:
