@@ -14,9 +14,9 @@ goes first. Each run's last stdout line is its result object and its `env`
 line the environment and config fingerprint. The output file gives, per
 workload and side, the median, quartiles and IQR of every end-to-end metric,
 the failed/attempted operation counts, and, per metric, the pairs the change
-won and the ratio of the medians. It also records the env line, both git
-shas and the seeds. Run it on an otherwise idle machine: the two sides of a
-pair share the host, not its load.
+won, the ratio of the medians and a verdict (see `verdict`). It also
+records the env line, both git shas and the seeds. Run it on an otherwise
+idle machine: the two sides of a pair share the host, not its load.
 
 Absolute numbers do not carry across records (the host's speed drifts
 between sessions), so each workload also gets a `trajectory`: per metric,
@@ -25,6 +25,10 @@ BENCH_<n>.json at the repo root (numbered below the output file) and of
 its own, that is, the change against the first recorded parent, chained
 through paired ratios only. A record without the workload or metric
 counts as 1.
+
+--traced W:SEED adds one `--trace 1` run of workload W per side, whose
+per-layer metrics go under `traced`, so a gain can be traced to the layer
+that made it.
 """
 import argparse
 import json
@@ -54,10 +58,10 @@ def git_state(tree):
         return None, None
 
 
-def run_once(tree, workload, seed):
+def run_once(tree, workload, seed, trace=0):
     """One benchmark run in tree; returns (env header, result object)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -71,7 +75,32 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def record(trees, workload, seeds, better):
+def pairs_won(parent, change, better):
+    """How many pairs (parent[k], change[k]) the change won in the `better`
+    direction; a tie counts for neither side."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change, strict=True))
+
+
+def verdict(parent, change, better, bound):
+    """The verdict on one metric from its paired values (parent[k] and
+    change[k] ran as pair k), its `better` direction and its bound:
+
+    - gain: the change won at least 9/10 of the pairs (ties count for
+      neither) and its median is better than the parent's by more than the
+      parent's IQR;
+    - within_bound: the change's median is no worse than the parent's by
+      more than the fraction bound.
+    """
+    sign = 1 if better == "lower" else -1  # sign * (change - parent) < 0: the change is better
+    p, c = summary(parent), summary(change)
+    gain = (10 * pairs_won(parent, change, better) >= 9 * len(parent)
+            and sign * (p["median"] - c["median"]) > p["iqr"])
+    within_bound = sign * (c["median"] - p["median"]) <= bound * p["median"]
+    return {"gain": gain, "within_bound": within_bound}
+
+
+def record(trees, workload, seeds, metrics):
     runs = {side: [] for side in SIDES}
     envs = {}
     for k, seed in enumerate(seeds):
@@ -90,16 +119,17 @@ def record(trees, workload, seeds, better):
             "failed": sum(r["failed"] for r in runs[side]),
             "correct_runs": sum(bool(r["correct"]) for r in runs[side]),
             "metrics": {name: summary([r["metrics"][name]["value"] for r in runs[side]])
-                        for name in better},
+                        for name in metrics},
         }
     out["change_wins"] = {}
     out["change_over_parent"] = {}
-    for name, direction in better.items():
-        pairs = zip(out["parent"]["metrics"][name]["values"], out["change"]["metrics"][name]["values"])
-        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
-        out["change_wins"][name] = f"{wins}/{len(seeds)}"
+    out["verdict"] = {}
+    for name, metric in metrics.items():
+        parent, change = (out[side]["metrics"][name]["values"] for side in SIDES)
+        out["change_wins"][name] = f"{pairs_won(parent, change, metric['better'])}/{len(seeds)}"
         out["change_over_parent"][name] = (out["change"]["metrics"][name]["median"]
                                            / out["parent"]["metrics"][name]["median"])
+        out["verdict"][name] = verdict(parent, change, metric["better"], metric["bound"])
     return out
 
 
@@ -124,19 +154,28 @@ def main():
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--out", type=Path, required=True, help="output file, relative to the repo root")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
+    parser.add_argument("--traced", action="append", default=[], metavar="NAME:SEED",
+                        help="one --trace 1 run of NAME per side")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
            "git": {side: dict(zip(("sha", "dirty"), git_state(trees[side]))) for side in SIDES},
            "workloads": {}}
     earlier = earlier_records(args.out)
     for item in args.workload:
         name, pairs = item.split(":")
-        result = record(trees, name, SEEDS[:int(pairs)], better)
+        result = record(trees, name, SEEDS[:int(pairs)], metrics)
         result["trajectory"] = trajectory(earlier, name, result["change_over_parent"])
         doc["workloads"][name] = result
+        (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for item in args.traced:
+        name, seed = item.split(":")
+        traced = doc.setdefault("traced", {})[name] = {"seed": int(seed)}
+        for side in SIDES:
+            _, result = run_once(trees[side], name, int(seed), trace=1)
+            traced[side] = {key: value["value"] for key, value in result["metrics"].items()}
         (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

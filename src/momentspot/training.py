@@ -38,7 +38,7 @@ class AdamW:
     `params` is a model's ParamStore. The moments m and v are two flat arenas
     laid out like its weight and gradient arenas. step() updates weights and
     moments in place, CHUNK elements at a time: a chunk is the same slice of
-    the four arenas, and two scratch rows hold its intermediates, so the
+    the four arenas, and one scratch row holds its intermediates, so the
     gradients are left as backward and clipping made them.
     """
 
@@ -55,19 +55,23 @@ class AdamW:
         arenas = (arena, params.grad_arena, self.m_arena, self.v_arena)
         # each chunk: the same slice of the weight, gradient, m and v arenas
         self._chunks = [[a[c0:c0 + CHUNK] for a in arenas] for c0 in range(0, arena.size, CHUNK)]
-        self._scratch = np.empty((2, min(CHUNK, arena.size)), dtype=arena.dtype)
+        self._scratch = np.empty(min(CHUNK, arena.size), dtype=arena.dtype)
 
     def step(self):
         self.step_count += 1
         b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
-        lr, decay = self.lr, self.lr * self.weight_decay
+        root_bc2 = math.sqrt(1.0 - b2 ** self.step_count)
+        # the bias corrections folded into two per-step constants (Kingma & Ba,
+        # section 2): m_hat / (sqrt(v_hat) + eps) == (m / (sqrt(v) + eps_v)) * (root_bc2 / bc1)
+        eps_v = EPS * root_bc2
+        step_size = self.lr * root_bc2 / bc1
+        keep = 1.0 - self.lr * self.weight_decay
         for w, g, m, v in self._chunks:
-            t, u = self._scratch[:, :w.size]
+            t = self._scratch[:w.size]
             # the same elementwise order as the whole-array expressions
             # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-            # w = (w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)) - (lr*wd)*w
+            # w = w*keep - (m / (sqrt(v) + eps_v))*step_size
             np.multiply(m, b1, out=m)
             np.multiply(g, 1.0 - b1, out=t)
             np.add(m, t, out=m)
@@ -75,26 +79,33 @@ class AdamW:
             np.multiply(g, 1.0 - b2, out=t)
             np.multiply(t, g, out=t)
             np.add(v, t, out=v)
-            np.divide(v, bc2, out=t)
-            np.sqrt(t, out=t)
-            np.add(t, EPS, out=t)
-            np.divide(m, bc1, out=u)
-            np.multiply(u, lr, out=u)
-            np.divide(u, t, out=u)
-            np.multiply(w, decay, out=t)
-            np.subtract(w, u, out=w)
+            np.sqrt(v, out=t)
+            np.add(t, eps_v, out=t)
+            np.divide(m, t, out=t)
+            np.multiply(t, step_size, out=t)
+            np.multiply(w, keep, out=w)
             np.subtract(w, t, out=w)
 
 
 def clip_gradients(params, max_norm):
-    """Scale the grad arena in place so the global L2 norm (float64 sums of
-    squares, per parameter in registry order) is at most max_norm."""
+    """Scale the grad arena in place so its global L2 norm is at most
+    max_norm; returns the norm before clipping.
+
+    The norm is a float64 sum of squares in registry order, summed CHUNK
+    elements at a time: each chunk is copied into one float64 buffer and
+    adds its dot product with itself. So only the grouping of the sum
+    differs from a sum per parameter.
+    """
+    grads = params.grad_arena
+    buffer = np.empty(min(CHUNK, grads.size), dtype=np.float64)
     total = 0.0
-    for p in params.values():
-        total += float((p.tensor.grad.astype(np.float64) ** 2).sum())
+    for c0 in range(0, grads.size, CHUNK):
+        x = buffer[:min(CHUNK, grads.size - c0)]
+        x[...] = grads[c0:c0 + CHUNK]
+        total += float(np.dot(x, x))
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
-        params.grad_arena *= max_norm / norm
+        grads *= max_norm / norm
     return norm
 
 
@@ -308,10 +319,11 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     is its byte copy from the epoch that set that best, or from the end when
     no validation ran.
 
-    A failing loss component, a non-finite loss or a non-finite parameter
-    after an update aborts the run and leaves the last good checkpoint on
-    disk (diverged=True in the result); the log's last entry then names the
-    batch and the cause. Each epoch's train entry lists, for every step, the
+    A failing loss component, a non-finite loss, a non-finite gradient
+    (checked before the update) or a non-finite parameter after an update
+    aborts the run and leaves the last good checkpoint on disk
+    (diverged=True in the result); the log's last entry then names the batch
+    and the cause. Each epoch's train entry lists, for every step, the
     global gradient norm before clipping (grad_norms) and the wall ms of the
     forward (batch_loss), the backward and clip plus the AdamW step
     (forward_ms, backward_ms, optimizer_ms), and gives the epoch's training
@@ -376,7 +388,15 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                 model.zero_grad()
                 total.backward()
                 t2 = perf_counter()
-                grad_norms.append(clip_gradients(model.named_parameters(), cfg.grad_clip))
+                norm = clip_gradients(model.named_parameters(), cfg.grad_clip)
+                if not math.isfinite(norm):
+                    # before the update, so the weights and moments stay as they were
+                    cause = next((f"non-finite gradient {name}"
+                                  for name, p in model.named_parameters().items()
+                                  if not np.isfinite(p.tensor.grad).all()),
+                                 "non-finite gradient norm")
+                    break
+                grad_norms.append(norm)
                 optimizer.step()
                 t3 = perf_counter()
                 # a step that overflows the weights must not reach the epoch save;

@@ -6,6 +6,8 @@
 hand-written backward. These compositions compute the same functions op by
 op, so reverse mode derives their gradients; the equivalence tests compare
 the two. The loss oracles are the composed bodies the fused nodes replaced.
+`grad_norm` is the global gradient norm as `training.clip_gradients` summed
+it before it walked the grad arena in chunks.
 """
 import math
 
@@ -333,3 +335,10 @@ def alignment_loss(t_bar, v_r, gt_saliency, text_mask=None, clip_mask=None):
     if gt.shape != pred.data.shape:
         raise ValueError(f"gt saliency shape {gt.shape} does not match clip count {pred.data.shape}")
     return masked_cosine_loss(pred, gt, clip_mask)
+
+
+def grad_norm(params):
+    """The global L2 norm of a ParamStore's gradients: float64 sums of
+    squares, one parameter at a time in registry order."""
+    return math.sqrt(sum(float((p.tensor.grad.astype(np.float64) ** 2).sum())
+                         for p in params.values()))

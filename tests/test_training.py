@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from momentspot.model import Model, ParamStore, Parameter, batch_loss, bundle_fo
 from momentspot.training import (AdamW, clip_gradients, evaluate_checkpoint,
                                  evaluate_model, model_from_checkpoint,
                                  save_checkpoint, split_dataset, train)
+import composed
 from test_data import make_annotation
 
 from conftest import tiny_config
@@ -230,12 +232,14 @@ class TestAdamW:
             grads = params.grad_arena.copy()
             opt.step()
             assert params.grad_arena.tobytes() == grads.tobytes()  # step() leaves them readable
-            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            bc1, root_bc2 = 1.0 - b1 ** step, math.sqrt(1.0 - b2 ** step)
             for n, p in params.items():
                 g = p.tensor.grad
                 m[n] = b1 * m[n] + (1.0 - b1) * g
                 v[n] = b2 * v[n] + (1.0 - b2) * g * g
-                w[n] = w[n] - lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps) - lr * wd * w[n]
+                # the bias corrections folded into eps and the step size
+                w[n] = (w[n] * (1.0 - lr * wd)
+                        - (m[n] / (np.sqrt(v[n]) + eps * root_bc2)) * (lr * root_bc2 / bc1))
                 assert p.tensor.data.dtype == w[n].dtype
                 assert p.tensor.data.tobytes() == w[n].tobytes(), n
             for got, want in ((opt.m_arena, m), (opt.v_arena, v)):
@@ -432,6 +436,43 @@ class TestClipGradients:
         params = make_params(rng, [(4,), (3,)])
         params["p0"].tensor.grad[...] = 5.0  # p1's view stays zero
         assert clip_gradients(params, 0.0) == pytest.approx(10.0)
+
+
+class TestGradNorm:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_chunked_norm_matches_the_per_parameter_sum(self, rng, monkeypatch, dtype):
+        monkeypatch.setattr(training, "CHUNK", 100)  # chunks start and end inside parameters
+        params = Model(tiny_config(dtype=dtype, encoder_layers=1, decoder_layers=1),
+                       seed=0).named_parameters()
+        assert params.grad_arena.size > 10 * training.CHUNK
+        for i, p in enumerate(params.values()):
+            p.tensor.grad[...] = 0.0 if i % 7 == 3 else rng.normal(size=p.tensor.data.shape)
+        want = composed.grad_norm(params)
+        grads = params.grad_arena.copy()
+        assert clip_gradients(params, 0.0) == pytest.approx(want, rel=1e-12)
+        assert params.grad_arena.tobytes() == grads.tobytes()
+        assert clip_gradients(params, want / 2) == pytest.approx(want, rel=1e-12)
+        assert composed.grad_norm(params) == pytest.approx(want / 2, rel=1e-6)
+
+    def test_all_zero_arena_is_norm_zero_and_left_alone(self):
+        params = Model(tiny_config(encoder_layers=1, decoder_layers=1), seed=0).named_parameters()
+        assert clip_gradients(params, 1.0) == 0.0
+        assert not params.grad_arena.any()
+
+    def test_full_preset_norm_stays_within_one_chunk_buffer(self):
+        params = Model(ModelConfig(), seed=None).named_parameters()
+        largest = max(p.tensor.data.size for p in params.values())
+        params.grad_arena[...] = 0.5
+        tracemalloc.start()
+        try:
+            norm = clip_gradients(params, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the largest gradient alone would be 22 MB
+        assert largest * 8 > 20e6 and peak < 1e6
+        assert norm == pytest.approx(0.5 * math.sqrt(params.grad_arena.size), rel=1e-12)
+        assert composed.grad_norm(params) == pytest.approx(0.1, rel=1e-6)
 
 
 class TestXavier:
@@ -904,6 +945,50 @@ class TestTrainLoop:
         best = Path(result.best_checkpoint).read_bytes()
         assert best == Path(result.last_checkpoint).read_bytes()
         restored, _ = model_from_checkpoint(result.best_checkpoint)
+        assert np.isfinite(restored.store.arena).all()
+
+    @pytest.mark.parametrize("planted, named", [
+        ({-1: np.nan, 5: np.inf}, 5),  # the cause names the first in registry order
+        ({5: 1e200}, None),  # finite, but its square overflows the norm
+    ], ids=["nan-and-inf", "overflow"])
+    def test_non_finite_gradient_stops_the_run_before_the_update(self, tmp_path, monkeypatch,
+                                                                 planted, named):
+        optimizers, updates = [], []
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, params, **kwargs):
+                super().__init__(params, **kwargs)
+                self.params = params
+                optimizers.append(self)
+
+            def state(self):
+                return b"".join(a.tobytes() for a in (self.params.arena, self.m_arena, self.v_arena))
+
+            def step(self):
+                super().step()
+                updates.append(self.state())
+
+        backward = Tensor.backward
+        names = list(Model(self.small_cfg(), seed=None).named_parameters())
+
+        def planting_backward(tensor):
+            backward(tensor)
+            if len(updates) == 1:  # the second step's gradients
+                for index, value in planted.items():
+                    optimizers[0].params[names[index]].tensor.grad.flat[-1] = value
+
+        monkeypatch.setattr(training, "AdamW", RecordingAdamW)
+        monkeypatch.setattr(Tensor, "backward", planting_backward)
+        with np.errstate(over="ignore"):  # the planted 1e200 overflows the norm
+            result = train(self.small_cfg(grad_clip=0.5), toy_dataset(), tmp_path / "run",
+                           seed=0)
+        cause = "non-finite gradient " + ("norm" if named is None else names[named])
+        assert result.diverged and result.epochs_run == 0
+        assert read_log(result)[-1] == {"epoch": 0, "split": "train", "diverged": True,
+                                        "batch": 1, "cause": cause}
+        # one update ran; the second step left its weights and moments as they were
+        assert updates == [optimizers[0].state()]
+        restored, _ = model_from_checkpoint(result.last_checkpoint)
         assert np.isfinite(restored.store.arena).all()
 
     def test_each_checkpoint_is_written_once(self, tmp_path, monkeypatch):
