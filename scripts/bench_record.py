@@ -9,9 +9,10 @@ the tree this script lives in. For each workload W:N it runs N pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
-one in each tree, over the first N seeds of SEEDS, alternating which tree
-goes first. Each run's last stdout line is its result object and its `env`
-line the environment and config fingerprint. The output file gives, per
+one in each tree, over the N seeds from --first-seed on (default
+FIRST_SEED), alternating which tree goes first. Each run's last stdout line
+is its result object and its `env` line the environment and config
+fingerprint. The output file gives, per
 workload and side, the median, quartiles and IQR of every end-to-end metric,
 the failed/attempted operation counts, and, per metric, the pairs the change
 won, the ratio of the medians and a verdict (see `verdict`). It also
@@ -29,6 +30,10 @@ counts as 1.
 --traced W:SEED adds one `--trace 1` run of workload W per side, whose
 per-layer metrics go under `traced`, so a gain can be traced to the layer
 that made it.
+
+--script PATH runs `python3 PATH --tree TREE` once per side, with this
+tree's copy of the script and TREE the side's checkout, and records the JSON
+lines it prints under `scripts` (for example scripts/eval_batching.py).
 """
 import argparse
 import json
@@ -40,7 +45,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = tuple(range(1801, 1821))
+FIRST_SEED = 1801
 # the run length every BENCH_<n>.json is recorded at, so records compare
 SECONDS = 36
 SIDES = ("parent", "change")
@@ -156,6 +161,10 @@ def main():
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
     parser.add_argument("--traced", action="append", default=[], metavar="NAME:SEED",
                         help="one --trace 1 run of NAME per side")
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                        help="seed of each workload's first pair; pair k runs seed + k")
+    parser.add_argument("--script", action="append", default=[], type=Path,
+                        help="a script run once per side as `PATH --tree TREE`")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -166,7 +175,8 @@ def main():
     earlier = earlier_records(args.out)
     for item in args.workload:
         name, pairs = item.split(":")
-        result = record(trees, name, SEEDS[:int(pairs)], metrics)
+        seeds = range(args.first_seed, args.first_seed + int(pairs))
+        result = record(trees, name, seeds, metrics)
         result["trajectory"] = trajectory(earlier, name, result["change_over_parent"])
         doc["workloads"][name] = result
         (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n")
@@ -176,6 +186,13 @@ def main():
         for side in SIDES:
             _, result = run_once(trees[side], name, int(seed), trace=1)
             traced[side] = {key: value["value"] for key, value in result["metrics"].items()}
+        (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for script in args.script:
+        lines = doc.setdefault("scripts", {})[script.name] = {}
+        for side in SIDES:
+            out = subprocess.run([sys.executable, str(script.resolve()), "--tree", str(trees[side])],
+                                 check=True, capture_output=True, text=True).stdout
+            lines[side] = [json.loads(line) for line in out.splitlines() if line.strip()]
         (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -310,16 +310,38 @@ def batch_loss(model, batch, epoch, rng=None, train=True):
     return total, components
 
 
+def _query_prediction(ann, moments, logits, saliency):
+    """One item's eval outputs as a QueryPrediction: each query's
+    (center, width) row, clipped to [0, 1], as a window in seconds with its
+    foreground probability, and one score per clip."""
+    starts, ends = _spans(moments.astype(float))
+    windows = [[s * ann.duration, e * ann.duration, p]
+               for s, e, p in zip(starts.tolist(), ends.tolist(), _fg_probs(logits).tolist())]
+    return QueryPrediction(qid=ann.qid, windows=windows, saliency=[float(x) for x in saliency])
+
+
 def predict_item(model, bundle, ann):
     """Eval-mode forward converted into second-scaled windows and clip scores."""
     with no_grad():
         preds = model.forward(bundle, train=False).predictions
-    fg = _fg_probs(preds.class_logits.data)
-    starts, ends = _spans(preds.moments.data.astype(float))
-    windows = [[s * ann.duration, e * ann.duration, p]
-               for s, e, p in zip(starts.tolist(), ends.tolist(), fg.tolist())]
-    return QueryPrediction(qid=ann.qid, windows=windows,
-                           saliency=[float(x) for x in preds.saliency.data])
+    return _query_prediction(ann, preds.moments.data, preds.class_logits.data,
+                             preds.saliency.data)
+
+
+def predict_batch(model, pairs):
+    """predict_item of each (bundle, annotation) pair, from one eval-mode
+    forward over their pad_batch.
+
+    Each item's prediction comes from its own row: its num_queries windows,
+    scaled by its own duration, and the saliency of its own clips. Padding
+    is masked, so in float64 the outputs equal predict_item's to rounding;
+    float32 products may round differently at B > 1.
+    """
+    with no_grad():
+        preds = model.forward(pad_batch([b for b, _ in pairs]), train=False).predictions
+    return [_query_prediction(ann, preds.moments.data[i], preds.class_logits.data[i],
+                              preds.saliency.data[i, :len(bundle.video)])
+            for i, (bundle, ann) in enumerate(pairs)]
 
 
 def bundle_for(ann, cfg, feature_dir=None):

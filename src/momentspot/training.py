@@ -15,7 +15,7 @@ import numpy as np
 from .config import ConfigError, ModelConfig
 from .losses import CompositionError
 from .metrics import compute_report, save_predictions
-from .model import Model, ParamStore, batch_loss, bundle_for, predict_item
+from .model import Model, ParamStore, batch_loss, bundle_for, predict_batch
 
 CHECKPOINT_MAGIC = b"MSPT"
 CHECKPOINT_VERSION = 2
@@ -294,14 +294,18 @@ def _reject_duplicate_qids(annotations, split):
 
 
 def evaluate_model(model, annotations, feature_dir=None, bundles=None):
-    """Eval-mode predictions and the full metric report for a dataset of unique qids."""
+    """Eval-mode predictions, in input order, and the full metric report for a
+    dataset of unique qids; the items run through predict_batch in chunks of
+    model.cfg.batch_size."""
     if not annotations:
         raise ValueError("evaluate on an empty dataset")
     _reject_duplicate_qids(annotations, "evaluation")
     if bundles is None:
         bundles = [bundle_for(a, model.cfg, feature_dir) for a in annotations]
     pairs = list(zip(bundles, annotations, strict=True))  # a count mismatch raises here
-    predictions = [predict_item(model, b, a) for b, a in pairs]
+    size = model.cfg.batch_size
+    predictions = [pred for start in range(0, len(pairs), size)
+                   for pred in predict_batch(model, pairs[start:start + size])]
     return compute_report(predictions, annotations), predictions
 
 
@@ -327,7 +331,9 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     global gradient norm before clipping (grad_norms) and the wall ms of the
     forward (batch_loss), the backward and clip plus the AdamW step
     (forward_ms, backward_ms, optimizer_ms), and gives the epoch's training
-    items/s (items_per_s). The timings never reach a checkpoint or the loss.
+    items/s (items_per_s); each val entry gives its items/s over the wall
+    time of evaluate_model (items_per_s). The timings never reach a
+    checkpoint or the loss.
     """
     if not annotations:
         raise ValueError("train on an empty dataset")
@@ -428,9 +434,11 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             write_log(entry)
             improved = False
             if val_set and (epoch + 1) % eval_period == 0:
+                val_start = perf_counter()
                 report, _ = evaluate_model(model, val_set, bundles=val_bundles)
                 entry = {"epoch": epoch, "split": "val"}
                 entry.update(report.to_dict())
+                entry["items_per_s"] = len(val_set) / (perf_counter() - val_start)
                 write_log(entry)
                 improved = best_metric is None or report.map_avg > best_metric
                 if improved:

@@ -8,8 +8,10 @@ from momentspot.autodiff import Tensor
 from momentspot.config import ModelConfig
 from momentspot.fixtures import build_overfit_fixture
 from momentspot.losses import COMPONENT_KEYS, compose_total
+from momentspot.metrics import compute_report
 from momentspot.model import (Model, batch_loss, bundle_for, normalized_windows,
-                              predict_item, _fg_probs)
+                              predict_batch, predict_item, _fg_probs)
+from momentspot.training import evaluate_model
 from test_data import make_annotation
 
 from conftest import tiny_config
@@ -480,3 +482,88 @@ class TestPrediction:
         predict_item(model, bundle_for(ann, cfg), ann)
         assert len(outputs) == 1
         assert not outputs[0].predictions.saliency.requires_grad
+
+
+def capture_forwards(monkeypatch):
+    """Patch Model.forward to append each call's ForwardResult to the returned list."""
+    outputs = []
+    forward = Model.forward
+
+    def capturing(self, *args, **kwargs):
+        outputs.append(forward(self, *args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(Model, "forward", capturing)
+    return outputs
+
+
+class TestPredictBatch:
+    """predict_batch on one padded forward against predict_item on each item.
+
+    The set mixes clip and token counts, and its first item fills max_clips.
+    In float64 the batched windows and saliency equal the per-item ones to
+    1e-12. Float32 is not bitwise: a flattened (B*m, k) float32 product
+    rounds differently from the per-item (m, k) one, so B=4 can differ from
+    B=1 in the last bits; it is checked to 1e-5 relative to the largest entry.
+    """
+
+    TOL = {"float64": 1e-12, "float32": 1e-5}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_equals_predict_item_per_item(self, dtype):
+        cfg = tiny_config(dtype=dtype, num_queries=6)
+        pairs = mixed_length_batch(cfg)
+        assert pairs[0][0].video.shape[0] == cfg.max_clips
+        assert len({b.text.shape[0] for b, _ in pairs}) > 1
+        tol = self.TOL[dtype]
+        for seed in range(2):
+            model = Model(cfg, seed=seed)
+            batched = predict_batch(model, pairs)
+            assert len(batched) == len(pairs)
+            for got, (bundle, ann) in zip(batched, pairs):
+                want = predict_item(model, bundle, ann)
+                assert got.qid == want.qid == ann.qid
+                assert len(got.saliency) == ann.num_clips
+                assert len(got.windows) == cfg.num_queries
+                for field in ("windows", "saliency"):
+                    g, w = np.array(getattr(got, field)), np.array(getattr(want, field))
+                    np.testing.assert_allclose(g, w, rtol=tol, atol=tol * np.abs(w).max(),
+                                               err_msg=f"qid {ann.qid} {field}")
+                assert all(type(x) is float for row in got.windows for x in row)
+                assert all(type(x) is float for x in got.saliency)
+
+    def test_report_equals_the_per_item_report(self):
+        """Every thresholded field is ==; miou, a mean of the top windows'
+        IoUs, carries their last-bit rounding and is equal to 1e-12."""
+        cfg = tiny_config(num_queries=6)
+        pairs = mixed_length_batch(cfg)
+        bundles, anns = map(list, zip(*pairs))
+        for seed in range(4):
+            model = Model(cfg, seed=seed)
+            report, _ = evaluate_model(model, anns, bundles=bundles)
+            want = compute_report([predict_item(model, b, a) for b, a in pairs], anns)
+            assert dataclasses.replace(report, miou=want.miou) == want
+            assert report.miou == pytest.approx(want.miou, rel=1e-12, abs=1e-12)
+
+    def test_builds_no_graph(self, monkeypatch):
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=2)
+        outputs = capture_forwards(monkeypatch)
+        predict_batch(model, mixed_length_batch(cfg))
+        assert len(outputs) == 1
+        assert outputs[0].predictions.saliency.data.ndim == 2  # one (B, L) forward
+        assert not outputs[0].predictions.saliency.requires_grad
+
+    def test_evaluate_model_runs_chunks_of_the_batch_size(self, monkeypatch):
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1, batch_size=4)
+        extra = make_annotation(qid=9, vid="vid_e", duration=12.0,
+                                saliency_levels=[0, 4, 3, 0, 0, 0],
+                                relevant_windows=[[2.0, 6.0]], relevant_clip_ids=[1, 2])
+        pairs = mixed_length_batch(cfg) + [(bundle_for(extra.validate(), cfg), extra)]
+        bundles, anns = map(list, zip(*pairs))
+        model = Model(cfg, seed=4)
+        outputs = capture_forwards(monkeypatch)
+        _, predictions = evaluate_model(model, anns, bundles=bundles)
+        assert [out.predictions.saliency.data.shape[0] for out in outputs] == [4, 1]
+        assert [p.qid for p in predictions] == [a.qid for a in anns]
+        assert [len(p.saliency) for p in predictions] == [a.num_clips for a in anns]

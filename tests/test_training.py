@@ -1069,6 +1069,21 @@ class TestTrainLoop:
                 [250.0] * steps
             assert entry["items_per_s"] == pytest.approx(len(anns) / (0.25 * (4 * steps + 1)))
 
+    def test_val_entries_give_the_validation_items_per_s(self, tmp_path, monkeypatch):
+        anns = toy_dataset()
+        cfg = self.small_cfg(epochs=2, eval_every=1)
+        for clock in ("real", "fake"):
+            if clock == "fake":  # evaluate_model spans one 0.25 s tick
+                ticks = itertools.count(0.0, 0.25)
+                monkeypatch.setattr(training, "perf_counter", lambda: next(ticks))
+            result = train(cfg, anns[:2], tmp_path / clock, seed=0, val_annotations=anns[2:])
+            val = [entry for entry in read_log(result) if entry["split"] == "val"]
+            assert len(val) == cfg.epochs
+            for entry in val:
+                assert math.isfinite(entry["items_per_s"]) and entry["items_per_s"] > 0.0
+                if clock == "fake":
+                    assert entry["items_per_s"] == len(anns[2:]) / 0.25
+
     def test_each_steps_graph_is_dropped_before_the_next_forward(self, tmp_path, monkeypatch):
         # weak references to the values of each step's total and loss terms, the
         # roots of its graph (a Tensor takes no weak reference, its array does)
