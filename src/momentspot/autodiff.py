@@ -1,7 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
 Scope is deliberately small: ranks 0..3, float32/float64, explicit gradient
-accumulation, no higher-order derivatives. Every operation used by the model
+accumulation, no higher-order derivatives. backward() frees the graph it walks,
+so a graph is backwarded once. Every operation used by the model
 lives here so the whole network can be gradient-checked against central
 differences with no framework in the loop.
 
@@ -27,6 +28,9 @@ class GradCheckError(RuntimeError):
 
 
 _GRAD_ENABLED = True
+
+# A node's _backward_fn once backward() has run it: the graph behind it is freed
+_RELEASED = object()
 
 
 @contextlib.contextmanager
@@ -102,15 +106,26 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _RELEASED:
+                raise RuntimeError("backward through a graph a previous backward() already freed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         _accumulate(self, grad)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        # Walk consumers before producers, releasing each node's closure and
+        # parents before running it: an activation only a closure kept dies
+        # as soon as that backward has run, and one the caller still holds
+        # keeps its .data and .grad.
+        while topo:
+            node = topo.pop()
+            fn = node._backward_fn
+            if fn is None:
+                continue
+            node._backward_fn, node._parents = _RELEASED, ()
+            if node.grad is not None:
+                fn(node.grad)
 
     # -- operator sugar ------------------------------------------------
 

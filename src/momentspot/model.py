@@ -3,7 +3,7 @@ and the batch loss computation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -211,8 +211,8 @@ class Model:
         vmask, tmask = bundle.video_mask, bundle.text_mask
         input_drop = partial(dropout, p=cfg.input_dropout, rng=rng, train=train)
         drop = partial(dropout, p=cfg.dropout, rng=rng, train=train)
-        video = Tensor(bundle.video.astype(self.dtype))
-        text = Tensor(bundle.text.astype(self.dtype))
+        video = Tensor(bundle.video.astype(self.dtype, copy=False))
+        text = Tensor(bundle.text.astype(self.dtype, copy=False))
         v_bar = project(video, p.video_proj, input_drop, mask=vmask)
         t_bar = project(text, p.text_proj, input_drop, mask=tmask)
         if cfg.use_refinement:
@@ -345,8 +345,11 @@ def predict_batch(model, pairs):
 
 
 def bundle_for(ann, cfg, feature_dir=None):
-    """The item's feature bundle; a video longer than cfg.max_clips is a ConfigError."""
+    """The item's feature bundle, held in cfg.dtype, which Model.forward runs
+    without a copy; a video longer than cfg.max_clips is a ConfigError."""
     if ann.num_clips > cfg.max_clips:
         raise ConfigError(f"qid {ann.qid}: {ann.num_clips} clips exceed max_clips={cfg.max_clips}")
-    return encode_item(ann, cfg.video_parts, cfg.text_parts, cfg.max_text_len,
-                       feature_dir=feature_dir)
+    bundle = encode_item(ann, cfg.video_parts, cfg.text_parts, cfg.max_text_len,
+                         feature_dir=feature_dir)
+    return replace(bundle, video=bundle.video.astype(cfg.dtype, copy=False),
+                   text=bundle.text.astype(cfg.dtype, copy=False))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -467,3 +469,65 @@ class TestTensorBasics:
         out = tsum(add(mul(x, 3.0), mul(x, 4.0)))
         out.backward()
         np.testing.assert_allclose(x.grad, [7.0])
+
+
+def closure_cells(node):
+    """The variables a node's backward closure holds, by name."""
+    fn = node._backward_fn
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+
+
+class TestGraphRelease:
+    """backward() frees the graph behind the root as it consumes it."""
+
+    def test_a_second_backward_through_a_freed_graph_is_an_error(self):
+        x = t([1.0, 2.0])
+        out = tsum(mul(x, 3.0))
+        out.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        with pytest.raises(RuntimeError, match="already freed"):
+            out.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])  # nothing was accumulated
+        x.zero_grad()
+        tsum(mul(x, 3.0)).backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_a_new_root_over_a_freed_node_is_an_error(self):
+        x = t([1.0, 2.0])
+        y = mul(x, 3.0)
+        tsum(y).backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            tsum(mul(y, 2.0)).backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_a_held_node_keeps_its_data_and_grad(self):
+        x = t([1.0, -2.0])
+        y = mul(x, 3.0)
+        out = tsum(square(y))
+        out.backward()
+        np.testing.assert_array_equal(y.data, [3.0, -6.0])
+        np.testing.assert_array_equal(y.grad, [6.0, -12.0])
+        np.testing.assert_array_equal(x.grad, [18.0, -36.0])
+        assert out.item() == 45.0 and out.grad == 1.0
+        assert y._parents == () and out._parents == ()
+
+    def test_a_dropout_mask_dies_with_its_backward(self, rng):
+        x = t(rng.normal(size=(4, 3)))
+        dropped = dropout(x, 0.5, rng=rng, train=True)
+        keep = weakref.ref(closure_cells(dropped)["b"].data)
+        out = tsum(dropped)
+        assert keep() is not None
+        out.backward()
+        assert keep() is None
+        np.testing.assert_array_equal(x.grad * x.data, dropped.data)  # the scaled mask
+
+    def test_attention_weights_die_with_their_backward(self, rng):
+        q = t(rng.normal(size=(2, 3, 4)))
+        kv = t(rng.normal(size=(2, 5, 4)))
+        out_node = multi_head_attention(q, kv, kv, random_mha_params(rng, 4), 2)
+        attn = weakref.ref(closure_cells(out_node)["attn"])
+        out = tsum(out_node)
+        assert attn() is not None
+        out.backward()
+        assert attn() is None
+        assert q.grad.shape == q.data.shape and kv.grad.shape == kv.data.shape

@@ -6,6 +6,7 @@ import pytest
 from composed import span_from_cw
 from momentspot.autodiff import Tensor
 from momentspot.config import ModelConfig
+from momentspot.data import encode_item, save_features, text_token_count
 from momentspot.fixtures import build_overfit_fixture
 from momentspot.losses import COMPONENT_KEYS, compose_total
 from momentspot.metrics import compute_report
@@ -567,3 +568,56 @@ class TestPredictBatch:
         assert [out.predictions.saliency.data.shape[0] for out in outputs] == [4, 1]
         assert [p.qid for p in predictions] == [a.qid for a in anns]
         assert [len(p.saliency) for p in predictions] == [a.num_clips for a in anns]
+
+
+class TestBundleDtype:
+    """bundle_for holds the features in cfg.dtype, so Model.forward runs them
+    without a copy; a float32 run is bitwise the run on float64 encode_item
+    bundles that the forward used to cast."""
+
+    @staticmethod
+    def pairs(cfg, feature_dir):
+        """mixed_length_batch's items, the first read from video and text feature files."""
+        anns = [a for _, a in mixed_length_batch(cfg)]
+        first = anns[0]
+        rng = np.random.default_rng(11)
+        (video_kind, video_dim), = cfg.video_parts
+        (text_kind, text_dim), = cfg.text_parts
+        n_tok = text_token_count(first.query, cfg.max_text_len)
+        save_features(feature_dir / f"{first.vid}.{video_kind}.vlft",
+                      rng.normal(size=(first.num_clips, video_dim)))
+        save_features(feature_dir / f"qid{first.qid}.{text_kind}.vlft",
+                      rng.normal(size=(n_tok, text_dim)))
+        new = [(bundle_for(a, cfg, feature_dir), a) for a in anns]
+        old = [(encode_item(a, cfg.video_parts, cfg.text_parts, cfg.max_text_len, feature_dir), a)
+               for a in anns]
+        return new, old
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bundles_hold_the_config_dtype(self, dtype, tmp_path):
+        new, old = self.pairs(tiny_config(dtype=dtype), tmp_path)
+        for (got, _), (want, _) in zip(new, old):
+            assert got.video.dtype == got.text.dtype == np.dtype(dtype)
+            assert want.video.dtype == want.text.dtype == np.float64
+            np.testing.assert_array_equal(got.video, want.video.astype(dtype))
+            np.testing.assert_array_equal(got.text, want.text.astype(dtype))
+
+    def test_float32_runs_equal_the_float64_bundle_path(self, tmp_path):
+        cfg = tiny_config(dtype="float32", dropout=0.1, input_dropout=0.2, num_queries=6)
+        new, old = self.pairs(cfg, tmp_path)
+        before = [(b.video.tobytes(), b.text.tobytes()) for b, _ in new]
+        model = Model(cfg, seed=3)
+        for (got, ann), (want, _) in zip(new, old):
+            assert predict_item(model, got, ann) == predict_item(model, want, ann)
+        assert predict_batch(model, new) == predict_batch(model, old)
+        runs = []
+        for pairs in (new, old):
+            model.zero_grad()
+            total, parts = batch_loss(model, pairs, epoch=1, rng=np.random.default_rng(4),
+                                      train=True)
+            total.backward()
+            runs.append(([parts[key].data.tobytes() for key in COMPONENT_KEYS],
+                         model.store.grad_arena.tobytes()))
+        assert runs[0] == runs[1]
+        # the forward reads the bundles' own arrays and leaves them as they were
+        assert [(b.video.tobytes(), b.text.tobytes()) for b, _ in new] == before
