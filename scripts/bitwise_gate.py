@@ -26,6 +26,11 @@ Digests:
   backward, clip, AdamW) of the full-scale preset, dropout on, on one batch of
   the full-long benchmark workload's items; plus step_losses, the total loss
   of each step.
+- init: the seeded weight arena of a freshly built desk float64, desk float32
+  and full-scale float32 model.
+- bundles: the video and text bytes of bundle_for on every full-long
+  workload item (pseudo-encoded, float32), and on every planted fixture item
+  read from its feature files in the desk preset, once per dtype.
 """
 import hashlib
 import json
@@ -116,13 +121,44 @@ def full_steps():
     return {"arena": sha(model.store.arena.tobytes()), "step_losses": losses}
 
 
+def init_arenas():
+    """Digest of each seeded weight arena, straight after Model(cfg, SEED)."""
+    cfgs = {"desk/float64": ModelConfig.desk(dtype="float64"),
+            "desk/float32": ModelConfig.desk(dtype="float32"),
+            "full/float32": WORKLOADS["full-long"].cfg}
+    return {name: sha(Model(cfg, seed=SEED).store.arena.tobytes()) for name, cfg in cfgs.items()}
+
+
+def bundles(tmp):
+    """Digest of the video and text bytes of every bundle, one per item set and dtype."""
+    def digest(pairs):
+        h = hashlib.sha256()
+        for ann, cfg, feature_dir in pairs:
+            bundle = bundle_for(ann, cfg, feature_dir)
+            h.update(bundle.video.tobytes())
+            h.update(bundle.text.tobytes())
+        return h.hexdigest()
+
+    workload = WORKLOADS["full-long"]
+    out = {"full-long/float32": digest((ann, workload.cfg, None)
+                                       for ann in make_inputs(workload, SEED, None).all_items)}
+    features = tmp / "bundle-features"
+    annotations = build_overfit_fixture(feature_dir=features)
+    for dtype in ("float64", "float32"):
+        cfg = ModelConfig.desk(dtype=dtype)
+        out[f"fixture/{dtype}"] = digest((ann, cfg, features) for ann in annotations)
+    return out
+
+
 def main():
     digests = {}
     with tempfile.TemporaryDirectory(prefix="bitwise-gate-") as tmp:
         for dtype in ("float64", "float32"):
             for mode in ("bidirectional", "text_to_video"):
                 digests[f"desk/{dtype}/{mode}"] = desk_run(Path(tmp), dtype, mode)
+        digests["bundles"] = bundles(Path(tmp))
     digests["full/float32"] = full_steps()
+    digests["init"] = init_arenas()
     print(json.dumps(digests, indent=2, sort_keys=True))
 
 

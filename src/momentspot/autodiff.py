@@ -735,10 +735,28 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
 # -- initialization ---------------------------------------------------------
 
 
-def xavier_uniform(rng, shape, fan_in, fan_out):
-    """Float64 draws; the caller casts them into its own dtype."""
+# float64 draws per chunk of xavier_uniform (512 KB)
+DRAW_CHUNK = 1 << 16
+
+
+def xavier_uniform(rng, out, fan_in, fan_out):
+    """Fill the C-contiguous array out in place, and return it, with the
+    stream and arithmetic of rng.uniform(-b, b, out.shape): lower + range * u
+    per float64 draw u, b = sqrt(6 / (fan_in + fan_out)). The draws go
+    DRAW_CHUNK at a time into out itself when it is float64, else through
+    one float64 scratch, cast on write."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    flat = out.reshape(-1)  # a view, as out is C-contiguous
+    scratch = None if out.dtype == np.float64 else np.empty(min(DRAW_CHUNK, flat.size))
+    for c0 in range(0, flat.size, DRAW_CHUNK):
+        dst = flat[c0:c0 + DRAW_CHUNK]
+        u = dst if scratch is None else scratch[:dst.size]
+        rng.random(out=u)
+        u *= bound - -bound
+        u += -bound
+        if scratch is not None:
+            dst[...] = u
+    return out
 
 
 # -- verification -----------------------------------------------------------

@@ -181,26 +181,33 @@ def stable_hash(kind, ident):
     return int.from_bytes(digest, "little")
 
 
+# float64 elements per pseudo_encode scratch block (128 KB): small enough to
+# stay in cache and to reuse freed heap memory rather than map fresh pages
+PSEUDO_BLOCK = 1 << 14
+
+
 def pseudo_encode(kind, ident, length, dim):
     """Deterministic stand-in features: value[i][j] = sin(h + i*dim + j) * 0.5."""
-    if kind not in ENCODER_KINDS:
-        raise ValueError(f"unknown encoder kind '{kind}' (expected one of {ENCODER_KINDS})")
     if length <= 0 or dim <= 0:
         raise ValueError("pseudo_encode needs positive length and dim")
+    return _pseudo_into(np.empty((length, dim)), kind, ident)
+
+
+def _pseudo_into(out, kind, ident):
+    """Write pseudo_encode(kind, ident, *out.shape) into the 2-D array out,
+    computed in float64 a block of rows at a time and cast on write."""
+    if kind not in ENCODER_KINDS:
+        raise ValueError(f"unknown encoder kind '{kind}' (expected one of {ENCODER_KINDS})")
+    length, dim = out.shape
     h = stable_hash(kind, ident) % 1000
-    grid = np.arange(length * dim, dtype=np.float64).reshape(length, dim)
-    return np.sin(h + grid) * 0.5
-
-
-def concat_features(parts):
-    """Column-concatenate per-encoder feature blocks sharing a row count."""
-    if not parts:
-        raise ValueError("concat_features needs at least one part")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise ValueError(f"feature part shape {p.shape} does not share row count {rows}")
-    return np.concatenate(parts, axis=1)
+    step = max(1, PSEUDO_BLOCK // dim)
+    for r0 in range(0, length, step):
+        block = out[r0:r0 + step]
+        grid = np.arange(r0 * dim, r0 * dim + block.size, dtype=np.float64).reshape(block.shape)
+        grid += h
+        np.sin(grid, out=grid)
+        np.multiply(grid, 0.5, out=block)  # cast on write
+    return out
 
 
 # -- precomputed feature files ----------------------------------------------
@@ -217,7 +224,8 @@ def save_features(path, arr):
         fh.write(a.tobytes())
 
 
-def load_features(path):
+def _read_features(path):
+    """The (L, d) little-endian float32 payload of a feature file, as stored."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != FEATURE_MAGIC:
@@ -227,7 +235,11 @@ def load_features(path):
     expected = length * dim * 4
     if len(payload) != expected:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(length, dim).astype(np.float64)
+    return np.frombuffer(payload, dtype="<f4").reshape(length, dim)
+
+
+def load_features(path):
+    return _read_features(path).astype(np.float64)
 
 
 # -- feature assembly --------------------------------------------------------
@@ -245,49 +257,44 @@ def text_token_count(query, max_text_len):
     return min(max(1, len(query.split())), max_text_len)
 
 
-def encode_item(ann, video_parts, text_parts, max_text_len, feature_dir=None):
+def encode_item(ann, video_parts, text_parts, max_text_len, feature_dir=None, *, dtype):
     """Build the per-item feature bundle from pseudo encoders or feature files.
 
-    Precomputed files, when present under feature_dir, are named
+    Each modality is one array of `dtype`, each part written once into its
+    columns. Precomputed files, when present under feature_dir, are named
     "<vid>.<kind>.vlft" for video parts and "qid<qid>.<kind>.vlft" for text
     parts; missing files fall back to the pseudo encoder. A loaded file with
     non-finite values is a ValueError naming the qid and the file; pseudo
     features are finite by construction.
     """
     length = ann.num_clips
-    vparts = []
-    for kind, dim in video_parts:
-        arr = _maybe_load(feature_dir, f"{ann.vid}.{kind}.vlft", length, dim, ann.qid)
-        if arr is None:
-            arr = pseudo_encode(kind, ann.vid, length, dim)
-        vparts.append(arr)
     n_tok = text_token_count(ann.query, max_text_len)
-    tparts = []
-    for kind, dim in text_parts:
-        arr = _maybe_load(feature_dir, f"qid{ann.qid}.{kind}.vlft", n_tok, dim, ann.qid)
-        if arr is None:
-            arr = pseudo_encode(kind, ann.query, n_tok, dim)
-        tparts.append(arr)
     return FeatureBundle(
-        video=concat_features(vparts),
-        text=concat_features(tparts),
+        video=_assemble(video_parts, length, dtype, ann.vid, ann.vid, feature_dir, ann.qid),
+        text=_assemble(text_parts, n_tok, dtype, ann.query, f"qid{ann.qid}", feature_dir, ann.qid),
         video_mask=np.ones(length, dtype=bool),
         text_mask=np.ones(n_tok, dtype=bool),
     )
 
 
-def _maybe_load(feature_dir, name, length, dim, qid):
-    if feature_dir is None:
-        return None
-    path = Path(feature_dir) / name
-    if not path.exists():
-        return None
-    arr = load_features(path)
-    if arr.shape != (length, dim):
-        raise ValueError(f"{path}: shape {arr.shape} does not match expected ({length}, {dim})")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"qid {qid}: {path} holds non-finite features")
-    return arr
+def _assemble(parts, rows, dtype, ident, prefix, feature_dir, qid):
+    """One modality's (rows, sum of dims) array: each part from its stored
+    float32 "<prefix>.<kind>.vlft" or else pseudo_encode(kind, ident, ...)."""
+    out = np.empty((rows, sum(dim for _, dim in parts)), dtype=dtype)
+    c0 = 0
+    for kind, dim in parts:
+        path = None if feature_dir is None else Path(feature_dir) / f"{prefix}.{kind}.vlft"
+        if path is not None and path.exists():
+            arr = _read_features(path)
+            if arr.shape != (rows, dim):
+                raise ValueError(f"{path}: shape {arr.shape} does not match expected ({rows}, {dim})")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"qid {qid}: {path} holds non-finite features")
+            out[:, c0:c0 + dim] = arr
+        else:
+            _pseudo_into(out[:, c0:c0 + dim], kind, ident)
+        c0 += dim
+    return out
 
 
 # -- synthetic data generation ------------------------------------------------

@@ -3,7 +3,7 @@ and the batch loss computation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -57,7 +57,7 @@ class ParamStore(dict):
             raise ConfigError(f"unknown init scheme '{init}'")
         data = self.arena[start:self.size].reshape(shape)
         if self.rng is not None and init == "xavier_uniform":
-            data[...] = xavier_uniform(self.rng, shape, *fan)
+            xavier_uniform(self.rng, data, *fan)
         elif self.rng is not None and init == "ones":
             data[...] = 1.0  # the arena starts at zero
         # xavier draws, zeros and ones are finite by construction: _node skips
@@ -345,11 +345,9 @@ def predict_batch(model, pairs):
 
 
 def bundle_for(ann, cfg, feature_dir=None):
-    """The item's feature bundle, held in cfg.dtype, which Model.forward runs
-    without a copy; a video longer than cfg.max_clips is a ConfigError."""
+    """The item's feature bundle, written once in cfg.dtype, which Model.forward
+    runs without a copy; a video longer than cfg.max_clips is a ConfigError."""
     if ann.num_clips > cfg.max_clips:
         raise ConfigError(f"qid {ann.qid}: {ann.num_clips} clips exceed max_clips={cfg.max_clips}")
-    bundle = encode_item(ann, cfg.video_parts, cfg.text_parts, cfg.max_text_len,
-                         feature_dir=feature_dir)
-    return replace(bundle, video=bundle.video.astype(cfg.dtype, copy=False),
-                   text=bundle.text.astype(cfg.dtype, copy=False))
+    return encode_item(ann, cfg.video_parts, cfg.text_parts, cfg.max_text_len,
+                       feature_dir=feature_dir, dtype=cfg.dtype)

@@ -50,8 +50,9 @@ class AdamW:
         self.weight_decay = weight_decay
         self.step_count = 0
         arena = params.arena
-        self.m_arena = np.zeros_like(arena)
-        self.v_arena = np.zeros_like(arena)
+        # np.zeros, not zeros_like, which writes every byte up front
+        self.m_arena = np.zeros(arena.shape, arena.dtype)
+        self.v_arena = np.zeros(arena.shape, arena.dtype)
         arenas = (arena, params.grad_arena, self.m_arena, self.v_arena)
         # each chunk: the same slice of the weight, gradient, m and v arenas
         self._chunks = [[a[c0:c0 + CHUNK] for a in arenas] for c0 in range(0, arena.size, CHUNK)]

@@ -7,7 +7,10 @@ hand-written backward. These compositions compute the same functions op by
 op, so reverse mode derives their gradients; the equivalence tests compare
 the two. The loss oracles are the composed bodies the fused nodes replaced.
 `grad_norm` is the global gradient norm as `training.clip_gradients` summed
-it before it walked the grad arena in chunks.
+it before it walked the grad arena in chunks. `xavier_uniform` and
+`encode_item` are the set-up paths that wrote whole float64 temporaries:
+one `rng.uniform` draw per parameter, cast into the arena, and bundles
+concatenated in float64, then cast to the model's dtype.
 """
 import math
 
@@ -20,6 +23,8 @@ from momentspot.autodiff import (ShapeError, Tensor, _accumulate, _node, absval,
                                  narrow, relu, reshape, sigmoid,
                                  softmax_masked, sqrt, square, sub, tanh,
                                  tmean, transpose, tsum)
+from momentspot.data import (FeatureBundle, load_features, stable_hash,
+                             text_token_count)
 from momentspot.losses import COMPONENT_KEYS, CompositionError
 from momentspot.matching import WIDTH_FLOOR
 
@@ -342,3 +347,33 @@ def grad_norm(params):
     squares, one parameter at a time in registry order."""
     return math.sqrt(sum(float((p.tensor.grad.astype(np.float64) ** 2).sum())
                          for p in params.values()))
+
+
+def xavier_uniform(rng, shape, fan_in, fan_out):
+    """Float64 draws; the caller casts them into its own dtype."""
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def pseudo_encode(kind, ident, length, dim):
+    h = stable_hash(kind, ident) % 1000
+    grid = np.arange(length * dim, dtype=np.float64).reshape(length, dim)
+    return np.sin(h + grid) * 0.5
+
+
+def encode_item(ann, video_parts, text_parts, max_text_len, feature_dir, dtype):
+    """Each part in float64 from its "<prefix>.<kind>.vlft" file under
+    feature_dir or else pseudo_encode, the parts concatenated, then cast."""
+    def block(parts, rows, ident, prefix):
+        arrays = []
+        for kind, dim in parts:
+            path = None if feature_dir is None else feature_dir / f"{prefix}.{kind}.vlft"
+            arrays.append(load_features(path) if path is not None and path.exists()
+                          else pseudo_encode(kind, ident, rows, dim))
+        return np.concatenate(arrays, axis=1).astype(dtype)
+
+    n_tok = text_token_count(ann.query, max_text_len)
+    return FeatureBundle(video=block(video_parts, ann.num_clips, ann.vid, ann.vid),
+                         text=block(text_parts, n_tok, ann.query, f"qid{ann.qid}"),
+                         video_mask=np.ones(ann.num_clips, dtype=bool),
+                         text_mask=np.ones(n_tok, dtype=bool))

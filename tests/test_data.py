@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from momentspot import data as d
 from momentspot.data import (Annotation, ParseError,
                              ValidationError, clips_overlapping_windows,
-                             concat_features, default_captioner,
+                             default_captioner,
                              default_embedder, encode_item, generate_synthetic,
                              load_dataset, load_features, load_manifest,
                              pseudo_encode, records_to_annotations,
@@ -19,6 +20,7 @@ from momentspot.data import (Annotation, ParseError,
 from momentspot.config import ModelConfig
 from momentspot.fixtures import build_overfit_fixture, planted_video_features
 from momentspot.model import bundle_for
+import composed
 
 
 def make_annotation(**overrides):
@@ -198,24 +200,6 @@ class TestPseudoEncode:
         assert np.abs(arr).max() <= 0.5
 
 
-class TestConcatFeatures:
-    def test_concatenates_columns(self, rng):
-        a = rng.normal(size=(4, 2))
-        b = rng.normal(size=(4, 3))
-        out = concat_features([a, b])
-        assert out.shape == (4, 5)
-        np.testing.assert_array_equal(out[:, :2], a)
-        np.testing.assert_array_equal(out[:, 2:], b)
-
-    def test_row_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            concat_features([rng.normal(size=(4, 2)), rng.normal(size=(3, 2))])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            concat_features([])
-
-
 class TestFeatureFiles:
     def test_round_trip_exact_f32(self, tmp_path, rng):
         arr = rng.normal(size=(6, 5)).astype(np.float32)
@@ -245,9 +229,13 @@ class TestEncodeItem:
     VIDEO_PARTS = (("clip_v", 6), ("slowfast", 4))
     TEXT_PARTS = (("clip_t", 5),)
 
+    def encode(self, ann, feature_dir=None, max_text_len=8):
+        return encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, max_text_len,
+                           feature_dir=feature_dir, dtype=np.float64)
+
     def test_pseudo_path_shapes(self):
         ann = make_annotation()
-        bundle = encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, max_text_len=8)
+        bundle = self.encode(ann)
         assert bundle.video.shape == (10, 10)
         assert bundle.text.shape == (4, 5)
         assert bundle.video_mask.all() and bundle.text_mask.all()
@@ -255,16 +243,16 @@ class TestEncodeItem:
 
     def test_text_length_rules(self):
         short = make_annotation(query="hi")
-        assert encode_item(short, self.VIDEO_PARTS, self.TEXT_PARTS, 8).text.shape[0] == 1
+        assert self.encode(short).text.shape[0] == 1
         long = make_annotation(query=" ".join(["word"] * 40))
-        assert encode_item(long, self.VIDEO_PARTS, self.TEXT_PARTS, 8).text.shape[0] == 8
+        assert self.encode(long).text.shape[0] == 8
         assert text_token_count("", 8) == 1
 
     def test_feature_file_override_and_fallback(self, tmp_path, rng):
         ann = make_annotation()
         custom = rng.normal(size=(10, 6)).astype(np.float32)
         save_features(tmp_path / "vid_a.clip_v.vlft", custom)
-        bundle = encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, feature_dir=tmp_path)
+        bundle = self.encode(ann, feature_dir=tmp_path)
         np.testing.assert_array_equal(bundle.video[:, :6], custom.astype(np.float64))
         # slowfast part had no file; falls back to pseudo features
         np.testing.assert_array_equal(bundle.video[:, 6:], pseudo_encode("slowfast", "vid_a", 10, 4))
@@ -273,7 +261,7 @@ class TestEncodeItem:
         ann = make_annotation()
         save_features(tmp_path / "vid_a.clip_v.vlft", rng.normal(size=(10, 7)))
         with pytest.raises(ValueError):
-            encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, feature_dir=tmp_path)
+            self.encode(ann, feature_dir=tmp_path)
 
     def test_non_finite_file_is_an_error_naming_qid_and_file(self, tmp_path):
         ann = make_annotation()
@@ -281,7 +269,58 @@ class TestEncodeItem:
         feats[1, 2] = np.nan
         save_features(tmp_path / "qid3.clip_t.vlft", feats)
         with pytest.raises(ValueError, match=r"qid 3: .*qid3\.clip_t\.vlft holds non-finite"):
-            encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, feature_dir=tmp_path)
+            self.encode(ann, feature_dir=tmp_path)
+
+
+class TestBundlesWrittenOnce:
+    """encode_item writes each part into its columns of one array in the
+    requested dtype; the bundle is bitwise the float64 concatenation of the
+    parts, cast once, that it replaced (composed.encode_item)."""
+
+    VIDEO_PARTS = (("clip_v", 6), ("slowfast", 4), ("blip_v", 3))
+    TEXT_PARTS = (("clip_t", 5), ("blip_t", 2))
+    FILES = {
+        "pseudo-only": (),
+        "file-only": ("vid_a.clip_v", "vid_a.slowfast", "vid_a.blip_v", "qid3.clip_t", "qid3.blip_t"),
+        "mixed": ("vid_a.slowfast", "qid3.clip_t"),
+    }
+
+    @pytest.mark.parametrize("block", [d.PSEUDO_BLOCK, 12])  # 12: blocks of 2-6 rows
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("files", sorted(FILES))
+    def test_equals_the_concatenate_then_cast_oracle(self, files, dtype, block, tmp_path, rng,
+                                                     monkeypatch):
+        monkeypatch.setattr(d, "PSEUDO_BLOCK", block)
+        ann = make_annotation()  # 10 clips, 4 tokens
+        dims = dict(self.VIDEO_PARTS + self.TEXT_PARTS)
+        for name in self.FILES[files]:
+            rows = 4 if name.startswith("qid") else 10
+            save_features(tmp_path / f"{name}.vlft", rng.normal(size=(rows, dims[name.split(".")[1]])))
+        got = encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, feature_dir=tmp_path,
+                          dtype=dtype)
+        want = composed.encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, tmp_path, dtype)
+        assert got.video.dtype == got.text.dtype == np.dtype(dtype)
+        assert got.video.tobytes() == want.video.tobytes()
+        assert got.text.tobytes() == want.text.tobytes()
+        np.testing.assert_array_equal(got.video_mask, want.video_mask)
+        np.testing.assert_array_equal(got.text_mask, want.text_mask)
+
+    def test_full_preset_float32_peak_is_below_the_concatenate_path(self):
+        cfg = ModelConfig()  # 3584-wide video, 1280-wide text, float32
+        ann = make_annotation(duration=150.0, saliency_levels=[0] * 75)
+        peaks = []
+        for build in (lambda: bundle_for(ann, cfg),
+                      lambda: composed.encode_item(ann, cfg.video_parts, cfg.text_parts,
+                                                   cfg.max_text_len, None, cfg.dtype)):
+            tracemalloc.start()
+            try:
+                bundle = build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert bundle.video.shape == (75, cfg.video_dim)
+        new, old = peaks
+        assert new < old, peaks
 
 
 class TestSyntheticGeneration:

@@ -589,7 +589,8 @@ class TestBundleDtype:
         save_features(feature_dir / f"qid{first.qid}.{text_kind}.vlft",
                       rng.normal(size=(n_tok, text_dim)))
         new = [(bundle_for(a, cfg, feature_dir), a) for a in anns]
-        old = [(encode_item(a, cfg.video_parts, cfg.text_parts, cfg.max_text_len, feature_dir), a)
+        old = [(encode_item(a, cfg.video_parts, cfg.text_parts, cfg.max_text_len, feature_dir,
+                            dtype=np.float64), a)
                for a in anns]
         return new, old
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momentspot import autodiff
 from momentspot import model as model_module
 from momentspot import training
 from momentspot.autodiff import Tensor, add, grad_check, tsum, xavier_uniform
@@ -479,11 +480,30 @@ class TestXavier:
     def test_bound_and_spread(self):
         rng = np.random.default_rng(0)
         fan_in, fan_out = 48, 16
-        arr = xavier_uniform(rng, (fan_in, fan_out), fan_in, fan_out)
+        arr = np.empty((fan_in, fan_out))
+        assert xavier_uniform(rng, arr, fan_in, fan_out) is arr
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         assert np.abs(arr).max() <= bound
         assert np.abs(arr).max() > 0.9 * bound  # actually fills the range
         assert abs(arr.mean()) < 0.1 * bound
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_model_arena_equals_whole_uniform_draws_across_chunk_edges(self, dtype, monkeypatch):
+        """The seeded arena drawn in DRAW_CHUNK pieces, cast on write, is
+        bitwise the arena of one rng.uniform draw per parameter, cast after."""
+        cfg = tiny_config(dtype=dtype)
+        monkeypatch.setattr(autodiff, "DRAW_CHUNK", 100)
+        model = Model(cfg, seed=5)
+        sizes = [p.tensor.data.size for p in model.named_parameters().values()]
+        assert any(n > 100 and n % 100 for n in sizes)  # chunk edges fall mid-parameter
+
+        def whole_draw(rng, out, fan_in, fan_out):
+            out[...] = composed.xavier_uniform(rng, out.shape, fan_in, fan_out)
+
+        monkeypatch.setattr(model_module, "xavier_uniform", whole_draw)
+        want = Model(cfg, seed=5).store.arena
+        assert model.store.arena.dtype == want.dtype == np.dtype(dtype)
+        assert model.store.arena.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
