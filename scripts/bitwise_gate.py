@@ -31,6 +31,11 @@ Digests:
 - bundles: the video and text bytes of bundle_for on every full-long
   workload item (pseudo-encoded, float32), and on every planted fixture item
   read from its feature files in the desk preset, once per dtype.
+- metrics: the repr of compute_report on seeded random prediction sets with
+  confidence ties, zero-width and touching spans, queries without windows
+  and queries without gt; the bytes of match_cost_matrix on random (center,
+  width) rows, some clipped at 0 or 1 or narrower than the width floor; and
+  the value and moment gradient of matched_giou in float64 and float32.
 """
 import hashlib
 import json
@@ -47,8 +52,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np
 
-from momentspot.config import ModelConfig
+from momentspot.autodiff import Tensor
+from momentspot.config import LossWeights, ModelConfig
+from momentspot.data import Annotation
 from momentspot.fixtures import build_overfit_fixture
+from momentspot.matching import match_cost_matrix, matched_giou
+from momentspot.metrics import QueryPrediction, compute_report
 from momentspot.model import Model, batch_loss, bundle_for
 from momentspot.training import AdamW, clip_gradients, evaluate_checkpoint, train
 from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
@@ -150,6 +159,55 @@ def bundles(tmp):
     return out
 
 
+def _span(rng):
+    """A [start, end] pair on a coarse grid (ties, touching and zero-width
+    spans) or drawn uniformly."""
+    if rng.random() < 0.5:
+        start, width = rng.choice([0.0, 2.0, 4.0, 10.0]), rng.choice([0.0, 2.0, 6.0])
+    else:
+        start, width = rng.uniform(0, 20), rng.uniform(0, 10)
+    return [float(start), float(start + width)]
+
+
+def metric_sets():
+    """Digests of compute_report's repr over seeded prediction sets, of the
+    match cost matrix and of the matched gIoU term."""
+    rng = np.random.default_rng([SEED, 3])
+    reports = []
+    for _ in range(300):
+        predictions, annotations = [], []
+        for qid in range(int(rng.integers(1, 6))):
+            n_clips = int(rng.integers(1, 9))
+            windows = [_span(rng) + [float(rng.choice([0.1, 0.5, 0.9]))]
+                       for _ in range(int(rng.integers(0, 6)))]
+            predictions.append(QueryPrediction(qid=qid, windows=windows,
+                                               saliency=rng.choice([0.2, 0.7], n_clips).tolist()))
+            annotations.append(Annotation(
+                qid=qid, query="a query", vid=f"v{qid}", duration=30.0,
+                relevant_windows=[_span(rng) for _ in range(int(rng.integers(0, 4)))],
+                saliency_levels=rng.integers(0, 5, n_clips).tolist(), relevant_clip_ids=[],
+                clip_len=2.0))
+        reports.append(repr(compute_report(predictions, annotations)))
+    out = {"reports": sha("\n".join(reports).encode())}
+    costs = hashlib.sha256()
+    for _ in range(300):
+        n_pred, n_gt = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        pred = np.column_stack([rng.uniform(-0.2, 1.2, n_pred), rng.uniform(-1e-4, 0.7, n_pred)])
+        gt = np.column_stack([rng.uniform(0.1, 0.9, n_gt), rng.uniform(0.05, 0.6, n_gt)])
+        costs.update(match_cost_matrix(pred, rng.uniform(0, 1, n_pred), gt, LossWeights()).tobytes())
+    out["match_cost_matrix"] = costs.hexdigest()
+    for dtype in ("float64", "float32"):
+        moments = Tensor(np.column_stack([rng.uniform(-0.1, 1.1, 64), rng.uniform(-1e-4, 0.7, 64)])
+                         .astype(dtype), requires_grad=True)
+        index = rng.permutation(64)[:40]
+        gt_rows = np.column_stack([rng.uniform(0.1, 0.9, 40), rng.uniform(0.05, 0.6, 40)])
+        weights = rng.uniform(0.1, 1.0, (40, 1)).astype(dtype)
+        loss = matched_giou(moments, index, gt_rows.astype(dtype), weights)
+        loss.backward()
+        out[f"matched_giou/{dtype}"] = sha(loss.data.tobytes() + moments.grad.tobytes())
+    return out
+
+
 def main():
     digests = {}
     with tempfile.TemporaryDirectory(prefix="bitwise-gate-") as tmp:
@@ -159,6 +217,7 @@ def main():
         digests["bundles"] = bundles(Path(tmp))
     digests["full/float32"] = full_steps()
     digests["init"] = init_arenas()
+    digests["metrics"] = metric_sets()
     print(json.dumps(digests, indent=2, sort_keys=True))
 
 

@@ -225,8 +225,13 @@ def save_features(path, arr):
 
 
 def _read_features(path):
-    """The (L, d) little-endian float32 payload of a feature file, as stored."""
-    with open(path, "rb") as fh:
+    """The (L, d) little-endian float32 payload of the feature file at path, as
+    stored, or None when there is no such file."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != FEATURE_MAGIC:
             raise ValueError(f"{path}: not a feature file (bad magic)")
@@ -236,10 +241,6 @@ def _read_features(path):
     if len(payload) != expected:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     return np.frombuffer(payload, dtype="<f4").reshape(length, dim)
-
-
-def load_features(path):
-    return _read_features(path).astype(np.float64)
 
 
 # -- feature assembly --------------------------------------------------------
@@ -284,8 +285,8 @@ def _assemble(parts, rows, dtype, ident, prefix, feature_dir, qid):
     c0 = 0
     for kind, dim in parts:
         path = None if feature_dir is None else Path(feature_dir) / f"{prefix}.{kind}.vlft"
-        if path is not None and path.exists():
-            arr = _read_features(path)
+        arr = None if path is None else _read_features(path)
+        if arr is not None:
             if arr.shape != (rows, dim):
                 raise ValueError(f"{path}: shape {arr.shape} does not match expected ({rows}, {dim})")
             if not np.isfinite(arr).all():

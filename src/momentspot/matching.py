@@ -3,9 +3,9 @@
 The set loss follows DETR / Moment-DETR: a Hungarian assignment on detached
 costs, then L1, gIoU and a down-weighted-background cross-entropy over the
 matched pairs. Each of the three terms is one graph node with a NumPy
-backward; the L1 and gIoU nodes gather the matched rows themselves. One
-gIoU formula, the gap form of `metrics.giou_1d`, serves the cost matrix and
-the gIoU term.
+backward; the L1 and gIoU nodes gather the matched rows themselves. The cost
+matrix takes the metrics' gIoU (`metrics.span_giou`), and the gIoU term
+differentiates the same span geometry (`metrics.span_parts`).
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autodiff import Tensor, _accumulate, _node
+from .metrics import span_giou, span_parts
 
 WIDTH_FLOOR = 1e-4
 
@@ -30,15 +31,6 @@ def _clip01(x):
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def _giou_parts(sa, ea, sb, eb):
-    """(inter, union, enclosure, gap) of span pairs, elementwise, as in metrics.giou_1d."""
-    inter = np.maximum(np.minimum(ea, eb) - np.maximum(sa, sb), 0.0)
-    union = (ea - sa) + (eb - sb) - inter
-    enclosure = np.maximum(ea, eb) - np.minimum(sa, sb)
-    gap = np.maximum(np.maximum(sa, sb) - np.minimum(ea, eb), 0.0)
-    return inter, union, enclosure, gap
-
-
 @dataclass
 class MatchResult:
     pred_indices: list
@@ -48,16 +40,14 @@ class MatchResult:
 def match_cost_matrix(pred_moments, fg_probs, gt_moments, weights):
     """Pairwise assignment costs: l1 + (1 - gIoU) + (-fg prob), each weighted.
 
-    Array ops over all (pred, gt) pairs, bitwise equal to a per-row span
-    conversion and metrics.giou_1d applied pair by pair (a pair with an
-    empty union or enclosure has gIoU 0).
+    Array ops over all (pred, gt) pairs: metrics.span_giou of the clipped,
+    width-floored spans, so a pair with an empty union or enclosure has
+    gIoU 0.
     """
     pred = np.asarray(pred_moments, dtype=float)[:, None, :]
     gt = np.asarray(gt_moments, dtype=float)[None, :, :]
     fg_probs = np.asarray(fg_probs, dtype=float)
-    inter, union, enclosure, gap = _giou_parts(*_spans(pred), *_spans(gt))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        giou = np.where((union > 0.0) & (enclosure > 0.0), inter / union - gap / enclosure, 0.0)
+    giou = span_giou(*_spans(pred), *_spans(gt))
     l1 = np.abs(pred[..., 0] - gt[..., 0]) + np.abs(pred[..., 1] - gt[..., 1])
     return weights.l1 * l1 + weights.giou * (1.0 - giou) + weights.cls * (-fg_probs[:, None])
 
@@ -110,7 +100,7 @@ def matched_giou(moments, index, gt_rows, pair_weights):
     lo, hi = c - half, c + half
     sa, ea = _clip01(lo), _clip01(hi)
     sb, eb = _spans(np.asarray(gt_rows, dtype=dtype))
-    inter, union, enclosure, gap = _giou_parts(sa, ea, sb, eb)
+    inter, union, enclosure, gap = span_parts(sa, ea, sb, eb)
     giou = inter / union - gap / enclosure
     weights = pair_weights[:, 0]
     out_data = np.asarray(((1.0 - giou) * weights).sum())

@@ -7,8 +7,11 @@ metrics) is the classic non-interpolated mean of precision at positive ranks.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .data import read_jsonl
 
@@ -18,30 +21,40 @@ VERY_GOOD_LEVEL = 4
 DEFAULT_IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
 
+def span_parts(sa, ea, sb, eb):
+    """(inter, union, enclosure, gap) of [start, end] span pairs, elementwise:
+    the span geometry of the IoU, the gIoU, the match costs and the gIoU loss."""
+    inter = np.maximum(np.minimum(ea, eb) - np.maximum(sa, sb), 0.0)
+    union = (ea - sa) + (eb - sb) - inter
+    enclosure = np.maximum(ea, eb) - np.minimum(sa, sb)
+    # the separation itself: enclosure - union from the rounded union can go negative
+    gap = np.maximum(np.maximum(sa, sb) - np.minimum(ea, eb), 0.0)
+    return inter, union, enclosure, gap
+
+
+def span_iou(sa, ea, sb, eb):
+    """IoU of span pairs, elementwise; 0 where the union is empty."""
+    inter, union, _, _ = span_parts(sa, ea, sb, eb)
+    with np.errstate(all="ignore"):  # masked-out quotients may divide by 0 or overflow
+        return np.where(union > 0.0, inter / union, 0.0)
+
+
+def span_giou(sa, ea, sb, eb):
+    """Generalized IoU of span pairs, elementwise, in [-1, 1]; 0 where the
+    union or the enclosure is empty."""
+    inter, union, enclosure, gap = span_parts(sa, ea, sb, eb)
+    with np.errstate(all="ignore"):  # masked-out quotients may divide by 0 or overflow
+        return np.where((union > 0.0) & (enclosure > 0.0), inter / union - gap / enclosure, 0.0)
+
+
 def iou_1d(a, b):
     """Intersection over union of two [start, end] spans."""
-    s1, e1 = float(a[0]), float(a[1])
-    s2, e2 = float(b[0]), float(b[1])
-    inter = max(0.0, min(e1, e2) - max(s1, s2))
-    union = (e1 - s1) + (e2 - s2) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    return float(span_iou(float(a[0]), float(a[1]), float(b[0]), float(b[1])))
 
 
 def giou_1d(a, b):
     """Generalized IoU: IoU minus the separation gap fraction. Range [-1, 1]."""
-    s1, e1 = float(a[0]), float(a[1])
-    s2, e2 = float(b[0]), float(b[1])
-    inter = max(0.0, min(e1, e2) - max(s1, s2))
-    union = (e1 - s1) + (e2 - s2) - inter
-    enclosure = max(e1, e2) - min(s1, s2)
-    if union <= 0.0 or enclosure <= 0.0:
-        return 0.0
-    # enclosure - union recomputed from the rounded union can go negative;
-    # the separation gap is the same quantity without that hazard
-    gap = max(0.0, max(s1, s2) - min(e1, e2))
-    return inter / union - gap / enclosure
+    return float(span_giou(float(a[0]), float(a[1]), float(b[0]), float(b[1])))
 
 
 def _ranked_order(scores):
@@ -49,25 +62,74 @@ def _ranked_order(scores):
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
-def _order_windows(windows):
-    """Sort [start, end, score] rows by confidence, ties toward earlier rows."""
-    return [windows[i] for i in _ranked_order([w[2] for w in windows])]
+def _iou_rows(windows, gt_windows):
+    """One query's [start, end, score] windows sorted by confidence, ties
+    toward earlier rows, as rows of their IoUs with each gt window: the
+    (P, G) matrix, in plain floats, that recall@1, mIoU and AP all read."""
+    ordered = sorted(windows, key=lambda w: -w[2])  # stable: ties keep their order
+    pred = np.array([(w[0], w[1]) for w in ordered], dtype=float).reshape(-1, 2)
+    gt = np.array([(g[0], g[1]) for g in gt_windows], dtype=float).reshape(-1, 2)
+    return span_iou(pred[:, :1], pred[:, 1:], gt[:, 0], gt[:, 1]).tolist()
+
+
+def _query_rows(pred_windows_per_query, gt_windows_per_query):
+    if len(pred_windows_per_query) != len(gt_windows_per_query):
+        raise ValueError("prediction/gt query counts differ")
+    return [_iou_rows(p, g) for p, g in zip(pred_windows_per_query, gt_windows_per_query)]
+
+
+def _recall(rows_per_query, threshold):
+    if not rows_per_query:
+        raise ValueError("recall_at_1 on an empty query set")
+    hits = sum(bool(rows) and any(ov >= threshold for ov in rows[0]) for rows in rows_per_query)
+    return hits / len(rows_per_query)
+
+
+def _mean_top_iou(rows_per_query):
+    if not rows_per_query:
+        raise ValueError("mean_iou on an empty query set")
+    vals = [max(rows[0]) if rows and rows[0] else 0.0 for rows in rows_per_query]
+    return sum(vals) / len(vals)
+
+
+def _detection_ap(rows, n_gt, threshold):
+    """All-point interpolated AP of one query's sorted IoU rows at one threshold."""
+    taken = [False] * n_gt
+    cum_tp, hits = [], 0
+    for row in rows:
+        best_iou, best_j = -1.0, -1
+        for j, ov in enumerate(row):
+            if not taken[j] and ov >= threshold and ov > best_iou:
+                best_iou, best_j = ov, j
+        if best_j >= 0:
+            taken[best_j] = True
+            hits += 1
+        cum_tp.append(hits)
+    precisions = [c / k for k, c in enumerate(cum_tp, start=1)]
+    # interpolated precision: best precision achievable at this rank or later
+    for k in range(len(precisions) - 2, -1, -1):
+        precisions[k] = max(precisions[k], precisions[k + 1])
+    ap, prev_recall = 0.0, 0.0
+    for c, precision in zip(cum_tp, precisions):
+        recall = c / n_gt
+        if recall > prev_recall:
+            ap += (recall - prev_recall) * precision
+            prev_recall = recall
+    return ap
+
+
+def _mean_ap(rows_per_query, gt_windows_per_query):
+    per_threshold = {}
+    for thr in DEFAULT_IOU_THRESHOLDS:
+        aps = [_detection_ap(rows, len(gts), thr)
+               for rows, gts in zip(rows_per_query, gt_windows_per_query) if len(gts)]
+        per_threshold[thr] = sum(aps) / len(aps) if aps else 0.0
+    return per_threshold, sum(per_threshold.values()) / len(per_threshold)
 
 
 def recall_at_1(pred_windows_per_query, gt_windows_per_query, threshold):
     """Fraction of queries whose top-confidence window hits any gt at IoU >= threshold."""
-    if len(pred_windows_per_query) != len(gt_windows_per_query):
-        raise ValueError("prediction/gt query counts differ")
-    if not gt_windows_per_query:
-        raise ValueError("recall_at_1 on an empty query set")
-    hits = 0
-    for preds, gts in zip(pred_windows_per_query, gt_windows_per_query):
-        if not preds or not gts:
-            continue
-        top = _order_windows(preds)[0]
-        if any(iou_1d(top, gt) >= threshold for gt in gts):
-            hits += 1
-    return hits / len(gt_windows_per_query)
+    return _recall(_query_rows(pred_windows_per_query, gt_windows_per_query), threshold)
 
 
 def average_precision_detection(pred_windows, gt_windows, threshold):
@@ -77,59 +139,15 @@ def average_precision_detection(pred_windows, gt_windows, threshold):
     with the highest IoU clearing the threshold. Returns None when the query
     has no gt windows (AP undefined).
     """
-    n_gt = len(gt_windows)
-    if n_gt == 0:
+    if len(gt_windows) == 0:
         return None
-    ordered = _order_windows(pred_windows)
-    taken = [False] * n_gt
-    tp = []
-    for pred in ordered:
-        best_iou, best_j = -1.0, -1
-        for j, gt in enumerate(gt_windows):
-            if taken[j]:
-                continue
-            ov = iou_1d(pred, gt)
-            if ov >= threshold and ov > best_iou:
-                best_iou, best_j = ov, j
-        if best_j >= 0:
-            taken[best_j] = True
-            tp.append(1)
-        else:
-            tp.append(0)
-    ap = 0.0
-    cum = 0
-    precisions = []
-    for k, flag in enumerate(tp, start=1):
-        cum += flag
-        precisions.append(cum / k)
-    # interpolated precision: best precision achievable at this rank or later
-    for k in range(len(precisions) - 2, -1, -1):
-        precisions[k] = max(precisions[k], precisions[k + 1])
-    prev_recall = 0.0
-    cum = 0
-    for k, flag in enumerate(tp):
-        cum += flag
-        recall = cum / n_gt
-        if recall > prev_recall:
-            ap += (recall - prev_recall) * precisions[k]
-            prev_recall = recall
-    return ap
+    return _detection_ap(_iou_rows(pred_windows, gt_windows), len(gt_windows), threshold)
 
 
 def mean_ap(pred_windows_per_query, gt_windows_per_query):
     """mAP at each of DEFAULT_IOU_THRESHOLDS plus their average; queries without gt are skipped."""
-    if len(pred_windows_per_query) != len(gt_windows_per_query):
-        raise ValueError("prediction/gt query counts differ")
-    per_threshold = {}
-    for thr in DEFAULT_IOU_THRESHOLDS:
-        aps = []
-        for preds, gts in zip(pred_windows_per_query, gt_windows_per_query):
-            ap = average_precision_detection(preds, gts, thr)
-            if ap is not None:
-                aps.append(ap)
-        per_threshold[thr] = sum(aps) / len(aps) if aps else 0.0
-    avg = sum(per_threshold.values()) / len(per_threshold)
-    return per_threshold, avg
+    return _mean_ap(_query_rows(pred_windows_per_query, gt_windows_per_query),
+                    gt_windows_per_query)
 
 
 def hit_at_1(pred_saliency_per_query, gt_levels_per_query):
@@ -178,18 +196,7 @@ def hd_map(pred_saliency_per_query, gt_levels_per_query):
 
 def mean_iou(pred_windows_per_query, gt_windows_per_query):
     """Mean over queries of the top-1 window's best IoU against any gt."""
-    if len(pred_windows_per_query) != len(gt_windows_per_query):
-        raise ValueError("prediction/gt query counts differ")
-    if not gt_windows_per_query:
-        raise ValueError("mean_iou on an empty query set")
-    vals = []
-    for preds, gts in zip(pred_windows_per_query, gt_windows_per_query):
-        if not preds or not gts:
-            vals.append(0.0)
-            continue
-        top = _order_windows(preds)[0]
-        vals.append(max(iou_1d(top, gt) for gt in gts))
-    return sum(vals) / len(vals)
+    return _mean_top_iou(_query_rows(pred_windows_per_query, gt_windows_per_query))
 
 
 # -- report assembly ----------------------------------------------------------
@@ -217,20 +224,37 @@ class QueryPrediction:
     saliency: list  # per-clip scores
 
 
+def _finite_numbers(values):
+    """Whether every value is a real number, not a bool, with a finite float value."""
+    if not all(t is not bool and issubclass(t, numbers.Real) for t in set(map(type, values))):
+        return False
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _check_window(w):
-    """w itself if it is [start, end, score] (3 real numbers); ValueError otherwise."""
-    if not (isinstance(w, (list, tuple)) and len(w) == 3
-            and all(isinstance(x, numbers.Real) for x in w)):
-        raise ValueError(f"window {w!r} is not [start, end, score]")
+    """w itself if it is [start, end, score], 3 finite real numbers; ValueError otherwise."""
+    if not (isinstance(w, (list, tuple)) and len(w) == 3 and _finite_numbers(w)):
+        raise ValueError(f"window {w!r} is not [start, end, score] of finite numbers")
     return w
+
+
+def _check_saliency(scores):
+    """scores itself if every score is a finite real number; ValueError otherwise."""
+    if not _finite_numbers(scores):
+        i, x = next((i, x) for i, x in enumerate(scores) if not _finite_numbers([x]))
+        raise ValueError(f"saliency score {x!r} of clip {i} is not a finite number")
+    return scores
 
 
 def compute_report(predictions, annotations):
     """Assemble the full MetricReport for matching (prediction, annotation) sets.
 
-    A prediction whose window is not [start, end, score], or whose saliency
-    list does not have one score per annotated clip, raises ValueError
-    naming its qid.
+    A prediction whose window is not [start, end, score] of finite numbers,
+    whose saliency list does not have one score per annotated clip, or whose
+    saliency score is not a finite number raises ValueError naming its qid.
     """
     by_qid = {p.qid: p for p in predictions}
     if len(by_qid) != len(predictions):
@@ -243,25 +267,27 @@ def compute_report(predictions, annotations):
         try:
             for w in p.windows:
                 _check_window(w)
+            if len(p.saliency) != len(ann.saliency_levels):
+                raise ValueError(f"{len(p.saliency)} saliency scores for "
+                                 f"{len(ann.saliency_levels)} clips")
+            _check_saliency(p.saliency)
         except ValueError as err:
             raise ValueError(f"qid {ann.qid}: {err}") from None
-        if len(p.saliency) != len(ann.saliency_levels):
-            raise ValueError(f"qid {ann.qid}: {len(p.saliency)} saliency scores for "
-                             f"{len(ann.saliency_levels)} clips")
         preds_w.append(p.windows)
         gts_w.append(ann.relevant_windows)
         preds_s.append(p.saliency)
         gts_lv.append(ann.saliency_levels)
-    per_thr, avg = mean_ap(preds_w, gts_w)
+    rows = _query_rows(preds_w, gts_w)
+    per_thr, avg = _mean_ap(rows, gts_w)
     return MetricReport(
-        r1_050=recall_at_1(preds_w, gts_w, 0.5),
-        r1_070=recall_at_1(preds_w, gts_w, 0.7),
+        r1_050=_recall(rows, 0.5),
+        r1_070=_recall(rows, 0.7),
         map_050=per_thr[0.5],
         map_075=per_thr[0.75],
         map_avg=avg,
         hd_map=hd_map(preds_s, gts_lv),
         hit_at_1=hit_at_1(preds_s, gts_lv),
-        miou=mean_iou(preds_w, gts_w),
+        miou=_mean_top_iou(rows),
     )
 
 
@@ -277,10 +303,12 @@ def save_predictions(predictions, path):
 
 def load_predictions(path):
     """Read save_predictions' JSON lines; parse errors, including a window
-    that is not 3 numbers, carry line numbers."""
+    that is not 3 finite numbers and a saliency score that is not a finite
+    number, carry line numbers."""
     rows = read_jsonl(path, ("qid", "pred_relevant_windows", "pred_saliency_scores"),
                       lambda obj: QueryPrediction(qid=obj["qid"],
                                                   windows=[_check_window(w) for w in
                                                            obj["pred_relevant_windows"]],
-                                                  saliency=obj["pred_saliency_scores"]))
+                                                  saliency=_check_saliency(
+                                                      obj["pred_saliency_scores"])))
     return [pred for _, pred in rows]

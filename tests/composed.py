@@ -10,9 +10,16 @@ the two. The loss oracles are the composed bodies the fused nodes replaced.
 it before it walked the grad arena in chunks. `xavier_uniform` and
 `encode_item` are the set-up paths that wrote whole float64 temporaries:
 one `rng.uniform` draw per parameter, cast into the arena, and bundles
-concatenated in float64, then cast to the model's dtype.
+concatenated in float64, then cast to the model's dtype; `load_features`
+reads a feature file into float64 on its own. `iou_1d` and `giou_1d` are
+the span geometry on Python floats, one pair per call, and `metric_report`
+scores with them the way `metrics.compute_report` did before it shared one
+IoU matrix per query: each metric re-sorts a query's windows and recomputes
+its IoUs, once per IoU threshold for the detection AP.
 """
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -23,10 +30,10 @@ from momentspot.autodiff import (ShapeError, Tensor, _accumulate, _node, absval,
                                  narrow, relu, reshape, sigmoid,
                                  softmax_masked, sqrt, square, sub, tanh,
                                  tmean, transpose, tsum)
-from momentspot.data import (FeatureBundle, load_features, stable_hash,
-                             text_token_count)
+from momentspot.data import FeatureBundle, stable_hash, text_token_count
 from momentspot.losses import COMPONENT_KEYS, CompositionError
 from momentspot.matching import WIDTH_FLOOR
+from momentspot.metrics import DEFAULT_IOU_THRESHOLDS, MetricReport, hd_map, hit_at_1
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):
@@ -246,6 +253,30 @@ def span_from_cw(cw):
     return [s, e]
 
 
+def iou_1d(a, b):
+    """Intersection over union of two [start, end] spans; 0 for an empty union."""
+    s1, e1 = float(a[0]), float(a[1])
+    s2, e2 = float(b[0]), float(b[1])
+    inter = max(0.0, min(e1, e2) - max(s1, s2))
+    union = (e1 - s1) + (e2 - s2) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def giou_1d(a, b):
+    """IoU minus the separation gap over the enclosure; 0 for an empty union or enclosure."""
+    s1, e1 = float(a[0]), float(a[1])
+    s2, e2 = float(b[0]), float(b[1])
+    inter = max(0.0, min(e1, e2) - max(s1, s2))
+    union = (e1 - s1) + (e2 - s2) - inter
+    enclosure = max(e1, e2) - min(s1, s2)
+    if union <= 0.0 or enclosure <= 0.0:
+        return 0.0
+    gap = max(0.0, max(s1, s2) - min(e1, e2))
+    return inter / union - gap / enclosure
+
+
 def _spans(cw):
     """Differentiable (P, 2) center/width -> start, end columns, clipped."""
     c = narrow(cw, 1, 0, 1)
@@ -361,6 +392,13 @@ def pseudo_encode(kind, ident, length, dim):
     return np.sin(h + grid) * 0.5
 
 
+def load_features(path):
+    """A feature file's (L, d) float32 payload, widened to float64."""
+    raw = Path(path).read_bytes()
+    length, dim, _reserved = struct.unpack("<III", raw[4:16])
+    return np.frombuffer(raw, dtype="<f4", offset=16).reshape(length, dim).astype(np.float64)
+
+
 def encode_item(ann, video_parts, text_parts, max_text_len, feature_dir, dtype):
     """Each part in float64 from its "<prefix>.<kind>.vlft" file under
     feature_dir or else pseudo_encode, the parts concatenated, then cast."""
@@ -377,3 +415,74 @@ def encode_item(ann, video_parts, text_parts, max_text_len, feature_dir, dtype):
                          text=block(text_parts, n_tok, ann.query, f"qid{ann.qid}"),
                          video_mask=np.ones(ann.num_clips, dtype=bool),
                          text_mask=np.ones(n_tok, dtype=bool))
+
+
+def _ordered(windows):
+    """[start, end, score] rows by confidence; the stable sort keeps ties in row order."""
+    return sorted(windows, key=lambda w: -w[2])
+
+
+def average_precision_detection(pred_windows, gt_windows, threshold):
+    """All-point interpolated AP of one query: the greedy match recomputes
+    every IoU, and the predictions are sorted again, for each threshold."""
+    n_gt = len(gt_windows)
+    if n_gt == 0:
+        return None
+    taken = [False] * n_gt
+    tp = []
+    for pred in _ordered(pred_windows):
+        best_iou, best_j = -1.0, -1
+        for j, gt in enumerate(gt_windows):
+            if taken[j]:
+                continue
+            ov = iou_1d(pred, gt)
+            if ov >= threshold and ov > best_iou:
+                best_iou, best_j = ov, j
+        if best_j >= 0:
+            taken[best_j] = True
+            tp.append(1)
+        else:
+            tp.append(0)
+    ap = 0.0
+    cum = 0
+    precisions = []
+    for k, flag in enumerate(tp, start=1):
+        cum += flag
+        precisions.append(cum / k)
+    for k in range(len(precisions) - 2, -1, -1):
+        precisions[k] = max(precisions[k], precisions[k + 1])
+    prev_recall = 0.0
+    cum = 0
+    for k, flag in enumerate(tp):
+        cum += flag
+        recall = cum / n_gt
+        if recall > prev_recall:
+            ap += (recall - prev_recall) * precisions[k]
+            prev_recall = recall
+    return ap
+
+
+def metric_report(predictions, annotations):
+    """The MetricReport of (prediction, annotation) pairs, matched by qid,
+    from the scalar span oracles; the highlight fields are `metrics`' own."""
+    by_qid = {p.qid: p for p in predictions}
+    preds = [by_qid[ann.qid].windows for ann in annotations]
+    gts = [ann.relevant_windows for ann in annotations]
+    tops = [_ordered(p)[0] if p and g else None for p, g in zip(preds, gts)]
+
+    def recall(thr):
+        return sum(top is not None and any(iou_1d(top, gt) >= thr for gt in g)
+                   for top, g in zip(tops, gts)) / len(gts)
+
+    per_thr = {}
+    for thr in DEFAULT_IOU_THRESHOLDS:
+        aps = [average_precision_detection(p, g, thr) for p, g in zip(preds, gts)]
+        aps = [ap for ap in aps if ap is not None]
+        per_thr[thr] = sum(aps) / len(aps) if aps else 0.0
+    ious = [0.0 if top is None else max(iou_1d(top, gt) for gt in g) for top, g in zip(tops, gts)]
+    saliency = [by_qid[ann.qid].saliency for ann in annotations]
+    levels = [ann.saliency_levels for ann in annotations]
+    return MetricReport(r1_050=recall(0.5), r1_070=recall(0.7), map_050=per_thr[0.5],
+                        map_075=per_thr[0.75], map_avg=sum(per_thr.values()) / len(per_thr),
+                        hd_map=hd_map(saliency, levels), hit_at_1=hit_at_1(saliency, levels),
+                        miou=sum(ious) / len(ious))

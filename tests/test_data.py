@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from momentspot.data import (Annotation, ParseError,
                              ValidationError, clips_overlapping_windows,
                              default_captioner,
                              default_embedder, encode_item, generate_synthetic,
-                             load_dataset, load_features, load_manifest,
+                             load_dataset, load_manifest,
                              pseudo_encode, records_to_annotations,
                              save_dataset, save_features, stable_hash,
                              synthetic_level, text_token_count)
@@ -205,15 +206,19 @@ class TestFeatureFiles:
         arr = rng.normal(size=(6, 5)).astype(np.float32)
         path = tmp_path / "a.vlft"
         save_features(path, arr)
-        back = load_features(path)
-        np.testing.assert_array_equal(back, arr.astype(np.float64))
+        back = d._read_features(path)
+        assert back.dtype == np.dtype("<f4")
+        np.testing.assert_array_equal(back, arr)
         assert path.stat().st_size == 16 + 6 * 5 * 4
+
+    def test_missing_file_reads_as_none(self, tmp_path):
+        assert d._read_features(tmp_path / "absent.vlft") is None
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.vlft"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ValueError) as err:
-            load_features(path)
+            d._read_features(path)
         assert "magic" in str(err.value)
 
     def test_truncated_payload(self, tmp_path, rng):
@@ -222,7 +227,7 @@ class TestFeatureFiles:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError):
-            load_features(path)
+            d._read_features(path)
 
 
 class TestEncodeItem:
@@ -304,6 +309,25 @@ class TestBundlesWrittenOnce:
         assert got.text.tobytes() == want.text.tobytes()
         np.testing.assert_array_equal(got.video_mask, want.video_mask)
         np.testing.assert_array_equal(got.text_mask, want.text_mask)
+
+    def test_each_part_is_opened_once_without_a_stat(self, tmp_path, rng, monkeypatch):
+        # a feature_dir holding some parts: the missing ones are pseudo-encoded
+        # because their open fails, not because a stat said so
+        ann = make_annotation()
+        save_features(tmp_path / "vid_a.slowfast.vlft", rng.normal(size=(10, 4)))
+        want = composed.encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, tmp_path, np.float32)
+        missing_dir = tmp_path / "absent"
+        pseudo = composed.encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, None, np.float32)
+
+        def no_stat(path):
+            raise AssertionError(f"stat of {path}")
+
+        monkeypatch.setattr(Path, "exists", no_stat)
+        for feature_dir, bundle in ((tmp_path, want), (missing_dir, pseudo)):
+            got = encode_item(ann, self.VIDEO_PARTS, self.TEXT_PARTS, 8, feature_dir=feature_dir,
+                              dtype=np.float32)
+            assert got.video.tobytes() == bundle.video.tobytes()
+            assert got.text.tobytes() == bundle.text.tobytes()
 
     def test_full_preset_float32_peak_is_below_the_concatenate_path(self):
         cfg = ModelConfig()  # 3584-wide video, 1280-wide text, float32
@@ -436,7 +460,7 @@ class TestOverfitFixture:
         cfg = ModelConfig.desk()
         (kind, dim), = cfg.video_parts
         for ann in anns:
-            video = load_features(feature_dir / f"{ann.vid}.{kind}.vlft")
+            video = composed.load_features(feature_dir / f"{ann.vid}.{kind}.vlft")
             assert ann.clip_len == cfg.clip_len
             assert video.shape == (ann.num_clips, dim)
             want = planted_video_features(ann.vid, ann.query, ann.saliency_levels, dim,

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from composed import giou_spans, span_from_cw
+from composed import giou_1d, giou_spans, span_from_cw
 from momentspot.autodiff import Tensor, grad_check
 from momentspot.config import LossWeights
 from momentspot.matching import (WIDTH_FLOOR, MatchResult, hungarian_match,
                                  match_cost_matrix, moment_loss)
-from momentspot.metrics import giou_1d
 
 
 def brute_force_min_cost(cost):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS,
                                 save_predictions)
 from momentspot.data import ParseError
 from test_data import make_annotation
+import composed
 
 
 # -- slow, deliberately naive reference implementations -----------------------
@@ -129,6 +131,15 @@ class TestIoU:
             assert abs(g - i) < 1e-9
         elif enclosure > union + 1e-9:
             assert g < i
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 10.0]) | st.floats(-5, 50),
+                    min_size=4, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_wrappers_equal_the_scalar_oracles(self, ends):
+        # touching, nested, zero-width, coincident and reversed spans
+        a, b = ends[:2], ends[2:]
+        assert iou_1d(a, b) == composed.iou_1d(a, b)
+        assert giou_1d(a, b) == composed.giou_1d(a, b)
 
     def test_iou_matches_reference(self, rng):
         for _ in range(500):
@@ -315,6 +326,22 @@ class TestMeanIoUAndReport:
         with pytest.raises(ValueError, match=r"qid 3: window \[4.0, 10.0\] is not"):
             compute_report([pred], [make_annotation()])
 
+    @pytest.mark.parametrize("window", [[math.nan, 6.0, 0.9], [4.0, math.inf, 0.9],
+                                        [4.0, 6.0, -math.inf], [True, 6.0, 0.5],
+                                        [4.0, 6.0, 10 ** 400]])
+    def test_non_finite_or_bool_window_rejected_with_its_qid(self, window):
+        pred = QueryPrediction(qid=3, windows=[window], saliency=[0.1] * 10)
+        with pytest.raises(ValueError, match="qid 3: window .* is not"):
+            compute_report([pred], [make_annotation()])
+
+    @pytest.mark.parametrize("bad", ["x", math.nan, math.inf, None, False])
+    def test_bad_saliency_score_rejected_with_its_qid_and_clip(self, bad):
+        saliency = [0.1] * 10
+        saliency[7] = bad
+        pred = QueryPrediction(qid=3, windows=[[4.0, 10.0, 0.9]], saliency=saliency)
+        with pytest.raises(ValueError, match=r"qid 3: saliency score .* of clip 7 is not a finite"):
+            compute_report([pred], [make_annotation()])
+
     def test_saliency_length_mismatch_rejected_with_its_qid(self):
         pred = QueryPrediction(qid=3, windows=[[4.0, 10.0, 0.9]], saliency=[0.1])
         with pytest.raises(ValueError, match="qid 3: 1 saliency scores for 10 clips"):
@@ -332,11 +359,21 @@ class TestPredictionsIO:
         with pytest.raises(ParseError, match=r":2: missing fields \['pred_saliency_scores'\]"):
             load_predictions(path)
 
-    @pytest.mark.parametrize("window", [[4.0, 10.0], [4.0, 10.0, 0.9, 1.0], [4.0, "x", 0.9], 4.0])
+    @pytest.mark.parametrize("window", [[4.0, 10.0], [4.0, 10.0, 0.9, 1.0], [4.0, "x", 0.9], 4.0,
+                                        [math.nan, 6.0, 0.9], [4.0, math.inf, 0.9],
+                                        [True, 6.0, 0.5], [4.0, 6.0, 10 ** 400]])
     def test_window_not_three_numbers_is_a_parse_error_with_its_line(self, tmp_path, window):
         path = tmp_path / "preds.jsonl"
         self.write(path, json.dumps({"qid": 4, "pred_relevant_windows": [window],
                                      "pred_saliency_scores": [0.5]}))
+        with pytest.raises(ParseError, match=":2: bad value"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("scores", [["x", 1, 2], [0.5, math.nan], [-math.inf], [True], 0.5])
+    def test_bad_saliency_scores_are_a_parse_error_with_its_line(self, tmp_path, scores):
+        path = tmp_path / "preds.jsonl"
+        self.write(path, json.dumps({"qid": 4, "pred_relevant_windows": [[4.0, 10.0, 0.9]],
+                                     "pred_saliency_scores": scores}))
         with pytest.raises(ParseError, match=":2: bad value"):
             load_predictions(path)
 
@@ -345,3 +382,31 @@ class TestPredictionsIO:
         self.write(path, '{"qid": 4,')
         with pytest.raises(ParseError, match=":2: invalid JSON"):
             load_predictions(path)
+
+
+# -- one IoU matrix per query against the scalar-oracle report ------------------
+
+# a small grid of ends and scores makes touching, nested, coincident and
+# zero-width spans, and confidence ties, common
+_END = st.sampled_from([0.0, 2.0, 4.0, 5.0, 10.0]) | st.floats(0, 20)
+_WIDTH = st.sampled_from([0.0, 1.0, 2.0, 6.0]) | st.floats(0, 10)
+_SCORE = st.sampled_from([0.1, 0.5, 0.9]) | st.floats(-1, 1)
+_SPAN = st.tuples(_END, _WIDTH).map(lambda sw: [sw[0], sw[0] + sw[1]])
+_QUERY = st.tuples(
+    st.lists(st.tuples(_SPAN, _SCORE).map(lambda t: t[0] + [t[1]]), max_size=5),  # windows
+    st.lists(_SPAN, max_size=3),  # gt windows, possibly none
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.lists(_SCORE, min_size=n, max_size=n),
+                                                  st.lists(st.integers(0, 4), min_size=n,
+                                                           max_size=n))),
+)
+
+
+@given(st.lists(_QUERY, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_report_equals_the_scalar_oracle_report(queries):
+    predictions, annotations = [], []
+    for qid, (windows, gts, (saliency, levels)) in enumerate(queries):
+        predictions.append(QueryPrediction(qid=qid, windows=windows, saliency=saliency))
+        annotations.append(make_annotation(qid=qid, relevant_windows=gts, saliency_levels=levels))
+    got = compute_report(predictions, annotations)
+    assert got == composed.metric_report(predictions, annotations)
