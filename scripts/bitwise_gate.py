@@ -36,6 +36,11 @@ Digests:
   and queries without gt; the bytes of match_cost_matrix on random (center,
   width) rows, some clipped at 0 or 1 or narrower than the width floor; and
   the value and moment gradient of matched_giou in float64 and float32.
+- losses/degenerate: the repr of every loss term's value, and of their
+  weighted total, on one item and on a padded batch in float64 and float32
+  whose input leaves each term nothing to score: no rank pair, no level
+  above 0, no positive or negative clip, all-zero gt saliency, no matched
+  query.
 """
 import hashlib
 import json
@@ -56,9 +61,12 @@ from momentspot.autodiff import Tensor
 from momentspot.config import LossWeights, ModelConfig
 from momentspot.data import Annotation
 from momentspot.fixtures import build_overfit_fixture
-from momentspot.matching import match_cost_matrix, matched_giou
+from momentspot.losses import (compose_total, contrastive_rank_loss, highlight_distribution_loss,
+                               rank_margin_loss, task_coupled_loss, task_specific_loss)
+from momentspot.matching import MatchResult, match_cost_matrix, matched_giou, moment_loss
 from momentspot.metrics import QueryPrediction, compute_report
 from momentspot.model import Model, batch_loss, bundle_for
+from momentspot.refinement import alignment_loss
 from momentspot.training import AdamW, clip_gradients, evaluate_checkpoint, train
 from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
 
@@ -208,6 +216,47 @@ def metric_sets():
     return out
 
 
+def degenerate_losses():
+    """Digest of the repr of each loss term's value and of the total, on item
+    and batch input that leaves every term nothing to score."""
+    rng = np.random.default_rng([SEED, 4])
+    lengths, n_clips, n_words, n_q, d = (6, 4, 2), 6, 3, 5, 8
+    gru_shapes = [(2 * d, d), (d,)] * 3 + [(d, 1), (1,)]
+    values = []
+    for dtype in ("float64", "float32"):
+        for lead in ((), (len(lengths),)):
+            def tensor(*shape, scale=1.0):
+                return Tensor((rng.normal(size=lead + shape) * scale).astype(dtype),
+                              requires_grad=True)
+
+            clip_mask = np.arange(n_clips) < (np.array(lengths)[:, None] if lead else n_clips)
+            none = np.zeros(lead + (n_clips,), dtype=bool)
+            gt = np.zeros(lead + (n_clips,))
+            unpaired = np.full(len(lengths) if lead else 1, -1)
+            gts, matches = np.zeros((0, 2)), MatchResult([], [])
+            if lead:
+                gts, matches = [gts] * len(lengths), [matches] * len(lengths)
+            s = tensor(n_clips)
+            gru = [Tensor((rng.normal(size=shape) * 0.4).astype(dtype), requires_grad=True)
+                   for shape in gru_shapes]
+            components = {
+                "rank": rank_margin_loss(s, unpaired, unpaired, 0.2),
+                "contrastive": contrastive_rank_loss(s, none.astype(int), 0.5, clip_mask=clip_mask),
+                "hard": highlight_distribution_loss(s, gt, none, none, 1),
+                "task_specific": task_specific_loss(s, gt, clip_mask),
+                "task_coupled": task_coupled_loss(tensor(n_clips, d), tuple(zip(gru[::2], gru[1::2])),
+                                                  gt, clip_mask),
+                "alignment": alignment_loss(tensor(n_words, d), tensor(n_clips, d), gt,
+                                            clip_mask=clip_mask),
+                **moment_loss(tensor(n_q, 2), tensor(n_q, 2, scale=0.2), gts, matches,
+                              LossWeights()),
+            }
+            components["total"] = compose_total(components, LossWeights())
+            values += [f"{lead} {key} {out.data.dtype} {out.item()!r}"
+                       for key, out in components.items()]
+    return sha("\n".join(values).encode())
+
+
 def main():
     digests = {}
     with tempfile.TemporaryDirectory(prefix="bitwise-gate-") as tmp:
@@ -218,6 +267,7 @@ def main():
     digests["full/float32"] = full_steps()
     digests["init"] = init_arenas()
     digests["metrics"] = metric_sets()
+    digests["losses/degenerate"] = degenerate_losses()
     print(json.dumps(digests, indent=2, sort_keys=True))
 
 

@@ -523,15 +523,22 @@ def mask_rows(t, mask=None):
 # -- normalization / attention pieces --------------------------------------
 
 
+def _masked_exp(x, keep):
+    """(m, e, row_sum) over the last axis within keep (True keeps all): the
+    kept row max, exp(x - m) on kept entries and 0 elsewhere (dropped entries
+    never overflow), and e's row sums. e is a fresh C-contiguous array even
+    for a broadcast view x, so its sums group the same way whatever x's strides."""
+    m = x.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    e = np.exp(x - m, where=keep, out=np.zeros(x.shape, x.dtype))
+    return m, e, e.sum(axis=-1, keepdims=True)
+
+
 def _masked_softmax(x, keep):
     """Softmax over the last axis of an array, restricted to the columns in keep.
 
-    Returns (weights, dead): masked columns are never exponentiated, so they
-    cannot overflow, and a row with no kept column is all zero and marked dead.
+    Returns (weights, dead): a row with no kept column is all zero and marked dead.
     """
-    m = x.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
-    e = np.exp(x - m, where=keep, out=np.zeros_like(x))
-    denom = e.sum(axis=-1, keepdims=True)
+    _, e, denom = _masked_exp(x, keep)
     return e / np.where(denom == 0.0, 1.0, denom), denom[..., 0] == 0.0
 
 
@@ -565,10 +572,7 @@ def _logsumexp(x, include):
         raise ShapeError(f"include of shape {inc.shape} does not match {x.shape}") from err
     if x.ndim == 0 or not np.broadcast_to(inc, shape).any(axis=-1).all():
         raise ShapeError("logsumexp over an empty subset")
-    xb = np.broadcast_to(x, shape)
-    m = xb.max(axis=-1, keepdims=True, where=inc, initial=-np.inf)
-    e = np.exp(xb - m, where=inc, out=np.zeros(shape, dtype=x.dtype))
-    s = e.sum(axis=-1, keepdims=True)
+    m, e, s = _masked_exp(np.broadcast_to(x, shape), inc)
     return np.asarray((m + np.log(s))[..., 0], dtype=x.dtype), e / s
 
 
@@ -670,8 +674,7 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     are all masked produce exact zero output rows and receive zero gradient.
     """
     qd, kd, vd = q.data, k.data, v.data
-    lead = qd.shape[:-2]
-    if qd.ndim not in (2, 3) or kd.ndim != qd.ndim or kd.shape[:-2] != lead:
+    if qd.ndim not in (2, 3) or kd.ndim != qd.ndim or kd.shape[:-2] != qd.shape[:-2]:
         raise ShapeError("multi_head_attention expects (n, d) or (B, n, d) queries and keys "
                          "with the same leading axes")
     if kd.shape != vd.shape:
@@ -684,25 +687,22 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = params
     if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
         raise ShapeError(f"attention projections must be ({d}, {d})")
-    keep = keep_mask(key_mask, kd.shape[:-1])
-    if lead:
-        keep = keep[:, None, None, :]  # each item's keys, shared by its heads and queries
+    keep = keep_mask(key_mask, kd.shape[:-1])[..., None, None, :]  # shared by heads and queries
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    perm = (0, 2, 1, 3) if lead else (1, 0, 2)  # swaps the n and heads axes
 
     def split(x):  # (..., n, d) -> (..., heads, n, dh)
-        return x.reshape(x.shape[:-1] + (heads, dh)).transpose(perm)
+        return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
 
     def merge(x):  # (..., heads, n, dh) -> (..., n, d)
-        return x.transpose(perm).reshape(lead + (-1, d))
+        return x.swapaxes(-2, -3).reshape(qd.shape[:-2] + (-1, d))
 
     qh = split(_gemm(qd, wq.data) + bq.data)
     kh = split(_gemm(kd, wk.data) + bk.data)
     vh = split(_gemm(vd, wv.data) + bv.data)
     attn, dead = _masked_softmax((qh @ kh.swapaxes(-1, -2)) * scale, keep)
     # a query row is dead when no key is kept: the same rows in every head
-    dead = dead[:, 0] if lead else dead[0]
+    dead = dead[..., 0, :]
     merged = merge(attn @ vh)
     out_data = _gemm(merged, wo.data) + bo.data
     live = None

@@ -11,6 +11,10 @@ like the GRU scan: the rank hinge, the contrastive ratio, the hard
 positive/negative pair, the masked 1 - cosine (task-specific, the outer
 cosine of task-coupled and of alignment) and the weighted total. The
 composed versions they replace live on in tests/composed.py as oracles.
+An edge case is the same node: input that leaves a term nothing to score
+(no rank pair, no active level, no positive or negative clip, no live cosine
+row) runs its body over empty indices or zero weights, giving its constant
+(0, or 1 for the cosine) with exactly zero gradient.
 """
 from __future__ import annotations
 
@@ -22,10 +26,6 @@ from .autodiff import (ShapeError, Tensor, _accumulate, _logsumexp, _node, _rows
 
 class CompositionError(ValueError):
     pass
-
-
-def _zero(t):
-    return Tensor(np.asarray(0.0, dtype=t.data.dtype))
 
 
 def _items(scores):
@@ -41,8 +41,6 @@ def _cosine_loss(a, b, keep):
     sumsq_x = (x * x).sum(axis=-1, keepdims=True)
     sumsq_y = (y * y).sum(axis=-1, keepdims=True)
     dead = (sumsq_x == 0.0) | (sumsq_y == 0.0)
-    if dead.all():
-        return Tensor(np.asarray(1.0, dtype=x.dtype))
     # a dead row divides by 1 instead of 0 and is weighted 0: its cosine is 0
     guard = dead.astype(x.dtype)
     norm_x, norm_y = np.sqrt(sumsq_x + guard), np.sqrt(sumsq_y + guard)
@@ -86,8 +84,6 @@ def rank_margin_loss(saliency, high_idx, low_idx, margin):
     if hi.shape != lo.shape or hi.size != _items(saliency):
         raise ShapeError(f"rank pair indices do not match saliency of shape {saliency.data.shape}")
     paired = np.flatnonzero((hi >= 0) & (lo >= 0))
-    if paired.size == 0:
-        return _zero(saliency)
     scores = saliency.data.reshape(hi.size, -1)
     hi, lo = hi[paired], lo[paired]
     hinge = scores[paired, lo] - scores[paired, hi] + margin
@@ -135,8 +131,6 @@ def contrastive_rank_loss(saliency, levels, temperature, clip_mask=None):
     include = keep_mask(clip_mask, levels.shape)
     subsets = np.stack([include] + [include & (levels >= r) for r in range(1, 5)], axis=-2)
     active = subsets[..., 1:, :].any(axis=-1)  # (..., 4)
-    if not active.any():
-        return _zero(saliency)
     n_active = active.sum(axis=-1, keepdims=True)
     coef = np.concatenate([n_active > 0, active / -np.maximum(n_active, 1)], axis=-1)
     coef = (coef / _items(saliency)).astype(saliency.data.dtype)
@@ -163,26 +157,18 @@ def highlight_distribution_loss(saliency, gt_saliency, positive_mask, negative_m
     """
     pos = np.asarray(positive_mask, dtype=bool)
     neg = np.asarray(negative_mask, dtype=bool)
-    if not (pos.any() or neg.any()):
-        return _zero(saliency)
     s = saliency.data
     scale = np.asarray(float(epoch + 1) / _items(saliency), dtype=s.dtype)
-    out_data = np.asarray(0.0, dtype=s.dtype)
-    if pos.any():
-        diff = np.asarray(gt_saliency, dtype=s.dtype) - s
-        weights = (pos / np.maximum(pos.sum(axis=-1, keepdims=True), 1)).astype(s.dtype)
-        out_data = out_data + (diff * diff * weights).sum() * scale
-    if neg.any():
-        keep = neg.astype(s.dtype)
-        out_data = out_data + (np.abs(s) * keep).sum() * scale
+    diff = np.asarray(gt_saliency, dtype=s.dtype) - s
+    weights = (pos / np.maximum(pos.sum(axis=-1, keepdims=True), 1)).astype(s.dtype)
+    keep = neg.astype(s.dtype)
+    out_data = (diff * diff * weights).sum() * scale + (np.abs(s) * keep).sum() * scale
 
     def backward(g):
         grad = np.zeros_like(s)
-        if pos.any():
-            half = g * scale * weights * diff
-            grad -= half + half
-        if neg.any():
-            grad += g * scale * keep * np.sign(s)
+        half = g * scale * weights * diff
+        grad -= half + half
+        grad += g * scale * keep * np.sign(s)
         _accumulate(saliency, grad)
 
     return _node(np.asarray(out_data), (saliency,), backward)

@@ -3,9 +3,11 @@
 The set loss follows DETR / Moment-DETR: a Hungarian assignment on detached
 costs, then L1, gIoU and a down-weighted-background cross-entropy over the
 matched pairs. Each of the three terms is one graph node with a NumPy
-backward; the L1 and gIoU nodes gather the matched rows themselves. The cost
-matrix takes the metrics' gIoU (`metrics.span_giou`), and the gIoU term
-differentiates the same span geometry (`metrics.span_parts`).
+backward; the L1 and gIoU nodes gather the matched rows themselves, and
+with no matched query they are the same nodes over zero pairs: 0 with
+exactly zero gradient. The cost matrix takes the metrics' gIoU
+(`metrics.span_giou`), and the gIoU term differentiates the same span
+geometry (`metrics.span_parts`).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import Tensor, _accumulate, _node
+from .autodiff import _accumulate, _masked_exp, _node
 from .metrics import span_giou, span_parts
 
 WIDTH_FLOOR = 1e-4
@@ -126,10 +128,9 @@ def weighted_cross_entropy(class_logits, picks):
 
     picks holds each query's -weight at its target class and 0 elsewhere.
     """
-    z = class_logits.data - class_logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=-1, keepdims=True)
-    out_data = np.asarray(((z - np.log(s)) * picks).sum())
+    x = class_logits.data
+    m, e, s = _masked_exp(x, True)
+    out_data = np.asarray(((x - m - np.log(s)) * picks).sum())
 
     def backward(g):
         g_picks = g * picks
@@ -147,6 +148,8 @@ def moment_loss(class_logits, moments, gt_moments, match, weights):
     (B, n_q, 2) tensors with lists of B gt arrays and B matches: the matched
     pairs of all items run through one L1/gIoU/CE, each term normalised per
     item and averaged over items. Returns scalar tensors "l1", "giou", "cls".
+    Without a matched query, "l1" and "giou" are the same nodes over zero
+    pairs: 0 with zero gradient.
     """
     batched = class_logits.data.ndim == 3
     gts, matches = (gt_moments, match) if batched else ([gt_moments], [match])
@@ -155,16 +158,12 @@ def moment_loss(class_logits, moments, gt_moments, match, weights):
     counts = np.array([len(m.pred_indices) for m in matches], dtype=int)
     items = np.repeat(np.arange(n_items), counts)
     queries = np.array([q for m in matches for q in m.pred_indices], dtype=int)
-    if queries.size:
-        index = (items, queries) if batched else queries
-        gt_rows = np.concatenate([np.asarray(g, dtype=dtype).reshape(-1, 2)[m.gt_indices]
-                                  for g, m in zip(gts, matches)])
-        pair_weights = (1.0 / (n_items * counts[items])).astype(dtype)[:, None]
-        l1 = matched_l1(moments, index, gt_rows, pair_weights)
-        giou = matched_giou(moments, index, gt_rows, pair_weights)
-    else:
-        l1 = Tensor(np.asarray(0.0, dtype=dtype))
-        giou = Tensor(np.asarray(0.0, dtype=dtype))
+    index = (items, queries) if batched else queries
+    gt_rows = np.concatenate([np.asarray(g, dtype=dtype).reshape(-1, 2)[m.gt_indices]
+                              for g, m in zip(gts, matches)])
+    pair_weights = (1.0 / (n_items * counts[items])).astype(dtype)[:, None]
+    l1 = matched_l1(moments, index, gt_rows, pair_weights)
+    giou = matched_giou(moments, index, gt_rows, pair_weights)
     # 2-way cross entropy; unmatched queries are background at reduced weight
     targets = np.ones((n_items, n_q), dtype=int)
     targets[items, queries] = 0

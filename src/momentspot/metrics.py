@@ -235,9 +235,9 @@ def _finite_numbers(values):
 
 
 def _check_window(w):
-    """w itself if it is [start, end, score], 3 finite real numbers; ValueError otherwise."""
-    if not (isinstance(w, (list, tuple)) and len(w) == 3 and _finite_numbers(w)):
-        raise ValueError(f"window {w!r} is not [start, end, score] of finite numbers")
+    """w itself if it is [start, end, score], 3 finite real numbers, start <= end; ValueError otherwise."""
+    if not (isinstance(w, (list, tuple)) and len(w) == 3 and _finite_numbers(w) and w[0] <= w[1]):
+        raise ValueError(f"window {w!r} is not [start, end, score] of finite numbers, start <= end")
     return w
 
 
@@ -253,8 +253,9 @@ def compute_report(predictions, annotations):
     """Assemble the full MetricReport for matching (prediction, annotation) sets.
 
     A prediction whose window is not [start, end, score] of finite numbers,
-    whose saliency list does not have one score per annotated clip, or whose
-    saliency score is not a finite number raises ValueError naming its qid.
+    start <= end, whose saliency list does not have one score per annotated
+    clip, or whose saliency score is not a finite number raises ValueError
+    naming its qid.
     """
     by_qid = {p.qid: p for p in predictions}
     if len(by_qid) != len(predictions):
@@ -303,8 +304,8 @@ def save_predictions(predictions, path):
 
 def load_predictions(path):
     """Read save_predictions' JSON lines; parse errors, including a window
-    that is not 3 finite numbers and a saliency score that is not a finite
-    number, carry line numbers."""
+    that is not 3 finite numbers or ends before it starts and a saliency
+    score that is not a finite number, carry line numbers."""
     rows = read_jsonl(path, ("qid", "pred_relevant_windows", "pred_saliency_scores"),
                       lambda obj: QueryPrediction(qid=obj["qid"],
                                                   windows=[_check_window(w) for w in

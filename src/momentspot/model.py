@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import Tensor, _node, dropout, no_grad, xavier_uniform
+from .autodiff import Tensor, _masked_exp, _node, dropout, no_grad, xavier_uniform
 from .config import ConfigError, ModelConfig
 from .data import FeatureBundle, encode_item
 from .fusion import FusionParams, fuse
@@ -237,9 +237,8 @@ def normalized_windows(ann):
 
 
 def _fg_probs(logits_data):
-    z = logits_data - logits_data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e[..., 0] / e.sum(axis=-1)
+    _, e, row_sum = _masked_exp(logits_data, True)
+    return e[..., 0] / row_sum[..., 0]
 
 
 def _padded(rows, length, dtype):

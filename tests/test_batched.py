@@ -137,6 +137,37 @@ class TestBatchedOps:
         with pytest.raises(ad.ShapeError):
             logsumexp(x, empty_row)
 
+    def test_masked_exp_of_a_broadcast_view_is_contiguous(self, rng):
+        # rows longer than 8 entries: numpy's pairwise row sum groups them by layout
+        x = np.broadcast_to(rng.normal(size=(3, 1, 40)) * 3, (3, 4, 40))
+        keep = rng.random((3, 4, 40)) < 0.6
+        m, e, row_sum = ad._masked_exp(x, keep)
+        assert e.shape == x.shape and e.flags.c_contiguous
+        assert np.array_equal(e, np.where(keep, np.exp(x - m), 0.0))
+        for got, dense in zip((m, e, row_sum), ad._masked_exp(np.ascontiguousarray(x), keep)):
+            assert got.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("key_mask", [None, [True, False, True, True, False], [False] * 5],
+                             ids=["unmasked", "partial", "all_masked"])
+    def test_attention_item_is_bitwise_the_one_item_batch(self, dtype, key_mask):
+        rng = np.random.default_rng(5)
+        d, heads = 8, 2
+        inputs = [rng.normal(size=(3, d)), rng.normal(size=(5, d)), rng.normal(size=(5, d))]
+        weights = [rng.normal(size=s) * 0.4 for s in [(d, d), (d,)] * 4]
+        seed = rng.normal(size=(3, d)).astype(dtype)
+
+        def run(lead):  # value and the 11 parent gradients, with the inputs under a leading axis
+            leaves = [Tensor(a.reshape(lead + a.shape).astype(dtype), requires_grad=True)
+                      for a in inputs] + [Tensor(w.astype(dtype), requires_grad=True) for w in weights]
+            mask = None if key_mask is None else np.reshape(key_mask, lead + (5,))
+            out = multi_head_attention(*leaves[:3], pairs(leaves[3:]), heads, key_mask=mask)
+            out.backward(seed.reshape(lead + seed.shape))
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        for item, batch in zip(run(()), run((1,))):
+            assert item.dtype == dtype and item.tobytes() == batch.tobytes()  # C order, all bits
+
     @pytest.mark.parametrize("self_attention", [False, True])
     def test_attention_with_batch_key_mask(self, rng, self_attention):
         d, heads = 4, 2

@@ -405,17 +405,52 @@ def test_compose_total_grad_check_and_float_components():
     assert got.item() == pytest.approx(composed.compose_total(mixed, w).item(), rel=1e-15)
 
 
-def test_edge_cases_build_no_graph():
-    s = Tensor(saliency(0), requires_grad=True)
-    no_pair = rank_margin_loss(s, np.full(4, -1), np.full(4, -1), 0.2)
-    no_threshold = contrastive_rank_loss(s, np.zeros((4, 8), dtype=int), 0.5, clip_mask=CLIP_MASK)
-    no_clips = highlight_distribution_loss(s, GT, np.zeros((4, 8), bool), np.zeros((4, 8), bool), 1)
-    all_dead = task_specific_loss(s, np.zeros((4, 8)), clip_mask=CLIP_MASK)
-    for out, value in ((no_pair, 0.0), (no_threshold, 0.0), (no_clips, 0.0), (all_dead, 1.0)):
-        assert out.item() == value and not out.requires_grad
-    arrays, _, _ = moment_arrays(0, True)
-    out = moment_loss(*(Tensor(a, requires_grad=True) for a in arrays), GT_MOMENTS[2:3] * 4,
-                      [MatchResult([], [])] * 4, LossWeights())
-    assert out["l1"].item() == 0.0 and not out["l1"].requires_grad
-    assert out["giou"].item() == 0.0 and not out["giou"].requires_grad
-    assert out["cls"].requires_grad
+# each term on input that leaves it nothing to score, with the constant it then takes
+DEGENERATE = {
+    "rank": (lambda s, c: rank_margin_loss(s, np.full_like(c["high"], -1),
+                                           np.full_like(c["low"], -1), 0.2), 0.0),
+    "contrastive": (lambda s, c: contrastive_rank_loss(s, np.zeros_like(c["levels"]), 0.5,
+                                                       clip_mask=c["mask"]), 0.0),
+    "hard": (lambda s, c: highlight_distribution_loss(s, c["levels"] / 4.0, np.zeros_like(c["mask"]),
+                                                      np.zeros_like(c["mask"]), 1), 0.0),
+    "task_specific": (lambda s, c: task_specific_loss(s, np.zeros(c["mask"].shape),
+                                                      clip_mask=c["mask"]), 1.0),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
+@pytest.mark.parametrize("term", list(DEGENERATE))
+def test_degenerate_input_runs_the_same_node(term, batched, dtype):
+    call, constant = DEGENERATE[term]
+    case = saliency_cases(batched)
+    s = Tensor(saliency(0, CLIP_MASK.shape if batched else (7,)).astype(dtype), requires_grad=True)
+    out = call(s, case)
+    assert out.data.dtype == dtype and repr(out.item()) == repr(constant)  # the sign of a zero too
+    assert out._parents == (s,)
+    out.backward()
+    assert s.grad.dtype == dtype and not s.grad.any()
+    assert grad_check(lambda x: call(x, case), [s]) == 0.0
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "item"])
+@pytest.mark.parametrize("key", ["l1", "giou"])
+def test_moment_terms_without_matches_run_the_same_node(key, batched, dtype):
+    (logits, moments), _, _ = moment_arrays(0, batched)
+    gts, matches = np.zeros((0, 2)), MatchResult([], [])
+    if batched:
+        gts, matches = [gts] * 4, [matches] * 4
+    lg = Tensor(logits.astype(dtype), requires_grad=True)
+    m = Tensor(moments.astype(dtype), requires_grad=True)
+
+    def term(x):
+        return moment_loss(lg, x, gts, matches, LossWeights())[key]
+
+    out = term(m)
+    assert out.data.dtype == dtype and repr(out.item()) == "0.0"
+    assert out._parents == (m,)
+    out.backward()
+    assert m.grad.dtype == dtype and not m.grad.any()
+    assert grad_check(term, [m]) == 0.0
+    assert moment_loss(lg, m, gts, matches, LossWeights())["cls"]._parents == (lg,)

@@ -30,10 +30,17 @@ class TestCosineLoss:
     def test_opposite_vectors_give_two(self):
         assert one_minus_cosine(t([1.0, -2.0]), t([-3.0, 6.0])).item() == pytest.approx(2.0)
 
-    def test_zero_norm_is_constant_one_and_flagged(self):
-        out = one_minus_cosine(t([0.0, 0.0]), t([1.0, 2.0]))
-        assert out.item() == 1.0
-        assert not out.requires_grad
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)], ids=["item", "batch"])
+    def test_zero_norm_is_constant_one_with_zero_gradient(self, shape, dtype):
+        a = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        b = Tensor(np.arange(1.0, 1.0 + np.prod(shape), dtype=dtype).reshape(shape), requires_grad=True)
+        out = one_minus_cosine(a, b)
+        assert out.item() == 1.0 and out._parents == (a, b)
+        out.backward()
+        assert not a.grad.any() and not b.grad.any()
+        # moving b keeps every row dead; a itself sits on the cosine's kink at 0
+        assert grad_check(lambda y: one_minus_cosine(a, y), [b]) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -145,10 +152,16 @@ class TestContrastive:
         assert loss.item() == pytest.approx(np.mean(per_r), abs=1e-12)
         assert len(per_r) == 4  # the level-4 clip keeps every threshold active
 
-    def test_no_positives_gives_zero(self):
-        loss = contrastive_rank_loss(t([1.0, 2.0]), [0, 0], temperature=0.5)
-        assert loss.item() == 0.0
-        assert not loss.requires_grad
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)], ids=["item", "batch"])
+    def test_no_positives_gives_zero(self, shape, dtype):
+        s = Tensor(np.arange(1.0, 1.0 + np.prod(shape), dtype=dtype).reshape(shape), requires_grad=True)
+        levels = np.zeros(shape, dtype=int)
+        loss = contrastive_rank_loss(s, levels, temperature=0.5)
+        assert loss.item() == 0.0 and loss._parents == (s,)
+        loss.backward()
+        assert not s.grad.any()
+        assert grad_check(lambda x: contrastive_rank_loss(x, levels, 0.5), [s]) == 0.0
 
     def test_mask_excludes_clips_from_both_sums(self):
         s = t([1.0, 0.0, 5.0])

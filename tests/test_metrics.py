@@ -328,7 +328,7 @@ class TestMeanIoUAndReport:
 
     @pytest.mark.parametrize("window", [[math.nan, 6.0, 0.9], [4.0, math.inf, 0.9],
                                         [4.0, 6.0, -math.inf], [True, 6.0, 0.5],
-                                        [4.0, 6.0, 10 ** 400]])
+                                        [4.0, 6.0, 10 ** 400], [10.0, 4.0, 0.9]])
     def test_non_finite_or_bool_window_rejected_with_its_qid(self, window):
         pred = QueryPrediction(qid=3, windows=[window], saliency=[0.1] * 10)
         with pytest.raises(ValueError, match="qid 3: window .* is not"):
@@ -361,7 +361,8 @@ class TestPredictionsIO:
 
     @pytest.mark.parametrize("window", [[4.0, 10.0], [4.0, 10.0, 0.9, 1.0], [4.0, "x", 0.9], 4.0,
                                         [math.nan, 6.0, 0.9], [4.0, math.inf, 0.9],
-                                        [True, 6.0, 0.5], [4.0, 6.0, 10 ** 400]])
+                                        [True, 6.0, 0.5], [4.0, 6.0, 10 ** 400],
+                                        [10.0, 4.0, 0.9]])
     def test_window_not_three_numbers_is_a_parse_error_with_its_line(self, tmp_path, window):
         path = tmp_path / "preds.jsonl"
         self.write(path, json.dumps({"qid": 4, "pred_relevant_windows": [window],
