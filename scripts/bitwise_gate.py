@@ -1,16 +1,20 @@
 """Print SHA-256 digests of runs that a behaviour-preserving change must keep bit for bit.
 
-    python3 scripts/bitwise_gate.py
+    python3 scripts/bitwise_gate.py          # print the digests
+    python3 scripts/bitwise_gate.py --write  # regenerate tests/bitwise_digests.json
 
-Run it in two checkouts, for example a change and its parent
-(`git clone . ../parent && git -C ../parent checkout HEAD~1`, then copy this
-script there), and compare the two JSON objects it prints: equal digests
-mean the change left the arithmetic, the init and dropout draws and the
-checkpoint layout alone. Next to the digests it prints losses as `repr`
-floats, so a change that moves bits (a new summation order, say) can report
-how far the runs moved, not only that they did. The script imports
-momentspot from the `src/` of the tree it lives in and pins BLAS to one
-thread, so the digests do not depend on the host's core count.
+tests/test_bitwise_gate.py runs this script in a subprocess and compares
+its output, key by key, with the committed tests/bitwise_digests.json:
+equal digests mean the change left the arithmetic, the init and dropout
+draws and the checkpoint layout alone. A change that means to move bits
+regenerates the file with --write and reports how far the runs moved: next
+to the digests the script prints losses as `repr` floats, so a new
+summation order, say, can say by how much, not only that it did. The
+output's "env" line names the Python, NumPy and BLAS builds and the
+machine it ran on; digests are compared only under the env that made them.
+The script imports momentspot from the `src/` of the tree it lives in and
+pins BLAS to one thread, so the digests do not depend on the host's core
+count.
 
 Digests:
 
@@ -45,6 +49,7 @@ Digests:
 import hashlib
 import json
 import os
+import platform
 import struct
 import sys
 import tempfile
@@ -70,6 +75,7 @@ from momentspot.refinement import alignment_loss
 from momentspot.training import AdamW, clip_gradients, evaluate_checkpoint, train
 from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
 
+DIGESTS = ROOT / "tests" / "bitwise_digests.json"
 EPOCHS = 5  # of each desk run
 SEED = 2
 STEPS = 2  # of the full-preset run
@@ -257,8 +263,15 @@ def degenerate_losses():
     return sha("\n".join(values).encode())
 
 
+def environment():
+    """The builds and the machine the digests depend on, as one line."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"blas {blas.get('name')} {blas.get('version')}, {platform.machine()}")
+
+
 def main():
-    digests = {}
+    digests = {"env": environment()}
     with tempfile.TemporaryDirectory(prefix="bitwise-gate-") as tmp:
         for dtype in ("float64", "float32"):
             for mode in ("bidirectional", "text_to_video"):
@@ -268,7 +281,10 @@ def main():
     digests["init"] = init_arenas()
     digests["metrics"] = metric_sets()
     digests["losses/degenerate"] = degenerate_losses()
-    print(json.dumps(digests, indent=2, sort_keys=True))
+    text = json.dumps(digests, indent=2, sort_keys=True)
+    if "--write" in sys.argv[1:]:
+        DIGESTS.write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 if __name__ == "__main__":
