@@ -193,8 +193,10 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -205,8 +207,10 @@ def sub(a, b):
     out_data = a.data - b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -217,8 +221,10 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -229,8 +235,10 @@ def div(a, b):
     out_data = a.data / b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -242,8 +250,10 @@ def maximum(a, b):
     pick_a = a.data >= b.data  # ties route to the first argument
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
-        _accumulate(b, _unbroadcast(g * ~pick_a, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * ~pick_a, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -255,8 +265,10 @@ def minimum(a, b):
     pick_a = a.data <= b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
-        _accumulate(b, _unbroadcast(g * ~pick_a, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * ~pick_a, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -324,14 +336,17 @@ def tanh(t):
     return _node(out_data, (t,), backward)
 
 
-def stable_sigmoid(x):
-    """Logistic function on an array; exp only sees non-positive arguments, so it never overflows."""
+def stable_sigmoid(x, out):
+    """Logistic function of array x, written into out (None: a new array).
+
+    1 / (1 + e) where x >= 0, else e / (1 + e), for e = exp(-|x|): exp only
+    sees non-positive arguments, so it never overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(t):
-    out_data = stable_sigmoid(t.data)
+    out_data = stable_sigmoid(t.data, None)
 
     def backward(g):
         _accumulate(t, g * out_data * (1.0 - out_data))
@@ -465,6 +480,25 @@ def narrow(t, axis, start, length):
     return _node(out_data, (t,), backward)
 
 
+def _unfold(x, kernel):
+    """unfold1d's windows of array x, and the function that folds a window
+    gradient back into x's shape: (unfolded, fold)."""
+    if kernel % 2 != 1:
+        raise ShapeError("unfold1d requires an odd kernel")
+    length, ch = x.shape[-2:]
+    pad = (kernel - 1) // 2
+    padded = np.zeros(x.shape[:-2] + (length + 2 * pad, ch), dtype=x.dtype)
+    padded[..., pad:pad + length, :] = x
+
+    def fold(g):
+        gp = np.zeros_like(padded)
+        for j in range(kernel):
+            gp[..., j:j + length, :] += g[..., j * ch:(j + 1) * ch]
+        return gp[..., pad:pad + length, :]
+
+    return np.concatenate([padded[..., j:j + length, :] for j in range(kernel)], axis=-1), fold
+
+
 def unfold1d(t, kernel):
     """Zero-padded sliding windows: (L, C) -> (L, kernel*C), same length.
 
@@ -474,19 +508,10 @@ def unfold1d(t, kernel):
     """
     if t.data.ndim not in (2, 3):
         raise ShapeError("unfold1d expects a rank-2 or rank-3 tensor")
-    if kernel % 2 != 1:
-        raise ShapeError("unfold1d requires an odd kernel")
-    length, ch = t.data.shape[-2:]
-    pad = (kernel - 1) // 2
-    padded = np.zeros(t.data.shape[:-2] + (length + 2 * pad, ch), dtype=t.data.dtype)
-    padded[..., pad:pad + length, :] = t.data
-    out_data = np.concatenate([padded[..., j:j + length, :] for j in range(kernel)], axis=-1)
+    out_data, fold = _unfold(t.data, kernel)
 
     def backward(g):
-        gp = np.zeros_like(padded)
-        for j in range(kernel):
-            gp[..., j:j + length, :] += g[..., j * ch:(j + 1) * ch]
-        _accumulate(t, gp[..., pad:pad + length, :])
+        _accumulate(t, fold(g))
 
     return _node(out_data, (t,), backward)
 
@@ -635,8 +660,13 @@ def dropout(t, p, rng=None, train=False):
         raise ValueError(f"dropout probability {p} outside [0, 1)")
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit RNG")
-    keep = (rng.random(t.data.shape) >= p).astype(t.data.dtype) / (1.0 - p)
-    return mul(t, Tensor(keep))
+    # kept entries scale by 1 / (1 - p), divided in t's dtype; dropped ones by 0
+    keep = (rng.random(t.data.shape) >= p) * (np.ones((), t.data.dtype) / (1.0 - p))
+
+    def backward(g):
+        _accumulate(t, g * keep)
+
+    return _node(t.data * keep, (t,), backward)
 
 
 def identity(t):
@@ -647,20 +677,43 @@ def identity(t):
 def conv1d(x, weight, bias):
     """Same-padding 1-D convolution over rows: (L, C_in) -> (L, C_out), per item of a (B, L, C_in) batch.
 
-    weight has shape (kernel, C_in, C_out); kernel must be odd.
+    weight has shape (kernel, C_in, C_out); kernel must be odd. One node: the
+    unfold1d windows of x times the (kernel * C_in, C_out) weight, plus bias.
     """
     if weight.data.ndim != 3:
         raise ShapeError("conv1d weight must be rank-3 (kernel, C_in, C_out)")
     kernel, c_in, c_out = weight.data.shape
     if x.data.ndim not in (2, 3) or x.data.shape[-1] != c_in:
         raise ShapeError(f"conv1d input shape {x.data.shape} does not match C_in={c_in}")
-    unf = unfold1d(x, kernel)
-    w2 = reshape(weight, (kernel * c_in, c_out))
-    return add(matmul(unf, w2), bias)
+    unf, fold = _unfold(x.data, kernel)
+    w = weight.data.reshape(kernel * c_in, c_out)
+    out_data = _gemm(unf, w) + bias.data
+
+    def backward(g):
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            _accumulate(x, fold(_gemm(g, w.T)))
+        if weight.requires_grad:
+            _accumulate(weight, (_rows(unf).T @ _rows(g)).reshape(weight.data.shape))
+
+    return _node(out_data, (x, weight, bias), backward)
 
 
 def linear(x, weight, bias):
-    return add(matmul(x, weight), bias)
+    """x @ weight + bias for an (m, k) or (B, m, k) x, a (k, n) weight and an (n,) bias, as one node."""
+    xd, w = x.data, weight.data
+    if xd.ndim not in (2, 3) or w.ndim != 2 or xd.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear expects (m, k) or (B, m, k) @ (k, n); got {xd.shape} @ {w.shape}")
+    out_data = _gemm(xd, w) + bias.data
+
+    def backward(g):
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            _accumulate(x, _gemm(g, w.T))
+        if weight.requires_grad:
+            _accumulate(weight, _rows(xd).T @ _rows(g))
+
+    return _node(out_data, (x, weight, bias), backward)
 
 
 def multi_head_attention(q, k, v, params, heads, key_mask=None):

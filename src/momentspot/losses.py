@@ -237,13 +237,11 @@ def gru_saliency(features, params):
     zr_all = np.empty((length, items, 2 * dim), dtype=x.dtype)
     c_all = np.empty((length, items, dim), dtype=x.dtype)
     for i in range(length):
-        h = hs[i]
-        zr = stable_sigmoid(h @ w_zr_h + x_zr[i])
+        h, zr, c = hs[i], zr_all[i], c_all[i]
+        stable_sigmoid(h @ w_zr_h + x_zr[i], zr)
         z, r = zr[:, :dim], zr[:, dim:]
-        c = np.tanh((r * h) @ w_c_h + x_c[i])
-        hs[i + 1] = (1.0 - z) * h + z * c
-        zr_all[i] = zr
-        c_all[i] = c
+        np.tanh((r * h) @ w_c_h + x_c[i], out=c)
+        np.add((1.0 - z) * h, z * c, out=hs[i + 1])
     states = hs[1:]
     scores = (states @ readout_w.data + readout_b.data)[..., 0]  # (L, B)
     out_data = np.ascontiguousarray(scores.T).reshape(x.shape[:-1])
@@ -255,17 +253,22 @@ def gru_saliency(features, params):
         g_states = g @ readout_w.data.T
         d_zr = np.empty_like(zr_all)  # gradients of the gate pre-activations
         d_c = np.empty_like(c_all)
+        # the step-local factors of every step at once: tanh' and sigmoid' of
+        # the outputs, the update's (c - h) and the carry (1 - z)
+        d_tanh = 1.0 - c_all * c_all
+        d_sigmoid = zr_all * (1.0 - zr_all)
+        c_minus_h = c_all - hs[:-1]
+        carry = 1.0 - zr_all[..., :dim]
         dh = np.zeros((items, dim), dtype=x.dtype)
         for i in range(length - 1, -1, -1):
-            h, zr, c = hs[i], zr_all[i], c_all[i]
-            z, r = zr[:, :dim], zr[:, dim:]
+            z, r = zr_all[i, :, :dim], zr_all[i, :, dim:]
             dh = dh + g_states[i]
-            d_c[i] = dh * z * (1.0 - c * c)
+            np.multiply(dh * z, d_tanh[i], out=d_c[i])
             d_rh = d_c[i] @ w_c_h.T
-            d_zr[i, :, :dim] = dh * (c - h)
-            d_zr[i, :, dim:] = d_rh * h
-            d_zr[i] *= zr * (1.0 - zr)
-            dh = dh * (1.0 - z) + d_rh * r + d_zr[i] @ w_zr_h.T
+            np.multiply(dh, c_minus_h[i], out=d_zr[i, :, :dim])
+            np.multiply(d_rh, hs[i], out=d_zr[i, :, dim:])
+            d_zr[i] *= d_sigmoid[i]
+            dh = dh * carry[i] + d_rh * r + d_zr[i] @ w_zr_h.T
         prev = _rows(hs[:-1])
         flat_zr, flat_c, flat_x = _rows(d_zr), _rows(d_c), _rows(xs)
         g_zr_h = prev.T @ flat_zr
@@ -298,6 +301,18 @@ COMPONENT_KEYS = ("l1", "giou", "cls", "rank", "contrastive", "hard",
                   "task_specific", "task_coupled", "alignment")
 # the terms compose_total scales by weights.saliency, in summation order
 HIGHLIGHT_KEYS = ("rank", "contrastive", "hard", "task_specific", "task_coupled")
+
+
+def largest_term(components, weights):
+    """The key of the component with the largest weighted magnitude, weighted
+    as compose_total weights it and taken in float64: the term behind a total
+    that overflowed although every component was finite."""
+    def weighted(key):
+        scale = weights.saliency if key in HIGHLIGHT_KEYS else 1.0
+        c = components[key]
+        return abs(float(c.data if isinstance(c, Tensor) else c) * getattr(weights, key) * scale)
+
+    return max(COMPONENT_KEYS, key=weighted)
 
 
 def compose_total(components, weights):

@@ -23,18 +23,23 @@ DEFAULT_IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
 def span_parts(sa, ea, sb, eb):
     """(inter, union, enclosure, gap) of [start, end] span pairs, elementwise:
-    the span geometry of the IoU, the gIoU, the match costs and the gIoU loss."""
-    inter = np.maximum(np.minimum(ea, eb) - np.maximum(sa, sb), 0.0)
+    the span geometry of the IoU, the gIoU, the match costs and the gIoU loss.
+    One pair of Python floats gives Python floats."""
+    # equal values whichever pair runs; only the sign of a zero may differ
+    maximum, minimum = (max, min) if type(sa) is float else (np.maximum, np.minimum)
+    inter = maximum(minimum(ea, eb) - maximum(sa, sb), 0.0)
     union = (ea - sa) + (eb - sb) - inter
-    enclosure = np.maximum(ea, eb) - np.minimum(sa, sb)
+    enclosure = maximum(ea, eb) - minimum(sa, sb)
     # the separation itself: enclosure - union from the rounded union can go negative
-    gap = np.maximum(np.maximum(sa, sb) - np.minimum(ea, eb), 0.0)
+    gap = maximum(maximum(sa, sb) - minimum(ea, eb), 0.0)
     return inter, union, enclosure, gap
 
 
 def span_iou(sa, ea, sb, eb):
     """IoU of span pairs, elementwise; 0 where the union is empty."""
     inter, union, _, _ = span_parts(sa, ea, sb, eb)
+    if type(union) is float:
+        return inter / union if union > 0.0 else 0.0
     with np.errstate(all="ignore"):  # masked-out quotients may divide by 0 or overflow
         return np.where(union > 0.0, inter / union, 0.0)
 
@@ -43,6 +48,8 @@ def span_giou(sa, ea, sb, eb):
     """Generalized IoU of span pairs, elementwise, in [-1, 1]; 0 where the
     union or the enclosure is empty."""
     inter, union, enclosure, gap = span_parts(sa, ea, sb, eb)
+    if type(union) is float:
+        return inter / union - gap / enclosure if union > 0.0 and enclosure > 0.0 else 0.0
     with np.errstate(all="ignore"):  # masked-out quotients may divide by 0 or overflow
         return np.where((union > 0.0) & (enclosure > 0.0), inter / union - gap / enclosure, 0.0)
 

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -13,7 +14,7 @@ from time import perf_counter
 import numpy as np
 
 from .config import ConfigError, ModelConfig
-from .losses import CompositionError
+from .losses import CompositionError, largest_term
 from .metrics import compute_report, save_predictions
 from .model import Model, ParamStore, batch_loss, bundle_for, predict_batch
 
@@ -136,12 +137,27 @@ def _write_atomic(path, write):
     return path
 
 
-def _check_as_read(cfg):
-    """ModelConfig.from_dict on cfg as it reads back from a header's JSON, the
-    check model_from_checkpoint runs: a ConfigError for a config it would
+# a model's config and parameter layout are fixed when it is built, so the
+# header's JSON of them is built, and checked, once per model
+_HEADER_PARTS = weakref.WeakKeyDictionary()
+
+
+def _header_parts(model):
+    """(config JSON, params JSON) of model's checkpoint header.
+
+    The config is checked as it reads back, with the ModelConfig.from_dict
+    that model_from_checkpoint runs: a ConfigError for a config it would
     refuse (a non-finite float), while a numpy float, written as a plain one,
-    passes."""
-    ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    passes.
+    """
+    parts = _HEADER_PARTS.get(model)
+    if parts is None:
+        config = json.dumps(model.cfg.to_dict())
+        ModelConfig.from_dict(json.loads(config))
+        params = json.dumps([{"name": n, "shape": list(p.tensor.data.shape)}
+                             for n, p in model.named_parameters().items()])
+        parts = _HEADER_PARTS[model] = (config, params)
+    return parts
 
 
 def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
@@ -149,20 +165,15 @@ def save_checkpoint(path, model, optimizer, epoch=0, best_metric=None):
     (header key epochs_done), and the optimizer gives only its step count.
 
     A config that model_from_checkpoint would refuse is a ConfigError before
-    any file is opened (see _check_as_read).
+    any file is opened (see _header_parts).
     """
-    _check_as_read(model.cfg)
-    params = model.named_parameters()
-    arena = params.arena
+    config, params = _header_parts(model)
+    arena = model.store.arena
     dtype = np.dtype(model.cfg.dtype).newbyteorder("<")
-    meta = {
-        "config": model.cfg.to_dict(),
-        "epochs_done": int(epoch),
-        "params": [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()],
-        "optimizer_step": optimizer.step_count,
-        "best_metric": best_metric,
-    }
-    meta_bytes = json.dumps(meta).encode("utf-8")
+    # json.dumps of the header's dict, in its key order, around the prebuilt parts
+    meta_bytes = (f'{{"config": {config}, "epochs_done": {json.dumps(int(epoch))}, '
+                  f'"params": {params}, "optimizer_step": {json.dumps(optimizer.step_count)}, '
+                  f'"best_metric": {json.dumps(best_metric)}}}').encode("utf-8")
 
     def write(fh):
         fh.write(CHECKPOINT_MAGIC)
@@ -355,7 +366,7 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     rng = np.random.default_rng([seed, 2])
     train_bundles = [bundle_for(a, cfg, feature_dir) for a in train_set]
     val_bundles = [bundle_for(a, cfg, feature_dir) for a in val_set]
-    _check_as_read(model.cfg)  # the first save's check, before the run directory exists
+    _header_parts(model)  # the first save's check, before the run directory exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl"
@@ -389,7 +400,8 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                     cause = str(exc)
                     break
                 if not np.isfinite(total.data):
-                    cause = "non-finite total"
+                    # compose_total rejects a non-finite component: finite terms overflowed
+                    cause = f"non-finite total: {largest_term(parts, model.cfg.weights)}"
                     break
                 t1 = perf_counter()
                 model.zero_grad()

@@ -1,11 +1,16 @@
 """Reference versions of the fused kernels, built from small autodiff ops.
 
+`autodiff.linear`, `autodiff.conv1d`, `autodiff.dropout`,
 `autodiff.layer_norm`, `autodiff.multi_head_attention`,
 `losses.gru_saliency`, each loss term in `losses`, `matching` and
 `refinement`, and `losses.compose_total` are each one graph node with a
 hand-written backward. These compositions compute the same functions op by
 op, so reverse mode derives their gradients; the equivalence tests compare
-the two. The loss oracles are the composed bodies the fused nodes replaced.
+the two. The loss oracles are the composed bodies the fused nodes replaced;
+`linear`, `conv1d` and `dropout` are the compositions their nodes replaced,
+and equal them bit for bit. `gru_saliency_node` is the one-node GRU scan
+before its step was written with `out=` and its backward's step-local
+factors were formed for all steps at once; the scan equals it bit for bit.
 `grad_norm` is the global gradient norm as `training.clip_gradients` summed
 it before it walked the grad arena in chunks. `xavier_uniform` and
 `encode_item` are the set-up paths that wrote whole float64 temporaries:
@@ -23,17 +28,33 @@ from pathlib import Path
 
 import numpy as np
 
-from momentspot.autodiff import (ShapeError, Tensor, _accumulate, _node, absval,
-                                 add, as_tensor, clip01, concat, div, keep_mask,
-                                 linear, log_softmax_rows, logsumexp,
-                                 mask_rows, matmul, maximum, minimum, mul,
-                                 narrow, relu, reshape, sigmoid,
+from momentspot.autodiff import (ShapeError, Tensor, _accumulate, _node, _rows,
+                                 _unbroadcast, absval, add, as_tensor, clip01,
+                                 concat, div, keep_mask, log_softmax_rows,
+                                 logsumexp, mask_rows, matmul, maximum, minimum,
+                                 mul, narrow, relu, reshape, sigmoid,
                                  softmax_masked, sqrt, square, sub, tanh,
-                                 tmean, transpose, tsum)
+                                 tmean, transpose, tsum, unfold1d)
 from momentspot.data import FeatureBundle, stable_hash, text_token_count
 from momentspot.losses import COMPONENT_KEYS, CompositionError
 from momentspot.matching import WIDTH_FLOOR
 from momentspot.metrics import DEFAULT_IOU_THRESHOLDS, MetricReport, hd_map, hit_at_1
+
+
+def linear(x, weight, bias):
+    return add(matmul(x, weight), bias)
+
+
+def conv1d(x, weight, bias):
+    kernel, c_in, c_out = weight.data.shape
+    return add(matmul(unfold1d(x, kernel), reshape(weight, (kernel * c_in, c_out))), bias)
+
+
+def dropout(t, p, rng, train):
+    if not train or p <= 0.0:
+        return t
+    keep = (rng.random(t.data.shape) >= p).astype(t.data.dtype) / (1.0 - p)
+    return mul(t, Tensor(keep))
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):
@@ -81,6 +102,76 @@ def gru_saliency(features, params):
         h = mul(sub(1.0, z), h) + mul(z, c)
         outputs.append(linear(h, *readout))
     return reshape(concat(outputs, axis=0), (length,))
+
+
+def stable_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
+def gru_saliency_node(features, params):
+    x = features.data
+    length, dim = x.shape[-2:]
+    (w_update, b_update), (w_reset, b_reset), (w_cand, b_cand), (readout_w, readout_b) = params
+    w_z, w_r, w_c = (w.data for w in (w_update, w_reset, w_cand))
+    xs = x.reshape(-1, length, dim).swapaxes(0, 1)
+    items = xs.shape[1]
+    w_zr_h = np.concatenate([w_z[:dim], w_r[:dim]], axis=1)
+    w_zr_x = np.concatenate([w_z[dim:], w_r[dim:]], axis=1)
+    x_zr = xs @ w_zr_x + np.concatenate([b_update.data, b_reset.data])
+    x_c = xs @ w_c[dim:] + b_cand.data
+    w_c_h = w_c[:dim]
+    hs = np.zeros((length + 1, items, dim), dtype=x.dtype)
+    zr_all = np.empty((length, items, 2 * dim), dtype=x.dtype)
+    c_all = np.empty((length, items, dim), dtype=x.dtype)
+    for i in range(length):
+        h = hs[i]
+        zr = stable_sigmoid(h @ w_zr_h + x_zr[i])
+        z, r = zr[:, :dim], zr[:, dim:]
+        c = np.tanh((r * h) @ w_c_h + x_c[i])
+        hs[i + 1] = (1.0 - z) * h + z * c
+        zr_all[i] = zr
+        c_all[i] = c
+    states = hs[1:]
+    scores = (states @ readout_w.data + readout_b.data)[..., 0]
+    out_data = np.ascontiguousarray(scores.T).reshape(x.shape[:-1])
+
+    def backward(g):
+        g = g.reshape(items, length).T[..., None]
+        _accumulate(readout_w, _rows(states).T @ _rows(g))
+        _accumulate(readout_b, _unbroadcast(g, readout_b.data.shape))
+        g_states = g @ readout_w.data.T
+        d_zr = np.empty_like(zr_all)
+        d_c = np.empty_like(c_all)
+        dh = np.zeros((items, dim), dtype=x.dtype)
+        for i in range(length - 1, -1, -1):
+            h, zr, c = hs[i], zr_all[i], c_all[i]
+            z, r = zr[:, :dim], zr[:, dim:]
+            dh = dh + g_states[i]
+            d_c[i] = dh * z * (1.0 - c * c)
+            d_rh = d_c[i] @ w_c_h.T
+            d_zr[i, :, :dim] = dh * (c - h)
+            d_zr[i, :, dim:] = d_rh * h
+            d_zr[i] *= zr * (1.0 - zr)
+            dh = dh * (1.0 - z) + d_rh * r + d_zr[i] @ w_zr_h.T
+        prev = _rows(hs[:-1])
+        flat_zr, flat_c, flat_x = _rows(d_zr), _rows(d_c), _rows(xs)
+        g_zr_h = prev.T @ flat_zr
+        g_zr_x = flat_x.T @ flat_zr
+        g_c_h = (_rows(zr_all)[:, dim:] * prev).T @ flat_c
+        _accumulate(w_update, np.concatenate([g_zr_h[:, :dim], g_zr_x[:, :dim]]))
+        _accumulate(w_reset, np.concatenate([g_zr_h[:, dim:], g_zr_x[:, dim:]]))
+        _accumulate(w_cand, np.concatenate([g_c_h, flat_x.T @ flat_c]))
+        _accumulate(b_update, _unbroadcast(flat_zr[:, :dim], b_update.data.shape))
+        _accumulate(b_reset, _unbroadcast(flat_zr[:, dim:], b_reset.data.shape))
+        _accumulate(b_cand, _unbroadcast(flat_c, b_cand.data.shape))
+        if features.requires_grad:
+            g_x = d_zr @ w_zr_x.T + d_c @ w_c[dim:].T
+            _accumulate(features, g_x.swapaxes(0, 1).reshape(x.shape))
+
+    parents = (features, w_update, b_update, w_reset, b_reset, w_cand, b_cand,
+               readout_w, readout_b)
+    return _node(out_data, parents, backward)
 
 
 # -- loss terms -----------------------------------------------------------------

@@ -514,7 +514,7 @@ class TestGraphRelease:
     def test_a_dropout_mask_dies_with_its_backward(self, rng):
         x = t(rng.normal(size=(4, 3)))
         dropped = dropout(x, 0.5, rng=rng, train=True)
-        keep = weakref.ref(closure_cells(dropped)["b"].data)
+        keep = weakref.ref(closure_cells(dropped)["keep"])
         out = tsum(dropped)
         assert keep() is not None
         out.backward()

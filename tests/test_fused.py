@@ -4,7 +4,9 @@ Each case compares the forward value and the gradient of every parent under
 a random linear readout. Tolerances are fixed per dtype: 1e-12 relative in
 float64, 1e-5 relative in float32 (summation order differs between the two
 versions, so float32 cannot match bitwise). Each fused loss node also
-passes a grad_check of its own.
+passes a grad_check of its own. The linear, conv1d and dropout nodes, and
+the GRU scan against its earlier node, run the same arithmetic as their
+references, so they are compared bit for bit.
 """
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ import pytest
 import composed
 from conftest import away_from_zero, pairs
 from momentspot import losses
-from momentspot.autodiff import (Tensor, grad_check, layer_norm,
-                                 mul, multi_head_attention, tsum)
+from momentspot.autodiff import (Tensor, add, conv1d, dropout, grad_check,
+                                 layer_norm, linear, mask_rows, mul,
+                                 multi_head_attention, relu, stable_sigmoid,
+                                 tsum)
 from momentspot.config import LossWeights
 from momentspot.losses import (COMPONENT_KEYS, _cosine_loss,
                                compose_total, contrastive_rank_loss,
@@ -139,6 +143,137 @@ class TestGruMatchesComposed:
             lambda f, *p: gru_saliency(f, pairs(p)),
             lambda f, *p: composed.gru_saliency(f, pairs(p)),
             arrays, dtype)
+
+
+# -- nodes that equal their compositions bit for bit ---------------------------
+
+# a padded batch of three items over 7 rows: items 1 and 2 end in masked rows
+ROW_MASK = np.arange(7) < np.array([7, 4, 2])[:, None]
+
+
+def assert_bitwise(node, oracle, arrays, dtype):
+    """node and oracle give the same bytes for the value and for every input's gradient."""
+    out, grads = value_and_grads(node, arrays, dtype)
+    ref_out, ref_grads = value_and_grads(oracle, arrays, dtype)
+    assert out.dtype == dtype and out.shape == ref_out.shape
+    assert out.tobytes() == ref_out.tobytes()
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert g.dtype == dtype and g.shape == ref.shape and g.tobytes() == ref.tobytes(), \
+            f"input {i}"
+
+
+def rows(rng, batched, width):
+    """(7, width) rows, or a (3, 7, width) batch, and its row mask (None for the item)."""
+    return (rng.normal(size=(3, 7, width)), ROW_MASK) if batched else (rng.normal(size=(7, width)), None)
+
+
+def seeded(p, seed, train):
+    """A dropout function at rate p drawing from a fresh generator, the node's or the oracle's."""
+    def drop(fn):
+        rng = np.random.default_rng(seed)
+        return lambda t: fn(t, p, rng=rng, train=train)
+    return drop(dropout), drop(composed.dropout)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batched", [False, True], ids=["item", "batch"])
+class TestNodesEqualTheirCompositions:
+    def test_linear(self, dtype, batched):
+        rng = np.random.default_rng(0)
+        x, mask = rows(rng, batched, 4)
+        assert_bitwise(lambda a, w, b: linear(mask_rows(a, mask), w, b),
+                       lambda a, w, b: composed.linear(mask_rows(a, mask), w, b),
+                       [x, rng.normal(size=(4, 5)), rng.normal(size=5)], dtype)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_conv1d(self, dtype, batched, kernel):
+        rng = np.random.default_rng(kernel)
+        x, mask = rows(rng, batched, 4)
+        assert_bitwise(lambda a, w, b: conv1d(mask_rows(a, mask), w, b),
+                       lambda a, w, b: composed.conv1d(mask_rows(a, mask), w, b),
+                       [x, rng.normal(size=(kernel, 4, 5)), rng.normal(size=5)], dtype)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["off", "on"])
+    def test_dropout(self, dtype, batched, train):
+        x, mask = rows(np.random.default_rng(1), batched, 4)
+        drop, oracle = seeded(0.3, 7, train)
+        assert_bitwise(lambda a: drop(mask_rows(a, mask)), lambda a: oracle(mask_rows(a, mask)),
+                       [x], dtype)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["off", "on"])
+    def test_residual_ffn(self, dtype, batched, train):
+        # x feeds the first layer and the residual: its two gradients meet
+        rng = np.random.default_rng(2)
+        x, mask = rows(rng, batched, 4)
+        params = [rng.normal(size=(4, 6)), rng.normal(size=6), rng.normal(size=(6, 4)),
+                  rng.normal(size=4)]
+
+        def ffn(lin, drop):
+            def f(a, w1, b1, w2, b2):
+                a = mask_rows(a, mask)
+                return add(a, drop(lin(drop(relu(lin(a, w1, b1))), w2, b2)))
+            return f
+
+        drop, oracle = seeded(0.25, 3, train)
+        assert_bitwise(ffn(linear, drop), ffn(composed.linear, oracle), [x] + params, dtype)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["off", "on"])
+    def test_projection(self, dtype, batched, train):
+        # refinement.project's chain: input dropout, then masked conv + ReLU layers
+        rng = np.random.default_rng(3)
+        x, mask = rows(rng, batched, 4)
+        params = [rng.normal(size=(3, 4, 5)), rng.normal(size=5), rng.normal(size=(3, 5, 5)),
+                  rng.normal(size=5)]
+
+        def project(conv, drop):
+            def f(a, w1, b1, w2, b2):
+                t = mask_rows(drop(a), mask)
+                for w, b in ((w1, b1), (w2, b2)):
+                    t = mask_rows(relu(conv(t, w, b)), mask)
+                return t
+            return f
+
+        drop, oracle = seeded(0.5, 4, train)
+        assert_bitwise(project(conv1d, drop), project(composed.conv1d, oracle), [x] + params, dtype)
+
+    def test_gru_scan(self, dtype, batched):
+        rng = np.random.default_rng(4)
+        for length in (1, 3, 9):
+            arrays = gru_arrays(rng, length, 4)
+            if batched:  # three items; the last two end in zero (masked) rows
+                arrays[0] = rng.normal(size=(3, length, 4)) * (np.arange(length) < np.array(
+                    [length, 2, 1])[:, None])[..., None]
+            assert_bitwise(lambda f, *p: gru_saliency(f, pairs(p)),
+                           lambda f, *p: composed.gru_saliency_node(f, pairs(p)), arrays, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_stable_sigmoid_equals_its_earlier_body(dtype):
+    x = np.concatenate([np.random.default_rng(5).normal(size=200) * 30,
+                        [0.0, -0.0, 1e-30, -1e-30, 800.0, -800.0, 1e38, -1e38]]).astype(dtype)
+    want = composed.stable_sigmoid(x)
+    assert stable_sigmoid(x, None).tobytes() == want.tobytes()
+    out = np.empty_like(x)
+    assert stable_sigmoid(x, out) is out and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["item", "batch"])
+def test_linear_conv1d_and_dropout_nodes_pass_grad_check(batched):
+    rng = np.random.default_rng(6)
+    x, mask = rows(rng, batched, 4)
+    x = Tensor(x, requires_grad=True)
+    w, k, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((4, 5), (3, 4, 5), (5,)))
+    readout = Tensor(rng.normal(size=x.data.shape[:-1] + (5,)))
+    for node, params in ((linear, [w, b]), (conv1d, [k, b])):
+        out = node(x, *params)
+        assert out._parents == (x, *params)
+        assert grad_check(lambda a, p, q: tsum(mul(mask_rows(node(a, p, q), mask), readout)),
+                          [x] + params) < 1e-7
+    dropped = dropout(x, 0.4, rng=np.random.default_rng(8), train=True)
+    assert dropped._parents == (x,)
+    assert grad_check(lambda a: tsum(mul(dropout(a, 0.4, rng=np.random.default_rng(8), train=True),
+                                         Tensor(readout.data[..., :4]))), [x]) < 1e-7
 
 
 # float64 only: 1 - cosine cancels when the scan nearly matches gt, which

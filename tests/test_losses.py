@@ -8,7 +8,7 @@ from momentspot.config import LossWeights
 from momentspot.losses import (COMPONENT_KEYS, CompositionError, compose_total,
                                contrastive_rank_loss, gru_saliency, hard_negative_loss,
                                hard_positive_loss, highlight_distribution_loss,
-                               one_minus_cosine, rank_margin_loss,
+                               largest_term, one_minus_cosine, rank_margin_loss,
                                sample_rank_pair, task_coupled_loss,
                                task_specific_loss)
 
@@ -356,6 +356,16 @@ class TestComposeTotal:
         with pytest.raises(CompositionError) as err:
             compose_total(comps, LossWeights())
         assert "hard" in str(err.value)
+
+    def test_largest_term_weighs_as_the_total_does(self):
+        comps = unit_components()
+        comps["hard"] = Tensor(np.asarray(2.0))  # weight 10: 20, above l1's 10 * 1
+        comps["alignment"] = 500.0  # weight 0.01: 5
+        assert largest_term(comps, LossWeights()) == "hard"
+        # the saliency weight scales the highlight terms only
+        assert largest_term(comps, LossWeights(saliency=0.1)) == "l1"
+        comps["task_coupled"] = Tensor(np.asarray(3e38, dtype=np.float32))
+        assert largest_term(comps, LossWeights(saliency=0.1)) == "task_coupled"
 
     def test_accepts_plain_floats(self):
         comps = {k: 1.0 for k in COMPONENT_KEYS}

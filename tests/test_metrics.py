@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS,
                                 compute_report, giou_1d, hd_map, hit_at_1,
                                 iou_1d, load_predictions, mean_ap, mean_iou,
                                 ranking_average_precision, recall_at_1,
-                                save_predictions)
+                                save_predictions, span_giou, span_iou)
 from momentspot.data import ParseError
 from test_data import make_annotation
 import composed
@@ -140,6 +141,15 @@ class TestIoU:
         a, b = ends[:2], ends[2:]
         assert iou_1d(a, b) == composed.iou_1d(a, b)
         assert giou_1d(a, b) == composed.giou_1d(a, b)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 10.0]) | st.floats(-5, 50),
+                    min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_python_float_path_equals_the_array_path(self, ends):
+        # max and np.maximum may break a tie of 0.0 and -0.0 either way; the values are equal
+        for span in (span_iou, span_giou):
+            scalar = span(*ends)
+            assert type(scalar) is float and scalar == span(*np.array(ends)[:, None])[0]
 
     def test_iou_matches_reference(self, rng):
         for _ in range(500):

@@ -415,7 +415,7 @@ class TestLossGraph:
 
     # 143 forward nodes, then 12: the nine terms, the GRU scan, the
     # clip-query cosines and compose_total (the composed tail made it 268)
-    DESK_BATCH_NODES = 155
+    DESK_BATCH_NODES = 126
 
     def test_desk_batch_graph_size(self, tmp_path):
         cfg = ModelConfig.desk(batch_size=4)

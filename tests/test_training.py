@@ -15,7 +15,7 @@ from momentspot import autodiff
 from momentspot import model as model_module
 from momentspot import training
 from momentspot.autodiff import Tensor, add, grad_check, tsum, xavier_uniform
-from momentspot.config import ConfigError, ModelConfig
+from momentspot.config import ConfigError, LossWeights, ModelConfig
 from momentspot.data import save_features
 from momentspot.fixtures import build_overfit_fixture
 from momentspot.metrics import MetricReport
@@ -596,6 +596,30 @@ class TestCheckpoint:
         assert meta["payload_dtype"] == tag
         assert restored.store.arena.tobytes() == params.arena.tobytes()
 
+    def test_header_parts_are_built_once_per_model(self, tmp_path, monkeypatch):
+        # only the epoch, the step and the best metric change between a model's saves
+        cfg = tiny_config(encoder_layers=1, decoder_layers=1)
+        model = Model(cfg, seed=3)
+        params = model.named_parameters()
+        opt = AdamW(params, lr=cfg.lr)
+        config = cfg.to_dict()
+        entries = [{"name": n, "shape": list(p.tensor.data.shape)} for n, p in params.items()]
+        built = []
+        to_dict = ModelConfig.to_dict
+        monkeypatch.setattr(ModelConfig, "to_dict", lambda self: built.append(self) or to_dict(self))
+        path = tmp_path / "h.ckpt"
+        for epoch, best, step in ((0, None, 0), (1, 0.125, 4), (2, np.float64(1 / 3), 9),
+                                  (3, math.nan, 9)):
+            opt.step_count = step
+            save_checkpoint(path, model, optimizer=opt, epoch=epoch, best_metric=best)
+            head = json.dumps({"config": config, "epochs_done": epoch, "params": entries,
+                               "optimizer_step": step, "best_metric": best}).encode("utf-8")
+            assert path.read_bytes() == b"MSPT" + struct.pack("<II", 2, len(head)) + head \
+                + params.arena.tobytes()
+        assert built == [cfg]
+        save_checkpoint(tmp_path / "other.ckpt", Model(cfg, seed=4), optimizer=opt)
+        assert len(built) == 2
+
     def test_interrupted_writes_keep_previous_files(self, tmp_path, monkeypatch):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
         last, best = tmp_path / "last.ckpt", tmp_path / "best.ckpt"
@@ -966,6 +990,17 @@ class TestTrainLoop:
         assert best == Path(result.last_checkpoint).read_bytes()
         restored, _ = model_from_checkpoint(result.best_checkpoint)
         assert np.isfinite(restored.store.arena).all()
+
+    def test_overflowing_total_names_its_largest_term(self, tmp_path, monkeypatch):
+        # every component is finite; task_coupled's weighted float32 value overflows the sum
+        monkeypatch.setattr(model_module, "task_coupled_loss",
+                            lambda *args, **kwargs: Tensor(np.asarray(1e38, dtype=np.float32)))
+        cfg = self.small_cfg(dtype="float32", weights=LossWeights(task_coupled=4.0))
+        with np.errstate(over="ignore"):
+            result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
+        assert result.diverged and result.epochs_run == 0
+        assert read_log(result)[-1] == {"epoch": 0, "split": "train", "diverged": True,
+                                        "batch": 0, "cause": "non-finite total: task_coupled"}
 
     @pytest.mark.parametrize("planted, named", [
         ({-1: np.nan, 5: np.inf}, 5),  # the cause names the first in registry order
