@@ -235,12 +235,12 @@ def gru_saliency(features, params):
     w_c_h = w_c[:dim]
     hs = np.zeros((length + 1, items, dim), dtype=x.dtype)  # hs[i] is the state before step i
     zr_all = np.empty((length, items, 2 * dim), dtype=x.dtype)
+    z_all, r_all = zr_all[..., :dim], zr_all[..., dim:]
     c_all = np.empty((length, items, dim), dtype=x.dtype)
     for i in range(length):
-        h, zr, c = hs[i], zr_all[i], c_all[i]
-        stable_sigmoid(h @ w_zr_h + x_zr[i], zr)
-        z, r = zr[:, :dim], zr[:, dim:]
-        np.tanh((r * h) @ w_c_h + x_c[i], out=c)
+        h, z, c = hs[i], z_all[i], c_all[i]
+        stable_sigmoid(h @ w_zr_h + x_zr[i], zr_all[i])
+        np.tanh((r_all[i] * h) @ w_c_h + x_c[i], out=c)
         np.add((1.0 - z) * h, z * c, out=hs[i + 1])
     states = hs[1:]
     scores = (states @ readout_w.data + readout_b.data)[..., 0]  # (L, B)
@@ -252,23 +252,24 @@ def gru_saliency(features, params):
         _accumulate(readout_b, _unbroadcast(g, readout_b.data.shape))
         g_states = g @ readout_w.data.T
         d_zr = np.empty_like(zr_all)  # gradients of the gate pre-activations
+        d_z, d_r = d_zr[..., :dim], d_zr[..., dim:]
         d_c = np.empty_like(c_all)
         # the step-local factors of every step at once: tanh' and sigmoid' of
         # the outputs, the update's (c - h) and the carry (1 - z)
         d_tanh = 1.0 - c_all * c_all
         d_sigmoid = zr_all * (1.0 - zr_all)
         c_minus_h = c_all - hs[:-1]
-        carry = 1.0 - zr_all[..., :dim]
+        carry = 1.0 - z_all
+        w_c_h_t, w_zr_h_t = w_c_h.T, w_zr_h.T
         dh = np.zeros((items, dim), dtype=x.dtype)
         for i in range(length - 1, -1, -1):
-            z, r = zr_all[i, :, :dim], zr_all[i, :, dim:]
-            dh = dh + g_states[i]
-            np.multiply(dh * z, d_tanh[i], out=d_c[i])
-            d_rh = d_c[i] @ w_c_h.T
-            np.multiply(dh, c_minus_h[i], out=d_zr[i, :, :dim])
-            np.multiply(d_rh, hs[i], out=d_zr[i, :, dim:])
+            dh += g_states[i]
+            np.multiply(dh * z_all[i], d_tanh[i], out=d_c[i])
+            d_rh = d_c[i] @ w_c_h_t
+            np.multiply(dh, c_minus_h[i], out=d_z[i])
+            np.multiply(d_rh, hs[i], out=d_r[i])
             d_zr[i] *= d_sigmoid[i]
-            dh = dh * carry[i] + d_rh * r + d_zr[i] @ w_zr_h.T
+            dh = dh * carry[i] + d_rh * r_all[i] + d_zr[i] @ w_zr_h_t
         prev = _rows(hs[:-1])
         flat_zr, flat_c, flat_x = _rows(d_zr), _rows(d_c), _rows(xs)
         g_zr_h = prev.T @ flat_zr
