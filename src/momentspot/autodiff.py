@@ -482,16 +482,17 @@ def narrow(t, axis, start, length):
 
 def _unfold(x, kernel):
     """unfold1d's windows of array x, and the function that folds a window
-    gradient back into x's shape: (unfolded, fold)."""
+    gradient back into x's shape: (unfolded, fold). fold holds no array."""
     if kernel % 2 != 1:
         raise ShapeError("unfold1d requires an odd kernel")
     length, ch = x.shape[-2:]
     pad = (kernel - 1) // 2
-    padded = np.zeros(x.shape[:-2] + (length + 2 * pad, ch), dtype=x.dtype)
+    shape, dtype = x.shape[:-2] + (length + 2 * pad, ch), x.dtype
+    padded = np.zeros(shape, dtype=dtype)
     padded[..., pad:pad + length, :] = x
 
     def fold(g):
-        gp = np.zeros_like(padded)
+        gp = np.zeros(shape, dtype=dtype)
         for j in range(kernel):
             gp[..., j:j + length, :] += g[..., j * ch:(j + 1) * ch]
         return gp[..., pad:pad + length, :]
@@ -688,11 +689,13 @@ def conv1d(x, weight, bias):
     unf, fold = _unfold(x.data, kernel)
     w = weight.data.reshape(kernel * c_in, c_out)
     out_data = _gemm(unf, w) + bias.data
+    # the weight's gradient reads unf alone, so x is held only to take its own
+    source = x if x.requires_grad else None
 
     def backward(g):
         _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            _accumulate(x, fold(_gemm(g, w.T)))
+        if source is not None:
+            _accumulate(source, fold(_gemm(g, w.T)))
         if weight.requires_grad:
             _accumulate(weight, (_rows(unf).T @ _rows(g)).reshape(weight.data.shape))
 

@@ -521,6 +521,15 @@ class TestGraphRelease:
         assert keep() is None
         np.testing.assert_array_equal(x.grad * x.data, dropped.data)  # the scaled mask
 
+    def test_a_conv_holds_its_input_only_for_the_input_gradient(self, rng):
+        # the weight gradient reads the unfolded windows, and fold keeps shapes, not arrays
+        w, b = t(rng.normal(size=(3, 4, 5))), t(rng.normal(size=5))
+        for needs_grad in (False, True):
+            x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=needs_grad)
+            cells = closure_cells(conv1d(x, w, b))
+            assert cells["source"] is (x if needs_grad else None)
+            assert not any(isinstance(c.cell_contents, np.ndarray) for c in cells["fold"].__closure__)
+
     def test_attention_weights_die_with_their_backward(self, rng):
         q = t(rng.normal(size=(2, 3, 4)))
         kv = t(rng.normal(size=(2, 5, 4)))
