@@ -30,6 +30,12 @@ Digests:
   backward, clip, AdamW) of the full-scale preset, dropout on, on one batch of
   the full-long benchmark workload's items; plus step_losses, the total loss
   of each step.
+- masked-keys/<dtype>: two train-mode steps (forward, backward, clip,
+  AdamW) of the desk preset with max_clips=75, dropout 0.1 and input
+  dropout 0.2, on one batch of desk-long workload items with 40 to 75 clips
+  and 2 to 8 query words, so every attention call masks some keys; the
+  params arena after them, each step's loss, and the repr of predict_batch
+  on that padded batch.
 - init: the seeded weight arena of a freshly built desk float64, desk float32
   and full-scale float32 model.
 - bundles: the video and text bytes of bundle_for on every full-long
@@ -46,6 +52,7 @@ Digests:
   above 0, no positive or negative clip, all-zero gt saliency, no matched
   query.
 """
+import dataclasses
 import hashlib
 import json
 import os
@@ -70,13 +77,14 @@ from momentspot.losses import (compose_total, contrastive_rank_loss, highlight_d
                                rank_margin_loss, task_coupled_loss, task_specific_loss)
 from momentspot.matching import MatchResult, match_cost_matrix, matched_giou, moment_loss
 from momentspot.metrics import QueryPrediction, compute_report
-from momentspot.model import Model, batch_loss, bundle_for
+from momentspot.model import Model, batch_loss, bundle_for, predict_batch
 from momentspot.refinement import alignment_loss
 from momentspot.training import AdamW, clip_gradients, evaluate_checkpoint, train
 from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
 
 DIGESTS = ROOT / "tests" / "bitwise_digests.json"
 EPOCHS = 5  # of each desk run
+MASKED_QUERY_WORDS = (2, 8, 5, 3)  # one per item of the masked-keys batch; desk keeps 8 tokens
 SEED = 2
 STEPS = 2  # of the full-preset run
 # the train_log.jsonl fields that differ between two runs of the same arithmetic
@@ -142,6 +150,32 @@ def full_steps():
         clip_gradients(model.named_parameters(), cfg.grad_clip)
         optimizer.step()
     return {"arena": sha(model.store.arena.tobytes()), "step_losses": losses}
+
+
+def masked_key_steps(tmp, dtype):
+    """Digest of the desk params arena after STEPS train-mode steps on one padded batch
+    whose clip counts and query lengths differ per item, each step's loss, and the
+    predict_batch output on that batch after them."""
+    workload = WORKLOADS["desk-long"]
+    cfg = dataclasses.replace(workload.cfg, dtype=dtype, dropout=0.1, input_dropout=0.2,
+                              grad_clip=0.5)
+    inputs = make_inputs(workload, SEED, tmp / f"masked-keys-{dtype}")
+    items = [dataclasses.replace(ann, query=" ".join(ann.query.split()[:words]))
+             for ann, words in zip(inputs.train_items[:BATCH_SIZE], MASKED_QUERY_WORDS)]
+    batch = [(bundle_for(ann, cfg, inputs.feature_dir), ann) for ann in items]
+    model = Model(cfg, seed=SEED)
+    optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng([SEED, 5])
+    losses = []
+    for step in range(STEPS):
+        total, _ = batch_loss(model, batch, step, rng=rng, train=True)
+        losses.append(repr(total.item()))
+        model.zero_grad()
+        total.backward()
+        clip_gradients(model.named_parameters(), cfg.grad_clip)
+        optimizer.step()
+    return {"arena": sha(model.store.arena.tobytes()), "step_losses": losses,
+            "predict_batch": sha(repr(predict_batch(model, batch)).encode())}
 
 
 def init_arenas():
@@ -277,6 +311,8 @@ def main():
             for mode in ("bidirectional", "text_to_video"):
                 digests[f"desk/{dtype}/{mode}"] = desk_run(Path(tmp), dtype, mode)
         digests["bundles"] = bundles(Path(tmp))
+        for dtype in ("float64", "float32"):
+            digests[f"masked-keys/{dtype}"] = masked_key_steps(Path(tmp), dtype)
     digests["full/float32"] = full_steps()
     digests["init"] = init_arenas()
     digests["metrics"] = metric_sets()
