@@ -282,10 +282,10 @@ def clip01(t):
 
 def relu(t):
     out_data = np.maximum(t.data, 0.0)
-    mask = t.data > 0.0
 
     def backward(g):
-        _accumulate(t, g * mask)
+        # max(x, 0) > 0 exactly where x > 0; NaN is False in both
+        _accumulate(t, g * (out_data > 0.0))
 
     return _node(out_data, (t,), backward)
 
@@ -553,19 +553,23 @@ def _masked_exp(x, keep):
     """(m, e, row_sum) over the last axis within keep (True keeps all): the
     kept row max, exp(x - m) on kept entries and 0 elsewhere (dropped entries
     never overflow), and e's row sums. e is a fresh C-contiguous array even
-    for a broadcast view x, so its sums group the same way whatever x's strides."""
+    for a broadcast view x, so its sums group the same way whatever x's strides;
+    the shift and the exp are written into it, and x is only read."""
     m = x.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
-    e = np.exp(x - m, where=keep, out=np.zeros(x.shape, x.dtype))
+    e = np.subtract(x, m, where=keep, out=np.zeros(x.shape, x.dtype))
+    np.exp(e, where=keep, out=e)
     return m, e, e.sum(axis=-1, keepdims=True)
 
 
 def _masked_softmax(x, keep):
     """Softmax over the last axis of an array, restricted to the columns in keep.
 
-    Returns (weights, dead): a row with no kept column is all zero and marked dead.
+    A row with no kept column is all zero. A row with one sums exp(0) = 1 and
+    non-negative terms, so flooring the sums at 1 changes only the empty rows.
     """
     _, e, denom = _masked_exp(x, keep)
-    return e / np.where(denom == 0.0, 1.0, denom), denom[..., 0] == 0.0
+    e /= np.maximum(denom, 1.0, out=denom)
+    return e
 
 
 def softmax_masked(scores, key_mask=None):
@@ -577,7 +581,7 @@ def softmax_masked(scores, key_mask=None):
     x = scores.data
     if x.ndim != 2:
         raise ShapeError("softmax_masked expects rank-2 scores")
-    y, _ = _masked_softmax(x, keep_mask(key_mask, x.shape[1]))
+    y = _masked_softmax(x, keep_mask(key_mask, x.shape[1]))
 
     def backward(g):
         inner = (g * y).sum(axis=1, keepdims=True)
@@ -636,19 +640,28 @@ def layer_norm(t, gamma, beta):
     if x.ndim not in (2, 3):
         raise ShapeError("layer_norm expects a rank-2 or rank-3 tensor")
     scale = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * scale
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + LAYER_NORM_EPS)
-    xhat = centered * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat = x - x.sum(axis=-1, keepdims=True) * scale  # centred, then scaled in place
+    out_data = xhat * xhat
+    inv = out_data.sum(axis=-1, keepdims=True)
+    inv *= scale
+    inv += LAYER_NORM_EPS
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out_data)
+    out_data += beta.data
 
     def backward(g):
         _accumulate(beta, _unbroadcast(g, beta.data.shape))
         _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
         if t.requires_grad:
+            # inv * (gx - mean(gx) - xhat * mean(gx * xhat)), formed in gx
             gx = g * gamma.data
-            mean_gx = gx.sum(axis=-1, keepdims=True) * scale
-            mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) * scale
-            _accumulate(t, inv * (gx - mean_gx - xhat * mean_gx_xhat))
+            term = gx * xhat
+            mean_gx_xhat = term.sum(axis=-1, keepdims=True) * scale
+            gx -= gx.sum(axis=-1, keepdims=True) * scale
+            gx -= np.multiply(xhat, mean_gx_xhat, out=term)
+            gx *= inv
+            _accumulate(t, gx)
 
     return _node(out_data, (t, gamma, beta), backward)
 
@@ -743,7 +756,11 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = params
     if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
         raise ShapeError(f"attention projections must be ({d}, {d})")
-    keep = keep_mask(key_mask, kd.shape[:-1])[..., None, None, :]  # shared by heads and queries
+    keep = keep_mask(key_mask, kd.shape[:-1])
+    # an item whose keys are all masked has only dead query rows, in every head
+    dead = ~keep.any(axis=-1, keepdims=True)[..., None]
+    # shared by heads and queries; the scalar True when no key is masked
+    keep = True if keep.all() else keep[..., None, None, :]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
@@ -753,18 +770,22 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     def merge(x):  # (..., heads, n, dh) -> (..., n, d)
         return x.swapaxes(-2, -3).reshape(qd.shape[:-2] + (-1, d))
 
-    qh = split(_gemm(qd, wq.data) + bq.data)
-    kh = split(_gemm(kd, wk.data) + bk.data)
-    vh = split(_gemm(vd, wv.data) + bv.data)
-    attn, dead = _masked_softmax((qh @ kh.swapaxes(-1, -2)) * scale, keep)
-    # a query row is dead when no key is kept: the same rows in every head
-    dead = dead[..., 0, :]
+    def project(x, w, b):  # x @ w + b into the product's fresh array, split into heads
+        out = _gemm(x, w.data)
+        out += b.data
+        return split(out)
+
+    qh, kh, vh = project(qd, wq, bq), project(kd, wk, bk), project(vd, wv, bv)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    attn = _masked_softmax(scores, keep)
     merged = merge(attn @ vh)
-    out_data = _gemm(merged, wo.data) + bo.data
+    out_data = _gemm(merged, wo.data)
+    out_data += bo.data
     live = None
     if dead.any():
-        live = (~dead).astype(out_data.dtype)[..., None]
-        out_data = out_data * live
+        live = (~dead).astype(out_data.dtype)
+        out_data *= live
 
     def project_back(x, w, b, g):
         """Gradients of x @ w + b given the output gradient g."""
@@ -779,8 +800,11 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
         _accumulate(wo, _rows(merged).T @ _rows(g))
         _accumulate(bo, _unbroadcast(g, bo.data.shape))
         g_out = split(_gemm(g, wo.data.T))
-        g_attn = g_out @ vh.swapaxes(-1, -2)
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        # the scores' gradient attn * (g_attn - sum(g_attn * attn)) * scale, formed in g_attn
+        g_scores = g_out @ vh.swapaxes(-1, -2)
+        g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
+        g_scores *= attn
+        g_scores *= scale
         project_back(q, wq, bq, merge(g_scores @ kh))
         project_back(k, wk, bk, merge(g_scores.swapaxes(-1, -2) @ qh))
         project_back(v, wv, bv, merge(attn.swapaxes(-1, -2) @ g_out))

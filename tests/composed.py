@@ -11,6 +11,12 @@ the two. The loss oracles are the composed bodies the fused nodes replaced;
 and equal them bit for bit. `gru_saliency_node` is the one-node GRU scan
 before its step was written with `out=` and its backward's step-local
 factors were formed for all steps at once; the scan equals it bit for bit.
+`relu_node`, `dropout_node`, `conv1d_node`, `layer_norm_node` and
+`multi_head_attention_node` are those nodes before their bodies were cut to
+fewer NumPy calls and temporaries (the attention's softmax found dead rows
+from its sums and masked with an array when every key was kept; dropout
+held the scaled float mask, conv1d the unfolded windows); the nodes equal
+them bit for bit.
 `grad_norm` is the global gradient norm as `training.clip_gradients` summed
 it before it walked the grad arena in chunks. `xavier_uniform` and
 `encode_item` are the set-up paths that wrote whole float64 temporaries:
@@ -28,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from momentspot.autodiff import (ShapeError, Tensor, _accumulate, _node, _rows,
-                                 _unbroadcast, absval, add, as_tensor, clip01,
+from momentspot.autodiff import (LAYER_NORM_EPS, ShapeError, Tensor, _accumulate, _gemm,
+                                 _node, _rows, _unbroadcast, _unfold, absval, add, as_tensor, clip01,
                                  concat, div, keep_mask, log_softmax_rows,
                                  logsumexp, mask_rows, matmul, maximum, minimum,
                                  mul, narrow, relu, reshape, sigmoid,
@@ -172,6 +178,122 @@ def gru_saliency_node(features, params):
     parents = (features, w_update, b_update, w_reset, b_reset, w_cand, b_cand,
                readout_w, readout_b)
     return _node(out_data, parents, backward)
+
+
+# -- node bodies before their NumPy calls and temporaries were cut -----------------
+
+
+def relu_node(t):
+    out_data = np.maximum(t.data, 0.0)
+    mask = t.data > 0.0
+
+    def backward(g):
+        _accumulate(t, g * mask)
+
+    return _node(out_data, (t,), backward)
+
+
+def dropout_node(t, p, rng=None, train=False):
+    if not train or p <= 0.0:
+        return t
+    keep = (rng.random(t.data.shape) >= p) * (np.ones((), t.data.dtype) / (1.0 - p))
+
+    def backward(g):
+        _accumulate(t, g * keep)
+
+    return _node(t.data * keep, (t,), backward)
+
+
+def conv1d_node(x, weight, bias):
+    kernel, c_in, c_out = weight.data.shape
+    unf, fold = _unfold(x.data, kernel)
+    w = weight.data.reshape(kernel * c_in, c_out)
+    out_data = _gemm(unf, w) + bias.data
+    source = x if x.requires_grad else None
+
+    def backward(g):
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if source is not None:
+            _accumulate(source, fold(_gemm(g, w.T)))
+        if weight.requires_grad:
+            _accumulate(weight, (_rows(unf).T @ _rows(g)).reshape(weight.data.shape))
+
+    return _node(out_data, (x, weight, bias), backward)
+
+
+def layer_norm_node(t, gamma, beta):
+    x = t.data
+    scale = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + LAYER_NORM_EPS)
+    xhat = centered * inv
+    out_data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        _accumulate(beta, _unbroadcast(g, beta.data.shape))
+        _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+        if t.requires_grad:
+            gx = g * gamma.data
+            mean_gx = gx.sum(axis=-1, keepdims=True) * scale
+            mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) * scale
+            _accumulate(t, inv * (gx - mean_gx - xhat * mean_gx_xhat))
+
+    return _node(out_data, (t, gamma, beta), backward)
+
+
+def masked_softmax_and_dead(x, keep):
+    """(weights, dead): the softmax over the last axis within keep, and the rows with no kept column."""
+    m = x.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    e = np.exp(x - m, where=keep, out=np.zeros(x.shape, x.dtype))
+    denom = e.sum(axis=-1, keepdims=True)
+    return e / np.where(denom == 0.0, 1.0, denom), denom[..., 0] == 0.0
+
+
+def multi_head_attention_node(q, k, v, params, heads, key_mask=None):
+    qd, kd, vd = q.data, k.data, v.data
+    d = qd.shape[-1]
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = params
+    keep = keep_mask(key_mask, kd.shape[:-1])[..., None, None, :]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x):
+        return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
+
+    def merge(x):
+        return x.swapaxes(-2, -3).reshape(qd.shape[:-2] + (-1, d))
+
+    qh = split(_gemm(qd, wq.data) + bq.data)
+    kh = split(_gemm(kd, wk.data) + bk.data)
+    vh = split(_gemm(vd, wv.data) + bv.data)
+    attn, dead = masked_softmax_and_dead((qh @ kh.swapaxes(-1, -2)) * scale, keep)
+    dead = dead[..., 0, :]
+    merged = merge(attn @ vh)
+    out_data = _gemm(merged, wo.data) + bo.data
+    live = None
+    if dead.any():
+        live = (~dead).astype(out_data.dtype)[..., None]
+        out_data = out_data * live
+
+    def project_back(x, w, b, g):
+        _accumulate(w, _rows(x.data).T @ _rows(g))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, _gemm(g, w.data.T))
+
+    def backward(g):
+        if live is not None:
+            g = g * live
+        _accumulate(wo, _rows(merged).T @ _rows(g))
+        _accumulate(bo, _unbroadcast(g, bo.data.shape))
+        g_out = split(_gemm(g, wo.data.T))
+        g_attn = g_out @ vh.swapaxes(-1, -2)
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        project_back(q, wq, bq, merge(g_scores @ kh))
+        project_back(k, wk, bk, merge(g_scores.swapaxes(-1, -2) @ qh))
+        project_back(v, wv, bv, merge(attn.swapaxes(-1, -2) @ g_out))
+
+    return _node(out_data, (q, k, v, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 # -- loss terms -----------------------------------------------------------------

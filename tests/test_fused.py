@@ -6,7 +6,8 @@ float64, 1e-5 relative in float32 (summation order differs between the two
 versions, so float32 cannot match bitwise). Each fused loss node also
 passes a grad_check of its own. The linear, conv1d and dropout nodes, and
 the GRU scan against its earlier node, run the same arithmetic as their
-references, so they are compared bit for bit.
+references, so they are compared bit for bit, as are the relu, dropout,
+conv1d, layer-norm and attention nodes against their earlier bodies.
 """
 import numpy as np
 import pytest
@@ -245,6 +246,79 @@ class TestNodesEqualTheirCompositions:
                     [length, 2, 1])[:, None])[..., None]
             assert_bitwise(lambda f, *p: gru_saliency(f, pairs(p)),
                            lambda f, *p: composed.gru_saliency_node(f, pairs(p)), arrays, dtype)
+
+
+def keys(*items):
+    """A key mask from one "10110"-style string per item: 1 keeps the key."""
+    mask = np.array([[c == "1" for c in item] for item in items])
+    return mask[0] if len(items) == 1 else mask
+
+
+# key masks over 5 keys of one item, and of a padded batch of three items;
+# "all_masked" masks every key of the item, or of the batch's last item
+KEY_MASKS = {
+    "item": {"unmasked": None, "all_kept": keys("11111"), "some_masked": keys("10110"),
+             "all_masked": keys("00000")},
+    "batch": {"unmasked": None, "all_kept": keys("11111", "11111", "11111"),
+              "some_masked": keys("11111", "10110", "11000"),
+              "all_masked": keys("11111", "10110", "00000")},
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batched", [False, True], ids=["item", "batch"])
+class TestNodesEqualTheirEarlierBodies:
+    @pytest.mark.parametrize("mask", list(KEY_MASKS["item"]))
+    def test_attention(self, dtype, batched, mask):
+        key_mask = KEY_MASKS["batch" if batched else "item"][mask]
+        lead = (3,) if batched else ()
+        rng = np.random.default_rng(10)
+        params = [rng.normal(size=s) * 0.3 for s in [(8, 8), (8,)] * 4]
+        # cross-attention of 3 queries over 5 keys, then self-attention over the 5 keys
+        arrays = [rng.normal(size=lead + (3, 8)), rng.normal(size=lead + (5, 8)),
+                  rng.normal(size=lead + (5, 8))]
+        assert_bitwise(
+            lambda q, k, v, *p: multi_head_attention(q, k, v, pairs(p), 2, key_mask=key_mask),
+            lambda q, k, v, *p: composed.multi_head_attention_node(q, k, v, pairs(p), 2, key_mask=key_mask),
+            arrays + params, dtype)
+        assert_bitwise(
+            lambda x, *p: multi_head_attention(x, x, x, pairs(p), 4, key_mask=key_mask),
+            lambda x, *p: composed.multi_head_attention_node(x, x, x, pairs(p), 4, key_mask=key_mask),
+            arrays[1:2] + params, dtype)
+
+    def test_layer_norm(self, dtype, batched):
+        # masked rows reach a layer norm as all-zero rows
+        rng = np.random.default_rng(11)
+        x, mask = rows(rng, batched, 8)
+        assert_bitwise(lambda a, g, b: layer_norm(mask_rows(a, mask), g, b),
+                       lambda a, g, b: composed.layer_norm_node(mask_rows(a, mask), g, b),
+                       [x * 3 + 1, rng.normal(size=8), rng.normal(size=8)], dtype)
+
+    def test_relu(self, dtype, batched):
+        x, mask = rows(np.random.default_rng(12), batched, 4)
+        x.reshape(-1)[:3] = [0.0, -0.0, 1e-300]  # the kink, and a float32 underflow to 0
+        assert_bitwise(lambda a: relu(mask_rows(a, mask)), lambda a: composed.relu_node(mask_rows(a, mask)),
+                       [x], dtype)
+
+    def test_dropout(self, dtype, batched):
+        x, mask = rows(np.random.default_rng(13), batched, 4)
+        drop = [lambda t, fn=fn: fn(t, 0.3, rng=np.random.default_rng(7), train=True)
+                for fn in (dropout, composed.dropout_node)]
+        assert_bitwise(lambda a: drop[0](mask_rows(a, mask)), lambda a: drop[1](mask_rows(a, mask)),
+                       [x], dtype)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_conv1d(self, dtype, batched, kernel):
+        rng = np.random.default_rng(kernel)
+        x, mask = rows(rng, batched, 4)
+        params = [rng.normal(size=(kernel, 4, 5)), rng.normal(size=5)]
+        assert_bitwise(lambda a, w, b: conv1d(mask_rows(a, mask), w, b),
+                       lambda a, w, b: composed.conv1d_node(mask_rows(a, mask), w, b),
+                       [x] + params, dtype)
+        # an input that takes no gradient, as the video and text features are
+        constant = Tensor(x.astype(dtype))
+        assert_bitwise(lambda w, b: conv1d(constant, w, b),
+                       lambda w, b: composed.conv1d_node(constant, w, b), params, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
