@@ -99,6 +99,8 @@ class Tensor:
         topo = []
         visited = set()
         stack = [(self, False)]
+        # a leaf takes its gradient from its consumers and runs nothing itself,
+        # so only parents with a backward function (or a freed one) are walked
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -111,7 +113,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p._backward_fn is not None and id(p) not in visited:
                     stack.append((p, False))
         _accumulate(self, grad)
         # Walk consumers before producers, releasing each node's closure and
