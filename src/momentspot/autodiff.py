@@ -676,13 +676,15 @@ def dropout(t, p, rng=None, train=False):
         raise ValueError(f"dropout probability {p} outside [0, 1)")
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit RNG")
-    # kept entries scale by 1 / (1 - p), divided in t's dtype; dropped ones by 0
-    keep = (rng.random(t.data.shape) >= p) * (np.ones((), t.data.dtype) / (1.0 - p))
+    # kept entries scale by 1 / (1 - p), divided in t's dtype; dropped ones by 0.
+    # The node holds the bool mask and forms the scaled one on each use.
+    keep = rng.random(t.data.shape) >= p
+    scale = np.ones((), t.data.dtype) / (1.0 - p)
 
     def backward(g):
-        _accumulate(t, g * keep)
+        _accumulate(t, g * (keep * scale))
 
-    return _node(t.data * keep, (t,), backward)
+    return _node(t.data * (keep * scale), (t,), backward)
 
 
 def identity(t):
@@ -704,15 +706,14 @@ def conv1d(x, weight, bias):
     unf, fold = _unfold(x.data, kernel)
     w = weight.data.reshape(kernel * c_in, c_out)
     out_data = _gemm(unf, w) + bias.data
-    # the weight's gradient reads unf alone, so x is held only to take its own
-    source = x if x.requires_grad else None
+    # the node holds x, not its kernel times larger windows: the weight's gradient unfolds x again
 
     def backward(g):
         _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if source is not None:
-            _accumulate(source, fold(_gemm(g, w.T)))
+        if x.requires_grad:
+            _accumulate(x, fold(_gemm(g, w.T)))
         if weight.requires_grad:
-            _accumulate(weight, (_rows(unf).T @ _rows(g)).reshape(weight.data.shape))
+            _accumulate(weight, (_rows(_unfold(x.data, kernel)[0]).T @ _rows(g)).reshape(weight.data.shape))
 
     return _node(out_data, (x, weight, bias), backward)
 
