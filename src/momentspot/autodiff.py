@@ -551,25 +551,26 @@ def mask_rows(t, mask=None):
 # -- normalization / attention pieces --------------------------------------
 
 
-def _masked_exp(x, keep):
+def _masked_exp(x, keep, shifted):
     """(m, e, row_sum) over the last axis within keep (True keeps all): the
     kept row max, exp(x - m) on kept entries and 0 elsewhere (dropped entries
     never overflow), and e's row sums. e is a fresh C-contiguous array even
-    for a broadcast view x, so its sums group the same way whatever x's strides;
-    the shift and the exp are written into it, and x is only read."""
+    for a broadcast view x, so its sums group the same way whatever x's strides.
+    x - m is written into shifted: x itself when the caller made x, or None
+    for a new array."""
     m = x.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
-    e = np.subtract(x, m, where=keep, out=np.zeros(x.shape, x.dtype))
-    np.exp(e, where=keep, out=e)
+    e = np.exp(np.subtract(x, m, out=shifted), where=keep, out=np.zeros(x.shape, x.dtype))
     return m, e, e.sum(axis=-1, keepdims=True)
 
 
 def _masked_softmax(x, keep):
-    """Softmax over the last axis of an array, restricted to the columns in keep.
+    """Softmax over the last axis of an array the caller made, restricted to
+    the columns in keep; x is overwritten with its shifted scores.
 
     A row with no kept column is all zero. A row with one sums exp(0) = 1 and
     non-negative terms, so flooring the sums at 1 changes only the empty rows.
     """
-    _, e, denom = _masked_exp(x, keep)
+    _, e, denom = _masked_exp(x, keep, x)
     e /= np.maximum(denom, 1.0, out=denom)
     return e
 
@@ -583,7 +584,7 @@ def softmax_masked(scores, key_mask=None):
     x = scores.data
     if x.ndim != 2:
         raise ShapeError("softmax_masked expects rank-2 scores")
-    y = _masked_softmax(x, keep_mask(key_mask, x.shape[1]))
+    y = _masked_softmax(x.copy(), keep_mask(key_mask, x.shape[1]))
 
     def backward(g):
         inner = (g * y).sum(axis=1, keepdims=True)
@@ -604,7 +605,7 @@ def _logsumexp(x, include):
         raise ShapeError(f"include of shape {inc.shape} does not match {x.shape}") from err
     if x.ndim == 0 or not np.broadcast_to(inc, shape).any(axis=-1).all():
         raise ShapeError("logsumexp over an empty subset")
-    m, e, s = _masked_exp(np.broadcast_to(x, shape), inc)
+    m, e, s = _masked_exp(np.broadcast_to(x, shape), inc, None)
     return np.asarray((m + np.log(s))[..., 0], dtype=x.dtype), e / s
 
 
@@ -760,10 +761,10 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
         raise ShapeError(f"attention projections must be ({d}, {d})")
     keep = keep_mask(key_mask, kd.shape[:-1])
-    # an item whose keys are all masked has only dead query rows, in every head
-    dead = ~keep.any(axis=-1, keepdims=True)[..., None]
+    # per item, whether any key is kept: an item without one has only dead query rows
+    alive = None if keep.all() else keep.any(axis=-1, keepdims=True)[..., None]
     # shared by heads and queries; the scalar True when no key is masked
-    keep = True if keep.all() else keep[..., None, None, :]
+    keep = True if alive is None else keep[..., None, None, :]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
@@ -786,8 +787,8 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     out_data = _gemm(merged, wo.data)
     out_data += bo.data
     live = None
-    if dead.any():
-        live = (~dead).astype(out_data.dtype)
+    if alive is not None and not alive.all():
+        live = alive.astype(out_data.dtype)
         out_data *= live
 
     def project_back(x, w, b, g):

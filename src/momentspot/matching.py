@@ -129,7 +129,7 @@ def weighted_cross_entropy(class_logits, picks):
     picks holds each query's -weight at its target class and 0 elsewhere.
     """
     x = class_logits.data
-    m, e, s = _masked_exp(x, True)
+    m, e, s = _masked_exp(x, True, None)
     out_data = np.asarray(((x - m - np.log(s)) * picks).sum())
 
     def backward(g):

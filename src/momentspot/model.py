@@ -237,7 +237,7 @@ def normalized_windows(ann):
 
 
 def _fg_probs(logits_data):
-    _, e, row_sum = _masked_exp(logits_data, True)
+    _, e, row_sum = _masked_exp(logits_data, True, None)
     return e[..., 0] / row_sum[..., 0]
 
 

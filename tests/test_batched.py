@@ -141,10 +141,10 @@ class TestBatchedOps:
         # rows longer than 8 entries: numpy's pairwise row sum groups them by layout
         x = np.broadcast_to(rng.normal(size=(3, 1, 40)) * 3, (3, 4, 40))
         keep = rng.random((3, 4, 40)) < 0.6
-        m, e, row_sum = ad._masked_exp(x, keep)
+        m, e, row_sum = ad._masked_exp(x, keep, None)
         assert e.shape == x.shape and e.flags.c_contiguous
         assert np.array_equal(e, np.where(keep, np.exp(x - m), 0.0))
-        for got, dense in zip((m, e, row_sum), ad._masked_exp(np.ascontiguousarray(x), keep)):
+        for got, dense in zip((m, e, row_sum), ad._masked_exp(np.ascontiguousarray(x), keep, None)):
             assert got.tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
