@@ -707,7 +707,7 @@ def conv1d(x, weight, bias):
     unf, fold = _unfold(x.data, kernel)
     w = weight.data.reshape(kernel * c_in, c_out)
     out_data = _gemm(unf, w) + bias.data
-    # the node holds x, not its kernel times larger windows: the weight's gradient unfolds x again
+    # the node holds x, not its kernel-times-larger windows: the weight gradient unfolds x again
 
     def backward(g):
         _accumulate(bias, _unbroadcast(g, bias.data.shape))
@@ -804,7 +804,7 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
         _accumulate(wo, _rows(merged).T @ _rows(g))
         _accumulate(bo, _unbroadcast(g, bo.data.shape))
         g_out = split(_gemm(g, wo.data.T))
-        # the scores' gradient attn * (g_attn - sum(g_attn * attn)) * scale, formed in g_attn
+        # attn * (g_attn - sum(g_attn * attn)) * scale, formed in place in g_attn's array
         g_scores = g_out @ vh.swapaxes(-1, -2)
         g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
         g_scores *= attn
