@@ -75,7 +75,7 @@ def cmd_eval(args):
 
 def cmd_datagen(args):
     cfg = _load_config(args.config)
-    manifest = load_manifest(args.data)
+    manifest = load_manifest(args.data, cfg.clip_len, cfg.max_clips)
     annotations = []
     for vid, duration in manifest:
         records = generate_synthetic(duration, default_captioner(vid), default_embedder(vid))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,14 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     pass
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass
@@ -48,32 +57,35 @@ class Annotation:
         def bad(field_name, msg):
             return ValidationError(f"qid {self.qid}: field '{field_name}' {msg}")
 
-        if not isinstance(self.qid, int) or self.qid < 0:
+        if not _is_int(self.qid) or self.qid < 0:
             raise bad("qid", "must be a non-negative int")
-        if not self.query:
-            raise bad("query", "must be non-empty")
-        if not self.vid:
-            raise bad("vid", "must be non-empty")
-        if not (self.duration > 0):
-            raise bad("duration", "must be positive")
-        if not (self.clip_len > 0):
-            raise bad("clip_len", "must be positive")
-        if not self.relevant_windows:
-            raise bad("relevant_windows", "must contain at least one window")
+        for name, value in (("query", self.query), ("vid", self.vid)):
+            if not isinstance(value, str) or not value:
+                raise bad(name, "must be a non-empty string")
+        for name, value in (("duration", self.duration), ("clip_len", self.clip_len)):
+            if not (_is_real(value) and 0 < value < math.inf):
+                raise bad(name, "must be a finite positive number")
+        if not 0 < self.duration / self.clip_len < math.inf:
+            raise bad("clip_len", f"{self.clip_len} cuts duration {self.duration} into no "
+                                  "clip or into unboundedly many")
+        if not isinstance(self.relevant_windows, list) or not self.relevant_windows:
+            raise bad("relevant_windows", "must be a list of at least one window")
         for w in self.relevant_windows:
-            if len(w) != 2:
-                raise bad("relevant_windows", f"window {w} is not a [start, end] pair")
-            s, e = float(w[0]), float(w[1])
-            if not (0.0 <= s < e <= self.duration):
+            if not (isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_is_real, w))):
+                raise bad("relevant_windows", f"window {w!r} is not a [start, end] pair of numbers")
+            if not (0.0 <= w[0] < w[1] <= self.duration):
                 raise bad("relevant_windows", f"window {w} outside [0, {self.duration}] or empty")
         n = self.num_clips
-        if len(self.saliency_levels) != n:
-            raise bad("saliency_levels", f"length {len(self.saliency_levels)} != clip count {n}")
+        if not isinstance(self.saliency_levels, list) or len(self.saliency_levels) != n:
+            raise bad("saliency_levels", f"must be a list of one level per clip ({n})")
         for lv in self.saliency_levels:
-            if not isinstance(lv, int) or not (0 <= lv <= 4):
-                raise bad("saliency_levels", f"level {lv} outside 0..4")
+            if not _is_int(lv) or not (0 <= lv <= 4):
+                raise bad("saliency_levels", f"level {lv!r} is not an int in 0..4")
+        ids = self.relevant_clip_ids
+        if not isinstance(ids, list) or not all(map(_is_int, ids)):
+            raise bad("relevant_clip_ids", f"{ids!r} is not a list of ints")
         expected = clips_overlapping_windows(self.relevant_windows, self.duration, self.clip_len)
-        if sorted(self.relevant_clip_ids) != expected:
+        if sorted(ids) != expected:
             raise bad("relevant_clip_ids", f"{sorted(self.relevant_clip_ids)} inconsistent with windows (expected {expected})")
         return self
 
@@ -101,7 +113,7 @@ def read_jsonl(path, required, convert):
     """Yield (line number, convert(row)) for each non-blank line of a JSON-lines file.
 
     Invalid JSON, a row that is not an object or lacks a required key, and a
-    value convert rejects (TypeError or ValueError) raise
+    value convert rejects (TypeError, ValueError or OverflowError) raise
     ParseError("<path>:<line>: ...").
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -121,21 +133,31 @@ def read_jsonl(path, required, convert):
                 raise ParseError(f"{where}: missing fields {missing}")
             try:
                 row = convert(obj)
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise ParseError(f"{where}: bad value ({type(err).__name__}: {err})") from err
             yield lineno, row
 
 
+def _number(x):
+    """A JSON number as a float. A string or a bool is a ValueError, null or a
+    container a TypeError: none of them is converted."""
+    if isinstance(x, (str, bool)):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _annotation(obj, default_clip_len):
+    """The Annotation of a JSON row: numbers become floats, and every other
+    value stays as read, for Annotation.validate to check."""
     return Annotation(
         qid=obj["qid"],
         query=obj["query"],
         vid=obj["vid"],
-        duration=float(obj["duration"]),
-        relevant_windows=[[float(a), float(b)] for a, b in obj["relevant_windows"]],
-        saliency_levels=[int(x) for x in obj["saliency_levels"]],
-        relevant_clip_ids=[int(x) for x in obj["relevant_clip_ids"]],
-        clip_len=float(obj.get("clip_len", default_clip_len)),
+        duration=_number(obj["duration"]),
+        relevant_windows=[[_number(a), _number(b)] for a, b in obj["relevant_windows"]],
+        saliency_levels=obj["saliency_levels"],
+        relevant_clip_ids=obj["relevant_clip_ids"],
+        clip_len=_number(obj.get("clip_len", default_clip_len)),
     )
 
 
@@ -327,8 +349,8 @@ def generate_synthetic(duration, captioner, embedder):
     embedding and the frame embedding. Zero-norm embeddings flag the record
     and contribute saliency 0.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError("duration must be finite and positive")
     n = int(math.ceil(duration / INTERVAL_LEN))
     records = []
     for i in range(n):
@@ -403,14 +425,27 @@ def records_to_annotations(vid, duration, records, clip_len=2.0, qid_start=0):
     return annotations
 
 
-def load_manifest(path):
-    """Read a jsonl manifest of {vid, duration}; duplicate vids are an error."""
+def load_manifest(path, clip_len, max_clips):
+    """Read a jsonl manifest of {vid, duration}.
+
+    A vid that is not a non-empty string, a duration that is not a finite
+    positive number, a video of more than max_clips clips of clip_len seconds
+    and a duplicate vid are each a ValidationError naming the line.
+    """
     entries = []
     seen = set()
-    rows = read_jsonl(path, ("vid", "duration"), lambda obj: (str(obj["vid"]), float(obj["duration"])))
+    rows = read_jsonl(path, ("vid", "duration"), lambda obj: (obj["vid"], _number(obj["duration"])))
     for lineno, (vid, duration) in rows:
+        where = f"{path}:{lineno}"
+        if not isinstance(vid, str) or not vid:
+            raise ValidationError(f"{where}: vid {vid!r} is not a non-empty string")
+        if not 0 < duration < math.inf:
+            raise ValidationError(f"{where}: duration {duration} of vid '{vid}' is not finite and positive")
+        if duration / clip_len > max_clips:
+            raise ValidationError(f"{where}: vid '{vid}' of {duration} s has more than "
+                                  f"max_clips={max_clips} clips of {clip_len} s")
         if vid in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate vid '{vid}'")
+            raise ValidationError(f"{where}: duplicate vid '{vid}'")
         seen.add(vid)
         entries.append((vid, duration))
     return entries

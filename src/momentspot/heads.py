@@ -40,13 +40,6 @@ class HeadParams:
     saliency_w: Tensor   # (d, 1)
 
 
-@dataclass
-class PredictionSet:
-    class_logits: Tensor  # (num_queries, 2); (B, num_queries, 2) for a batch
-    moments: Tensor       # (num_queries, 2) sigmoid (center, width) in (0, 1); batched likewise
-    saliency: Tensor      # (L,); (B, L) for a batch
-
-
 def _residual(x, y, sub, drop):
     return layer_norm(add(x, drop(y)), sub.ln_gamma, sub.ln_beta)
 

@@ -8,9 +8,11 @@ call is the B = 1 case.
 
 Each loss term is one graph node whose backward is written out in NumPy,
 like the GRU scan: the rank hinge, the contrastive ratio, the hard
-positive/negative pair, the masked 1 - cosine (task-specific, the outer
-cosine of task-coupled and of alignment) and the weighted total. The
-composed versions they replace live on in tests/composed.py as oracles.
+positive/negative pair, the 1 - cosine and the weighted total. The cosine
+has one entry point, one_minus_cosine(a, b, clip_mask=None): the
+task-specific loss, the outer cosine of task-coupled and the alignment loss
+all call it, with or without a mask. The composed versions they replace
+live on in tests/composed.py as oracles.
 An edge case is the same node: input that leaves a term nothing to score
 (no rank pair, no active level, no positive or negative clip, no live cosine
 row) runs its body over empty indices or zero weights, giving its constant
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (ShapeError, Tensor, _accumulate, _logsumexp, _node, _rows,
-                       _unbroadcast, keep_mask, stable_sigmoid)
+                       _unbroadcast, as_tensor, keep_mask, stable_sigmoid)
 
 
 class CompositionError(ValueError):
@@ -33,8 +35,17 @@ def _items(scores):
     return int(np.prod(scores.data.shape[:-1]))
 
 
-def _cosine_loss(a, b, keep):
-    """one_minus_cosine of a and b after zeroing the entries the boolean keep drops, as one node."""
+def one_minus_cosine(a, b, clip_mask=None):
+    """1 - cosine(normalize(a), normalize(b)) over the last axis, as one node; range [0, 2].
+
+    b is a tensor or an array of gt values, cast to a's dtype. Entries that
+    clip_mask drops are zeroed in both operands first. Rank-1 tensors give
+    their loss; (B, L) tensors give the mean of the per-row losses. A
+    zero-norm operand makes a row's cosine undefined: that row's loss is then
+    the constant 1 (orthogonal convention) with zero gradient.
+    """
+    b = as_tensor(b, like=a)
+    keep = keep_mask(clip_mask, a.data.shape)
     if a.data.shape != b.data.shape or a.data.ndim not in (1, 2):
         raise ValueError("one_minus_cosine expects two rank-1 or rank-2 tensors of equal shape")
     x, y = a.data * keep, b.data * keep  # a kept entry is multiplied by 1, exactly
@@ -57,17 +68,6 @@ def _cosine_loss(a, b, keep):
                 _accumulate(t, grad * keep)
 
     return _node(out_data, (a, b), backward)
-
-
-def one_minus_cosine(a, b):
-    """1 - cosine(normalize(a), normalize(b)) over the last axis; range [0, 2].
-
-    Rank-1 tensors give their loss; (B, L) tensors give the mean of the
-    per-row losses. A zero-norm operand makes a row's cosine undefined: that
-    row's loss is then the constant 1 (orthogonal convention) with zero
-    gradient.
-    """
-    return _cosine_loss(a, b, keep_mask(None, a.data.shape))
 
 
 # -- highlight ranking losses -------------------------------------------------
@@ -192,15 +192,9 @@ def hard_positive_loss(saliency, gt_saliency, positive_mask, epoch):
 # -- cross-task saliency losses ----------------------------------------------
 
 
-def masked_cosine_loss(scores, gt_saliency, clip_mask=None):
-    """one_minus_cosine of scores against gt values, both over unmasked clips; one node."""
-    gt = Tensor(np.asarray(gt_saliency, dtype=scores.data.dtype))
-    return _cosine_loss(scores, gt, keep_mask(clip_mask, scores.data.shape))
-
-
 def task_specific_loss(saliency, gt_saliency, clip_mask=None):
     """1 - cosine between predicted and gt saliency over unmasked clips."""
-    return masked_cosine_loss(saliency, gt_saliency, clip_mask)
+    return one_minus_cosine(saliency, gt_saliency, clip_mask)
 
 
 def gru_saliency(features, params):
@@ -292,7 +286,7 @@ def gru_saliency(features, params):
 
 def task_coupled_loss(features, gru, gt_saliency, clip_mask=None):
     """1 - cosine between the GRU scan of moment-path features and gt saliency."""
-    return masked_cosine_loss(gru_saliency(features, gru), gt_saliency, clip_mask)
+    return one_minus_cosine(gru_saliency(features, gru), gt_saliency, clip_mask)
 
 
 # -- composition ---------------------------------------------------------------

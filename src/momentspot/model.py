@@ -12,8 +12,8 @@ from .autodiff import Tensor, _masked_exp, _node, dropout, no_grad, xavier_unifo
 from .config import ConfigError, ModelConfig
 from .data import FeatureBundle, encode_item
 from .fusion import FusionParams, fuse
-from .heads import (DecoderParams, HeadParams, PredictionSet, Sublayer, decode,
-                    encode, predict_moments, predict_saliency)
+from .heads import (DecoderParams, HeadParams, Sublayer, decode, encode, predict_moments,
+                    predict_saliency)
 from .losses import (CompositionError, compose_total, contrastive_rank_loss,
                      highlight_distribution_loss, rank_margin_loss,
                      sample_rank_pair, task_coupled_loss, task_specific_loss)
@@ -111,7 +111,9 @@ class ForwardResult:
     text_tokens: Tensor
     refined: Tensor
     memory: Tensor
-    predictions: PredictionSet
+    class_logits: Tensor  # (num_queries, 2); (B, num_queries, 2) for a batch
+    moments: Tensor       # (num_queries, 2) sigmoid (center, width) in (0, 1); batched likewise
+    saliency: Tensor      # (L,); (B, L) for a batch
 
 
 def _projection(store, prefix, d_in, cfg):
@@ -224,8 +226,8 @@ class Model:
         saliency = predict_saliency(memory, p.heads.saliency_w)
         decoded = decode(memory, p.decoder, cfg.heads, drop, clip_mask=vmask)
         logits, moments = predict_moments(decoded, p.heads)
-        preds = PredictionSet(class_logits=logits, moments=moments, saliency=saliency)
-        return ForwardResult(text_tokens=t_bar, refined=v_r, memory=memory, predictions=preds)
+        return ForwardResult(text_tokens=t_bar, refined=v_r, memory=memory, class_logits=logits,
+                             moments=moments, saliency=saliency)
 
 
 def normalized_windows(ann):
@@ -273,7 +275,6 @@ def batch_loss(model, batch, epoch, rng=None, train=True):
     bundles, anns = zip(*batch)
     padded = pad_batch(bundles)
     fw = model.forward(padded, train=train, rng=rng)
-    preds = fw.predictions
     vmask = padded.video_mask
     levels = _padded([a.saliency_levels for a in anns], vmask.shape[1], int)
     norm_levels = levels / 4.0
@@ -286,24 +287,24 @@ def batch_loss(model, batch, epoch, rng=None, train=True):
              for lv, m in zip(levels, vmask)]
     high, low = np.array([pair if pair is not None else (-1, -1) for pair in pairs]).T
     components = {
-        "rank": rank_margin_loss(preds.saliency, high, low, cfg.weights.margin),
-        "contrastive": contrastive_rank_loss(preds.saliency, levels, cfg.weights.temperature,
+        "rank": rank_margin_loss(fw.saliency, high, low, cfg.weights.margin),
+        "contrastive": contrastive_rank_loss(fw.saliency, levels, cfg.weights.temperature,
                                              clip_mask=vmask),
-        "hard": highlight_distribution_loss(preds.saliency, norm_levels, pos_mask, neg_mask, epoch),
-        "task_specific": task_specific_loss(preds.saliency, norm_levels, clip_mask=vmask),
+        "hard": highlight_distribution_loss(fw.saliency, norm_levels, pos_mask, neg_mask, epoch),
+        "task_specific": task_specific_loss(fw.saliency, norm_levels, clip_mask=vmask),
         "task_coupled": task_coupled_loss(fw.memory, model.params.gru, norm_levels,
                                           clip_mask=vmask),
         "alignment": alignment_loss(fw.text_tokens, fw.refined, norm_levels,
                                     text_mask=padded.text_mask, clip_mask=vmask),
     }
-    if not (np.isfinite(preds.moments.data).all() and np.isfinite(preds.class_logits.data).all()):
+    if not (np.isfinite(fw.moments.data).all() and np.isfinite(fw.class_logits.data).all()):
         # keep divergence on the CompositionError path instead of crashing the matcher
         raise CompositionError("moment head produced non-finite predictions")
     gt_moments = [normalized_windows(ann) for ann in anns]
-    fg = _fg_probs(preds.class_logits.data)
-    matches = [hungarian_match(preds.moments.data[i], fg[i], gt, cfg.weights)
+    fg = _fg_probs(fw.class_logits.data)
+    matches = [hungarian_match(fw.moments.data[i], fg[i], gt, cfg.weights)
                for i, gt in enumerate(gt_moments)]
-    components.update(moment_loss(preds.class_logits, preds.moments, gt_moments,
+    components.update(moment_loss(fw.class_logits, fw.moments, gt_moments,
                                   matches, cfg.weights))
     total = compose_total(components, cfg.weights)
     return total, components
@@ -322,9 +323,8 @@ def _query_prediction(ann, moments, logits, saliency):
 def predict_item(model, bundle, ann):
     """Eval-mode forward converted into second-scaled windows and clip scores."""
     with no_grad():
-        preds = model.forward(bundle, train=False).predictions
-    return _query_prediction(ann, preds.moments.data, preds.class_logits.data,
-                             preds.saliency.data)
+        fw = model.forward(bundle, train=False)
+    return _query_prediction(ann, fw.moments.data, fw.class_logits.data, fw.saliency.data)
 
 
 def predict_batch(model, pairs):
@@ -337,9 +337,9 @@ def predict_batch(model, pairs):
     float32 products may round differently at B > 1.
     """
     with no_grad():
-        preds = model.forward(pad_batch([b for b, _ in pairs]), train=False).predictions
-    return [_query_prediction(ann, preds.moments.data[i], preds.class_logits.data[i],
-                              preds.saliency.data[i, :len(bundle.video)])
+        fw = model.forward(pad_batch([b for b, _ in pairs]), train=False)
+    return [_query_prediction(ann, fw.moments.data[i], fw.class_logits.data[i],
+                              fw.saliency.data[i, :len(bundle.video)])
             for i, (bundle, ann) in enumerate(pairs)]
 
 

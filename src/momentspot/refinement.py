@@ -7,7 +7,7 @@ import numpy as np
 from .autodiff import (Tensor, _accumulate, _node, concat, conv1d, identity,
                        keep_mask, mask_rows, matmul, relu, transpose)
 from .config import ConfigError
-from .losses import masked_cosine_loss
+from .losses import one_minus_cosine
 
 
 def project(x, layers, drop=identity, mask=None):
@@ -113,8 +113,5 @@ def alignment_loss(t_bar, v_r, gt_saliency, text_mask=None, clip_mask=None):
     are excluded from both vectors; a zero-norm side gives loss 1.
     A batch's loss is the mean of its items' losses.
     """
-    pred = clip_query_cosines(t_bar, v_r, text_mask=text_mask)
-    gt = np.asarray(gt_saliency, dtype=pred.data.dtype)
-    if gt.shape != pred.data.shape:
-        raise ValueError(f"gt saliency shape {gt.shape} does not match clip count {pred.data.shape}")
-    return masked_cosine_loss(pred, gt, clip_mask)
+    return one_minus_cosine(clip_query_cosines(t_bar, v_r, text_mask=text_mask), gt_saliency,
+                            clip_mask)

@@ -430,6 +430,9 @@ def masked_cosine_loss(scores, gt_saliency, clip_mask=None):
     return one_minus_cosine(mask_rows(scores, clip_mask), mask_rows(gt, clip_mask))
 
 
+task_specific_loss = masked_cosine_loss
+
+
 def compose_total(components, weights):
     """Weighted total of all loss components; non-finite components are an error.
 

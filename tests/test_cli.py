@@ -1,10 +1,12 @@
 import json
 import math
+import re
+import time
 
 import pytest
 
 from momentspot.cli import main
-from momentspot.data import load_dataset
+from momentspot.data import ValidationError, load_dataset
 from momentspot.training import model_from_checkpoint
 
 from conftest import tiny_config
@@ -55,6 +57,17 @@ class TestDatagen:
         main(["datagen", "--data", str(manifest), "--out", str(a)])
         main(["datagen", "--data", str(manifest), "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("duration", [1e300, 75 * 2.0 + 0.5])
+    def test_a_video_over_max_clips_is_refused_before_generating(self, tmp_path, duration):
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, [12.0, duration])  # the default config: 75 clips of 2 s
+        out = tmp_path / "items.jsonl"
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(manifest))}:2: .*max_clips=75"):
+            main(["datagen", "--data", str(manifest), "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
 
 
 class TestParser:

@@ -430,25 +430,25 @@ class TestManifest:
     def test_load(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"vid": "a", "duration": 30.0}\n{"vid": "b", "duration": 12.5}\n')
-        assert load_manifest(path) == [("a", 30.0), ("b", 12.5)]
+        assert load_manifest(path, 2.0, 75) == [("a", 30.0), ("b", 12.5)]
 
     def test_duplicate_vid_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"vid": "a", "duration": 30.0}\n{"vid": "a", "duration": 10.0}\n')
         with pytest.raises(ValidationError):
-            load_manifest(path)
+            load_manifest(path, 2.0, 75)
 
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"vid": "a"}\n')
         with pytest.raises(ParseError):
-            load_manifest(path)
+            load_manifest(path, 2.0, 75)
 
     def test_bad_duration_is_a_parse_error_with_its_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"vid": "a", "duration": 30.0}\n{"vid": "b", "duration": "long"}\n')
         with pytest.raises(ParseError, match=":2: bad value \\(ValueError"):
-            load_manifest(path)
+            load_manifest(path, 2.0, 75)
 
 
 class TestOverfitFixture:

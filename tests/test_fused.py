@@ -20,10 +20,9 @@ from momentspot.autodiff import (Tensor, add, conv1d, dropout, grad_check,
                                  multi_head_attention, relu, stable_sigmoid,
                                  tsum)
 from momentspot.config import LossWeights
-from momentspot.losses import (COMPONENT_KEYS, _cosine_loss,
-                               compose_total, contrastive_rank_loss,
-                               gru_saliency, highlight_distribution_loss,
-                               masked_cosine_loss, one_minus_cosine,
+from momentspot.losses import (COMPONENT_KEYS, compose_total,
+                               contrastive_rank_loss, gru_saliency,
+                               highlight_distribution_loss, one_minus_cosine,
                                rank_margin_loss, task_coupled_loss,
                                task_specific_loss)
 from momentspot.matching import (MatchResult, matched_giou, matched_l1,
@@ -365,7 +364,7 @@ def test_task_coupled_loss_matches_composed(seed, length, masked):
         clip_mask[(length + 1) // 2:] = False
     assert_matches_oracle(
         lambda f, *p: task_coupled_loss(f, pairs(p), gt, clip_mask=clip_mask),
-        lambda f, *p: masked_cosine_loss(composed.gru_saliency(f, pairs(p)), gt, clip_mask),
+        lambda f, *p: one_minus_cosine(composed.gru_saliency(f, pairs(p)), gt, clip_mask),
         gru_arrays(rng, length, 4), np.float64)
 
 
@@ -415,7 +414,7 @@ def saliency_terms(ns):
                                                             negative(c), 3),
         "hard_positive": lambda s, c: ns.hard_positive_loss(s, c["levels"] / 4.0, positive(c), 2),
         "hard_negative": lambda s, c: ns.hard_negative_loss(s, negative(c), 2),
-        "task_specific": lambda s, c: ns.masked_cosine_loss(s, c["levels"] / 4.0, c["mask"]),
+        "task_specific": lambda s, c: ns.task_specific_loss(s, c["levels"] / 4.0, c["mask"]),
     }
 
 
@@ -458,8 +457,8 @@ def test_cosine_node_grad_check(masked):
     a = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     keep = CLIP_MASK if masked else np.ones(CLIP_MASK.shape, dtype=bool)
-    assert _cosine_loss(a, b, keep)._parents == (a, b)
-    assert grad_check(lambda x, y: _cosine_loss(x, y, keep), [a, b]) < 1e-6
+    assert one_minus_cosine(a, b, keep)._parents == (a, b)
+    assert grad_check(lambda x, y: one_minus_cosine(x, y, keep), [a, b]) < 1e-6
 
 
 def query_arrays(seed, batched):

@@ -167,17 +167,17 @@ class TestForward:
         L, n_q, d = self.ann.num_clips, self.cfg.num_queries, self.cfg.hidden_dim
         assert fw.refined.shape == (L, d)
         assert fw.memory.shape == (L, d)
-        assert fw.predictions.saliency.shape == (L,)
-        assert fw.predictions.class_logits.shape == (n_q, 2)
-        assert fw.predictions.moments.shape == (n_q, 2)
-        assert (fw.predictions.moments.data > 0).all()
-        assert (fw.predictions.moments.data < 1).all()
+        assert fw.saliency.shape == (L,)
+        assert fw.class_logits.shape == (n_q, 2)
+        assert fw.moments.shape == (n_q, 2)
+        assert (fw.moments.data > 0).all()
+        assert (fw.moments.data < 1).all()
 
     def test_eval_forward_is_deterministic(self):
         a = self.model.forward(self.bundle)
         b = self.model.forward(self.bundle)
-        np.testing.assert_array_equal(a.predictions.saliency.data, b.predictions.saliency.data)
-        np.testing.assert_array_equal(a.predictions.moments.data, b.predictions.moments.data)
+        np.testing.assert_array_equal(a.saliency.data, b.saliency.data)
+        np.testing.assert_array_equal(a.moments.data, b.moments.data)
 
     def test_refinement_disabled_passes_projection_through(self):
         cfg = tiny_config(use_refinement=False, encoder_layers=1, decoder_layers=1)
@@ -199,18 +199,18 @@ class TestForward:
         padded.video_mask = np.concatenate([padded.video_mask, np.zeros(3, dtype=bool)])
         fw_padded = self.model.forward(padded)
         L = self.ann.num_clips
-        np.testing.assert_allclose(fw_padded.predictions.saliency.data[:L],
-                                   fw.predictions.saliency.data, atol=1e-9)
-        np.testing.assert_allclose(fw_padded.predictions.moments.data,
-                                   fw.predictions.moments.data, atol=1e-9)
+        np.testing.assert_allclose(fw_padded.saliency.data[:L],
+                                   fw.saliency.data, atol=1e-9)
+        np.testing.assert_allclose(fw_padded.moments.data,
+                                   fw.moments.data, atol=1e-9)
 
     def test_train_mode_dropout_changes_outputs(self):
         cfg = tiny_config(dropout=0.2, input_dropout=0.3, encoder_layers=1, decoder_layers=1)
         model = Model(cfg, seed=3)
         bundle = bundle_for(self.ann, cfg)
-        eval_out = model.forward(bundle).predictions.saliency.data
+        eval_out = model.forward(bundle).saliency.data
         train_out = model.forward(bundle, train=True, rng=np.random.default_rng(0))
-        assert not np.allclose(train_out.predictions.saliency.data, eval_out)
+        assert not np.allclose(train_out.saliency.data, eval_out)
 
     @pytest.mark.parametrize("fusion_mode,stages", [("bidirectional", 3), ("text_to_video", 1)])
     def test_train_mode_dropout_draw_order(self, fusion_mode, stages):
@@ -460,10 +460,10 @@ class TestPrediction:
         bundle = bundle_for(ann, cfg)
         for seed in range(3):
             model = Model(cfg, seed=seed)
-            preds = model.forward(bundle).predictions
-            fg = _fg_probs(preds.class_logits.data)
+            fw = model.forward(bundle)
+            fg = _fg_probs(fw.class_logits.data)
             want = [[s * ann.duration, e * ann.duration, float(fg[q])]
-                    for q, (s, e) in enumerate(map(span_from_cw, preds.moments.data))]
+                    for q, (s, e) in enumerate(map(span_from_cw, fw.moments.data))]
             got = predict_item(model, bundle, ann).windows
             assert got == want
             assert all(type(x) is float for row in got for x in row)
@@ -482,7 +482,7 @@ class TestPrediction:
         monkeypatch.setattr(Model, "forward", capturing)
         predict_item(model, bundle_for(ann, cfg), ann)
         assert len(outputs) == 1
-        assert not outputs[0].predictions.saliency.requires_grad
+        assert not outputs[0].saliency.requires_grad
 
 
 def capture_forwards(monkeypatch):
@@ -552,8 +552,8 @@ class TestPredictBatch:
         outputs = capture_forwards(monkeypatch)
         predict_batch(model, mixed_length_batch(cfg))
         assert len(outputs) == 1
-        assert outputs[0].predictions.saliency.data.ndim == 2  # one (B, L) forward
-        assert not outputs[0].predictions.saliency.requires_grad
+        assert outputs[0].saliency.data.ndim == 2  # one (B, L) forward
+        assert not outputs[0].saliency.requires_grad
 
     def test_evaluate_model_runs_chunks_of_the_batch_size(self, monkeypatch):
         cfg = tiny_config(encoder_layers=1, decoder_layers=1, batch_size=4)
@@ -565,7 +565,7 @@ class TestPredictBatch:
         model = Model(cfg, seed=4)
         outputs = capture_forwards(monkeypatch)
         _, predictions = evaluate_model(model, anns, bundles=bundles)
-        assert [out.predictions.saliency.data.shape[0] for out in outputs] == [4, 1]
+        assert [out.saliency.data.shape[0] for out in outputs] == [4, 1]
         assert [p.qid for p in predictions] == [a.qid for a in anns]
         assert [len(p.saliency) for p in predictions] == [a.num_clips for a in anns]
 

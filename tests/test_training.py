@@ -552,12 +552,12 @@ class TestCheckpoint:
         model = Model(cfg, seed=9)
         ann = make_annotation()
         bundle = bundle_for(ann, cfg)
-        want = model.forward(bundle).predictions.saliency.data
+        want = model.forward(bundle).saliency.data
         path = tmp_path / "m.ckpt"
         save_with_fresh_adamw(path, model)
         restored, meta = model_from_checkpoint(path)
         assert restored.cfg == cfg
-        got = restored.forward(bundle).predictions.saliency.data
+        got = restored.forward(bundle).saliency.data
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dtype, stepped, payload_dtype, tag", [
@@ -1001,6 +1001,26 @@ class TestTrainLoop:
         assert result.diverged and result.epochs_run == 0
         assert read_log(result)[-1] == {"epoch": 0, "split": "train", "diverged": True,
                                         "batch": 0, "cause": "non-finite total: task_coupled"}
+
+    @pytest.mark.parametrize("planted, cause", [
+        # NaN class logits: batch_loss stops before the matcher sees them
+        ("heads.class.weight", "moment head produced non-finite predictions"),
+        # NaN GRU scores, finite moments: compose_total names the component
+        ("gru.readout.weight", "loss component 'task_coupled' is not finite"),
+    ], ids=["predictions", "component"])
+    def test_a_composition_error_stops_the_run_and_names_its_cause(self, tmp_path, planted, cause):
+        source = Model(self.small_cfg(), seed=3)
+        source.named_parameters()[planted].tensor.data[...] = np.nan
+        save_with_fresh_adamw(tmp_path / "nan.ckpt", source)
+        with np.errstate(invalid="ignore"):
+            result = train(self.small_cfg(), toy_dataset(), tmp_path / "run", seed=0,
+                           init_from=tmp_path / "nan.ckpt")
+        assert result.diverged and result.epochs_run == 0 and result.loss_trace == []
+        assert read_log(result) == [{"epoch": 0, "split": "train", "diverged": True,
+                                     "batch": 0, "cause": cause}]
+        restored, meta = model_from_checkpoint(result.last_checkpoint)
+        assert meta["epochs_done"] == 0
+        assert restored.store.arena.tobytes() == source.store.arena.tobytes()
 
     @pytest.mark.parametrize("planted, named", [
         ({-1: np.nan, 5: np.inf}, 5),  # the cause names the first in registry order
