@@ -179,10 +179,10 @@ def _unbroadcast(grad, shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -535,11 +535,16 @@ def mask_rows(t, mask=None):
     """Zero the rows of t whose mask entry is False.
 
     The mask covers t's leading axes: (L,) for the rows of an (L, ...)
-    tensor, (B, L) for the rows of each item of a (B, L, ...) batch.
+    tensor, (B, L) for the rows of each item of a (B, L, ...) batch. A mask
+    that keeps every row (or None) returns t itself, with no node.
     """
-    keep = np.ones(t.data.shape[:1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask is None:
+        return t
+    keep = np.asarray(mask, dtype=bool)
     if keep.shape != t.data.shape[:keep.ndim]:
         raise ShapeError(f"mask of shape {keep.shape} does not match rows {t.data.shape[:keep.ndim]}")
+    if keep.all():
+        return t
     keep = keep.astype(t.data.dtype).reshape(keep.shape + (1,) * (t.data.ndim - keep.ndim))
 
     def backward(g):
@@ -554,24 +559,29 @@ def mask_rows(t, mask=None):
 def _masked_exp(x, keep, shifted):
     """(m, e, row_sum) over the last axis within keep (True keeps all): the
     kept row max, exp(x - m) on kept entries and 0 elsewhere (dropped entries
-    never overflow), and e's row sums. e is a fresh C-contiguous array even
-    for a broadcast view x, so its sums group the same way whatever x's strides.
-    x - m is written into shifted: x itself when the caller made x, or None
-    for a new array."""
-    m = x.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
-    e = np.exp(np.subtract(x, m, out=shifted), where=keep, out=np.zeros(x.shape, x.dtype))
-    return m, e, e.sum(axis=-1, keepdims=True)
+    never overflow), and e's row sums. e is the C-contiguous array shifted,
+    x itself when the caller made x, into which x - m is written and then
+    exponentiated in place, so its sums group the same way whatever x's strides."""
+    m = np.maximum.reduce(x, axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    e = np.subtract(x, m, out=shifted)
+    np.exp(e, out=e, where=keep)
+    if keep is not True:
+        np.copyto(e, 0.0, where=~keep)  # also the +inf of a row with no kept entry
+    return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _masked_softmax(x, keep):
     """Softmax over the last axis of an array the caller made, restricted to
-    the columns in keep; x is overwritten with its shifted scores.
+    the columns in keep (True keeps all); x becomes the softmax.
 
     A row with no kept column is all zero. A row with one sums exp(0) = 1 and
-    non-negative terms, so flooring the sums at 1 changes only the empty rows.
+    non-negative terms, so flooring the sums at 1, which only a mask needs,
+    changes only the empty rows.
     """
     _, e, denom = _masked_exp(x, keep, x)
-    e /= np.maximum(denom, 1.0, out=denom)
+    if keep is not True:
+        np.maximum(denom, 1.0, out=denom)
+    e /= denom
     return e
 
 
@@ -584,7 +594,7 @@ def softmax_masked(scores, key_mask=None):
     x = scores.data
     if x.ndim != 2:
         raise ShapeError("softmax_masked expects rank-2 scores")
-    y = _masked_softmax(x.copy(), keep_mask(key_mask, x.shape[1]))
+    y = _masked_softmax(x.copy(), True if key_mask is None else keep_mask(key_mask, x.shape[1]))
 
     def backward(g):
         inner = (g * y).sum(axis=1, keepdims=True)
@@ -605,7 +615,7 @@ def _logsumexp(x, include):
         raise ShapeError(f"include of shape {inc.shape} does not match {x.shape}") from err
     if x.ndim == 0 or not np.broadcast_to(inc, shape).any(axis=-1).all():
         raise ShapeError("logsumexp over an empty subset")
-    m, e, s = _masked_exp(np.broadcast_to(x, shape), inc, None)
+    m, e, s = _masked_exp(np.broadcast_to(x, shape), inc, np.empty(shape, x.dtype))
     return np.asarray((m + np.log(s))[..., 0], dtype=x.dtype), e / s
 
 
@@ -643,9 +653,9 @@ def layer_norm(t, gamma, beta):
     if x.ndim not in (2, 3):
         raise ShapeError("layer_norm expects a rank-2 or rank-3 tensor")
     scale = 1.0 / x.shape[-1]
-    xhat = x - x.sum(axis=-1, keepdims=True) * scale  # centred, then scaled in place
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) * scale  # centred, then scaled in place
     out_data = xhat * xhat
-    inv = out_data.sum(axis=-1, keepdims=True)
+    inv = np.add.reduce(out_data, axis=-1, keepdims=True)
     inv *= scale
     inv += LAYER_NORM_EPS
     np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
@@ -660,8 +670,8 @@ def layer_norm(t, gamma, beta):
             # inv * (gx - mean(gx) - xhat * mean(gx * xhat)), formed in gx
             gx = g * gamma.data
             term = gx * xhat
-            mean_gx_xhat = term.sum(axis=-1, keepdims=True) * scale
-            gx -= gx.sum(axis=-1, keepdims=True) * scale
+            mean_gx_xhat = np.add.reduce(term, axis=-1, keepdims=True) * scale
+            gx -= np.add.reduce(gx, axis=-1, keepdims=True) * scale
             gx -= np.multiply(xhat, mean_gx_xhat, out=term)
             gx *= inv
             _accumulate(t, gx)
@@ -758,13 +768,16 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
     if d % heads != 0:
         raise ShapeError(f"model dim {d} not divisible by {heads} heads")
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = params
-    if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
+    if not wq.data.shape == wk.data.shape == wv.data.shape == wo.data.shape == (d, d):
         raise ShapeError(f"attention projections must be ({d}, {d})")
-    keep = keep_mask(key_mask, kd.shape[:-1])
-    # per item, whether any key is kept: an item without one has only dead query rows
-    alive = None if keep.all() else keep.any(axis=-1, keepdims=True)[..., None]
-    # shared by heads and queries; the scalar True when no key is masked
-    keep = True if alive is None else keep[..., None, None, :]
+    # keep is shared by heads and queries, the scalar True when no key is
+    # masked; alive says per item whether any key is kept: an item without
+    # one has only dead query rows
+    keep, alive = True, None
+    if key_mask is not None:
+        mask = keep_mask(key_mask, kd.shape[:-1])
+        if not mask.all():
+            keep, alive = mask[..., None, None, :], mask.any(axis=-1, keepdims=True)[..., None]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
@@ -806,7 +819,7 @@ def multi_head_attention(q, k, v, params, heads, key_mask=None):
         g_out = split(_gemm(g, wo.data.T))
         # attn * (g_attn - sum(g_attn * attn)) * scale, formed in place in g_attn's array
         g_scores = g_out @ vh.swapaxes(-1, -2)
-        g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
+        g_scores -= np.add.reduce(g_scores * attn, axis=-1, keepdims=True)
         g_scores *= attn
         g_scores *= scale
         project_back(q, wq, bq, merge(g_scores @ kh))

@@ -92,9 +92,16 @@ def cmd_datagen(args):
 
 
 def main(argv=None):
+    """Run one command; bad input (a ParseError, ValidationError, ConfigError
+    or any other ValueError) prints one `momentspot <command>: <message>`
+    line to stderr and returns 2."""
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "eval": cmd_eval, "datagen": cmd_datagen}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as err:
+        print(f"momentspot {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

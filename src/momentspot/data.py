@@ -112,20 +112,26 @@ _ANNOTATION_FIELDS = ("qid", "query", "vid", "duration", "relevant_windows",
 def read_jsonl(path, required, convert):
     """Yield (line number, convert(row)) for each non-blank line of a JSON-lines file.
 
-    Invalid JSON, a row that is not an object or lacks a required key, and a
-    value convert rejects (TypeError, ValueError or OverflowError) raise
+    Lines end at b"\n". A line that is not UTF-8, invalid or too deeply nested
+    JSON, a row that is not an object or lacks a required key, and a value
+    convert rejects (TypeError, ValueError or OverflowError) raise
     ParseError("<path>:<line>: ...").
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise ParseError(f"{where}: not UTF-8 ({err.reason} at byte {err.start})") from err
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ParseError(f"{where}: invalid JSON ({err.msg})") from err
+            except RecursionError as err:
+                raise ParseError(f"{where}: invalid JSON (nested too deeply)") from err
             if not isinstance(obj, dict):
                 raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
             missing = [f for f in required if f not in obj]

@@ -65,8 +65,9 @@ def giou_1d(a, b):
 
 
 def _ranked_order(scores):
-    """Indices sorted by score descending, ties toward the lower index."""
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    """Indices sorted by score descending, ties toward the lower index: the
+    sort is stable, so equal scores (0.0 and -0.0 among them) keep index order."""
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
 
 def _iou_rows(windows, gt_windows):
@@ -126,10 +127,13 @@ def _detection_ap(rows, n_gt, threshold):
 
 
 def _mean_ap(rows_per_query, gt_windows_per_query):
+    # a threshold above a query's best IoU matches nothing: its AP is 0.0
+    queries = [(rows, len(gts), max(map(max, rows), default=-1.0))
+               for rows, gts in zip(rows_per_query, gt_windows_per_query) if len(gts)]
     per_threshold = {}
     for thr in DEFAULT_IOU_THRESHOLDS:
-        aps = [_detection_ap(rows, len(gts), thr)
-               for rows, gts in zip(rows_per_query, gt_windows_per_query) if len(gts)]
+        aps = [_detection_ap(rows, n_gt, thr) if thr <= best else 0.0
+               for rows, n_gt, best in queries]
         per_threshold[thr] = sum(aps) / len(aps) if aps else 0.0
     return per_threshold, sum(per_threshold.values()) / len(per_threshold)
 
@@ -157,26 +161,22 @@ def mean_ap(pred_windows_per_query, gt_windows_per_query):
                     gt_windows_per_query)
 
 
+def _hit_at_1(orders, gt_levels_per_query):
+    if not gt_levels_per_query:
+        raise ValueError("hit_at_1 on an empty query set")
+    hits = sum(levels[order[0]] >= VERY_GOOD_LEVEL
+               for order, levels in zip(orders, gt_levels_per_query))
+    return hits / len(gt_levels_per_query)
+
+
 def hit_at_1(pred_saliency_per_query, gt_levels_per_query):
     """Fraction of queries whose top-scored clip has gt level >= VERY_GOOD_LEVEL."""
     if len(pred_saliency_per_query) != len(gt_levels_per_query):
         raise ValueError("prediction/gt query counts differ")
-    if not gt_levels_per_query:
-        raise ValueError("hit_at_1 on an empty query set")
-    hits = 0
-    for scores, levels in zip(pred_saliency_per_query, gt_levels_per_query):
-        top = _ranked_order(scores)[0]
-        if levels[top] >= VERY_GOOD_LEVEL:
-            hits += 1
-    return hits / len(gt_levels_per_query)
+    return _hit_at_1(map(_ranked_order, pred_saliency_per_query), gt_levels_per_query)
 
 
-def ranking_average_precision(scores, positives):
-    """Non-interpolated AP of a full ranking against binary relevance.
-
-    positives is a boolean sequence; returns None when nothing is positive.
-    """
-    order = _ranked_order(scores)
+def _ranking_ap(order, positives):
     n_pos = sum(bool(p) for p in positives)
     if n_pos == 0:
         return None
@@ -189,16 +189,28 @@ def ranking_average_precision(scores, positives):
     return total / n_pos
 
 
+def ranking_average_precision(scores, positives):
+    """Non-interpolated AP of a full ranking against binary relevance.
+
+    positives is a boolean sequence; returns None when nothing is positive.
+    """
+    return _ranking_ap(_ranked_order(scores), positives)
+
+
+def _hd_map(orders, gt_levels_per_query):
+    aps = []
+    for order, levels in zip(orders, gt_levels_per_query):
+        ap = _ranking_ap(order, [lv >= VERY_GOOD_LEVEL for lv in levels])
+        if ap is not None:
+            aps.append(ap)
+    return sum(aps) / len(aps) if aps else 0.0
+
+
 def hd_map(pred_saliency_per_query, gt_levels_per_query):
     """Mean ranking AP of predicted clip scores against level >= VERY_GOOD_LEVEL clips."""
     if len(pred_saliency_per_query) != len(gt_levels_per_query):
         raise ValueError("prediction/gt query counts differ")
-    aps = []
-    for scores, levels in zip(pred_saliency_per_query, gt_levels_per_query):
-        ap = ranking_average_precision(scores, [lv >= VERY_GOOD_LEVEL for lv in levels])
-        if ap is not None:
-            aps.append(ap)
-    return sum(aps) / len(aps) if aps else 0.0
+    return _hd_map(map(_ranked_order, pred_saliency_per_query), gt_levels_per_query)
 
 
 def mean_iou(pred_windows_per_query, gt_windows_per_query):
@@ -287,14 +299,15 @@ def compute_report(predictions, annotations):
         gts_lv.append(ann.saliency_levels)
     rows = _query_rows(preds_w, gts_w)
     per_thr, avg = _mean_ap(rows, gts_w)
+    orders = [_ranked_order(s) for s in preds_s]  # one ranking per query, shared by HD mAP and HIT@1
     return MetricReport(
         r1_050=_recall(rows, 0.5),
         r1_070=_recall(rows, 0.7),
         map_050=per_thr[0.5],
         map_075=per_thr[0.75],
         map_avg=avg,
-        hd_map=hd_map(preds_s, gts_lv),
-        hit_at_1=hit_at_1(preds_s, gts_lv),
+        hd_map=_hd_map(orders, gts_lv),
+        hit_at_1=_hit_at_1(orders, gts_lv),
         miou=_mean_top_iou(rows),
     )
 

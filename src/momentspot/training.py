@@ -219,7 +219,7 @@ def _read_head(fh, path):
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     try:
         meta = json.loads(fh.read(meta_len).decode("utf-8"))
-    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deeply
         raise ValueError(f"{path}: checkpoint metadata is not UTF-8 JSON ({err})") from err
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint metadata is not a JSON object "

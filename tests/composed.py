@@ -26,7 +26,10 @@ reads a feature file into float64 on its own. `iou_1d` and `giou_1d` are
 the span geometry on Python floats, one pair per call, and `metric_report`
 scores with them the way `metrics.compute_report` did before it shared one
 IoU matrix per query: each metric re-sorts a query's windows and recomputes
-its IoUs, once per IoU threshold for the detection AP.
+its IoUs, and the detection AP runs its greedy match at every IoU threshold,
+with no short cut for the thresholds above a query's best IoU. Its HD mAP
+and HIT@1 each rank a query's clips on their own, by the (-score, index) key
+`metrics` sorted with before it shared one stable ranking between the two.
 """
 import math
 import struct
@@ -44,7 +47,7 @@ from momentspot.autodiff import (LAYER_NORM_EPS, ShapeError, Tensor, _accumulate
 from momentspot.data import FeatureBundle, stable_hash, text_token_count
 from momentspot.losses import COMPONENT_KEYS, CompositionError
 from momentspot.matching import WIDTH_FLOOR
-from momentspot.metrics import DEFAULT_IOU_THRESHOLDS, MetricReport, hd_map, hit_at_1
+from momentspot.metrics import DEFAULT_IOU_THRESHOLDS, VERY_GOOD_LEVEL, MetricReport
 
 
 def linear(x, weight, bias):
@@ -678,9 +681,39 @@ def average_precision_detection(pred_windows, gt_windows, threshold):
     return ap
 
 
+def ranked_order(scores):
+    """Clip indices by score descending, ties toward the lower index."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def ranking_average_precision(scores, positives):
+    n_pos = sum(bool(p) for p in positives)
+    if n_pos == 0:
+        return None
+    cum, total = 0, 0.0
+    for rank, idx in enumerate(ranked_order(scores), start=1):
+        if positives[idx]:
+            cum += 1
+            total += cum / rank
+    return total / n_pos
+
+
+def hd_map(saliency_per_query, levels_per_query):
+    aps = [ranking_average_precision(scores, [lv >= VERY_GOOD_LEVEL for lv in levels])
+           for scores, levels in zip(saliency_per_query, levels_per_query)]
+    aps = [ap for ap in aps if ap is not None]
+    return sum(aps) / len(aps) if aps else 0.0
+
+
+def hit_at_1(saliency_per_query, levels_per_query):
+    hits = sum(levels[ranked_order(scores)[0]] >= VERY_GOOD_LEVEL
+               for scores, levels in zip(saliency_per_query, levels_per_query))
+    return hits / len(levels_per_query)
+
+
 def metric_report(predictions, annotations):
     """The MetricReport of (prediction, annotation) pairs, matched by qid,
-    from the scalar span oracles; the highlight fields are `metrics`' own."""
+    from the scalar span oracles and the highlight oracles above."""
     by_qid = {p.qid: p for p in predictions}
     preds = [by_qid[ann.qid].windows for ann in annotations]
     gts = [ann.relevant_windows for ann in annotations]

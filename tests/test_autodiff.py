@@ -162,6 +162,19 @@ class TestMaskRows:
         x = rng.normal(size=(4, 2))
         np.testing.assert_array_equal(mask_rows(Tensor(x)).data, x)
 
+    @pytest.mark.parametrize("shape, mask", [((6, 3), np.ones(6, dtype=bool)),
+                                             ((2, 5, 3), np.ones((2, 5), dtype=bool)),
+                                             ((6, 3), None)], ids=["item", "batch", "none"])
+    def test_a_mask_keeping_every_row_returns_its_input(self, rng, shape, mask):
+        x = rng.normal(size=shape)
+        w = Tensor(rng.normal(size=shape))
+        a, b = t(x), t(x)
+        assert mask_rows(a, mask) is a
+        # so the gradient is the one of a multiply by ones
+        tsum(mul(mask_rows(a, mask), w)).backward()
+        tsum(mul(mul(b, Tensor(np.ones(shape[:-1] + (1,)))), w)).backward()
+        np.testing.assert_array_equal(a.grad, b.grad)
+
     def test_mask_length_must_match_rows(self, rng):
         with pytest.raises(ad.ShapeError):
             mask_rows(Tensor(rng.normal(size=(4, 2))), np.ones(3, dtype=bool))

@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from momentspot.cli import main
-from momentspot.data import ValidationError, load_dataset
+from momentspot.data import load_dataset
 from momentspot.training import model_from_checkpoint
 
 from conftest import tiny_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_manifest(path, durations):
@@ -59,15 +65,46 @@ class TestDatagen:
         assert a.read_text() == b.read_text()
 
     @pytest.mark.parametrize("duration", [1e300, 75 * 2.0 + 0.5])
-    def test_a_video_over_max_clips_is_refused_before_generating(self, tmp_path, duration):
+    def test_a_video_over_max_clips_is_refused_before_generating(self, tmp_path, capsys, duration):
         manifest = tmp_path / "manifest.jsonl"
         write_manifest(manifest, [12.0, duration])  # the default config: 75 clips of 2 s
         out = tmp_path / "items.jsonl"
         start = time.perf_counter()
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(manifest))}:2: .*max_clips=75"):
-            main(["datagen", "--data", str(manifest), "--out", str(out)])
+        assert main(["datagen", "--data", str(manifest), "--out", str(out)]) == 2
         assert time.perf_counter() - start < 1.0
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"momentspot datagen: {re.escape(str(manifest))}:2: .*max_clips=75.*\n", err)
+
+
+class TestBadInputIsOneLine:
+    """A ParseError, ValidationError or ConfigError ends the process with one
+    `momentspot <command>: <message>` line on stderr and exit code 2."""
+
+    def run(self, *argv):
+        return subprocess.run([sys.executable, "-m", "momentspot", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+
+    @pytest.mark.parametrize("row, error", [
+        ('{"vid": "a", "duration": 1e300}', ".*max_clips=75.*"),  # a ValidationError
+        ('{"vid": "a"}', r"missing fields \['duration'\]"),  # a ParseError
+    ])
+    def test_a_bad_manifest(self, tmp_path, row, error):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(row + "\n")
+        proc = self.run("datagen", "--data", str(manifest), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(f"momentspot datagen: {re.escape(str(manifest))}:1: {error}\n",
+                            proc.stderr)
+
+    def test_a_bad_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d_model": 32}))
+        proc = self.run("train", "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
+                        "--config", str(config))
+        assert proc.returncode == 2
+        assert proc.stderr == "momentspot train: unknown config field 'd_model'\n"
 
 
 class TestParser:

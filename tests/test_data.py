@@ -450,6 +450,19 @@ class TestManifest:
         with pytest.raises(ParseError, match=":2: bad value \\(ValueError"):
             load_manifest(path, 2.0, 75)
 
+    # neither a byte that is not UTF-8 (which the text-mode file iterator
+    # raised as a bare UnicodeDecodeError) nor JSON nested past the recursion
+    # limit (a RecursionError) escapes without its line
+    @pytest.mark.parametrize("line, message", [
+        (b'{"vid": "\xff", "duration": 12.0}', r"not UTF-8 \(invalid start byte at byte 9\)"),
+        (b"[" * 100_000, r"invalid JSON \(nested too deeply\)"),
+    ], ids=["non-utf8-byte", "nested-100k-deep"])
+    def test_undecodable_line_is_a_parse_error_with_its_line(self, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"vid": "a", "duration": 30.0}\n' + line + b'\n{"vid": "b", "duration": 1.0}\n')
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: {message}$"):
+            load_manifest(path, 2.0, 75)
+
 
 class TestOverfitFixture:
     def test_feature_dir_is_created(self, tmp_path):

@@ -421,3 +421,53 @@ def test_report_equals_the_scalar_oracle_report(queries):
         annotations.append(make_annotation(qid=qid, relevant_windows=gts, saliency_levels=levels))
     got = compute_report(predictions, annotations)
     assert got == composed.metric_report(predictions, annotations)
+
+
+# -- the shared ranking and the AP short cut against the oracle report --------------
+
+# integer spans inside a gt of width 10 or 20 have IoU k/10 or k/20, which
+# is exactly 0.5, 0.7 and seven more of DEFAULT_IOU_THRESHOLDS; scores tie
+# often, -0.0 with 0.0 among them
+_TIED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0])
+_GT_GRID = st.sampled_from([[0.0, 20.0], [0.0, 10.0], [5.0, 15.0], [12.0, 14.0]])
+_PRED_GRID = st.tuples(st.integers(0, 19), st.integers(0, 20), _TIED).map(
+    lambda t: [float(t[0]), float(min(t[0] + t[1], 20)), t[2]])
+_TIED_QUERY = st.tuples(
+    st.lists(_PRED_GRID, max_size=6),
+    st.lists(_GT_GRID, max_size=3),  # several gt windows, or none
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.lists(_TIED, min_size=n, max_size=n),
+                                                  st.lists(st.integers(0, 4), min_size=n,
+                                                           max_size=n))),
+)
+
+
+@given(st.lists(_TIED_QUERY, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_report_with_ties_and_ious_at_a_threshold_equals_the_oracle_report(queries):
+    predictions, annotations = [], []
+    for qid, (windows, gts, (saliency, levels)) in enumerate(queries):
+        predictions.append(QueryPrediction(qid=qid, windows=windows, saliency=saliency))
+        annotations.append(make_annotation(qid=qid, relevant_windows=gts, saliency_levels=levels))
+    got = compute_report(predictions, annotations)
+    assert got == composed.metric_report(predictions, annotations)
+
+
+@pytest.mark.parametrize("end, hits", [(10.0, 1), (14.0, 5), (15.0, 6), (20.0, 10)])
+def test_an_iou_equal_to_a_threshold_is_a_match_at_it(end, hits):
+    # IoU end / 20 against the gt [0, 20]: 0.5, 0.7, 0.75 and 1 exactly
+    pred = QueryPrediction(qid=0, windows=[[0.0, end, 0.9]], saliency=[0.0] * 10)
+    report = compute_report([pred], [make_annotation(qid=0, duration=20.0,
+                                                     relevant_windows=[[0.0, 20.0]])])
+    assert report.map_050 == 1.0 and report.r1_050 == 1.0
+    assert report.r1_070 == float(end >= 14.0)
+    assert report.map_075 == float(end >= 15.0)
+    assert report.map_avg == hits / 10
+
+
+@pytest.mark.parametrize("scores, top", [([0.0, -0.0, 0.0], 0), ([-0.0, 0.0], 0),
+                                         ([0.2, 0.7, 0.7, 0.1], 1)])
+def test_tied_scores_rank_toward_the_lower_index(scores, top):
+    levels = [[0] * len(scores)]
+    levels[0][top] = 4
+    assert hit_at_1([scores], levels) == 1.0
+    assert hd_map([scores], levels) == 1.0

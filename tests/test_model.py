@@ -413,9 +413,11 @@ class TestBatchedGraph:
 class TestLossGraph:
     """The loss tail is one node per term: re-composing any term changes the count."""
 
-    # 143 forward nodes, then 12: the nine terms, the GRU scan, the
-    # clip-query cosines and compose_total (the composed tail made it 268)
-    DESK_BATCH_NODES = 126
+    # 107 forward nodes, then 12: the nine terms, the GRU scan, the
+    # clip-query cosines and compose_total (the composed tail made it 268).
+    # A mask_rows whose mask keeps every row adds no node: with seven of
+    # them the count was 126
+    DESK_BATCH_NODES = 119
 
     def test_desk_batch_graph_size(self, tmp_path):
         cfg = ModelConfig.desk(batch_size=4)

@@ -4,7 +4,8 @@ raise a ValueError subclass.
 
 The kill test signals only the child process it started. The corruption
 tests mutate one small file per example (byte flips, truncations, splices,
-and swaps of JSON values for Infinity, NaN, 1e300, strings, bools or null);
+runs of nested brackets up to 100k deep, and swaps of JSON values for
+Infinity, NaN, 1e300, strings, bools or null);
 max_examples keeps the whole file to a few seconds.
 """
 import json
@@ -348,3 +349,43 @@ def test_an_unusable_manifest_row_is_rejected_with_its_line(tmp_path, row):
     write_rows(path, [MANIFEST[0], row])
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
         load_manifest(path, DESK.clip_len, DESK.max_clips)
+
+
+# -- nested brackets ------------------------------------------------------------------
+
+# depths of a run of nested brackets: shallow, just past the interpreter's
+# recursion limit (where json.loads raises RecursionError), and far past it
+DEPTHS = st.sampled_from((1, 64, 1000, 100_000))
+
+
+def nest(data, at, depth):
+    """data with depth balanced brackets inserted where the JSON value or the
+    line that byte at is in starts."""
+    at = max(data.rfind(b":", 0, at), data.rfind(b"\n", 0, at)) + 1
+    return data[:at] + b"[" * depth + b"]" * depth + data[at:]
+
+
+NESTED = {
+    "items.jsonl": (lambda path, items, ckpt: save_dataset(items, path), load_dataset),
+    "m.jsonl": (lambda path, items, ckpt: write_rows(path, MANIFEST),
+                lambda path: load_manifest(path, DESK.clip_len, DESK.max_clips)),
+    "desk.ckpt": (lambda path, items, ckpt: path.write_bytes(ckpt), model_from_checkpoint),
+}
+
+
+@pytest.mark.parametrize("name", list(NESTED))
+@SETTINGS
+@given(data=st.data())
+def test_nested_brackets_load_or_raise_a_value_error_naming_the_file(tmp_path, fixture_items,
+                                                                     desk_checkpoint, name, data):
+    write, load = NESTED[name]
+    path = tmp_path / name
+    write(path, fixture_items, desk_checkpoint)
+    clean = path.read_bytes()
+    # a checkpoint's JSON is its header
+    end = 12 + int.from_bytes(clean[8:12], "little") if name == "desk.ckpt" else len(clean)
+    path.write_bytes(nest(clean, data.draw(st.integers(0, end - 1)), data.draw(DEPTHS)))
+    try:
+        load(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}:")
