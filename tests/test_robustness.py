@@ -365,24 +365,20 @@ def nest(data, at, depth):
     return data[:at] + b"[" * depth + b"]" * depth + data[at:]
 
 
-NESTED = {
-    "items.jsonl": (lambda path, items, ckpt: save_dataset(items, path), load_dataset),
-    "m.jsonl": (lambda path, items, ckpt: write_rows(path, MANIFEST),
-                lambda path: load_manifest(path, DESK.clip_len, DESK.max_clips)),
-    "desk.ckpt": (lambda path, items, ckpt: path.write_bytes(ckpt), model_from_checkpoint),
-}
-
-
-@pytest.mark.parametrize("name", list(NESTED))
+@pytest.mark.parametrize("name", ["items.jsonl", "m.jsonl", "desk.ckpt"])
 @SETTINGS
 @given(data=st.data())
 def test_nested_brackets_load_or_raise_a_value_error_naming_the_file(tmp_path, fixture_items,
                                                                      desk_checkpoint, name, data):
-    write, load = NESTED[name]
     path = tmp_path / name
-    write(path, fixture_items, desk_checkpoint)
-    clean = path.read_bytes()
-    # a checkpoint's JSON is its header
+    if name == "items.jsonl":
+        save_dataset(fixture_items, path)
+        clean, load = path.read_bytes(), load_dataset
+    elif name == "m.jsonl":
+        write_rows(path, MANIFEST)
+        clean, load = path.read_bytes(), lambda p: load_manifest(p, DESK.clip_len, DESK.max_clips)
+    else:  # a checkpoint's JSON is its header
+        clean, load = desk_checkpoint, model_from_checkpoint
     end = 12 + int.from_bytes(clean[8:12], "little") if name == "desk.ckpt" else len(clean)
     path.write_bytes(nest(clean, data.draw(st.integers(0, end - 1)), data.draw(DEPTHS)))
     try:
