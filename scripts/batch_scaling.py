@@ -6,11 +6,11 @@ Each batch size runs in its own process, with BLAS pinned to one thread, so
 one size's peak RSS does not carry into the next. A process builds the
 full-scale preset (`ModelConfig()`, float32, dropout on) and B 75-clip items
 of the full-long benchmark workload, takes WARMUP untimed train steps and
-then STEPS timed ones: forward, backward, clip and AdamW, as `train()`'s
-inner loop does. It prints one JSON line: the median step, forward, backward
-and update ms, items/s (B over the median step) and peak RSS in MB. The
-driver then prints each size's items/s over batch 1's, the per-item
-baseline, as `speedup_over_b1`.
+then STEPS timed ones: `training.train_step`, the forward, backward, clip
+and AdamW that `train()` runs per batch. It prints one JSON line: the
+median step, forward, backward and update ms, items/s (B over the median
+step) and peak RSS in MB. The parent process then prints each size's
+items/s over batch 1's, the per-item baseline, as `speedup_over_b1`.
 """
 import dataclasses
 import json
@@ -19,7 +19,6 @@ import resource
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -30,8 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import numpy as np
 
 from momentspot.model import Model, bundle_for
-from momentspot.training import AdamW
-from perfbench.bench import train_step
+from momentspot.training import AdamW, train_step
 from perfbench.workloads import WORKLOADS, make_inputs
 
 BATCH_SIZES = (1, 4, 8, 32)
@@ -49,20 +47,10 @@ def measure(batch_size):
     model = Model(cfg, seed=SEED)
     optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([SEED, 3])
-    laps = []
-
-    def lap():
-        laps.append(time.perf_counter())
-
-    phases = []
-    for step in range(WARMUP + STEPS):
-        laps[:] = [time.perf_counter()]
-        if not train_step(model, optimizer, batch, 0, rng, cfg, lap):
-            raise RuntimeError(f"batch {batch_size}: step {step} diverged")
-        if step >= WARMUP:
-            phases.append(np.diff(laps) * 1e3)
-    forward, backward, update = (statistics.median(p[i] for p in phases) for i in range(3))
-    step_ms = statistics.median(float(p.sum()) for p in phases)
+    # the timed steps' laps: forward, backward, clip plus update ms
+    laps = [train_step(model, optimizer, batch, 0, rng)[3] for _ in range(WARMUP + STEPS)][WARMUP:]
+    forward, backward, update = (statistics.median(p[i] for p in laps) for i in range(3))
+    step_ms = statistics.median(sum(p) for p in laps)
     return {
         "batch": batch_size,
         "steps": STEPS,

@@ -26,11 +26,11 @@ Digests:
   the header alone leaves equal; train_log.jsonl without its wall-time
   fields (WALL_TIME_KEYS); plus final_loss, the trace's last epoch-mean
   loss.
-- full/float32: the params arena after two train-mode steps (forward,
+- full/float32: the params arena after two train_steps (forward,
   backward, clip, AdamW) of the full-scale preset, dropout on, on one batch of
   the full-long benchmark workload's items; plus step_losses, the total loss
   of each step.
-- masked-keys/<dtype>: two train-mode steps (forward, backward, clip,
+- masked-keys/<dtype>: two train_steps (forward, backward, clip,
   AdamW) of the desk preset with max_clips=75, dropout 0.1 and input
   dropout 0.2, on one batch of desk-long workload items with 40 to 75 clips
   and 2 to 8 query words, so every attention call masks some keys; the
@@ -77,9 +77,9 @@ from momentspot.losses import (compose_total, contrastive_rank_loss, highlight_d
                                rank_margin_loss, task_coupled_loss, task_specific_loss)
 from momentspot.matching import MatchResult, match_cost_matrix, matched_giou, moment_loss
 from momentspot.metrics import QueryPrediction, compute_report
-from momentspot.model import Model, batch_loss, bundle_for, predict_batch
+from momentspot.model import Model, bundle_for, predict_batch
 from momentspot.refinement import alignment_loss
-from momentspot.training import AdamW, clip_gradients, evaluate_checkpoint, train
+from momentspot.training import AdamW, evaluate_checkpoint, train, train_step
 from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
 
 DIGESTS = ROOT / "tests" / "bitwise_digests.json"
@@ -131,6 +131,14 @@ def desk_run(tmp, dtype, fusion_mode):
     }
 
 
+def steps(cfg, batch, rng):
+    """A Model(cfg, SEED) after STEPS train_steps on batch, and each step's loss as a repr."""
+    model = Model(cfg, seed=SEED)
+    optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    losses = [repr(train_step(model, optimizer, batch, step, rng)[0]) for step in range(STEPS)]
+    return model, losses
+
+
 def full_steps():
     """Digest of the full-preset params arena after STEPS train-mode steps on one batch,
     and each step's loss."""
@@ -138,17 +146,7 @@ def full_steps():
     cfg = workload.cfg
     items = make_inputs(workload, SEED, None).train_items[:BATCH_SIZE]
     batch = [(bundle_for(ann, cfg), ann) for ann in items]
-    model = Model(cfg, seed=SEED)
-    optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng([SEED, 2])
-    losses = []
-    for step in range(STEPS):
-        total, _ = batch_loss(model, batch, step, rng=rng, train=True)
-        losses.append(repr(total.item()))
-        model.zero_grad()
-        total.backward()
-        clip_gradients(model.named_parameters(), cfg.grad_clip)
-        optimizer.step()
+    model, losses = steps(cfg, batch, np.random.default_rng([SEED, 2]))
     return {"arena": sha(model.store.arena.tobytes()), "step_losses": losses}
 
 
@@ -163,17 +161,7 @@ def masked_key_steps(tmp, dtype):
     items = [dataclasses.replace(ann, query=" ".join(ann.query.split()[:words]))
              for ann, words in zip(inputs.train_items[:BATCH_SIZE], MASKED_QUERY_WORDS)]
     batch = [(bundle_for(ann, cfg, inputs.feature_dir), ann) for ann in items]
-    model = Model(cfg, seed=SEED)
-    optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng([SEED, 5])
-    losses = []
-    for step in range(STEPS):
-        total, _ = batch_loss(model, batch, step, rng=rng, train=True)
-        losses.append(repr(total.item()))
-        model.zero_grad()
-        total.backward()
-        clip_gradients(model.named_parameters(), cfg.grad_clip)
-        optimizer.step()
+    model, losses = steps(cfg, batch, np.random.default_rng([SEED, 5]))
     return {"arena": sha(model.store.arena.tobytes()), "step_losses": losses,
             "predict_batch": sha(repr(predict_batch(model, batch)).encode())}
 

@@ -64,8 +64,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     if not args.init_from:
-        print("eval requires --init-from <checkpoint>", file=sys.stderr)
-        return 2
+        raise ValueError("eval requires --init-from <checkpoint>")
     cfg = checkpoint_config(args.init_from)
     annotations = load_dataset(args.data, default_clip_len=cfg.clip_len)
     report, _ = evaluate_checkpoint(args.init_from, annotations, out_dir=args.out)

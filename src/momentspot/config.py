@@ -125,6 +125,8 @@ class ModelConfig:
         if not (0 <= self.dropout < 1 and 0 <= self.input_dropout < 1):
             raise ConfigError(f"dropout and input_dropout must be in [0, 1), got "
                               f"{self.dropout} and {self.input_dropout}")
+        if not 0 < self.clip_len < math.inf:
+            raise ConfigError(f"clip_len must be finite and > 0, got {self.clip_len}")
         if not self.weights.temperature > 0:
             raise ConfigError(f"weights field temperature must be > 0, got {self.weights.temperature}")
         return self

@@ -322,12 +322,20 @@ def save_predictions(predictions, path):
             }) + "\n")
 
 
+def _check_qid(qid):
+    """qid itself if it is a JSON integer (an int, not a bool); ValueError otherwise."""
+    if type(qid) is not int:
+        raise ValueError(f"qid {qid!r} is not an int")
+    return qid
+
+
 def load_predictions(path):
-    """Read save_predictions' JSON lines; parse errors, including a window
-    that is not 3 finite numbers or ends before it starts and a saliency
-    score that is not a finite number, carry line numbers."""
+    """Read save_predictions' JSON lines; parse errors, including a qid that
+    is not an int, a window that is not 3 finite numbers or ends before it
+    starts and a saliency score that is not a finite number, carry line
+    numbers."""
     rows = read_jsonl(path, ("qid", "pred_relevant_windows", "pred_saliency_scores"),
-                      lambda obj: QueryPrediction(qid=obj["qid"],
+                      lambda obj: QueryPrediction(qid=_check_qid(obj["qid"]),
                                                   windows=[_check_window(w) for w in
                                                            obj["pred_relevant_windows"]],
                                                   saliency=_check_saliency(

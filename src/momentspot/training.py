@@ -321,6 +321,44 @@ def evaluate_model(model, annotations, feature_dir=None, bundles=None):
     return compute_report(predictions, annotations), predictions
 
 
+def train_step(model, optimizer, batch, epoch, rng):
+    """One train-mode step on batch: batch_loss, backward, clip_gradients at
+    model.cfg.grad_clip and optimizer.step().
+
+    Returns (loss, parts, norm, laps): the total and each loss term as plain
+    floats, so no graph outlives the step, the global gradient norm before
+    clipping, and the wall ms of the forward, of the backward, and of
+    clipping plus the update. A failing loss component, or a non-finite
+    total, gradient (checked before the update, so the weights and moments
+    stay as they were) or parameter after the update, raises
+    CompositionError naming the cause.
+    """
+    t0 = perf_counter()
+    total, parts = batch_loss(model, batch, epoch, rng=rng, train=True)
+    if not np.isfinite(total.data):
+        # compose_total rejects a non-finite component: finite terms overflowed
+        raise CompositionError(f"non-finite total: {largest_term(parts, model.cfg.weights)}")
+    t1 = perf_counter()
+    model.zero_grad()
+    total.backward()
+    t2 = perf_counter()
+    params = model.named_parameters()
+    norm = clip_gradients(params, model.cfg.grad_clip)
+    if not math.isfinite(norm):
+        raise CompositionError(next((f"non-finite gradient {name}" for name, p in params.items()
+                                     if not np.isfinite(p.tensor.grad).all()),
+                                    "non-finite gradient norm"))
+    optimizer.step()
+    t3 = perf_counter()
+    # min and max over the arena propagate any NaN or infinity
+    weights = params.arena
+    if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
+        raise CompositionError(next(f"non-finite parameter {name}" for name, p in params.items()
+                                    if not np.isfinite(p.tensor.data).all()))
+    return (total.item(), {key: float(part.data) for key, part in parts.items()}, norm,
+            (1e3 * (t1 - t0), 1e3 * (t2 - t1), 1e3 * (t3 - t2)))
+
+
 def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=None,
           feature_dir=None, quiet=True):
     """Run the full training loop; writes last/best checkpoints and a jsonl log.
@@ -335,17 +373,14 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
     is its byte copy from the epoch that set that best, or from the end when
     no validation ran.
 
-    A failing loss component, a non-finite loss, a non-finite gradient
-    (checked before the update) or a non-finite parameter after an update
-    aborts the run and leaves the last good checkpoint on disk
-    (diverged=True in the result); the log's last entry then names the batch
-    and the cause. Each epoch's train entry lists, for every step, the
-    global gradient norm before clipping (grad_norms) and the wall ms of the
-    forward (batch_loss), the backward and clip plus the AdamW step
-    (forward_ms, backward_ms, optimizer_ms), and gives the epoch's training
-    items/s (items_per_s); each val entry gives its items/s over the wall
-    time of evaluate_model (items_per_s). The timings never reach a
-    checkpoint or the loss.
+    Each batch runs through train_step. A step that diverges (its
+    CompositionError) aborts the run and leaves the last good checkpoint on
+    disk (diverged=True in the result); the log's last entry then names the
+    batch and the cause. Each epoch's train entry lists, for every step,
+    train_step's norm (grad_norms) and laps (forward_ms, backward_ms,
+    optimizer_ms), and gives the epoch's training items/s (items_per_s);
+    each val entry gives its items/s over the wall time of evaluate_model
+    (items_per_s). The timings never reach a checkpoint or the loss.
     """
     if not annotations:
         raise ValueError("train on an empty dataset")
@@ -393,45 +428,17 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
             for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start:start + cfg.batch_size]
                 batch = [(train_bundles[i], train_set[i]) for i in idx]
-                t0 = perf_counter()
                 try:
-                    total, parts = batch_loss(model, batch, epoch, rng=rng, train=True)
+                    loss, parts, norm, laps = train_step(model, optimizer, batch, epoch, rng)
                 except CompositionError as exc:
                     cause = str(exc)
                     break
-                if not np.isfinite(total.data):
-                    # compose_total rejects a non-finite component: finite terms overflowed
-                    cause = f"non-finite total: {largest_term(parts, model.cfg.weights)}"
-                    break
-                t1 = perf_counter()
-                model.zero_grad()
-                total.backward()
-                t2 = perf_counter()
-                norm = clip_gradients(model.named_parameters(), cfg.grad_clip)
-                if not math.isfinite(norm):
-                    # before the update, so the weights and moments stay as they were
-                    cause = next((f"non-finite gradient {name}"
-                                  for name, p in model.named_parameters().items()
-                                  if not np.isfinite(p.tensor.grad).all()),
-                                 "non-finite gradient norm")
-                    break
+                epoch_total += loss
+                for key, value in parts.items():
+                    epoch_parts[key] = epoch_parts.get(key, 0.0) + value
                 grad_norms.append(norm)
-                optimizer.step()
-                t3 = perf_counter()
-                # a step that overflows the weights must not reach the epoch save;
-                # min and max over the arena propagate any NaN or infinity
-                weights = model.store.arena
-                if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
-                    cause = next(f"non-finite parameter {name}"
-                                 for name, p in model.named_parameters().items()
-                                 if not np.isfinite(p.tensor.data).all())
-                    break
-                for key, (a, b) in zip(phase_ms, ((t0, t1), (t1, t2), (t2, t3))):
-                    phase_ms[key].append(1e3 * (b - a))
-                epoch_total += total.item()
-                for key in parts:
-                    epoch_parts[key] = epoch_parts.get(key, 0.0) + float(parts[key].data)
-                del total, parts  # the step's graph, before the next forward or validation
+                for key, ms in zip(phase_ms, laps):
+                    phase_ms[key].append(ms)
             train_s = perf_counter() - epoch_start
             if cause is not None:
                 write_log({"epoch": epoch, "split": "train", "diverged": True,

@@ -106,6 +106,24 @@ class TestBadInputIsOneLine:
         assert proc.returncode == 2
         assert proc.stderr == "momentspot train: unknown config field 'd_model'\n"
 
+    @pytest.mark.parametrize("clip_len", [0, -2.0])
+    def test_a_config_with_a_bad_clip_len(self, tmp_path, clip_len):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"vid": "a", "duration": 10.0}\n')
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clip_len": clip_len}))
+        proc = self.run("datagen", "--data", str(manifest), "--out", str(tmp_path / "o"),
+                        "--config", str(config))
+        assert proc.returncode == 2
+        assert proc.stderr == \
+            f"momentspot datagen: clip_len must be finite and > 0, got {clip_len}\n"
+
+    def test_eval_without_a_checkpoint(self, tmp_path):
+        proc = self.run("eval", "--data", str(tmp_path / "x.jsonl"), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "momentspot eval: eval requires --init-from <checkpoint>\n"
+
 
 class TestParser:
     @pytest.mark.parametrize("argv", [

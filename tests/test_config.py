@@ -55,6 +55,10 @@ class TestValidation:
         dict(max_text_len=0),
         dict(weights=LossWeights(temperature=0.0)),
         dict(weights=LossWeights(temperature=float("nan"))),
+        dict(clip_len=0.0),
+        dict(clip_len=-2.0),
+        dict(clip_len=float("inf")),
+        dict(clip_len=float("nan")),
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError):

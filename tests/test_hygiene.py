@@ -8,7 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "momentspot").glob("*.py"))
-SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + \
+    sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):

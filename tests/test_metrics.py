@@ -388,6 +388,14 @@ class TestPredictionsIO:
         with pytest.raises(ParseError, match=":2: bad value"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("qid", [True, 2.0, "x", None])
+    def test_qid_not_an_int_is_a_parse_error_with_its_line(self, tmp_path, qid):
+        path = tmp_path / "preds.jsonl"
+        self.write(path, json.dumps({"qid": qid, "pred_relevant_windows": [[4.0, 10.0, 0.9]],
+                                     "pred_saliency_scores": [0.5]}))
+        with pytest.raises(ParseError, match=r":2: bad value \(ValueError: qid .* is not an int"):
+            load_predictions(path)
+
     def test_invalid_json_is_a_parse_error_with_its_line(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         self.write(path, '{"qid": 4,')

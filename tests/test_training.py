@@ -18,11 +18,12 @@ from momentspot.autodiff import Tensor, add, grad_check, tsum, xavier_uniform
 from momentspot.config import ConfigError, LossWeights, ModelConfig
 from momentspot.data import save_features
 from momentspot.fixtures import build_overfit_fixture
+from momentspot.losses import CompositionError
 from momentspot.metrics import MetricReport
 from momentspot.model import Model, ParamStore, Parameter, batch_loss, bundle_for
 from momentspot.training import (AdamW, clip_gradients, evaluate_checkpoint,
                                  evaluate_model, model_from_checkpoint,
-                                 save_checkpoint, split_dataset, train)
+                                 save_checkpoint, split_dataset, train, train_step)
 import composed
 from test_data import make_annotation
 
@@ -1244,6 +1245,105 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             train(self.small_cfg(), [], tmp_path / "run")
+
+    @staticmethod
+    def first_step(cfg):
+        """train()'s model, AdamW, first batch and rng for toy_dataset() at seed 0."""
+        model = Model(cfg, seed=0)
+        optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+        rng = np.random.default_rng([0, 2])
+        data = toy_dataset()
+        batch = [(bundle_for(data[i], cfg), data[i])
+                 for i in rng.permutation(len(data))[:cfg.batch_size]]
+        return model, optimizer, batch, rng
+
+    @pytest.mark.parametrize("force", ["total", "gradient", "parameter"])
+    def test_a_diverged_train_step_raises_the_cause_train_logs(self, tmp_path, monkeypatch,
+                                                               force):
+        cfg = self.small_cfg()
+        names = list(Model(cfg, seed=None).named_parameters())
+        if force == "total":
+            # every component is finite; task_coupled's weighted float32 value overflows the sum
+            monkeypatch.setattr(model_module, "task_coupled_loss",
+                                lambda *args, **kwargs: Tensor(np.asarray(1e38, dtype=np.float32)))
+            cfg = self.small_cfg(dtype="float32", weights=LossWeights(task_coupled=4.0))
+            cause = "non-finite total: task_coupled"
+        elif force == "gradient":
+            def planting_clip(params, max_norm):
+                params[names[5]].tensor.grad.flat[-1] = np.inf
+                return clip_gradients(params, max_norm)
+
+            monkeypatch.setattr(training, "clip_gradients", planting_clip)
+            cause = f"non-finite gradient {names[5]}"
+        else:  # the largest finite lr overflows the first update
+            cfg = self.small_cfg(lr=float(np.finfo(np.float64).max))
+        model, optimizer, batch, rng = self.first_step(cfg)
+        with np.errstate(all="ignore"):
+            logged = read_log(train(cfg, toy_dataset(), tmp_path / "run", seed=0))
+            with pytest.raises(CompositionError) as exc:
+                train_step(model, optimizer, batch, 0, rng)
+        if force == "parameter":  # the first in registry order
+            cause = "non-finite parameter " + next(
+                name for name, p in model.named_parameters().items()
+                if not np.isfinite(p.tensor.data).all())
+        assert str(exc.value) == cause
+        assert logged == [{"epoch": 0, "split": "train", "diverged": True, "batch": 0,
+                           "cause": cause}]
+
+    @pytest.mark.parametrize("planted, named", [
+        (np.nan, 5),
+        (1e200, None),  # finite, but its square overflows the norm
+    ], ids=["nan", "overflow"])
+    def test_a_non_finite_gradient_leaves_weights_and_moments_as_they_were(
+            self, monkeypatch, planted, named):
+        model, optimizer, batch, rng = self.first_step(self.small_cfg(grad_clip=0.5))
+        train_step(model, optimizer, batch, 0, rng)  # one update, so the moments are not zero
+        names = list(model.named_parameters())
+
+        def state():
+            return [a.tobytes() for a in (model.store.arena, optimizer.m_arena, optimizer.v_arena)]
+
+        def planting_clip(params, max_norm):
+            params[names[5]].tensor.grad.flat[-1] = planted
+            return clip_gradients(params, max_norm)
+
+        before = state()
+        monkeypatch.setattr(training, "clip_gradients", planting_clip)
+        cause = "non-finite gradient " + ("norm" if named is None else names[named])
+        with np.errstate(over="ignore"), pytest.raises(CompositionError) as exc:
+            train_step(model, optimizer, batch, 1, rng)
+        assert str(exc.value) == cause
+        assert state() == before and optimizer.step_count == 1
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_train_step_is_the_hand_rolled_step(self, tmp_path, dtype):
+        def hand_rolled(model, optimizer, batch, epoch, rng):
+            total, parts = batch_loss(model, batch, epoch, rng=rng, train=True)
+            model.zero_grad()
+            total.backward()
+            norm = clip_gradients(model.named_parameters(), model.cfg.grad_clip)
+            optimizer.step()
+            return total.item(), {key: part.item() for key, part in parts.items()}, norm
+
+        # the desk preset with every dropout and the clip on, on one fixture batch
+        cfg = ModelConfig.desk(dtype=dtype, dropout=0.1, input_dropout=0.2, grad_clip=0.5)
+        features = tmp_path / "features"
+        batch = [(bundle_for(ann, cfg, features), ann)
+                 for ann in build_overfit_fixture(feature_dir=features)[:cfg.batch_size]]
+        runs = []
+        for step in (train_step, hand_rolled):
+            model = Model(cfg, seed=5)
+            optimizer = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+            rng = np.random.default_rng(7)
+            out = [step(model, optimizer, batch, epoch, rng) for epoch in range(2)]
+            runs.append((out, [a.tobytes() for a in (model.store.arena, optimizer.m_arena,
+                                                     optimizer.v_arena)]))
+        (stepped, arenas), (rolled, rolled_arenas) = runs
+        assert [out[:3] for out in stepped] == rolled and arenas == rolled_arenas
+        assert all(norm > cfg.grad_clip for _, _, norm, _ in stepped)  # the clip scaled both
+        for _, parts, _, laps in stepped:
+            assert all(type(v) is float for v in parts.values())
+            assert len(laps) == 3 and all(ms >= 0.0 for ms in laps)
 
 
 class TestEvaluation:
