@@ -76,10 +76,10 @@ from momentspot.fixtures import build_overfit_fixture
 from momentspot.losses import (compose_total, contrastive_rank_loss, highlight_distribution_loss,
                                rank_margin_loss, task_coupled_loss, task_specific_loss)
 from momentspot.matching import MatchResult, match_cost_matrix, matched_giou, moment_loss
-from momentspot.metrics import QueryPrediction, compute_report
+from momentspot.metrics import QueryPrediction, compute_report, save_predictions
 from momentspot.model import Model, bundle_for, predict_batch
 from momentspot.refinement import alignment_loss
-from momentspot.training import AdamW, evaluate_checkpoint, train, train_step
+from momentspot.training import AdamW, evaluate_model, model_from_checkpoint, train, train_step
 from perfbench.workloads import BATCH_SIZE, WORKLOADS, make_inputs
 
 DIGESTS = ROOT / "tests" / "bitwise_digests.json"
@@ -117,15 +117,16 @@ def desk_run(tmp, dtype, fusion_mode):
                            input_dropout=0.2, grad_clip=0.5, val_fraction=0.25, eval_every=1)
     run = tmp / f"{dtype}-{fusion_mode}"
     result = train(cfg, annotations, run, seed=SEED, feature_dir=features)
-    evaluate_checkpoint(result.best_checkpoint, annotations, out_dir=run / "eval",
-                        feature_dir=features)
+    _, predictions = evaluate_model(model_from_checkpoint(result.best_checkpoint)[0],
+                                    annotations, feature_dir=features)
+    save_predictions(predictions, run / "predictions.jsonl")
     return {
         "loss_trace": sha(np.asarray(result.loss_trace, dtype=np.float64).tobytes()),
         "last.ckpt": sha(Path(result.last_checkpoint).read_bytes()),
         "best.ckpt": sha(Path(result.best_checkpoint).read_bytes()),
         "last.ckpt params": sha(params_block(result.last_checkpoint)),
         "best.ckpt params": sha(params_block(result.best_checkpoint)),
-        "predictions": sha((run / "eval" / "predictions.jsonl").read_bytes()),
+        "predictions": sha((run / "predictions.jsonl").read_bytes()),
         "train_log": sha(log_without_wall_times(result.log_path)),
         "final_loss": repr(result.loss_trace[-1]),
     }

@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 
 from momentspot.config import ModelConfig
 from momentspot.fixtures import build_overfit_fixture
-from momentspot.training import evaluate_checkpoint, train
+from momentspot.training import evaluate_model, model_from_checkpoint, train
 
 
 def main():
@@ -38,8 +38,8 @@ def main():
     started = time.monotonic()
     result = train(cfg, annotations, out / "run", seed=args.seed,
                    feature_dir=feature_dir, quiet=False)
-    report, preds = evaluate_checkpoint(result.last_checkpoint, annotations,
-                                        feature_dir=feature_dir)
+    report, preds = evaluate_model(model_from_checkpoint(result.last_checkpoint)[0],
+                                   annotations, feature_dir=feature_dir)
     elapsed = time.monotonic() - started
 
     rhos = [spearmanr(p.saliency, a.saliency_levels).statistic

@@ -8,7 +8,7 @@ from .config import LossWeights, ModelConfig
 from .data import Annotation, load_dataset, save_dataset
 from .metrics import MetricReport, QueryPrediction, compute_report
 from .model import Model
-from .training import evaluate_checkpoint, evaluate_model, train
+from .training import evaluate_model, train
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "ModelConfig",
     "QueryPrediction",
     "compute_report",
-    "evaluate_checkpoint",
     "evaluate_model",
     "load_dataset",
     "save_dataset",

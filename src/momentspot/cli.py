@@ -10,7 +10,8 @@ from .config import ModelConfig
 from .data import (default_captioner, default_embedder, generate_synthetic,
                    load_dataset, load_manifest, records_to_annotations,
                    save_dataset)
-from .training import checkpoint_config, evaluate_checkpoint, train
+from .metrics import save_predictions
+from .training import evaluate_model, model_from_checkpoint, train
 
 
 def _add_common(parser):
@@ -65,9 +66,15 @@ def cmd_train(args):
 def cmd_eval(args):
     if not args.init_from:
         raise ValueError("eval requires --init-from <checkpoint>")
-    cfg = checkpoint_config(args.init_from)
-    annotations = load_dataset(args.data, default_clip_len=cfg.clip_len)
-    report, _ = evaluate_checkpoint(args.init_from, annotations, out_dir=args.out)
+    model, _ = model_from_checkpoint(args.init_from)
+    annotations = load_dataset(args.data, default_clip_len=model.cfg.clip_len)
+    report, predictions = evaluate_model(model, annotations)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_predictions(predictions, out / "predictions.jsonl")
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
+        fh.write("\n")
     print(json.dumps(report.to_dict()))
     return 0
 
@@ -92,13 +99,13 @@ def cmd_datagen(args):
 
 def main(argv=None):
     """Run one command; bad input (a ParseError, ValidationError, ConfigError
-    or any other ValueError) prints one `momentspot <command>: <message>`
-    line to stderr and returns 2."""
+    or any other ValueError) or a file that cannot be opened (an OSError)
+    prints one `momentspot <command>: <message>` line to stderr and returns 2."""
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "eval": cmd_eval, "datagen": cmd_datagen}
     try:
         return handlers[args.command](args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"momentspot {args.command}: {err}", file=sys.stderr)
         return 2
 

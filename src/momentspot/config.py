@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .data import TEXT_ENCODER_KINDS, VIDEO_ENCODER_KINDS
@@ -54,6 +55,12 @@ def _checked_fields(cls, d, what):
     return dict(d)
 
 
+def _is_part(part):
+    """Whether part is a (kind, width) pair of a str and an integer that is not a bool."""
+    return (isinstance(part, (tuple, list)) and len(part) == 2 and isinstance(part[0], str)
+            and isinstance(part[1], numbers.Integral) and not isinstance(part[1], bool))
+
+
 @dataclass
 class ModelConfig:
     hidden_dim: int = 256
@@ -86,9 +93,9 @@ class ModelConfig:
     eval_every: int = 1  # epochs between validation passes; 0 = final only
 
     def __post_init__(self):
+        self.validate()  # before int() and str() could coerce a part's width or kind
         self.video_parts = tuple((str(k), int(d)) for k, d in self.video_parts)
         self.text_parts = tuple((str(k), int(d)) for k, d in self.text_parts)
-        self.validate()
 
     def validate(self):
         if self.heads <= 0:
@@ -107,6 +114,10 @@ class ModelConfig:
             raise ConfigError("at least one video and one text feature part required")
         for name, parts, kinds in (("video_parts", self.video_parts, VIDEO_ENCODER_KINDS),
                                    ("text_parts", self.text_parts, TEXT_ENCODER_KINDS)):
+            malformed = [part for part in parts if not _is_part(part)]
+            if malformed:
+                raise ConfigError(f"{name} must be (kind, width) pairs of a str and an int, "
+                                  f"got {malformed}")
             unknown = sorted({kind for kind, _ in parts} - set(kinds))
             if unknown:
                 raise ConfigError(f"unknown feature parts {unknown} (expected one of {kinds})")

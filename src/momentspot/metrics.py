@@ -93,13 +93,6 @@ def _recall(rows_per_query, threshold):
     return hits / len(rows_per_query)
 
 
-def _mean_top_iou(rows_per_query):
-    if not rows_per_query:
-        raise ValueError("mean_iou on an empty query set")
-    vals = [max(rows[0]) if rows and rows[0] else 0.0 for rows in rows_per_query]
-    return sum(vals) / len(vals)
-
-
 def _detection_ap(rows, n_gt, threshold):
     """All-point interpolated AP of one query's sorted IoU rows at one threshold."""
     taken = [False] * n_gt
@@ -143,66 +136,25 @@ def recall_at_1(pred_windows_per_query, gt_windows_per_query, threshold):
     return _recall(_query_rows(pred_windows_per_query, gt_windows_per_query), threshold)
 
 
-def average_precision_detection(pred_windows, gt_windows, threshold):
-    """All-point interpolated detection AP for one query at one IoU threshold.
-
-    Predictions are greedily matched in confidence order to the unmatched gt
-    with the highest IoU clearing the threshold. Returns None when the query
-    has no gt windows (AP undefined).
-    """
-    if len(gt_windows) == 0:
-        return None
-    return _detection_ap(_iou_rows(pred_windows, gt_windows), len(gt_windows), threshold)
-
-
 def mean_ap(pred_windows_per_query, gt_windows_per_query):
     """mAP at each of DEFAULT_IOU_THRESHOLDS plus their average; queries without gt are skipped."""
     return _mean_ap(_query_rows(pred_windows_per_query, gt_windows_per_query),
                     gt_windows_per_query)
 
 
-def _hit_at_1(orders, gt_levels_per_query):
-    if not gt_levels_per_query:
-        raise ValueError("hit_at_1 on an empty query set")
-    hits = sum(levels[order[0]] >= VERY_GOOD_LEVEL
-               for order, levels in zip(orders, gt_levels_per_query))
-    return hits / len(gt_levels_per_query)
-
-
-def hit_at_1(pred_saliency_per_query, gt_levels_per_query):
-    """Fraction of queries whose top-scored clip has gt level >= VERY_GOOD_LEVEL."""
-    if len(pred_saliency_per_query) != len(gt_levels_per_query):
-        raise ValueError("prediction/gt query counts differ")
-    return _hit_at_1(map(_ranked_order, pred_saliency_per_query), gt_levels_per_query)
-
-
-def _ranking_ap(order, positives):
-    n_pos = sum(bool(p) for p in positives)
-    if n_pos == 0:
-        return None
-    cum = 0
-    total = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if positives[idx]:
-            cum += 1
-            total += cum / rank
-    return total / n_pos
-
-
-def ranking_average_precision(scores, positives):
-    """Non-interpolated AP of a full ranking against binary relevance.
-
-    positives is a boolean sequence; returns None when nothing is positive.
-    """
-    return _ranking_ap(_ranked_order(scores), positives)
-
-
 def _hd_map(orders, gt_levels_per_query):
+    """Mean ranking AP over the queries with a highlight clip; 0.0 when none has one."""
     aps = []
     for order, levels in zip(orders, gt_levels_per_query):
-        ap = _ranking_ap(order, [lv >= VERY_GOOD_LEVEL for lv in levels])
-        if ap is not None:
-            aps.append(ap)
+        positives = [lv >= VERY_GOOD_LEVEL for lv in levels]
+        n_pos = sum(positives)
+        if n_pos:
+            cum, total = 0, 0.0
+            for rank, idx in enumerate(order, start=1):
+                if positives[idx]:
+                    cum += 1
+                    total += cum / rank
+            aps.append(total / n_pos)
     return sum(aps) / len(aps) if aps else 0.0
 
 
@@ -211,11 +163,6 @@ def hd_map(pred_saliency_per_query, gt_levels_per_query):
     if len(pred_saliency_per_query) != len(gt_levels_per_query):
         raise ValueError("prediction/gt query counts differ")
     return _hd_map(map(_ranked_order, pred_saliency_per_query), gt_levels_per_query)
-
-
-def mean_iou(pred_windows_per_query, gt_windows_per_query):
-    """Mean over queries of the top-1 window's best IoU against any gt."""
-    return _mean_top_iou(_query_rows(pred_windows_per_query, gt_windows_per_query))
 
 
 # -- report assembly ----------------------------------------------------------
@@ -307,8 +254,9 @@ def compute_report(predictions, annotations):
         map_075=per_thr[0.75],
         map_avg=avg,
         hd_map=_hd_map(orders, gts_lv),
-        hit_at_1=_hit_at_1(orders, gts_lv),
-        miou=_mean_top_iou(rows),
+        # whether the top-scored clip is a highlight; the top window's best IoU (0 without one)
+        hit_at_1=sum(lv[o[0]] >= VERY_GOOD_LEVEL for o, lv in zip(orders, gts_lv)) / len(gts_lv),
+        miou=sum(max(r[0]) if r and r[0] else 0.0 for r in rows) / len(rows),
     )
 
 

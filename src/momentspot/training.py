@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ConfigError, ModelConfig
 from .losses import CompositionError, largest_term
-from .metrics import compute_report, save_predictions
+from .metrics import compute_report
 from .model import Model, ParamStore, batch_loss, bundle_for, predict_batch
 
 CHECKPOINT_MAGIC = b"MSPT"
@@ -238,12 +238,6 @@ def _read_head(fh, path):
     if actual != expected:
         raise ValueError(f"{path}: payload is {actual} bytes, expected {expected}")
     return meta, cfg, dtype
-
-
-def checkpoint_config(path):
-    """The ModelConfig in checkpoint path's header; the params are not read."""
-    with open(path, "rb") as fh:
-        return _read_head(fh, path)[1]
 
 
 def model_from_checkpoint(path, cfg=None):
@@ -479,16 +473,3 @@ def train(cfg, annotations, out_dir, seed=0, init_from=None, val_annotations=Non
                        best_metric=math.nan if best_metric is None else best_metric,
                        loss_trace=loss_trace, diverged=cause is not None,
                        epochs_run=len(loss_trace))
-
-
-def evaluate_checkpoint(ckpt_path, annotations, out_dir=None, feature_dir=None):
-    model, _ = model_from_checkpoint(ckpt_path)
-    report, predictions = evaluate_model(model, annotations, feature_dir=feature_dir)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_predictions(predictions, out / "predictions.jsonl")
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-    return report, predictions

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from momentspot import training
 from momentspot.cli import main
 from momentspot.data import load_dataset
-from momentspot.training import model_from_checkpoint
+from momentspot.metrics import save_predictions
+from momentspot.training import evaluate_model, model_from_checkpoint
 
 from conftest import tiny_config
 
@@ -78,8 +80,9 @@ class TestDatagen:
 
 
 class TestBadInputIsOneLine:
-    """A ParseError, ValidationError or ConfigError ends the process with one
-    `momentspot <command>: <message>` line on stderr and exit code 2."""
+    """A ParseError, ValidationError, ConfigError or a missing input file ends
+    the process with one `momentspot <command>: <message>` line on stderr and
+    exit code 2."""
 
     def run(self, *argv):
         return subprocess.run([sys.executable, "-m", "momentspot", *argv], capture_output=True,
@@ -124,6 +127,23 @@ class TestBadInputIsOneLine:
         assert proc.stdout == ""
         assert proc.stderr == "momentspot eval: eval requires --init-from <checkpoint>\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "MISSING"],
+        ["train", "--data", "DATA", "--config", "MISSING"],
+        ["eval", "--data", "DATA", "--init-from", "MISSING"],
+        ["datagen", "--data", "MISSING"],
+    ], ids=["train-data", "train-config", "eval-checkpoint", "datagen-data"])
+    def test_a_missing_input_file(self, tmp_path, argv):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"vid": "a", "duration": 10.0}\n')
+        missing = tmp_path / "nope"
+        paths = {"DATA": str(data), "MISSING": str(missing)}
+        proc = self.run(*(paths.get(arg, arg) for arg in argv), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            f"momentspot {argv[0]}: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
 
 class TestParser:
     @pytest.mark.parametrize("argv", [
@@ -150,7 +170,7 @@ class TestTrainEval:
         capsys.readouterr()
         return data
 
-    def test_train_then_eval(self, tmp_path, capsys, dataset):
+    def test_train_then_eval(self, tmp_path, capsys, monkeypatch, dataset):
         config = cli_config(tmp_path)
         run_dir = tmp_path / "run"
         rc = main(["train", "--config", str(config), "--data", str(dataset),
@@ -164,13 +184,23 @@ class TestTrainEval:
         assert (run_dir / "train_log.jsonl").exists()
 
         eval_dir = tmp_path / "eval"
+        heads = []
+        read_head = training._read_head
+        monkeypatch.setattr(training, "_read_head", lambda *a: heads.append(a) or read_head(*a))
         rc = main(["eval", "--data", str(dataset), "--out", str(eval_dir), "--init-from", ckpt])
         assert rc == 0
+        assert len(heads) == 1  # the checkpoint is read once
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(report) == {"r1_050", "r1_070", "map_050", "map_075", "map_avg",
                                "hd_map", "hit_at_1", "miou"}
-        assert (eval_dir / "predictions.jsonl").exists()
-        assert (eval_dir / "report.json").exists()
+        assert json.loads((eval_dir / "report.json").read_text()) == report
+        predictions = (eval_dir / "predictions.jsonl").read_bytes()
+        assert len(predictions.splitlines()) == len(load_dataset(dataset))
+        # the bytes of evaluate_model's predictions on the same checkpoint and data
+        model, _ = model_from_checkpoint(ckpt)
+        _, want = evaluate_model(model, load_dataset(dataset, default_clip_len=model.cfg.clip_len))
+        save_predictions(want, tmp_path / "want.jsonl")
+        assert predictions == (tmp_path / "want.jsonl").read_bytes()
 
     def test_eval_requires_checkpoint(self, tmp_path, capsys, dataset):
         rc = main(["eval", "--data", str(dataset), "--out", str(tmp_path / "eval")])

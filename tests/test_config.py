@@ -59,6 +59,9 @@ class TestValidation:
         dict(clip_len=-2.0),
         dict(clip_len=float("inf")),
         dict(clip_len=float("nan")),
+        dict(video_parts=(("clip_v", 24.7),)),  # a part width that int() would truncate
+        dict(video_parts=(("clip_v", True),)),
+        dict(text_parts=(("clip_t", "16"),)),
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError):

@@ -67,6 +67,10 @@ class TestAnnotationValidation:
         assert field in str(err.value)
         assert "qid" in str(err.value)
 
+    def test_a_window_that_is_not_a_pair_of_numbers(self):
+        with pytest.raises(ValidationError, match=r"window \[4\.0, '10'\] is not a \[start, end\] pair"):
+            make_annotation(relevant_windows=[[4.0, "10"]]).validate()
+
 
 class TestClipOverlap:
     def test_positive_overlap_only(self):
@@ -196,6 +200,10 @@ class TestPseudoEncode:
         with pytest.raises(ValueError):
             pseudo_encode("resnet", "x", 2, 2)
 
+    def test_non_positive_length_rejected(self):
+        with pytest.raises(ValueError, match="needs positive length and dim"):
+            pseudo_encode("clip_v", "x", 0, 2)
+
     def test_bounded(self):
         arr = pseudo_encode("clip_v", "anything", 10, 10)
         assert np.abs(arr).max() <= 0.5
@@ -210,6 +218,11 @@ class TestFeatureFiles:
         assert back.dtype == np.dtype("<f4")
         np.testing.assert_array_equal(back, arr)
         assert path.stat().st_size == 16 + 6 * 5 * 4
+
+    def test_rank_3_array_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="must be rank-2"):
+            save_features(tmp_path / "a.vlft", np.zeros((2, 3, 4)))
+        assert not (tmp_path / "a.vlft").exists()
 
     def test_missing_file_reads_as_none(self, tmp_path):
         assert d._read_features(tmp_path / "absent.vlft") is None

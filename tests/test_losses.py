@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from momentspot.autodiff import Tensor, grad_check, mul, tsum
+from momentspot.autodiff import ShapeError, Tensor, grad_check, mul, tsum
 from momentspot.config import LossWeights
 from momentspot.losses import (COMPONENT_KEYS, CompositionError, compose_total,
                                contrastive_rank_loss, gru_saliency, hard_negative_loss,
@@ -63,6 +63,10 @@ class TestRankMargin:
         s = t([0.5, 0.4])
         # margin 0.2 + low 0.5 - high 0.4 = 0.3
         assert rank_margin_loss(s, 1, 0, margin=0.2).item() == pytest.approx(0.3)
+
+    def test_index_count_must_match_the_items(self):
+        with pytest.raises(ShapeError, match="rank pair indices do not match saliency"):
+            rank_margin_loss(t([[0.5, 0.4], [0.1, 0.2]]), [1], [0], margin=0.2)
 
     def test_grad_flows_to_both_clips(self):
         s = t([0.5, 0.4])
@@ -249,6 +253,16 @@ def make_gru(rng, dim):
 
 
 class TestGru:
+    def test_rank_1_features_rejected(self, rng):
+        with pytest.raises(ShapeError, match=r"expects \(L, d\) or \(B, L, d\) features"):
+            gru_saliency(Tensor(rng.normal(size=4)), make_gru(rng, 4))
+
+    def test_a_gate_weight_of_the_wrong_shape_rejected(self, rng):
+        gru = make_gru(rng, 4)
+        gru = ((Tensor(rng.normal(size=(4, 4))), gru[0][1]), *gru[1:])
+        with pytest.raises(ShapeError, match=r"GRU gate weights must be \(8, 4\)"):
+            gru_saliency(Tensor(rng.normal(size=(6, 4))), gru)
+
     def test_output_shape(self, rng):
         gru = make_gru(rng, 4)
         feats = Tensor(rng.normal(size=(6, 4)))

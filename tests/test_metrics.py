@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS,
-                                QueryPrediction, average_precision_detection,
-                                compute_report, giou_1d, hd_map, hit_at_1,
-                                iou_1d, load_predictions, mean_ap, mean_iou,
-                                ranking_average_precision, recall_at_1,
+from momentspot.metrics import (DEFAULT_IOU_THRESHOLDS, QueryPrediction,
+                                compute_report, giou_1d, hd_map, iou_1d,
+                                load_predictions, mean_ap, recall_at_1,
                                 save_predictions, span_giou, span_iou)
 from momentspot.data import ParseError
 from test_data import make_annotation
@@ -80,6 +78,13 @@ def ref_recall_at_1(preds_per_q, gts_per_q, thr):
         if any(ref_iou(preds[best], g) >= thr for g in gts):
             hits += 1
     return hits / len(gts_per_q)
+
+
+def highlight_report(scores_per_query, levels_per_query):
+    """compute_report of one windowless prediction per query, scored against its levels."""
+    preds = [QueryPrediction(qid=i, windows=[], saliency=s) for i, s in enumerate(scores_per_query)]
+    anns = [make_annotation(qid=i, saliency_levels=lv) for i, lv in enumerate(levels_per_query)]
+    return compute_report(preds, anns)
 
 
 def random_instance(rng, max_queries=5, max_preds=3, max_gt=3):
@@ -179,51 +184,51 @@ class TestRecallAt1:
         with pytest.raises(ValueError):
             recall_at_1([[]], [], 0.5)
 
+    def test_empty_query_set(self):
+        with pytest.raises(ValueError, match="recall_at_1 on an empty query set"):
+            recall_at_1([], [], 0.5)
+
 
 class TestDetectionAP:
+    """One query's detection AP: mean_ap's entry at one IoU threshold."""
+
     def test_single_hit(self):
-        assert average_precision_detection([[0, 10, 0.9]], [[0, 10]], 0.5) == 1.0
+        assert mean_ap([[[0, 10, 0.9]]], [[[0, 10]]])[0][0.5] == 1.0
 
     def test_miss_then_hit(self):
         preds = [[50, 60, 0.9], [0, 10, 0.1]]
-        assert average_precision_detection(preds, [[0, 10]], 0.5) == 0.5
+        assert mean_ap([preds], [[[0, 10]]])[0][0.5] == 0.5
 
     def test_duplicate_predictions_one_gt(self):
         preds = [[0, 10, 0.9], [0, 10, 0.8]]
         # second duplicate cannot rematch the taken gt
-        assert average_precision_detection(preds, [[0, 10]], 0.5) == 1.0
-
-    def test_no_gt_is_undefined(self):
-        assert average_precision_detection([[0, 10, 0.9]], [], 0.5) is None
+        assert mean_ap([preds], [[[0, 10]]])[0][0.5] == 1.0
 
     def test_no_predictions(self):
-        assert average_precision_detection([], [[0, 10]], 0.5) == 0.0
+        assert mean_ap([[]], [[[0, 10]]])[0][0.5] == 0.0
 
     def test_iou_tie_takes_lower_gt_index(self):
-        # one prediction overlaps both gts identically; gt 0 must be consumed
+        # pred0 has IoU 0.5 with both gts; gt 0 must be consumed
         gts = [[0.0, 10.0], [10.0, 20.0]]
-        preds = [[5.0, 15.0, 0.9], [0.0, 10.0, 0.8]]
-        thr = 1 / 3
+        preds = [[0.0, 20.0, 0.9], [0.0, 10.0, 0.8]]
         # pred0 matches gt0 (tie), pred1 would want gt0 but only gt1 remains and misses
-        assert average_precision_detection(preds, gts, thr) == pytest.approx(0.5)
+        assert mean_ap([preds], [gts])[0][0.5] == pytest.approx(0.5)
 
     def test_interpolation_carries_later_precision_back(self):
         # hit, miss, miss, hit over 2 gts: interp precision at second step is 2/4
         preds = [[0, 10, 0.9], [40, 50, 0.8], [60, 70, 0.7], [20, 30, 0.6]]
         gts = [[0, 10], [20, 30]]
-        ap = average_precision_detection(preds, gts, 0.5)
+        ap = mean_ap([preds], [gts])[0][0.5]
         assert ap == pytest.approx(0.5 * 1.0 + 0.5 * 0.5)
 
     def test_matches_reference_on_random_instances(self, rng):
         for _ in range(200):
             preds_q, gts_q = random_instance(rng, max_queries=1)
-            for thr in (0.3, 0.5, 0.7, 0.95):
-                got = average_precision_detection(preds_q[0], gts_q[0], thr)
+            got = mean_ap(preds_q, gts_q)[0]
+            for thr in DEFAULT_IOU_THRESHOLDS[::3]:  # 0.5, 0.65, 0.8 and 0.95
                 want = ref_detection_ap(preds_q[0], gts_q[0], thr)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got == pytest.approx(want, abs=1e-12)
+                # a query without gt leaves mean_ap nothing to average
+                assert got[thr] == pytest.approx(0.0 if want is None else want, abs=1e-12)
 
 
 class TestMeanAP:
@@ -287,20 +292,26 @@ class TestHighlightMetrics:
 
     def test_ranking_ap_tie_handling(self):
         # tied scores rank by index, so the positive at index 0 wins rank 1
-        assert ranking_average_precision([0.5, 0.5], [True, False]) == 1.0
-        assert ranking_average_precision([0.5, 0.5], [False, True]) == 0.5
+        assert hd_map([[0.5, 0.5]], [[4, 0]]) == 1.0
+        assert hd_map([[0.5, 0.5]], [[0, 4]]) == 0.5
 
     def test_hit_at_1(self):
-        assert hit_at_1([[0.9, 0.1]], [[4, 0]]) == 1.0
-        assert hit_at_1([[0.1, 0.9]], [[4, 0]]) == 0.0
-        assert hit_at_1([[0.9, 0.9]], [[4, 0]]) == 1.0  # tie goes to clip 0
+        assert highlight_report([[0.9, 0.1]], [[4, 0]]).hit_at_1 == 1.0
+        assert highlight_report([[0.1, 0.9]], [[4, 0]]).hit_at_1 == 0.0
+        assert highlight_report([[0.9, 0.9]], [[4, 0]]).hit_at_1 == 1.0  # tie goes to clip 0
+
+    def test_query_count_mismatch(self):
+        with pytest.raises(ValueError, match="prediction/gt query counts differ"):
+            hd_map([[0.9]], [])
 
 
 class TestMeanIoUAndReport:
     def test_mean_iou(self):
-        preds = [[[0, 10, 0.9]], []]
-        gts = [[[0, 5]], [[0, 10]]]
-        assert mean_iou(preds, gts) == pytest.approx(0.25)
+        preds = [QueryPrediction(qid=0, windows=[[0, 10, 0.9]], saliency=[0.0] * 10),
+                 QueryPrediction(qid=1, windows=[], saliency=[0.0] * 10)]
+        anns = [make_annotation(qid=0, relevant_windows=[[0, 5]]),
+                make_annotation(qid=1, relevant_windows=[[0, 10]])]
+        assert compute_report(preds, anns).miou == pytest.approx(0.25)
 
     def test_report_round_trip(self, tmp_path):
         ann = make_annotation()
@@ -477,5 +488,5 @@ def test_an_iou_equal_to_a_threshold_is_a_match_at_it(end, hits):
 def test_tied_scores_rank_toward_the_lower_index(scores, top):
     levels = [[0] * len(scores)]
     levels[0][top] = 4
-    assert hit_at_1([scores], levels) == 1.0
+    assert highlight_report([scores], levels).hit_at_1 == 1.0
     assert hd_map([scores], levels) == 1.0

@@ -21,9 +21,9 @@ from momentspot.fixtures import build_overfit_fixture
 from momentspot.losses import CompositionError
 from momentspot.metrics import MetricReport
 from momentspot.model import Model, ParamStore, Parameter, batch_loss, bundle_for
-from momentspot.training import (AdamW, clip_gradients, evaluate_checkpoint,
-                                 evaluate_model, model_from_checkpoint,
-                                 save_checkpoint, split_dataset, train, train_step)
+from momentspot.training import (AdamW, clip_gradients, evaluate_model,
+                                 model_from_checkpoint, save_checkpoint,
+                                 split_dataset, train, train_step)
 import composed
 from test_data import make_annotation
 
@@ -1382,14 +1382,3 @@ class TestEvaluation:
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
         with pytest.raises(ValueError):
             evaluate_model(Model(cfg, seed=0), [])
-
-    def test_evaluate_checkpoint_writes_outputs(self, tmp_path):
-        cfg = tiny_config(epochs=1, encoder_layers=1, decoder_layers=1)
-        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
-        out = tmp_path / "eval"
-        report, predictions = evaluate_checkpoint(result.last_checkpoint, toy_dataset(),
-                                                  out_dir=out)
-        assert (out / "predictions.jsonl").exists()
-        saved_report = json.loads((out / "report.json").read_text())
-        assert saved_report == pytest.approx(report.to_dict())
-        assert len(predictions) == 3
