@@ -15,8 +15,9 @@ from momentspot import autodiff
 from momentspot import model as model_module
 from momentspot import training
 from momentspot.autodiff import Tensor, add, grad_check, tsum, xavier_uniform
+from momentspot.cli import main
 from momentspot.config import ConfigError, LossWeights, ModelConfig
-from momentspot.data import save_features
+from momentspot.data import save_dataset, save_features
 from momentspot.fixtures import build_overfit_fixture
 from momentspot.losses import CompositionError
 from momentspot.metrics import MetricReport
@@ -1382,3 +1383,21 @@ class TestEvaluation:
         cfg = tiny_config(encoder_layers=1, decoder_layers=1)
         with pytest.raises(ValueError):
             evaluate_model(Model(cfg, seed=0), [])
+
+    def test_evaluate_checkpoint_writes_outputs(self, tmp_path, capsys):
+        cfg = tiny_config(epochs=1, encoder_layers=1, decoder_layers=1)
+        result = train(cfg, toy_dataset(), tmp_path / "run", seed=0)
+        data = tmp_path / "toy.jsonl"
+        save_dataset(toy_dataset(), data)
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--out", str(out),
+                     "--init-from", str(result.last_checkpoint)]) == 0
+        report, predictions = evaluate_model(model_from_checkpoint(result.last_checkpoint)[0],
+                                             toy_dataset())
+        assert (out / "predictions.jsonl").exists()
+        saved_report = json.loads((out / "report.json").read_text())
+        assert saved_report == pytest.approx(report.to_dict())
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == saved_report
+        assert len(predictions) == 3
+        assert len((out / "predictions.jsonl").read_text().splitlines()) == 3
